@@ -41,8 +41,6 @@ from .index import (
     build_index,
     collect_observations,
     deserialize_index,
-    external_resolver,
-    pruned_bibfs,
     query,
     serialize_index,
     try_observations,
@@ -50,7 +48,6 @@ from .index import (
 from .supportive import (
     CandidatePool,
     SupportSet,
-    answer_S,
     pick_supports,
     reach_sets,
     select_candidates,

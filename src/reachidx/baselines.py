@@ -2,7 +2,8 @@
 
 The matrix doubles as the ground-truth oracle in tests, so it stays
 deliberately simple: one bit-parallel BFS per source vertex, no shared
-machinery with the index implementation.
+machinery with the index implementation.  The plain BFS is also the index's
+`bfs` fallback.
 """
 
 from __future__ import annotations
@@ -82,23 +83,30 @@ def matrix_query(mx: ReachMatrix, s: int, t: int) -> bool:
     return mx.query(s, t)
 
 
-def bfs_query(g: DiGraph, s: int, t: int) -> bool:
-    """Memoryless forward BFS; the no-preprocessing baseline."""
+def bfs_search(g: DiGraph, s: int, t: int) -> tuple[bool, int]:
+    """Memoryless forward BFS: (answer, vertices expanded)."""
     if s == t:
-        return True
+        return True, 0
     seen = bytearray(g.n)
     seen[s] = 1
     dq = deque((s,))
     out = g.out_adj
+    work = 0
     while dq:
         u = dq.popleft()
+        work += 1
         for v in out[u]:
             if v == t:
-                return True
+                return True, work
             if not seen[v]:
                 seen[v] = 1
                 dq.append(v)
-    return False
+    return False, work
+
+
+def bfs_query(g: DiGraph, s: int, t: int) -> bool:
+    """Memoryless forward BFS; the no-preprocessing baseline."""
+    return bfs_search(g, s, t)[0]
 
 
 def reachability_rho(mx: ReachMatrix) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .baselines import DEFAULT_MATRIX_CAP
 from .graph import (
@@ -109,32 +109,36 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dispatch(
-    ix, cond: CondensationMap, cs: int, ct: int, resolver, stats: ObservationStats
-) -> QueryOutcome:
-    if cs == ct:
-        # distinct originals in one SCC: mutually reachable, no index needed
-        stats.queries += 1
-        stats.first_hit["0:B3"] += 1
-        stats.outcomes["reachable"] += 1
-        return QueryOutcome(True, "0:B3", 0)
-    return query(ix, cs, ct, resolver, stats)
-
-
-def _cmd_query(args: argparse.Namespace) -> int:
+def _open_answerer(
+    args: argparse.Namespace,
+) -> Callable[[int, int, ObservationStats], QueryOutcome]:
+    """Load the graph and its index; return a function that answers one
+    original-id pair and records it in the given stats."""
     res = _load(args.graph, args.format)
     cond = scc_condense(res.graph)
     with open(args.index, "rb") as f:
         ix = deserialize_index(f.read(), cond.dag)
     resolver = RESOLVERS[args.fallback]
+
+    def answer(s: int, t: int, stats: ObservationStats) -> QueryOutcome:
+        cs, ct = _translate(res, cond, s, t)
+        if cs == ct and s != t:
+            # distinct originals in one SCC: mutually reachable, no index needed
+            stats.queries += 1
+            stats.first_hit["0:B3"] += 1
+            stats.outcomes["reachable"] += 1
+            return QueryOutcome(True, "0:B3", 0)
+        return query(ix, cs, ct, resolver, stats)
+
+    return answer
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    answer = _open_answerer(args)
     stats = ObservationStats()
     mismatches = 0
     for s, t, exp in load_query_file(args.pairs):
-        cs, ct = _translate(res, cond, s, t)
-        if s == t:
-            outcome = query(ix, cs, ct, resolver, stats)
-        else:
-            outcome = _dispatch(ix, cond, cs, ct, resolver, stats)
+        outcome = answer(s, t, stats)
         print(f"{s}\t{t}\t{int(outcome.answer)}\t{outcome.answered_by}\t{outcome.work}")
         if exp is not None and outcome.answer != exp:
             mismatches += 1
@@ -185,20 +189,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    res = _load(args.graph, args.format)
-    cond = scc_condense(res.graph)
-    with open(args.index, "rb") as f:
-        ix = deserialize_index(f.read(), cond.dag)
-    resolver = RESOLVERS[args.fallback]
+    answer = _open_answerer(args)
     first = True
     for path in args.queries:
         stats = ObservationStats(track_overlap=True)
         for s, t, _exp in load_query_file(path):
-            cs, ct = _translate(res, cond, s, t)
-            if s == t:
-                query(ix, cs, ct, resolver, stats)
-            else:
-                _dispatch(ix, cond, cs, ct, resolver, stats)
+            answer(s, t, stats)
         text = stats_report(stats, query_set=path.rsplit("/", 1)[-1])
         if not first:  # drop the repeated header line
             text = text.split("\n", 1)[1]

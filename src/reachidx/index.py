@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from .baselines import bfs_search
 from .graph import DiGraph, LevelAssignment, graph_checksum, topological_levels, weak_components
 from .supportive import SupportSet, answer_s1, answer_s23, pick_supports, select_candidates
 from .toporder import (
@@ -217,138 +218,56 @@ class Resolver:
     run: Callable[[ReachIndex, int, int], tuple[bool, int]]
 
 
-def _pbibfs_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
-    """Pruned bidirectional BFS, strictly alternating one expansion per side.
+def _bidirectional_search(
+    ix: ReachIndex, s: int, t: int, prune: bool
+) -> tuple[bool, int]:
+    """Bidirectional BFS, strictly alternating one expansion per side.
 
-    Every newly encountered vertex v first goes through the observations as
-    the subquery (v, t) or (s, v): a decisive positive answers the whole
-    query, a decisive negative prunes v.  Meeting frontiers (including
-    stepping onto t or s directly) answer positively; two exhausted
-    frontiers answer negatively.
+    Meeting frontiers (including stepping onto t or s directly) answer
+    positively; two exhausted frontiers answer negatively.  With prune, every
+    newly encountered vertex v first goes through the observations as the
+    subquery (v, t) or (s, v): a decisive positive answers the whole query,
+    a decisive negative prunes v.
     """
     if s == t:
         return True, 0
     g = ix.graph
-    out, inn = g.out_adj, g.in_adj
-    fseen = {s}
-    bseen = {t}
     fq: deque[int] = deque((s,))
     bq: deque[int] = deque((t,))
+    fseen = {s}
+    bseen = {t}
+    # per side: queue, own seen-set, the other side's seen-set, adjacency
+    fwd = (fq, fseen, bseen, g.out_adj)
+    bwd = (bq, bseen, fseen, g.in_adj)
     work = 0
     fwd_turn = True
     while fq or bq:
         use_fwd = bool(fq) and (fwd_turn or not bq)
         fwd_turn = not fwd_turn
-        if use_fwd:
-            u = fq.popleft()
-            work += 1
-            for v in out[u]:
-                if v in bseen:  # frontier met (v == t included)
-                    return True, work
-                if v in fseen:
-                    continue
-                sub, _ = try_observations(ix, v, t)
-                if sub is True:
-                    return True, work
-                if sub is False:
-                    continue
-                fseen.add(v)
-                fq.append(v)
-        else:
-            w = bq.popleft()
-            work += 1
-            for u in inn[w]:
-                if u in fseen:
-                    return True, work
-                if u in bseen:
-                    continue
-                sub, _ = try_observations(ix, s, u)
-                if sub is True:
-                    return True, work
-                if sub is False:
-                    continue
-                bseen.add(u)
-                bq.append(u)
-    return False, work
-
-
-def _bibfs_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
-    """Plain bidirectional BFS: same alternation, no observation pruning."""
-    if s == t:
-        return True, 0
-    g = ix.graph
-    out, inn = g.out_adj, g.in_adj
-    fseen = {s}
-    bseen = {t}
-    fq: deque[int] = deque((s,))
-    bq: deque[int] = deque((t,))
-    work = 0
-    fwd_turn = True
-    while fq or bq:
-        use_fwd = bool(fq) and (fwd_turn or not bq)
-        fwd_turn = not fwd_turn
-        if use_fwd:
-            u = fq.popleft()
-            work += 1
-            for v in out[u]:
-                if v in bseen:
-                    return True, work
-                if v not in fseen:
-                    fseen.add(v)
-                    fq.append(v)
-        else:
-            w = bq.popleft()
-            work += 1
-            for u in inn[w]:
-                if u in fseen:
-                    return True, work
-                if u not in bseen:
-                    bseen.add(u)
-                    bq.append(u)
-    return False, work
-
-
-def _bfs_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
-    if s == t:
-        return True, 0
-    g = ix.graph
-    seen = bytearray(g.n)
-    seen[s] = 1
-    dq: deque[int] = deque((s,))
-    out = g.out_adj
-    work = 0
-    while dq:
-        u = dq.popleft()
+        q, seen, other, adj = fwd if use_fwd else bwd
+        u = q.popleft()
         work += 1
-        for v in out[u]:
-            if v == t:
+        for v in adj[u]:
+            if v in other:  # frontiers met
                 return True, work
-            if not seen[v]:
-                seen[v] = 1
-                dq.append(v)
+            if v in seen:
+                continue
+            if prune:
+                # a module-global lookup on every call, so callers may swap it
+                sub, _ = try_observations(ix, v, t) if use_fwd else try_observations(ix, s, v)
+                if sub is True:
+                    return True, work
+                if sub is False:
+                    continue
+            seen.add(v)
+            q.append(v)
     return False, work
 
 
-PBIBFS = Resolver("pbibfs", _pbibfs_search)
-BIBFS = Resolver("bibfs", _bibfs_search)
-PLAIN_BFS = Resolver("bfs", _bfs_search)
+PBIBFS = Resolver("pbibfs", lambda ix, s, t: _bidirectional_search(ix, s, t, True))
+BIBFS = Resolver("bibfs", lambda ix, s, t: _bidirectional_search(ix, s, t, False))
+PLAIN_BFS = Resolver("bfs", lambda ix, s, t: bfs_search(ix.graph, s, t))
 RESOLVERS = {r.name: r for r in (PBIBFS, BIBFS, PLAIN_BFS)}
-
-
-def external_resolver(name: str, fn: Callable[[DiGraph, int, int], bool]) -> Resolver:
-    """Adapt a plain (graph, s, t) -> bool tool; its work is reported as 1."""
-    return Resolver(name, lambda ix, s, t: (bool(fn(ix.graph, s, t)), 1))
-
-
-def pruned_bibfs(
-    ix: ReachIndex, s: int, t: int, stats: ObservationStats | None = None
-) -> bool:
-    """Standalone pruned search; self-tests the observations first."""
-    ans, _ = try_observations(ix, s, t, stats)
-    if ans is not None:
-        return ans
-    ans, _work = _pbibfs_search(ix, s, t)
-    return ans
 
 
 def query(
@@ -358,7 +277,14 @@ def query(
     fallback: Resolver | None = None,
     stats: ObservationStats | None = None,
 ) -> QueryOutcome:
-    """Exact reachability answer: observations first, fallback on unknown."""
+    """Exact reachability answer: observations first, fallback on unknown.
+
+    Raises IndexError when s or t is not a vertex id in [0, n).
+    """
+    n = ix.graph.n
+    if not (0 <= s < n and 0 <= t < n):
+        bad = t if 0 <= s < n else s
+        raise IndexError(f"vertex id {bad} out of range for an index of n={n}")
     if stats is not None:
         stats.queries += 1
         if stats.track_overlap:

@@ -241,12 +241,3 @@ def answer_s23(ss: SupportSet, s: int, t: int) -> str | None:
         return "S3"
     return None
 
-
-def answer_S(ss: SupportSet, s: int, t: int) -> tuple[bool | None, str | None]:
-    """All support observations in order S1, S2, S3; None means undecided."""
-    if answer_s1(ss, s, t):
-        return True, "S1"
-    neg = answer_s23(ss, s, t)
-    if neg is not None:
-        return False, neg
-    return None, None

@@ -23,9 +23,7 @@ from reachidx.index import (
     build_index,
     collect_observations,
     deserialize_index,
-    external_resolver,
     payload_bytes_per_vertex,
-    pruned_bibfs,
     query,
     serialize_index,
     try_observations,
@@ -141,7 +139,6 @@ def test_observation_undecided_goes_to_fallback():
     g = DiGraph.from_edges(5, [(0, 2), (1, 2), (1, 3), (1, 4), (2, 3)])
     ix = build_index(g, T2K2, seed=0)
     assert try_observations(ix, 0, 4) == (None, None)
-    assert pruned_bibfs(ix, 0, 4) is False
     out = query(ix, 0, 4)
     assert out.answer is False
     assert out.answered_by == "fallback:pbibfs"
@@ -213,7 +210,7 @@ def test_resolvers_are_exact(g, seed):
                 ans, work = r.run(ix, s, t)
                 assert ans == truth, (r.name, s, t)
                 assert 0 <= work <= 2 * g.n
-            assert pruned_bibfs(ix, s, t) == truth
+            assert query(ix, s, t).answer == truth
 
 
 def test_resolver_registry():
@@ -221,17 +218,71 @@ def test_resolver_registry():
     assert RESOLVERS["pbibfs"] is PBIBFS
 
 
-def test_external_resolver_reports_unit_work():
-    calls = []
+# Frozen (answer, work) of every ordered pair on one fixed DAG: pins each
+# fallback's alternation, meeting test, pruning and pop counting, not just
+# its answers.
+FALLBACK_EDGES = [
+    (0, 5), (1, 6), (2, 3), (2, 4), (2, 7), (2, 8),
+    (3, 7), (4, 5), (4, 6), (4, 7), (5, 8), (6, 7),
+]
+FALLBACK_REACH = [
+    "100001001",
+    "010000110",
+    "001111111",
+    "000100010",
+    "000011111",
+    "000001001",
+    "000000110",
+    "000000010",
+    "000000001",
+]
+FALLBACK_WORK = {
+    "pbibfs": [
+        [0, 2, 2, 2, 2, 1, 2, 5, 1],
+        [2, 0, 2, 2, 2, 2, 1, 1, 3],
+        [2, 2, 0, 1, 1, 1, 1, 1, 1],
+        [2, 2, 2, 0, 2, 2, 2, 1, 2],
+        [2, 2, 2, 2, 0, 1, 1, 1, 1],
+        [2, 2, 2, 2, 2, 0, 2, 2, 1],
+        [2, 2, 2, 2, 2, 2, 0, 1, 2],
+        [2, 2, 2, 2, 2, 2, 2, 0, 2],
+        [2, 2, 2, 2, 2, 2, 2, 2, 0],
+    ],
+    "bibfs": [
+        [0, 4, 4, 5, 5, 1, 7, 9, 2],
+        [4, 0, 4, 5, 5, 7, 1, 2, 8],
+        [8, 8, 0, 1, 1, 2, 2, 1, 1],
+        [3, 3, 3, 0, 4, 6, 6, 1, 7],
+        [6, 6, 6, 7, 0, 1, 1, 1, 2],
+        [3, 3, 3, 4, 4, 0, 6, 8, 1],
+        [3, 3, 3, 4, 4, 6, 0, 1, 7],
+        [2, 2, 2, 3, 3, 5, 5, 0, 6],
+        [2, 2, 2, 3, 3, 5, 5, 7, 0],
+    ],
+    "bfs": [
+        [0, 3, 3, 3, 3, 1, 3, 3, 2],
+        [3, 0, 3, 3, 3, 3, 1, 2, 3],
+        [7, 7, 0, 1, 1, 3, 3, 1, 1],
+        [2, 2, 2, 0, 2, 2, 2, 1, 2],
+        [5, 5, 5, 5, 0, 1, 1, 1, 2],
+        [2, 2, 2, 2, 2, 0, 2, 2, 1],
+        [2, 2, 2, 2, 2, 2, 0, 1, 2],
+        [1, 1, 1, 1, 1, 1, 1, 0, 1],
+        [1, 1, 1, 1, 1, 1, 1, 1, 0],
+    ],
+}
 
-    def tool(g, s, t):
-        calls.append((s, t))
-        return True
 
-    r = external_resolver("tool", tool)
-    ix = build_index(diamond(), SMALL, seed=0)
-    assert r.run(ix, 1, 2) == (True, 1)
-    assert calls == [(1, 2)]
+@pytest.mark.parametrize("resolver", [PBIBFS, BIBFS, PLAIN_BFS], ids=lambda r: r.name)
+def test_fallback_work_frozen(resolver):
+    g = DiGraph.from_edges(9, FALLBACK_EDGES)
+    ix = build_index(g, IndexParams(t=1, k=1, p=1, h=1), seed=0)
+    mx = build_matrix(g)
+    for s in range(g.n):
+        for t in range(g.n):
+            ans = FALLBACK_REACH[s][t] == "1"
+            assert ans == matrix_query(mx, s, t)
+            assert resolver.run(ix, s, t) == (ans, FALLBACK_WORK[resolver.name][s][t]), (s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +295,13 @@ def test_query_decided_has_zero_work():
     assert out.answer is True
     assert out.answered_by == "3:S1"
     assert out.work == 0
+
+
+@pytest.mark.parametrize("s,t,bad", [(-1, 5, -1), (5, 50, 50), (50, 50, 50), (-3, -3, -3)])
+def test_query_rejects_out_of_range_ids(s, t, bad):
+    ix = build_index(DiGraph.from_edges(50, [(i, i + 1) for i in range(49)]), SMALL, seed=0)
+    with pytest.raises(IndexError, match=rf"vertex id {bad} .*n=50"):
+        query(ix, s, t)
 
 
 def test_query_custom_fallback_is_labelled():

@@ -11,7 +11,6 @@ from reachidx.supportive import (
     TAG_CENTRAL,
     TAG_FILL,
     TAG_SLIM,
-    answer_S,
     answer_s1,
     answer_s23,
     pick_supports,
@@ -157,22 +156,26 @@ def test_supports_are_top_ranked_by_product(g, seed):
 # observations
 
 
+def support_verdicts(ss, s, t):
+    return answer_s1(ss, s, t), answer_s23(ss, s, t)
+
+
 def test_answer_examples_path():
     g = path_graph(3)
     ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1)
-    assert answer_S(ss, 0, 2) == (True, "S1")
-    assert answer_S(ss, 2, 0) == (False, "S2")
-    assert answer_S(ss, 2, 1) == (False, "S3")
+    assert support_verdicts(ss, 0, 2) == (True, None)
+    assert support_verdicts(ss, 2, 0) == (False, "S2")
+    assert support_verdicts(ss, 2, 1) == (False, "S3")
     assert answer_s1(ss, 0, 1) and answer_s23(ss, 2, 0) == "S2"
 
 
 def test_answer_examples_diamond():
     g = diamond()
     ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1)
-    assert answer_S(ss, 0, 3) == (True, "S1")
-    assert answer_S(ss, 3, 0) == (False, "S3")
-    assert answer_S(ss, 1, 2) == (None, None)  # support 0 sees neither side
-    assert answer_S(ss, 1, 3) == (None, None)  # true answer exists, undecided here
+    assert support_verdicts(ss, 0, 3) == (True, None)
+    assert support_verdicts(ss, 3, 0) == (False, "S3")
+    assert support_verdicts(ss, 1, 2) == (False, None)  # support 0 sees neither side
+    assert support_verdicts(ss, 1, 3) == (False, None)  # true answer exists, undecided here
 
 
 @settings(max_examples=60)
@@ -185,6 +188,9 @@ def test_answer_is_sound(g, seed):
         for t in range(g.n):
             if s == t:
                 continue
-            ans, obs = answer_S(ss, s, t)
-            if ans is not None:
-                assert ans == matrix_query(mx, s, t), (s, t, obs)
+            truth = matrix_query(mx, s, t)
+            if answer_s1(ss, s, t):
+                assert truth, (s, t, "S1")
+            neg = answer_s23(ss, s, t)
+            if neg is not None:
+                assert not truth, (s, t, neg)
