@@ -9,6 +9,7 @@ the index (observation B3).
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import Callable, Sequence
 
@@ -91,19 +92,25 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     res = _load(args.graph, args.format)
-    cond = scc_condense(res.graph)
+    dag = scc_condense(res.graph).dag
+    n_input = res.graph.n
+    remap = None
+    if res.is_sparse:
+        remap = io.StringIO()
+        write_remap(res, remap)
+    del res  # the input graph would only raise the peak memory of the build
     params = IndexParams(t=args.t, k=args.k, p=args.p, h=args.h)
-    ix = build_index(cond.dag, params, args.seed)
+    ix = build_index(dag, params, args.seed)
     data = serialize_index(ix)
     with open(args.out_index, "wb") as f:
         f.write(data)
-    if res.is_sparse:
+    if remap is not None:
         remap_path = args.remap_out or args.out_index + ".remap"
         with open(remap_path, "w", encoding="utf-8") as f:
-            write_remap(res, f)
+            f.write(remap.getvalue())
         print(f"wrote sparse-id remap table to {remap_path}")
     print(
-        f"indexed {cond.dag.n} SCC(s) of {res.graph.n} vertices: "
+        f"indexed {dag.n} SCC(s) of {n_input} vertices: "
         f"{len(data)} bytes to {args.out_index}"
     )
     return 0

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import io
+import os
+import tempfile
+import zlib
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reachidx.cli import main
 from reachidx.graph import (
     AcyclicityError,
     DiGraph,
     GraphFormatError,
     graph_checksum,
+    load_graph,
     parse_edge_list,
     parse_gra,
     parse_graph,
@@ -134,6 +140,15 @@ def test_parse_gra_requires_terminator():
         parse_gra(["1", "0: 1 2"])
 
 
+def test_parse_gra_huge_declared_count_is_format_error():
+    # the seen-id table grows with the lines read, not with the declared n
+    n = 10**12
+    with pytest.raises(GraphFormatError, match=f"expected {n} adjacency lines, found 0"):
+        parse_gra([str(n)])
+    with pytest.raises(GraphFormatError, match="found 1$"):
+        parse_gra([str(n), "0: 1 #"])
+
+
 def test_parse_graph_dispatch_and_unknown_format():
     assert parse_graph(["0 1"], "edge-list").graph.m == 1
     with pytest.raises(ValueError):
@@ -154,6 +169,90 @@ def test_write_parse_roundtrip_both_formats(g):
         assert sorted(res2.graph.edges()) == sorted(
             (res2.id_map[u], res2.id_map[v]) for u, v in g.edges()
         )
+
+
+def _reference_edge_list(lines):
+    """Line-by-line reading of an edge list: (original ids, dense edges kept,
+    self-loops dropped, duplicates dropped)."""
+    raw = []
+    for lineno, text in enumerate(lines, 1):
+        line = text.strip()
+        if not line or line[0] in "#%":
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            raw.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: non-integer vertex id") from None
+    ids = sorted({x for e in raw for x in e})
+    dense = [(ids.index(u), ids.index(v)) for u, v in raw]
+    loops = sum(u == v for u, v in dense)
+    kept = sorted({e for e in dense if e[0] != e[1]})
+    return ids, kept, loops, len(dense) - loops - len(kept)
+
+
+_IDS = st.sampled_from([-(2**40), -7, -1, 0, 1, 2, 9, 10, 99, 12345, 2**31, 2**40 + 3])
+_MALFORMED = ["5", "1 2 3", "1 2 # note", "a 1", "1 x", "1.5 2", "0x10 1", "- 1"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list lines in assorted layouts; up to two malformed lines."""
+    lines = []
+    for u, v in draw(st.lists(st.tuples(_IDS, _IDS), max_size=25)):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank", "dup"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# c", "%c 1 2", "  # 1 2 3", "\t%"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        trail = draw(st.sampled_from(["", " ", "\t", "\r"]))
+        lines.append(f"{lead}{u}{sep}{v}{trail}")
+        if kind == "dup":
+            lines.append(f"{u} {v}")
+    for bad in draw(st.lists(st.sampled_from(_MALFORMED), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines
+
+
+def _outcome(parse, lines):
+    try:
+        res = parse(lines)
+    except GraphFormatError as e:
+        return "error", str(e)
+    assert res.id_map == {x: i for i, x in enumerate(res.original_ids)}
+    return (res.original_ids, sorted(res.graph.edges()),
+            res.dropped_self_loops, res.dropped_duplicates)
+
+
+def _reference_outcome(lines):
+    try:
+        return _reference_edge_list(lines)
+    except GraphFormatError as e:
+        return "error", str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_list_texts(), st.sampled_from(["\n", "\r\n"]))
+def test_parse_edge_list_matches_line_by_line_reference(lines, newline):
+    expected = _reference_outcome(lines)
+    assert _outcome(parse_edge_list, lines) == expected
+    assert _outcome(parse_edge_list, [ln + "\n" for ln in lines]) == expected
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.txt")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write("".join(ln + newline for ln in lines))
+        with open(path, encoding="utf-8") as f:  # a lone '\r' ends a line here
+            assert _outcome(load_graph, path) == _reference_outcome(f)
+
+
+def test_parse_edge_list_accepts_what_int_accepts():
+    res = parse_edge_list(["+5 -0_7", "1_000 ٣", str(2**70) + " 5"])
+    assert res.original_ids == [-7, 3, 5, 1000, 2**70]
+    assert sorted(res.graph.edges()) == [(2, 0), (3, 1), (4, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +308,47 @@ def test_scc_matches_brute_force_partition(g):
             assert (cond.scc_of[u] == cond.scc_of[v]) == same
     # condensation must be acyclic
     topological_levels(cond.dag)
+
+
+PINNED_EDGE_LIST = """\
+# cyclic graph with sparse ids
+% a second comment style
+70 10
+10 70
+10 40
+40 55
+55 40
+
+70 90
+90 12
+12 90
+-3 70
+8 8
+10 40
+   7\t8
+8 55
+1000 -3
+40 12
+"""
+
+
+def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
+    """Tarjan's numbering decides the condensed DAG and so the index bytes;
+    the values below were recorded before the array-based ingestion."""
+    res = parse_edge_list(PINNED_EDGE_LIST.splitlines())
+    assert res.original_ids == [-3, 7, 8, 10, 12, 40, 55, 70, 90, 1000]
+    assert (res.dropped_self_loops, res.dropped_duplicates) == (1, 1)
+    cond = scc_condense(res.graph)
+    assert cond.scc_of == [3, 5, 4, 2, 0, 1, 1, 2, 0, 6]
+    assert cond.rep_of == [4, 5, 7, 0, 2, 1, 9]
+    assert cond.dag.out_adj == [[], [0], [0, 1], [2], [1], [4], [3]]
+    g = tmp_path / "g.txt"
+    g.write_text(PINNED_EDGE_LIST)
+    idx = tmp_path / "g.ridx"
+    assert main(["build", "--graph", str(g), "--out-index", str(idx)]) == 0
+    capsys.readouterr()
+    data = idx.read_bytes()
+    assert (len(data), zlib.crc32(data)) == (472, 3774216309)
 
 
 # ---------------------------------------------------------------------------
