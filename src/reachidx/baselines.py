@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiGraph
+from .graph import DiGraph, check_ids
 
 
 class CapacityError(ValueError):
@@ -84,7 +84,11 @@ def matrix_query(mx: ReachMatrix, s: int, t: int) -> bool:
 
 
 def bfs_search(g: DiGraph, s: int, t: int) -> tuple[bool, int]:
-    """Memoryless forward BFS: (answer, vertices expanded)."""
+    """Memoryless forward BFS: (answer, vertices expanded).
+
+    Raises IndexError when s or t is not a vertex id in [0, n).
+    """
+    check_ids(g.n, s, t)
     if s == t:
         return True, 0
     seen = bytearray(g.n)

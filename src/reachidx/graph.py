@@ -48,7 +48,10 @@ class DiGraph:
         return _digraph(n, e[0::2], e[1::2])
 
     def reverse(self) -> "DiGraph":
-        return DiGraph(self.in_adj)
+        """The transposed graph, sharing this graph's adjacency lists."""
+        g = DiGraph.__new__(DiGraph)
+        g.out_adj, g.in_adj, g.n, g.m = self.in_adj, self.out_adj, self.n, self.m
+        return g
 
     def edges(self) -> Iterable[tuple[int, int]]:
         for u, nbrs in enumerate(self.out_adj):
@@ -57,6 +60,13 @@ class DiGraph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DiGraph(n={self.n}, m={self.m})"
+
+
+def check_ids(n: int, s: int, t: int) -> None:
+    """Raise IndexError unless s and t are both vertex ids in [0, n)."""
+    if not (0 <= s < n and 0 <= t < n):
+        bad = t if 0 <= s < n else s
+        raise IndexError(f"vertex id {bad} out of range for n={n}")
 
 
 def _index_array(values: Iterable[int], n: int) -> np.ndarray:

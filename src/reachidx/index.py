@@ -4,8 +4,11 @@ and binary serialization.
 A query runs through seven constant-time tests (equality, levels, positive
 support, first ordering, negative supports, remaining orderings, weak
 components); the first decisive one answers.  Undecided queries go to a
-fallback resolver, by default a pruned bidirectional BFS that consults the
-same observations on every newly encountered vertex.
+fallback resolver, by default a pruned bidirectional BFS.  It expands the
+side with the shorter queue, answers positively when the sides meet and
+negatively as soon as either queue is empty, and tests every newly
+encountered vertex against the search's fixed endpoint with the same
+observations, so a decisive negative prunes that vertex.
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from typing import Callable
 import numpy as np
 
 from .baselines import bfs_search
-from .graph import DiGraph, LevelAssignment, graph_checksum, topological_levels, weak_components
+from .graph import (
+    DiGraph,
+    LevelAssignment,
+    check_ids,
+    graph_checksum,
+    topological_levels,
+    weak_components,
+)
 from .supportive import SupportSet, answer_s1, answer_s23, pick_supports, select_candidates
 from .toporder import (
     BACKWARD,
@@ -218,33 +228,129 @@ class Resolver:
     run: Callable[[ReachIndex, int, int], tuple[bool, int]]
 
 
+def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], bool | None]:
+    """Observations bound to the fixed endpoint x of one search side.
+
+    towards=True gives test(v) == try_observations(ix, v, x)[0] (forward
+    side, x = t); towards=False gives test(v) == try_observations(ix, x, v)[0]
+    (backward side, x = s).  x's levels, masks, component and ordering
+    indices are read once.  Every observation is sound, so running them
+    cheapest-first (levels, S1, S2/S3, orderings, B2) gives the same verdict
+    as the fixed test order.  An ordering whose indices for the pair all sit
+    on x reduces to intervals of pos(v).
+    """
+    lf, lb = ix.levels.fwd, ix.levels.bwd
+    fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
+    wcc = ix.wcc
+    lfx, lbx, fmx, bmx, wx = lf[x], lb[x], fm[x], bm[x], wcc[x]
+    # own: the ordering's indices for v are read per call; fixed: pos(v) in
+    # [a, b] or == m proves the pair, pos(v) outside [lo, hi] refutes it
+    own: list[tuple[list[int], list[int], list[int], int]] = []
+    fixed: list[tuple[list[int], int, int, int, int, int]] = []
+    for o in ix.orderings:
+        px = o.pos[x]
+        if (o.flavor == FORWARD) == towards:
+            own.append((o.pos, o.hi_or_lo, o.mx_or_mn, px))
+        elif towards:  # backward ordering, pair (v, x): Low(x), Min(x)
+            lo, mn = o.hi_or_lo[x], o.mx_or_mn[x]
+            fixed.append((o.pos, lo, px, mn, px, mn))
+        else:  # forward ordering, pair (x, v): High(x), Max(x)
+            hi, mx = o.hi_or_lo[x], o.mx_or_mn[x]
+            fixed.append((o.pos, px, hi, px, mx, mx))
+
+    if towards:
+
+        def test(v: int) -> bool | None:
+            if v == x:
+                return True
+            if lf[v] >= lfx or lb[v] <= lbx:  # B5, B6
+                return False
+            if bm[v] & fmx:  # S1
+                return True
+            if fm[v] & ~fmx or bmx & ~bm[v]:  # S2, S3
+                return False
+            for pos, hi, mx, px in own:  # B4, T1, T2, T3
+                p = pos[v]
+                if px < p:
+                    return False
+                if px <= hi[v]:
+                    return True
+                m = mx[v]
+                if px > m:
+                    return False
+                if px == m:
+                    return True
+            for pos, a, b, lo, hi, m in fixed:
+                p = pos[v]
+                if p < lo or p > hi:
+                    return False
+                if a <= p <= b or p == m:
+                    return True
+            if wcc[v] != wx:  # B2
+                return False
+            return None
+
+    else:
+
+        def test(v: int) -> bool | None:
+            if v == x:
+                return True
+            if lf[v] <= lfx or lb[v] >= lbx:  # B5, B6
+                return False
+            if bmx & fm[v]:  # S1
+                return True
+            if fmx & ~fm[v] or bm[v] & ~bmx:  # S2, S3
+                return False
+            for pos, lo, mn, px in own:  # B4, T4, T5, T6
+                if pos[v] < px:
+                    return False
+                if lo[v] <= px:
+                    return True
+                m = mn[v]
+                if px < m:
+                    return False
+                if px == m:
+                    return True
+            for pos, a, b, lo, hi, m in fixed:
+                p = pos[v]
+                if p < lo or p > hi:
+                    return False
+                if a <= p <= b or p == m:
+                    return True
+            if wcc[v] != wx:  # B2
+                return False
+            return None
+
+    return test
+
+
 def _bidirectional_search(
     ix: ReachIndex, s: int, t: int, prune: bool
 ) -> tuple[bool, int]:
-    """Bidirectional BFS, strictly alternating one expansion per side.
+    """Bidirectional BFS that always expands the side with the shorter queue.
 
-    Meeting frontiers (including stepping onto t or s directly) answer
-    positively; two exhausted frontiers answer negatively.  With prune, every
-    newly encountered vertex v first goes through the observations as the
-    subquery (v, t) or (s, v): a decisive positive answers the whole query,
-    a decisive negative prunes v.
+    The forward side goes first on a tie.  Meeting frontiers (including
+    stepping onto t or s directly) answer positively.  The search answers
+    negatively as soon as either queue is empty: that side has then seen every
+    vertex it could put on an s-t path.  With prune, every newly encountered
+    vertex v first goes through the observations as the subquery (v, t) or
+    (s, v): a decisive positive answers the whole query, a decisive negative
+    prunes v.  Raises IndexError when s or t is not a vertex id in [0, n).
     """
+    g = ix.graph
+    check_ids(g.n, s, t)
     if s == t:
         return True, 0
-    g = ix.graph
     fq: deque[int] = deque((s,))
     bq: deque[int] = deque((t,))
     fseen = {s}
     bseen = {t}
-    # per side: queue, own seen-set, the other side's seen-set, adjacency
-    fwd = (fq, fseen, bseen, g.out_adj)
-    bwd = (bq, bseen, fseen, g.in_adj)
+    # per side: queue, own seen-set, the other side's seen-set, adjacency, test
+    fwd = (fq, fseen, bseen, g.out_adj, _endpoint_test(ix, t, True) if prune else None)
+    bwd = (bq, bseen, fseen, g.in_adj, _endpoint_test(ix, s, False) if prune else None)
     work = 0
-    fwd_turn = True
-    while fq or bq:
-        use_fwd = bool(fq) and (fwd_turn or not bq)
-        fwd_turn = not fwd_turn
-        q, seen, other, adj = fwd if use_fwd else bwd
+    while fq and bq:
+        q, seen, other, adj, test = fwd if len(fq) <= len(bq) else bwd
         u = q.popleft()
         work += 1
         for v in adj[u]:
@@ -252,9 +358,8 @@ def _bidirectional_search(
                 return True, work
             if v in seen:
                 continue
-            if prune:
-                # a module-global lookup on every call, so callers may swap it
-                sub, _ = try_observations(ix, v, t) if use_fwd else try_observations(ix, s, v)
+            if test is not None:
+                sub = test(v)
                 if sub is True:
                     return True, work
                 if sub is False:
@@ -282,9 +387,8 @@ def query(
     Raises IndexError when s or t is not a vertex id in [0, n).
     """
     n = ix.graph.n
-    if not (0 <= s < n and 0 <= t < n):
-        bad = t if 0 <= s < n else s
-        raise IndexError(f"vertex id {bad} out of range for an index of n={n}")
+    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
+        check_ids(n, s, t)
     if stats is not None:
         stats.queries += 1
         if stats.track_overlap:

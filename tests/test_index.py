@@ -19,6 +19,7 @@ from reachidx.index import (
     IndexParams,
     ObservationStats,
     ReachIndex,
+    _endpoint_test,
     _substream,
     build_index,
     collect_observations,
@@ -34,6 +35,15 @@ from reachidx.toporder import BACKWARD, FORWARD, extended_topsort, extended_tops
 from conftest import NoShuffle, dags, diamond
 
 SMALL = IndexParams(t=2, k=4, p=2, h=3)
+
+# k=0, t=0/1 and odd t included: empty masks, no or one ordering, unpaired flavors
+ANY_PARAMS = st.builds(
+    IndexParams,
+    t=st.integers(0, 5),
+    k=st.sampled_from([0, 1, 2, 3, 9]),
+    p=st.integers(1, 3),
+    h=st.integers(1, 4),
+)
 
 POSITIVE_OBS = {"EQ", "T1", "T3", "T4", "T6", "S1"}
 NEGATIVE_OBS = {"B2", "B4", "B5", "B6", "T2", "T5", "S2", "S3"}
@@ -198,10 +208,10 @@ def test_collected_observations_have_correct_sign(g, seed):
 # fallback resolvers
 
 
-@settings(max_examples=40)
-@given(dags(max_n=12), st.integers(0, 2**16))
-def test_resolvers_are_exact(g, seed):
-    ix = build_index(g, SMALL, seed=seed)
+@settings(max_examples=60)
+@given(dags(max_n=12), ANY_PARAMS, st.integers(0, 2**16))
+def test_resolvers_are_exact(g, params, seed):
+    ix = build_index(g, params, seed=seed)
     mx = build_matrix(g)
     for s in range(g.n):
         for t in range(g.n):
@@ -213,14 +223,48 @@ def test_resolvers_are_exact(g, seed):
             assert query(ix, s, t).answer == truth
 
 
+def assert_endpoint_tests_match(ix: ReachIndex) -> None:
+    n = ix.graph.n
+    for x in range(n):
+        towards_x = _endpoint_test(ix, x, True)
+        from_x = _endpoint_test(ix, x, False)
+        for v in range(n):
+            assert towards_x(v) == try_observations(ix, v, x)[0], (v, x)
+            assert from_x(v) == try_observations(ix, x, v)[0], (x, v)
+
+
+@settings(max_examples=100)
+@given(dags(max_n=12), ANY_PARAMS, st.integers(0, 2**16))
+def test_endpoint_test_matches_try_observations(g, params, seed):
+    # t=0, k=0 leaves the levels and B2 to decide on their own
+    for p in (params, IndexParams(t=0, k=0, p=1, h=1)):
+        assert_endpoint_tests_match(build_index(g, p, seed=seed))
+
+
+@pytest.mark.parametrize(
+    "n,edges,params,seed", [c[:4] for c in FROZEN_TAG_CASES], ids=[c[-1] for c in FROZEN_TAG_CASES]
+)
+def test_endpoint_test_on_tag_cases(n, edges, params, seed):
+    # graphs on which one observation decides alone, such as T3, T6 or B2
+    assert_endpoint_tests_match(build_index(DiGraph.from_edges(n, edges), params, seed=seed))
+
+
+@pytest.mark.parametrize("resolver", [PBIBFS, BIBFS, PLAIN_BFS], ids=lambda r: r.name)
+@pytest.mark.parametrize("s,t,bad", [(3, -1, -1), (-1, 3, -1), (0, 5, 5), (7, 7, 7)])
+def test_resolvers_reject_out_of_range_ids(resolver, s, t, bad):
+    ix = build_index(DiGraph.from_edges(5, [(i, i + 1) for i in range(4)]), SMALL, seed=0)
+    with pytest.raises(IndexError, match=rf"vertex id {bad} .*n=5"):
+        resolver.run(ix, s, t)
+
+
 def test_resolver_registry():
     assert set(RESOLVERS) == {"pbibfs", "bibfs", "bfs"}
     assert RESOLVERS["pbibfs"] is PBIBFS
 
 
 # Frozen (answer, work) of every ordered pair on one fixed DAG: pins each
-# fallback's alternation, meeting test, pruning and pop counting, not just
-# its answers.
+# fallback's side choice, stopping rule, meeting test, pruning and pop
+# counting, not just its answers.
 FALLBACK_EDGES = [
     (0, 5), (1, 6), (2, 3), (2, 4), (2, 7), (2, 8),
     (3, 7), (4, 5), (4, 6), (4, 7), (5, 8), (6, 7),
@@ -238,26 +282,26 @@ FALLBACK_REACH = [
 ]
 FALLBACK_WORK = {
     "pbibfs": [
-        [0, 2, 2, 2, 2, 1, 2, 5, 1],
-        [2, 0, 2, 2, 2, 2, 1, 1, 3],
-        [2, 2, 0, 1, 1, 1, 1, 1, 1],
-        [2, 2, 2, 0, 2, 2, 2, 1, 2],
-        [2, 2, 2, 2, 0, 1, 1, 1, 1],
-        [2, 2, 2, 2, 2, 0, 2, 2, 1],
-        [2, 2, 2, 2, 2, 2, 0, 1, 2],
-        [2, 2, 2, 2, 2, 2, 2, 0, 2],
-        [2, 2, 2, 2, 2, 2, 2, 2, 0],
+        [0, 1, 1, 1, 1, 1, 1, 2, 1],
+        [1, 0, 1, 1, 1, 1, 1, 1, 1],
+        [1, 1, 0, 1, 1, 1, 1, 1, 1],
+        [1, 1, 1, 0, 1, 1, 1, 1, 1],
+        [1, 1, 1, 1, 0, 1, 1, 1, 1],
+        [1, 1, 1, 1, 1, 0, 1, 1, 1],
+        [1, 1, 1, 1, 1, 1, 0, 1, 1],
+        [1, 1, 1, 1, 1, 1, 1, 0, 1],
+        [1, 1, 1, 1, 1, 1, 1, 1, 0],
     ],
     "bibfs": [
-        [0, 4, 4, 5, 5, 1, 7, 9, 2],
-        [4, 0, 4, 5, 5, 7, 1, 2, 8],
-        [8, 8, 0, 1, 1, 2, 2, 1, 1],
-        [3, 3, 3, 0, 4, 6, 6, 1, 7],
-        [6, 6, 6, 7, 0, 1, 1, 1, 2],
-        [3, 3, 3, 4, 4, 0, 6, 8, 1],
-        [3, 3, 3, 4, 4, 6, 0, 1, 7],
-        [2, 2, 2, 3, 3, 5, 5, 0, 6],
-        [2, 2, 2, 3, 3, 5, 5, 7, 0],
+        [0, 3, 3, 3, 3, 1, 3, 3, 2],
+        [3, 0, 3, 3, 3, 3, 1, 2, 3],
+        [2, 2, 0, 1, 1, 2, 2, 1, 1],
+        [2, 2, 2, 0, 2, 2, 2, 1, 2],
+        [2, 2, 2, 3, 0, 1, 1, 1, 2],
+        [2, 2, 2, 2, 2, 0, 2, 2, 1],
+        [2, 2, 2, 2, 2, 2, 0, 1, 2],
+        [1, 1, 1, 1, 1, 1, 1, 0, 1],
+        [1, 1, 1, 1, 1, 1, 1, 1, 0],
     ],
     "bfs": [
         [0, 3, 3, 3, 3, 1, 3, 3, 2],
