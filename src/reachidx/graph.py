@@ -3,10 +3,17 @@ weakly connected components, and topological levels.
 
 Vertices are dense integers 0..n-1.  All containers here are immutable by
 convention after construction and safe for concurrent readers.
+
+Building a graph creates n adjacency lists per direction in one go.  Each
+new list counts towards CPython's cyclic-GC thresholds, so on large graphs
+construction would set off full collections that walk every list alive,
+for nothing: lists of ints cannot form a reference cycle.  `_split` pauses
+the collector while it creates them and restores the caller's setting.
 """
 
 from __future__ import annotations
 
+import gc
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -114,7 +121,13 @@ def _fill(g: DiGraph, n: int, u: np.ndarray, v: np.ndarray) -> None:
 def _split(flat: np.ndarray, counts: np.ndarray) -> list[list[int]]:
     items = flat.tolist()
     ends = np.cumsum(counts).tolist()
-    return [items[a:b] for a, b in zip([0, *ends], ends)]
+    enabled = gc.isenabled()
+    gc.disable()  # the lists hold only ints: no cycles to find
+    try:
+        return [items[a:b] for a, b in zip([0, *ends], ends)]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def graph_checksum(g: DiGraph) -> int:

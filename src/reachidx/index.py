@@ -31,7 +31,15 @@ from .graph import (
     topological_levels,
     weak_components,
 )
-from .supportive import SupportSet, answer_s1, answer_s23, pick_supports, select_candidates
+from .supportive import (
+    SupportSet,
+    answer_s1,
+    answer_s23,
+    mask_rows,
+    masks_from_rows,
+    pick_supports,
+    select_candidates,
+)
 from .toporder import (
     BACKWARD,
     FORWARD,
@@ -432,12 +440,14 @@ def serialize_index(ix: ReachIndex) -> bytes:
     ints = np.empty((n, len(columns)), dtype="<u4")
     for i, col in enumerate(columns):
         ints[:, i] = col
-    parts = [ints.view(np.uint8).reshape(n, 4 * len(columns))]
-    if w:
-        for masks in (ix.supports.fwd_mask, ix.supports.bwd_mask):
-            raw = b"".join(m.to_bytes(w, "little") for m in masks)
-            parts.append(np.frombuffer(raw, dtype=np.uint8).reshape(n, w))
-    records = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+    records = np.concatenate(
+        [
+            ints.view(np.uint8).reshape(n, 4 * len(columns)),
+            mask_rows(ix.supports.fwd_mask, w),
+            mask_rows(ix.supports.bwd_mask, w),
+        ],
+        axis=1,
+    )
     return header + records.tobytes()
 
 
@@ -480,20 +490,10 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
                 flavor=FORWARD if j < n_fwd else BACKWARD,
             )
         )
-    fwd_mask = [0] * n
-    bwd_mask = [0] * n
+    fwd_rows = records[:, 12 + 12 * t : 12 + 12 * t + w]
+    bwd_rows = records[:, 12 + 12 * t + w :]
     supports: list[int] = []
     if w:
-        fwd_rows = records[:, 12 + 12 * t : 12 + 12 * t + w]
-        bwd_rows = records[:, 12 + 12 * t + w :]
-        raw_f = fwd_rows.tobytes()
-        raw_b = bwd_rows.tobytes()
-        fwd_mask = [
-            int.from_bytes(raw_f[i * w : (i + 1) * w], "little") for i in range(n)
-        ]
-        bwd_mask = [
-            int.from_bytes(raw_b[i * w : (i + 1) * w], "little") for i in range(n)
-        ]
         # A support is the unique vertex with its own bit set in both masks:
         # both directions reachable means same SCC, hence the same vertex.
         both = np.unpackbits(fwd_rows & bwd_rows, axis=1, bitorder="little")[:, :k]
@@ -502,5 +502,7 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
             if owners.size == 0:
                 break
             supports.append(int(owners[0]))
-    support_set = SupportSet(supports, fwd_mask, bwd_mask, k)
+    support_set = SupportSet(
+        supports, masks_from_rows(fwd_rows), masks_from_rows(bwd_rows), k
+    )
     return ReachIndex(dag, wcc, levels, orderings, support_set)

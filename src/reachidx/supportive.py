@@ -43,6 +43,44 @@ class SupportSet:
         return (self.k + 7) // 8
 
 
+# A mask column (one int per vertex, bit i = the i-th support) is stored as
+# (n, w) uint8 rows of w = ceil(k/8) little-endian bytes.  Encoding and
+# decoding both go through 64-bit words, so the work is per word column, not
+# per vertex; ints are combined with shifts only when k > 64.
+_WORD = (1 << 64) - 1
+
+
+def mask_rows(masks: list[int], w: int) -> np.ndarray:
+    """The (len(masks), w) uint8 rows holding each mask in w little-endian
+    bytes; raises ValueError for a mask that does not fit."""
+    if masks and max(masks) >> (8 * w):
+        raise ValueError(f"mask does not fit in {w} bytes")
+    words = np.zeros((len(masks), -(-w // 8)), dtype="<u8")
+    if words.shape[1] == 1:
+        words[:, 0] = masks
+    elif words.shape[1] > 1:
+        big = np.array(masks, dtype=object)
+        for j in range(words.shape[1]):
+            words[:, j] = (big >> (64 * j)) & _WORD
+    return words.view(np.uint8)[:, :w]
+
+
+def masks_from_rows(rows: np.ndarray) -> list[int]:
+    """Inverse of mask_rows: the masks held in (n, w) little-endian byte rows."""
+    n, w = rows.shape
+    if w == 0:
+        return [0] * n
+    padded = np.zeros((n, -(-w // 8) * 8), dtype=np.uint8)
+    padded[:, :w] = rows
+    words = padded.view("<u8")
+    if words.shape[1] == 1:
+        return words[:, 0].tolist()
+    big = words[:, 0].astype(object)
+    for j in range(1, words.shape[1]):
+        big |= words[:, j].astype(object) << (64 * j)
+    return big.tolist()
+
+
 def select_candidates(
     dag: DiGraph,
     levels: LevelAssignment,
@@ -171,25 +209,15 @@ def _column_counts(M: np.ndarray, ncols: int, chunk: int = 8192) -> np.ndarray:
     return counts
 
 
-def _extract_columns(
-    M: np.ndarray, cols: list[int], width: int, chunk: int = 8192
-) -> list[int]:
-    """Gather the chosen candidate columns into per-vertex little-endian ints."""
-    out: list[int] = []
-    if width == 0:
-        return [0] * M.shape[0]
-    byte_view = M.astype("<u8", copy=False).view(np.uint8)
-    for a in range(0, M.shape[0], chunk):
-        bits = np.unpackbits(byte_view[a : a + chunk], axis=1, bitorder="little")
-        sel = bits[:, cols] if cols else np.zeros((bits.shape[0], 0), dtype=np.uint8)
-        packed = np.packbits(sel, axis=1, bitorder="little")
-        if packed.shape[1] < width:
-            pad = np.zeros((packed.shape[0], width - packed.shape[1]), dtype=np.uint8)
-            packed = np.concatenate([packed, pad], axis=1)
-        raw = packed.tobytes()
-        for i in range(packed.shape[0]):
-            out.append(int.from_bytes(raw[i * width : (i + 1) * width], "little"))
-    return out
+def _take_columns(M: np.ndarray, cols: list[int], w: int) -> np.ndarray:
+    """Bit cols[i] of each row of M shifted to bit i: the chosen candidate
+    columns, in selection order, as (n, w) mask rows."""
+    out = np.zeros((M.shape[0], -(-w // 8)), dtype="<u8")
+    one = np.uint64(1)
+    for i, j in enumerate(cols):
+        bit = (M[:, j >> 6] >> np.uint64(j & 63)) & one
+        out[:, i >> 6] |= bit << np.uint64(i & 63)
+    return out.view(np.uint8)[:, :w]
 
 
 def pick_supports(
@@ -222,8 +250,8 @@ def pick_supports(
     width = (k + 7) // 8
     return SupportSet(
         supports=[cands[j] for j in chosen],
-        fwd_mask=_extract_columns(fwd_M, chosen, width),
-        bwd_mask=_extract_columns(bwd_M, chosen, width),
+        fwd_mask=masks_from_rows(_take_columns(fwd_M, chosen, width)),
+        bwd_mask=masks_from_rows(_take_columns(bwd_M, chosen, width)),
         k=k,
     )
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import os
 import tempfile
@@ -47,6 +48,17 @@ def test_from_edges_rejects_parallel_edge():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(ValueError):
         DiGraph.from_edges(2, [(0, 5)])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_from_edges_keeps_gc_state(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        DiGraph.from_edges(3, [(0, 1), (1, 2)])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_adjacency_is_sorted_regardless_of_input_order():

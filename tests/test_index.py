@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from reachidx.index import (
 )
 from reachidx.supportive import pick_supports, select_candidates
 from reachidx.toporder import BACKWARD, FORWARD, extended_topsort, extended_topsort_backward
+from reachidx.workbench import gen_random_dag
 
 from conftest import NoShuffle, dags, diamond
 
@@ -429,6 +431,21 @@ def test_roundtrip_degenerate_shapes():
     roundtrip_equal(build_index(g, IndexParams(t=1, k=1, p=1, h=1), seed=0), g)
     big_k = IndexParams(t=2, k=70, p=2, h=8)  # multi-word masks, k > candidates
     roundtrip_equal(build_index(g, big_k, seed=0), g)
+    g = gen_random_dag(300, 1200, seed=0)
+    ix = build_index(g, IndexParams(t=3, k=70), seed=0)
+    assert len(ix.supports.supports) == 70  # bits in the second 64-bit word
+    roundtrip_equal(ix, g)
+
+
+@pytest.mark.parametrize(
+    "t, k, size, crc",
+    [(4, 16, 19224, 2381050787), (3, 70, 19824, 1415179365)],
+)
+def test_index_bytes_frozen(t, k, size, crc):
+    """Length and CRC32 recorded before the mask codec moved into one place."""
+    g = gen_random_dag(300, 1200, seed=0)
+    blob = serialize_index(build_index(g, IndexParams(t=t, k=k), seed=0))
+    assert (len(blob), zlib.crc32(blob)) == (size, crc)
 
 
 def test_deserialize_rejects_corruption():

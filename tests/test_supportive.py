@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +15,14 @@ from reachidx.supportive import (
     TAG_SLIM,
     answer_s1,
     answer_s23,
+    mask_rows,
+    masks_from_rows,
     pick_supports,
     reach_sets,
     select_candidates,
 )
+
+from reachidx.workbench import gen_random_dag
 
 from conftest import brute_reach_sets, dags, diamond, path_graph
 
@@ -138,6 +144,18 @@ def test_mask_columns_match_per_vertex_search(g, seed):
     assert all(mask & ~used == 0 for mask in ss.fwd_mask + ss.bwd_mask)
 
 
+def test_mask_columns_beyond_one_word():
+    """k > 64 chosen supports: bits 64.. land in the masks' second word."""
+    g = gen_random_dag(300, 1200, seed=0)
+    ss = pick_supports(pool_for(g, k=70, p=3, h=8), g, k=70)
+    assert len(ss.supports) == 70
+    for i, sv in enumerate(ss.supports):
+        fwd, bwd = reach_sets(g, sv)
+        assert sum(((m >> i) & 1) << w for w, m in enumerate(ss.fwd_mask)) == fwd
+        assert sum(((m >> i) & 1) << w for w, m in enumerate(ss.bwd_mask)) == bwd
+    assert all(m >> 70 == 0 for m in ss.fwd_mask + ss.bwd_mask)
+
+
 @settings(max_examples=60)
 @given(dags(max_n=12), st.integers(0, 2**16))
 def test_supports_are_top_ranked_by_product(g, seed):
@@ -150,6 +168,49 @@ def test_supports_are_top_ranked_by_product(g, seed):
 
     expect = sorted(pool.candidates, key=rank)[: min(3, len(pool.candidates))]
     assert ss.supports == expect
+
+
+# ---------------------------------------------------------------------------
+# mask codec
+
+# w = 1..17 bytes crosses the 8- and 16-byte word boundaries
+widths = st.integers(1, 17)
+
+
+@settings(max_examples=150)
+@given(
+    widths.flatmap(
+        lambda w: st.tuples(
+            st.just(w), st.lists(st.integers(0, 2 ** (8 * w) - 1), max_size=12)
+        )
+    )
+)
+def test_mask_codec_roundtrip(case):
+    w, masks = case
+    rows = mask_rows(masks, w)
+    assert rows.shape == (len(masks), w) and rows.dtype == np.uint8
+    assert rows.tobytes() == b"".join(m.to_bytes(w, "little") for m in masks)
+    assert masks_from_rows(rows) == masks
+
+
+@settings(max_examples=150)
+@given(widths, st.integers(0, 12), st.randoms(use_true_random=False))
+def test_mask_codec_matches_bytes_reference(w, n, rnd):
+    """Decode rows cut out of wider records, as deserialization does."""
+    records = np.frombuffer(rnd.randbytes(n * (w + 5)), np.uint8).reshape(n, w + 5)
+    rows = records[:, 2 : 2 + w]
+    raw = rows.tobytes()
+    expect = [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(n)]
+    assert masks_from_rows(rows) == expect
+    assert mask_rows(expect, w).tobytes() == raw
+
+
+def test_mask_codec_edges():
+    assert mask_rows([0, 0], 0).shape == (2, 0)
+    assert masks_from_rows(np.zeros((3, 0), np.uint8)) == [0, 0, 0]
+    assert masks_from_rows(np.zeros((0, 9), np.uint8)) == []
+    with pytest.raises(ValueError, match="fit"):
+        mask_rows([1 << 16], 2)
 
 
 # ---------------------------------------------------------------------------
