@@ -12,7 +12,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, field
 
 from reachidx import (
     IndexParams,
@@ -23,31 +22,19 @@ from reachidx import (
     standard_algorithms,
     stats_report,
 )
+from reachidx.workbench import ALGORITHM_NAMES
 
 
-@dataclass
-class EvalConfig:
-    n: int = 4096
-    m: int = 16384
-    graph_seed: int = 0
-    query_seed: int = 1
-    queries: int = 2000
-    params: IndexParams = field(default_factory=IndexParams)
-    algos: list[str] = field(default_factory=lambda: ["index+pbibfs", "matrix"])
-    kinds: list[str] = field(default_factory=lambda: ["positive", "negative", "random"])
-    reps: int = 3
-    index_seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
-
-
-def run(cfg: EvalConfig) -> None:
-    g = gen_random_dag(cfg.n, cfg.m, cfg.graph_seed)
+def run(a: argparse.Namespace) -> None:
+    g = gen_random_dag(a.n, a.m, a.graph_seed)
     oracle = build_oracle(g)
     sets = [
-        gen_queries(g, kind, cfg.queries, cfg.query_seed + i, oracle)
-        for i, kind in enumerate(cfg.kinds)
+        gen_queries(g, kind, a.queries, a.query_seed + i, oracle)
+        for i, kind in enumerate(a.kinds)
     ]
-    algos = standard_algorithms(cfg.algos, cfg.params)
-    report = bench(g, algos, sets, cfg.reps, cfg.index_seeds)
+    params = IndexParams(t=a.t, k=a.k, p=a.p, h=a.h)
+    algos = standard_algorithms(a.algos, params)
+    report = bench(g, algos, sets, a.reps, a.index_seeds)
     print(report.to_tsv(), end="")
     for (algo, label), stats in sorted(report.stats.items()):
         print()
@@ -70,27 +57,15 @@ def main() -> None:
     ap.add_argument(
         "--algos",
         nargs="+",
+        choices=ALGORITHM_NAMES,
         default=["index+pbibfs", "matrix"],
-        help="any of: matrix bfs index+pbibfs index+bibfs index+bfs",
+        metavar="ALGO",
+        help="any of: %(choices)s",
     )
     ap.add_argument(
         "--kinds", nargs="+", default=["positive", "negative", "random"]
     )
-    a = ap.parse_args()
-    run(
-        EvalConfig(
-            n=a.n,
-            m=a.m,
-            graph_seed=a.graph_seed,
-            query_seed=a.query_seed,
-            queries=a.queries,
-            params=IndexParams(t=a.t, k=a.k, p=a.p, h=a.h),
-            algos=a.algos,
-            kinds=a.kinds,
-            reps=a.reps,
-            index_seeds=a.index_seeds,
-        )
-    )
+    run(ap.parse_args())
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from .graph import (
     weak_components,
 )
 from .index import (
-    BIBFS,
     PBIBFS,
     PLAIN_BFS,
     IndexFormatError,

@@ -24,16 +24,19 @@ from .graph import (
     write_remap,
 )
 from .index import (
+    PBIBFS,
     IndexParams,
     ObservationStats,
     QueryOutcome,
     RESOLVERS,
+    Resolver,
     build_index,
     deserialize_index,
     query,
     serialize_index,
 )
 from .workbench import (
+    ALGORITHM_NAMES,
     QuerySet,
     bench,
     build_oracle,
@@ -117,15 +120,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _open_answerer(
-    args: argparse.Namespace,
+    args: argparse.Namespace, resolver: Resolver
 ) -> Callable[[int, int, ObservationStats], QueryOutcome]:
     """Load the graph and its index; return a function that answers one
-    original-id pair and records it in the given stats."""
+    original-id pair through resolver and records it in the given stats."""
     res = _load(args.graph, args.format)
     cond = scc_condense(res.graph)
     with open(args.index, "rb") as f:
         ix = deserialize_index(f.read(), cond.dag)
-    resolver = RESOLVERS[args.fallback]
 
     def answer(s: int, t: int, stats: ObservationStats) -> QueryOutcome:
         cs, ct = _translate(res, cond, s, t)
@@ -141,7 +143,7 @@ def _open_answerer(
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    answer = _open_answerer(args)
+    answer = _open_answerer(args, RESOLVERS[args.fallback])
     stats = ObservationStats()
     mismatches = 0
     for s, t, exp in load_query_file(args.pairs):
@@ -196,7 +198,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    answer = _open_answerer(args)
+    # stats rows hold no work or resolver name, and every resolver is exact
+    answer = _open_answerer(args, PBIBFS)
     first = True
     for path in args.queries:
         stats = ObservationStats(track_overlap=True)
@@ -274,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algos",
         nargs="+",
+        choices=ALGORITHM_NAMES,
         default=["index+pbibfs", "matrix", "bfs"],
-        help="any of: matrix bfs index+pbibfs index+bibfs index+bfs",
+        metavar="ALGO",
+        help="any of: %(choices)s",
     )
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2, 3, 4])
@@ -287,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_arg(p)
     p.add_argument("--index", required=True)
     p.add_argument("--queries", nargs="+", required=True)
-    p.add_argument("--fallback", choices=tuple(RESOLVERS), default="pbibfs")
     p.set_defaults(fn=_cmd_stats)
 
     return parser

@@ -35,16 +35,11 @@ class DiGraph:
     """Simple directed graph (no self-loops, no parallel edges).
 
     Neighbor lists are kept sorted so that equal graphs have identical
-    representations regardless of edge input order.
+    representations regardless of edge input order.  Build one with
+    `from_edges`; the parsers and `scc_condense` return graphs as well.
     """
 
     __slots__ = ("out_adj", "in_adj", "n", "m")
-
-    def __init__(self, out_adj: Iterable[Iterable[int]]):
-        out = [x if isinstance(x, (list, tuple)) else list(x) for x in out_adj]
-        degs = np.fromiter(map(len, out), np.int64, len(out))
-        u = np.repeat(np.arange(len(out)), degs)
-        _fill(self, len(out), u, _index_array(chain.from_iterable(out), len(out)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DiGraph":

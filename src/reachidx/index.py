@@ -332,18 +332,16 @@ def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], boo
     return test
 
 
-def _bidirectional_search(
-    ix: ReachIndex, s: int, t: int, prune: bool
-) -> tuple[bool, int]:
+def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     """Bidirectional BFS that always expands the side with the shorter queue.
 
     The forward side goes first on a tie.  Meeting frontiers (including
     stepping onto t or s directly) answer positively.  The search answers
     negatively as soon as either queue is empty: that side has then seen every
-    vertex it could put on an s-t path.  With prune, every newly encountered
-    vertex v first goes through the observations as the subquery (v, t) or
-    (s, v): a decisive positive answers the whole query, a decisive negative
-    prunes v.  Raises IndexError when s or t is not a vertex id in [0, n).
+    vertex it could put on an s-t path.  Every newly encountered vertex v
+    first goes through the observations as the subquery (v, t) or (s, v): a
+    decisive positive answers the whole query, a decisive negative prunes v.
+    Raises IndexError when s or t is not a vertex id in [0, n).
     """
     g = ix.graph
     check_ids(g.n, s, t)
@@ -354,8 +352,8 @@ def _bidirectional_search(
     fseen = {s}
     bseen = {t}
     # per side: queue, own seen-set, the other side's seen-set, adjacency, test
-    fwd = (fq, fseen, bseen, g.out_adj, _endpoint_test(ix, t, True) if prune else None)
-    bwd = (bq, bseen, fseen, g.in_adj, _endpoint_test(ix, s, False) if prune else None)
+    fwd = (fq, fseen, bseen, g.out_adj, _endpoint_test(ix, t, True))
+    bwd = (bq, bseen, fseen, g.in_adj, _endpoint_test(ix, s, False))
     work = 0
     while fq and bq:
         q, seen, other, adj, test = fwd if len(fq) <= len(bq) else bwd
@@ -366,21 +364,19 @@ def _bidirectional_search(
                 return True, work
             if v in seen:
                 continue
-            if test is not None:
-                sub = test(v)
-                if sub is True:
-                    return True, work
-                if sub is False:
-                    continue
+            sub = test(v)
+            if sub is True:
+                return True, work
+            if sub is False:
+                continue
             seen.add(v)
             q.append(v)
     return False, work
 
 
-PBIBFS = Resolver("pbibfs", lambda ix, s, t: _bidirectional_search(ix, s, t, True))
-BIBFS = Resolver("bibfs", lambda ix, s, t: _bidirectional_search(ix, s, t, False))
+PBIBFS = Resolver("pbibfs", _bidirectional_search)
 PLAIN_BFS = Resolver("bfs", lambda ix, s, t: bfs_search(ix.graph, s, t))
-RESOLVERS = {r.name: r for r in (PBIBFS, BIBFS, PLAIN_BFS)}
+RESOLVERS = {r.name: r for r in (PBIBFS, PLAIN_BFS)}
 
 
 def query(

@@ -216,14 +216,19 @@ class Algorithm:
     build: Callable[[DiGraph, int], BuiltAlgorithm]
 
 
+ALGORITHM_NAMES = ("matrix", "bfs", *(f"index+{name}" for name in RESOLVERS))
+
+
 def standard_algorithms(
     names: Iterable[str],
     params: IndexParams | None = None,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> list[Algorithm]:
-    """Known algorithm names: matrix, bfs, index+pbibfs, index+bibfs, index+bfs."""
+    """Algorithms by name; the known names are ALGORITHM_NAMES."""
     out = []
     for name in names:
+        if name not in ALGORITHM_NAMES:
+            raise ValueError(f"unknown algorithm {name!r}")
         if name == "matrix":
 
             def build_mx(g: DiGraph, _seed: int) -> BuiltAlgorithm:
@@ -239,7 +244,7 @@ def standard_algorithms(
                 return BuiltAlgorithm(lambda s, t: bfs_query(g, s, t), 0.0, 0)
 
             out.append(Algorithm("bfs", False, build_bfs))
-        elif name.startswith("index+") and name.removeprefix("index+") in RESOLVERS:
+        else:
             resolver = RESOLVERS[name.removeprefix("index+")]
 
             def build_ix(
@@ -262,8 +267,6 @@ def standard_algorithms(
                 return BuiltAlgorithm(answer, ms, nbytes, run_with_stats)
 
             out.append(Algorithm(name, True, build_ix))
-        else:
-            raise ValueError(f"unknown algorithm {name!r}")
     return out
 
 

@@ -173,17 +173,31 @@ def test_full_pipeline_on_generated_graph(tmp_path, capsys):
                  "--seed", "4", "--out", q]) == 0
     assert main(["build", "--graph", g, "--out-index", idx]) == 0
     assert main(["query", "--graph", g, "--index", idx, "--pairs", q,
-                 "--fallback", "bibfs"]) == 0
+                 "--fallback", "bfs"]) == 0
     captured = capsys.readouterr()
     assert "mismatch" not in captured.err
     assert len(captured.out.strip().split("\n")) >= 50
 
 
-def test_bad_fallback_choice_exits(tmp_path):
+def test_bad_fallback_choice_exits(tmp_path, capsys):
     g = write(tmp_path / "g.txt", DIAMOND)
-    with pytest.raises(SystemExit):
-        main(["query", "--graph", g, "--index", "x", "--pairs", "y",
-              "--fallback", "dfs"])
+    for argv in (
+        ["query", "--graph", g, "--index", "x", "--pairs", "y", "--fallback", "dfs"],
+        ["query", "--graph", g, "--index", "x", "--pairs", "y", "--fallback", "bibfs"],
+        ["stats", "--graph", g, "--index", "x", "--queries", "y", "--fallback", "pbibfs"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "error: " in capsys.readouterr().err
+
+
+def test_bad_algos_choice_exits_before_reading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")  # reading it would raise FileNotFoundError
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--graph", missing, "--queries", missing, "--algos", "index+bibfs"])
+    assert e.value.code == 2
+    assert "invalid choice: 'index+bibfs'" in capsys.readouterr().err
 
 
 def test_module_entry_point_help():

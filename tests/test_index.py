@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from reachidx.baselines import build_matrix, matrix_query
 from reachidx.graph import DiGraph, topological_levels, weak_components
 from reachidx.index import (
-    BIBFS,
     PBIBFS,
     PLAIN_BFS,
     RESOLVERS,
@@ -218,7 +217,7 @@ def test_resolvers_are_exact(g, params, seed):
     for s in range(g.n):
         for t in range(g.n):
             truth = matrix_query(mx, s, t)
-            for r in (PBIBFS, BIBFS, PLAIN_BFS):
+            for r in (PBIBFS, PLAIN_BFS):
                 ans, work = r.run(ix, s, t)
                 assert ans == truth, (r.name, s, t)
                 assert 0 <= work <= 2 * g.n
@@ -251,7 +250,7 @@ def test_endpoint_test_on_tag_cases(n, edges, params, seed):
     assert_endpoint_tests_match(build_index(DiGraph.from_edges(n, edges), params, seed=seed))
 
 
-@pytest.mark.parametrize("resolver", [PBIBFS, BIBFS, PLAIN_BFS], ids=lambda r: r.name)
+@pytest.mark.parametrize("resolver", [PBIBFS, PLAIN_BFS], ids=lambda r: r.name)
 @pytest.mark.parametrize("s,t,bad", [(3, -1, -1), (-1, 3, -1), (0, 5, 5), (7, 7, 7)])
 def test_resolvers_reject_out_of_range_ids(resolver, s, t, bad):
     ix = build_index(DiGraph.from_edges(5, [(i, i + 1) for i in range(4)]), SMALL, seed=0)
@@ -260,7 +259,7 @@ def test_resolvers_reject_out_of_range_ids(resolver, s, t, bad):
 
 
 def test_resolver_registry():
-    assert set(RESOLVERS) == {"pbibfs", "bibfs", "bfs"}
+    assert set(RESOLVERS) == {"pbibfs", "bfs"}
     assert RESOLVERS["pbibfs"] is PBIBFS
 
 
@@ -294,17 +293,6 @@ FALLBACK_WORK = {
         [1, 1, 1, 1, 1, 1, 1, 0, 1],
         [1, 1, 1, 1, 1, 1, 1, 1, 0],
     ],
-    "bibfs": [
-        [0, 3, 3, 3, 3, 1, 3, 3, 2],
-        [3, 0, 3, 3, 3, 3, 1, 2, 3],
-        [2, 2, 0, 1, 1, 2, 2, 1, 1],
-        [2, 2, 2, 0, 2, 2, 2, 1, 2],
-        [2, 2, 2, 3, 0, 1, 1, 1, 2],
-        [2, 2, 2, 2, 2, 0, 2, 2, 1],
-        [2, 2, 2, 2, 2, 2, 0, 1, 2],
-        [1, 1, 1, 1, 1, 1, 1, 0, 1],
-        [1, 1, 1, 1, 1, 1, 1, 1, 0],
-    ],
     "bfs": [
         [0, 3, 3, 3, 3, 1, 3, 3, 2],
         [3, 0, 3, 3, 3, 3, 1, 2, 3],
@@ -319,7 +307,7 @@ FALLBACK_WORK = {
 }
 
 
-@pytest.mark.parametrize("resolver", [PBIBFS, BIBFS, PLAIN_BFS], ids=lambda r: r.name)
+@pytest.mark.parametrize("resolver", [PBIBFS, PLAIN_BFS], ids=lambda r: r.name)
 def test_fallback_work_frozen(resolver):
     g = DiGraph.from_edges(9, FALLBACK_EDGES)
     ix = build_index(g, IndexParams(t=1, k=1, p=1, h=1), seed=0)
@@ -353,8 +341,8 @@ def test_query_rejects_out_of_range_ids(s, t, bad):
 def test_query_custom_fallback_is_labelled():
     g = DiGraph.from_edges(5, [(0, 2), (1, 2), (1, 3), (1, 4), (2, 3)])
     ix = build_index(g, T2K2, seed=0)
-    out = query(ix, 0, 4, fallback=BIBFS)
-    assert out.answered_by == "fallback:bibfs" and out.answer is False
+    out = query(ix, 0, 4, fallback=PLAIN_BFS)
+    assert out.answered_by == "fallback:bfs" and out.answer is False
 
 
 @settings(max_examples=40)
