@@ -25,14 +25,13 @@ from reachidx import (
 from reachidx.workbench import ALGORITHM_NAMES
 
 
-def run(a: argparse.Namespace) -> None:
+def run(a: argparse.Namespace, params: IndexParams) -> None:
     g = gen_random_dag(a.n, a.m, a.graph_seed)
     oracle = build_oracle(g)
     sets = [
         gen_queries(g, kind, a.queries, a.query_seed + i, oracle)
         for i, kind in enumerate(a.kinds)
     ]
-    params = IndexParams(t=a.t, k=a.k, p=a.p, h=a.h)
     algos = standard_algorithms(a.algos, params)
     report = bench(g, algos, sets, a.reps, a.index_seeds)
     print(report.to_tsv(), end="")
@@ -41,17 +40,18 @@ def run(a: argparse.Namespace) -> None:
         print(stats_report(stats, query_set=f"{algo}:{label}"), end="")
 
 
-def main() -> None:
+def build_parser() -> argparse.ArgumentParser:
+    d = IndexParams()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=4096)
     ap.add_argument("--m", type=int, default=16384)
     ap.add_argument("--graph-seed", type=int, default=0)
     ap.add_argument("--query-seed", type=int, default=1)
     ap.add_argument("--queries", type=int, default=2000)
-    ap.add_argument("--t", type=int, default=4)
-    ap.add_argument("--k", type=int, default=16)
-    ap.add_argument("--p", type=int, default=75)
-    ap.add_argument("--h", type=int, default=8)
+    ap.add_argument("--t", type=int, default=d.t)
+    ap.add_argument("--k", type=int, default=d.k)
+    ap.add_argument("--p", type=int, default=d.p)
+    ap.add_argument("--h", type=int, default=d.h)
     ap.add_argument("--reps", type=int, default=3)
     ap.add_argument("--index-seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument(
@@ -65,7 +65,17 @@ def main() -> None:
     ap.add_argument(
         "--kinds", nargs="+", default=["positive", "negative", "random"]
     )
-    run(ap.parse_args())
+    return ap
+
+
+def main() -> None:
+    ap = build_parser()
+    a = ap.parse_args()
+    try:
+        params = IndexParams(t=a.t, k=a.k, p=a.p, h=a.h)
+    except ValueError as e:
+        ap.error(str(e))
+    run(a, params)
 
 
 if __name__ == "__main__":

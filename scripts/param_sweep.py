@@ -55,7 +55,7 @@ def main() -> None:
     for t in a.t_grid:
         for k in a.k_grid:
             p = max(1, a.budget // k)
-            params = IndexParams(t=t, k=k, p=p, h=8)
+            params = IndexParams(t=t, k=k, p=p)
             t0 = time.perf_counter()
             ix = build_index(g, params, seed=a.index_seed)
             build_ms = (time.perf_counter() - t0) * 1e3

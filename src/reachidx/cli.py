@@ -4,19 +4,34 @@ Inputs may be arbitrary digraphs: every command condenses its input first
 and answers original-vertex queries through the SCC map, so two vertices of
 one strongly connected component are mutually reachable without consulting
 the index (observation B3).
+
+`build` also writes the condensation next to the index, as a bundle keyed
+by a digest of the graph file's bytes and format, so that `query` and
+`stats` need not parse the graph and run Tarjan again.  A bundle that is
+missing, stale or damaged is ignored and the graph is parsed as `build`
+parsed it; deleting one is always safe.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
+import os
+import struct
 import sys
+import zlib
+from itertools import chain
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .baselines import DEFAULT_MATRIX_CAP
 from .graph import (
-    CondensationMap,
+    DiGraph,
     ParseResult,
+    _digraph,
+    graph_format,
     load_graph,
     scc_condense,
     write_edge_list,
@@ -53,23 +68,102 @@ def _warn(msg: str) -> None:
     print(f"warning: {msg}", file=sys.stderr)
 
 
+def _warn_dropped(path: str, self_loops: int, duplicates: int) -> None:
+    if self_loops:
+        _warn(f"{path}: dropped {self_loops} self-loop(s)")
+    if duplicates:
+        _warn(f"{path}: dropped {duplicates} duplicate edge(s)")
+
+
 def _load(path: str, fmt: str | None) -> ParseResult:
     res = load_graph(path, fmt)
-    if res.dropped_self_loops:
-        _warn(f"{path}: dropped {res.dropped_self_loops} self-loop(s)")
-    if res.dropped_duplicates:
-        _warn(f"{path}: dropped {res.dropped_duplicates} duplicate edge(s)")
+    _warn_dropped(path, res.dropped_self_loops, res.dropped_duplicates)
     return res
 
 
 def _translate(
-    res: ParseResult, cond: CondensationMap, s: int, t: int
+    id_map: dict[int, int], scc_of: list[int], s: int, t: int
 ) -> tuple[int, int]:
     try:
-        ds, dt = res.id_map[s], res.id_map[t]
+        ds, dt = id_map[s], id_map[t]
     except KeyError as e:
         raise SystemExit(f"error: unknown vertex id {e.args[0]}") from None
-    return cond.scc_of[ds], cond.scc_of[dt]
+    return scc_of[ds], scc_of[dt]
+
+
+# ---------------------------------------------------------------------------
+# condensation bundle: <index>.cond
+#
+# header, then original_ids (<i8, n), scc_of (<u4, n), the condensed DAG as
+# CSR offsets (<u4, c + 1) and targets (<u4, m), then a CRC32 (<u4) of all
+# bytes before it.  The digest covers the graph format and the graph file's
+# bytes, so an edited file or another format makes the bundle stale.
+
+BUNDLE_SUFFIX = ".cond"
+BUNDLE_MAGIC = b"RIDC"
+BUNDLE_VERSION = 1
+# magic, version, source digest, n, c, m, dropped self-loops, dropped duplicates
+BUNDLE_HEADER = struct.Struct("<4sI32s5Q")
+
+
+def _source_digest(path: str, fmt: str) -> bytes:
+    h = hashlib.blake2b(fmt.encode() + b"\n", digest_size=32)
+    with open(path, "rb") as f:
+        h.update(f.read())
+    return h.digest()
+
+
+def _write_bundle(
+    path: str,
+    digest: bytes,
+    original_ids: np.ndarray,
+    scc_of: np.ndarray,
+    dag: DiGraph,
+    dropped: tuple[int, int],
+) -> None:
+    degs = np.fromiter(map(len, dag.out_adj), np.int64, dag.n)
+    offsets = np.r_[0, np.cumsum(degs)].astype("<u4")
+    targets = np.fromiter(chain.from_iterable(dag.out_adj), "<u4", dag.m)
+    header = BUNDLE_HEADER.pack(
+        BUNDLE_MAGIC, BUNDLE_VERSION, digest, len(original_ids), dag.n, dag.m, *dropped
+    )
+    body = b"".join(
+        [header, original_ids.tobytes(), scc_of.tobytes(), offsets.tobytes(), targets.tobytes()]
+    )
+    with open(path, "wb") as f:
+        f.write(body)
+        f.write(struct.pack("<I", zlib.crc32(body)))
+
+
+def _read_bundle(
+    path: str, digest: bytes
+) -> tuple[DiGraph, list[int], list[int], tuple[int, int]] | None:
+    """(condensed DAG, original_ids, scc_of, dropped self-loops and
+    duplicates) from the bundle at path, or None unless it is whole, intact
+    and written for the graph bytes and format that digest names."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError:  # a bundle that cannot be read is one not written
+        return None
+    if len(data) < BUNDLE_HEADER.size:
+        return None
+    magic, version, source, n, c, m, *dropped = BUNDLE_HEADER.unpack_from(data)
+    if (magic, version, source) != (BUNDLE_MAGIC, BUNDLE_VERSION, digest):
+        return None
+    end = len(data) - 4
+    if end != BUNDLE_HEADER.size + 12 * n + 4 * (c + 1) + 4 * m:
+        return None
+    if zlib.crc32(memoryview(data)[:end]) != int.from_bytes(data[end:], "little"):
+        return None
+    at = BUNDLE_HEADER.size
+    original_ids = np.frombuffer(data, "<i8", n, at)
+    scc_of = np.frombuffer(data, "<u4", n, at + 8 * n)
+    offsets = np.frombuffer(data, "<u4", c + 1, at + 12 * n).astype(np.int64)
+    targets = np.frombuffer(data, "<u4", m, at + 12 * n + 4 * (c + 1)).astype(np.int64)
+    sources = np.repeat(np.arange(c), np.diff(offsets))
+    dag = _digraph(c, sources, targets)
+    return dag, original_ids.tolist(), scc_of.tolist(), tuple(dropped)
 
 
 def _cmd_gen_graph(args: argparse.Namespace) -> int:
@@ -94,19 +188,32 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    res = _load(args.graph, args.format)
-    dag = scc_condense(res.graph).dag
+    fmt = graph_format(args.graph, args.format)
+    digest = _source_digest(args.graph, fmt)
+    res = _load(args.graph, fmt)
+    cond = scc_condense(res.graph)
+    dag = cond.dag
     n_input = res.graph.n
     remap = None
     if res.is_sparse:
         remap = io.StringIO()
         write_remap(res, remap)
-    del res  # the input graph would only raise the peak memory of the build
-    params = IndexParams(t=args.t, k=args.k, p=args.p, h=args.h)
-    ix = build_index(dag, params, args.seed)
+    try:
+        original_ids = np.array(res.original_ids, dtype="<i8")
+    except OverflowError:
+        original_ids = None  # ids beyond 64 bits: no bundle, query re-parses
+    scc_of = np.array(cond.scc_of, dtype="<u4")
+    dropped = (res.dropped_self_loops, res.dropped_duplicates)
+    del res, cond  # the input graph would only raise the peak memory of the build
+    ix = build_index(dag, args.params, args.seed)
     data = serialize_index(ix)
     with open(args.out_index, "wb") as f:
         f.write(data)
+    bundle = args.out_index + BUNDLE_SUFFIX
+    if original_ids is not None:
+        _write_bundle(bundle, digest, original_ids, scc_of, dag, dropped)
+    elif os.path.exists(bundle):
+        os.remove(bundle)
     if remap is not None:
         remap_path = args.remap_out or args.out_index + ".remap"
         with open(remap_path, "w", encoding="utf-8") as f:
@@ -122,15 +229,24 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _open_answerer(
     args: argparse.Namespace, resolver: Resolver
 ) -> Callable[[int, int, ObservationStats], QueryOutcome]:
-    """Load the graph and its index; return a function that answers one
+    """Load the condensed graph, from the index's bundle when it matches the
+    graph file, and the index; return a function that answers one
     original-id pair through resolver and records it in the given stats."""
-    res = _load(args.graph, args.format)
-    cond = scc_condense(res.graph)
+    fmt = graph_format(args.graph, args.format)
+    bundle = _read_bundle(args.index + BUNDLE_SUFFIX, _source_digest(args.graph, fmt))
+    if bundle is None:
+        res = _load(args.graph, fmt)
+        cond = scc_condense(res.graph)
+        dag, id_map, scc_of = cond.dag, res.id_map, cond.scc_of
+    else:
+        dag, original_ids, scc_of, dropped = bundle
+        _warn_dropped(args.graph, *dropped)
+        id_map = dict(zip(original_ids, range(len(original_ids))))
     with open(args.index, "rb") as f:
-        ix = deserialize_index(f.read(), cond.dag)
+        ix = deserialize_index(f.read(), dag)
 
     def answer(s: int, t: int, stats: ObservationStats) -> QueryOutcome:
-        cs, ct = _translate(res, cond, s, t)
+        cs, ct = _translate(id_map, scc_of, s, t)
         if cs == ct and s != t:
             # distinct originals in one SCC: mutually reachable, no index needed
             stats.queries += 1
@@ -164,14 +280,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_query_sets(args, res: ParseResult, cond: CondensationMap) -> list[QuerySet]:
+def _load_query_sets(args, res: ParseResult, scc_of: list[int]) -> list[QuerySet]:
     sets = []
     for path in args.queries:
         rows = load_query_file(path)
         pairs = []
         expected: list[bool] | None = []
         for s, t, exp in rows:
-            pairs.append(_translate(res, cond, s, t))
+            pairs.append(_translate(res.id_map, scc_of, s, t))
             expected.append(exp)
         if all(e is None for e in expected):
             expected = None
@@ -183,9 +299,8 @@ def _load_query_sets(args, res: ParseResult, cond: CondensationMap) -> list[Quer
 def _cmd_bench(args: argparse.Namespace) -> int:
     res = _load(args.graph, args.format)
     cond = scc_condense(res.graph)
-    query_sets = _load_query_sets(args, res, cond)
-    params = IndexParams(t=args.t, k=args.k, p=args.p, h=args.h)
-    algos = standard_algorithms(args.algos, params, args.matrix_cap)
+    query_sets = _load_query_sets(args, res, cond.scc_of)
+    algos = standard_algorithms(args.algos, args.params, args.matrix_cap)
     report = bench(cond.dag, algos, query_sets, args.reps, args.seeds)
     tsv = report.to_tsv()
     if args.out_tsv:
@@ -230,10 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--t", type=int, default=4, help="topological orderings")
-        p.add_argument("--k", type=int, default=16, help="supportive vertices")
-        p.add_argument("--p", type=int, default=75, help="candidate multiplier")
-        p.add_argument("--h", type=int, default=8, help="slim-level threshold")
+        d = IndexParams()
+        p.add_argument("--t", type=int, default=d.t, help="topological orderings")
+        p.add_argument("--k", type=int, default=d.k, help="supportive vertices")
+        p.add_argument("--p", type=int, default=d.p, help="candidate multiplier")
+        p.add_argument("--h", type=int, default=d.h, help="slim-level threshold")
 
     p = sub.add_parser("gen-graph", help="generate a uniform random DAG")
     p.add_argument("--n", type=int, required=True)
@@ -298,7 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "t" in vars(args):  # a command that takes the index parameters
+        try:
+            args.params = IndexParams(t=args.t, k=args.k, p=args.p, h=args.h)
+        except ValueError as e:
+            parser.error(str(e))
     return args.fn(args)
 
 

@@ -346,10 +346,16 @@ def parse_graph(lines: Iterable[str], fmt: str) -> ParseResult:
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
+def graph_format(path: str, fmt: str | None = None) -> str:
+    """fmt, or when it is None the format named by path's suffix."""
+    if fmt is not None:
+        return fmt
+    return "gra" if str(path).endswith(".gra") else "edge-list"
+
+
 def load_graph(path: str, fmt: str | None = None) -> ParseResult:
     """Parse a graph file; the format is sniffed from the suffix unless given."""
-    if fmt is None:
-        fmt = "gra" if str(path).endswith(".gra") else "edge-list"
+    fmt = graph_format(path, fmt)
     with open(path, "r", encoding="utf-8") as f:
         if fmt == "edge-list":
             return _parse_edge_text(f.read())

@@ -62,6 +62,11 @@ class IndexParams:
     p: int = 75  # candidate pool multiplier: k*p candidates
     h: int = 8  # slim-level threshold
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"index parameter {name} must be >= 0, got {value}")
+
 
 @dataclass
 class ObservationStats:

@@ -13,6 +13,30 @@ def path_graph(n: int) -> DiGraph:
     return DiGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+# A cyclic edge list with sparse ids, both comment styles, a self-loop, a
+# duplicate edge and a tab; its condensation and index bytes are pinned.
+PINNED_EDGE_LIST = """\
+# cyclic graph with sparse ids
+% a second comment style
+70 10
+10 70
+10 40
+40 55
+55 40
+
+70 90
+90 12
+12 90
+-3 70
+8 8
+10 40
+   7\t8
+8 55
+1000 -3
+40 12
+"""
+
+
 class NoShuffle:
     """random.Random stand-in that keeps child order as stored (sorted)."""
 

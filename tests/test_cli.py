@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+import zlib
 
 import pytest
 
-from reachidx.cli import main
-from reachidx.graph import parse_edge_list
+from reachidx import cli
+from reachidx.cli import build_parser, main
+from reachidx.graph import GraphFormatError, parse_edge_list
+from reachidx.index import IndexFormatError, IndexParams
+
+from conftest import PINNED_EDGE_LIST
 
 DIAMOND = "0 1\n0 2\n1 3\n2 3\n"
 SMALL_PARAMS = ["--t", "2", "--k", "2", "--p", "2", "--h", "2"]
@@ -198,6 +204,148 @@ def test_bad_algos_choice_exits_before_reading(tmp_path, capsys):
         main(["bench", "--graph", missing, "--queries", missing, "--algos", "index+bibfs"])
     assert e.value.code == 2
     assert "invalid choice: 'index+bibfs'" in capsys.readouterr().err
+
+
+def test_index_param_defaults_come_from_index_params():
+    d = IndexParams()
+    for argv in (["build", "--graph", "g", "--out-index", "x"],
+                 ["bench", "--graph", "g", "--queries", "q"]):
+        a = build_parser().parse_args(argv)
+        assert (a.t, a.k, a.p, a.h) == (d.t, d.k, d.p, d.h)
+
+
+@pytest.mark.parametrize("flag", ["--t", "--k", "--p", "--h"])
+def test_negative_index_params_exit_before_reading(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing.txt")  # reading it would raise FileNotFoundError
+    for argv in (["build", "--graph", missing, "--out-index", missing],
+                 ["bench", "--graph", missing, "--queries", missing]):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, flag, "-1"])
+        assert e.value.code == 2
+        assert f"error: index parameter {flag[2:]} must be >= 0, got -1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the condensation bundle written by build and read by query and stats
+
+PINNED_IDS = [-3, 7, 8, 10, 12, 40, 55, 70, 90, 1000]
+
+
+class Run:
+    """Runs main() and records stdout, stderr and how often the graph was parsed."""
+
+    def __init__(self, monkeypatch, capsys):
+        self.capsys = capsys
+        self.parses = 0
+        load_graph = cli.load_graph
+
+        def counting(*args):
+            self.parses += 1
+            return load_graph(*args)
+
+        monkeypatch.setattr(cli, "load_graph", counting)
+
+    def __call__(self, argv: list[str], parses: int) -> tuple[int, str, str]:
+        before = self.parses
+        code = main(argv)
+        out, err = self.capsys.readouterr()
+        assert self.parses - before == parses
+        return code, out, err
+
+
+@pytest.fixture
+def pinned(tmp_path, monkeypatch, capsys):
+    """The pinned fixture built with its bundle, all 100 ordered pairs of its
+    ids, and a runner."""
+    g = write(tmp_path / "g.txt", PINNED_EDGE_LIST)
+    idx = str(tmp_path / "g.ridx")
+    assert main(["build", "--graph", g, "--out-index", idx]) == 0
+    capsys.readouterr()
+    pairs = write(tmp_path / "q.txt", "".join(f"{s} {t}\n" for s in PINNED_IDS for t in PINNED_IDS))
+    return g, idx, pairs, Run(monkeypatch, capsys)
+
+
+def test_bundle_gives_the_reparse_output(pinned):
+    g, idx, pairs, run = pinned
+    commands = [["query", "--graph", g, "--index", idx, "--pairs", pairs],
+                ["stats", "--graph", g, "--index", idx, "--queries", pairs]]
+    with_bundle = [run(argv, parses=0) for argv in commands]
+    os.remove(idx + ".cond")
+    assert [run(argv, parses=1) for argv in commands] == with_bundle
+    code, out, err = with_bundle[0]
+    assert code == 0 and len(out.splitlines()) == 100
+    assert "dropped 1 self-loop(s)" in err and "dropped 1 duplicate edge(s)" in err
+    tags = {row.split("\t")[3] for row in out.splitlines()}
+    assert {"0:B3", "1:EQ"} <= tags
+
+
+def test_bundle_of_gra_input(tmp_path, monkeypatch, capsys):
+    g = write(tmp_path / "g.gra", "4\n0: 1 2 #\n1: 3 #\n2: 3 #\n3: #\n")
+    idx = str(tmp_path / "g.ridx")
+    pairs = write(tmp_path / "q.txt", "".join(f"{s} {t}\n" for s in range(4) for t in range(4)))
+    run = Run(monkeypatch, capsys)
+    run(["build", "--graph", g, *SMALL_PARAMS, "--out-index", idx], parses=1)
+    argv = ["query", "--graph", g, "--index", idx, "--pairs", pairs]
+    expected = run(argv, parses=0)
+    os.remove(idx + ".cond")
+    assert run(argv, parses=1) == expected
+
+
+def test_bad_bundle_is_never_read(pinned, tmp_path):
+    g, idx, pairs, run = pinned
+    argv = ["query", "--graph", g, "--index", idx, "--pairs", pairs]
+    bundle = tmp_path / "g.ridx.cond"
+    good = bundle.read_bytes()
+    expected = run(argv, parses=0)
+    for size in range(len(good)):
+        bundle.write_bytes(good[:size])
+        assert run(argv, parses=1) == expected
+    for i in range(len(good)):
+        for bit in (0x01, 0x80):
+            bad = bytearray(good)
+            bad[i] ^= bit
+            bundle.write_bytes(bad)
+            assert run(argv, parses=1) == expected
+    # a vertex count that disagrees with the file's length, under a valid CRC
+    body = bytearray(good[:-4])
+    body[40] += 1  # the low byte of n, after magic, version and digest
+    bundle.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    assert run(argv, parses=1) == expected
+    bundle.write_bytes(good)
+    assert run(argv, parses=0) == expected
+
+    # the graph file edited after the build, even by a comment line alone
+    write(tmp_path / "g.txt", PINNED_EDGE_LIST + "# edited\n")
+    assert run(argv, parses=1) == expected
+    write(tmp_path / "g.txt", PINNED_EDGE_LIST)
+    assert run(argv, parses=0) == expected
+
+    # the same bytes read as another format
+    for _ in range(2):
+        with pytest.raises(GraphFormatError, match="bad vertex count"):
+            run([*argv, "--format", "gra"], parses=1)
+        bundle.unlink(missing_ok=True)
+
+    # a bundle next to an index built from another graph
+    other = write(tmp_path / "other.txt", "70 10\n10 40\n")
+    assert run(["build", "--graph", other, "--out-index", idx], parses=1)[0] == 0
+    bundle.write_bytes(good)
+    for _ in range(2):
+        with pytest.raises(IndexFormatError, match="index built for n=3, graph has n=7"):
+            run(argv, parses=0 if bundle.exists() else 1)
+        bundle.unlink(missing_ok=True)
+
+
+def test_ids_beyond_64_bits_write_no_bundle(pinned, tmp_path):
+    g, idx, _pairs, run = pinned
+    assert os.path.exists(idx + ".cond")
+    g = write(tmp_path / "g.txt", f"0 1\n1 0\n1 {2**70}\n")
+    assert run(["build", "--graph", g, *SMALL_PARAMS, "--out-index", idx], parses=1)[0] == 0
+    assert not os.path.exists(idx + ".cond")  # the earlier build's bundle is gone
+    pairs = write(tmp_path / "q.txt", f"0 {2**70} 1\n{2**70} 1 0\n1 0 1\n")
+    code, out, _err = run(["query", "--graph", g, "--index", idx, "--pairs", pairs], parses=1)
+    assert code == 0
+    assert [row.split("\t")[2] for row in out.splitlines()] == ["1", "0", "1"]
 
 
 def test_module_entry_point_help():

@@ -28,7 +28,14 @@ from reachidx.graph import (
     write_remap,
 )
 
-from conftest import brute_reach_sets, diamond, digraphs, dags, path_graph
+from conftest import (
+    PINNED_EDGE_LIST,
+    brute_reach_sets,
+    dags,
+    diamond,
+    digraphs,
+    path_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +327,6 @@ def test_scc_matches_brute_force_partition(g):
             assert (cond.scc_of[u] == cond.scc_of[v]) == same
     # condensation must be acyclic
     topological_levels(cond.dag)
-
-
-PINNED_EDGE_LIST = """\
-# cyclic graph with sparse ids
-% a second comment style
-70 10
-10 70
-10 40
-40 55
-55 40
-
-70 90
-90 12
-12 90
--3 70
-8 8
-10 40
-   7\t8
-8 55
-1000 -3
-40 12
-"""
 
 
 def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):

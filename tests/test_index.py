@@ -72,6 +72,13 @@ def test_build_default_params_ordering_flavors():
     assert len(ix.supports.supports) <= 16
 
 
+@pytest.mark.parametrize("name", ["t", "k", "p", "h"])
+def test_index_params_reject_negative(name):
+    with pytest.raises(ValueError, match=f"index parameter {name} must be >= 0, got -1"):
+        IndexParams(**{name: -1})
+    assert getattr(IndexParams(**{name: 0}), name) == 0
+
+
 def test_build_odd_t_rounds_forward_up():
     ix = build_index(diamond(), IndexParams(t=3, k=2, p=2, h=2), seed=0)
     assert [o.flavor for o in ix.orderings] == [FORWARD, FORWARD, BACKWARD]

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from reachidx import IndexParams
 
 ROOT = Path(__file__).resolve().parent.parent
 SMALL_GRAPH = ["--n", "64", "--m", "160", "--queries", "20"]
@@ -35,3 +38,18 @@ def test_script_runs_and_prints_tsv(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(header)
+
+
+def test_desk_eval_index_params():
+    script = str(ROOT / "scripts" / "desk_eval.py")
+    d = IndexParams()
+    a = runpy.run_path(script)["build_parser"]().parse_args([])
+    assert (a.t, a.k, a.p, a.h) == (d.t, d.k, d.p, d.h)
+    proc = subprocess.run(
+        [sys.executable, script, *SMALL_GRAPH, "--k", "-3"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert proc.returncode == 2
+    assert "error: index parameter k must be >= 0, got -3" in proc.stderr
