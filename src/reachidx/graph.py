@@ -18,7 +18,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -37,9 +37,11 @@ class DiGraph:
     Neighbor lists are kept sorted so that equal graphs have identical
     representations regardless of edge input order.  Build one with
     `from_edges`; the parsers and `scc_condense` return graphs as well.
+    `checksum` is `graph_checksum`'s value, computed from the edge arrays
+    the graph was built from.
     """
 
-    __slots__ = ("out_adj", "in_adj", "n", "m")
+    __slots__ = ("out_adj", "in_adj", "n", "m", "checksum", "_reverse_checksum")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DiGraph":
@@ -53,6 +55,7 @@ class DiGraph:
         """The transposed graph, sharing this graph's adjacency lists."""
         g = DiGraph.__new__(DiGraph)
         g.out_adj, g.in_adj, g.n, g.m = self.in_adj, self.out_adj, self.n, self.m
+        g.checksum, g._reverse_checksum = self._reverse_checksum, self.checksum
         return g
 
     def edges(self) -> Iterable[tuple[int, int]]:
@@ -106,11 +109,15 @@ def _fill(g: DiGraph, n: int, u: np.ndarray, v: np.ndarray) -> None:
         if a == b:
             raise ValueError(f"self-loop at vertex {a}")
         raise ValueError(f"parallel edge ({a}, {b})")
+    out_deg, in_deg = np.bincount(u, minlength=n), np.bincount(v, minlength=n)
+    sources = u[np.argsort(v * n + u)]  # the in-lists, flattened
     ids = np.arange(n).astype(object)  # one int object per vertex, shared
-    g.out_adj = _split(ids[v], np.bincount(u, minlength=n))
-    g.in_adj = _split(ids[u[np.argsort(v * n + u)]], np.bincount(v, minlength=n))
+    g.out_adj = _split(ids[v], out_deg)
+    g.in_adj = _split(ids[sources], in_deg)
     g.n = n
     g.m = len(u)
+    g.checksum = _checksum(n, out_deg, v)
+    g._reverse_checksum = _checksum(n, in_deg, sources)
 
 
 def _split(flat: np.ndarray, counts: np.ndarray) -> list[list[int]]:
@@ -125,16 +132,18 @@ def _split(flat: np.ndarray, counts: np.ndarray) -> list[list[int]]:
             gc.enable()
 
 
+def _checksum(n: int, degrees: np.ndarray, flat: np.ndarray) -> int:
+    """CRC32 of n and m as <u8, the out-degrees as <u4, then the sorted
+    out-lists, concatenated, as <u4."""
+    h = zlib.crc32(np.array([n, len(flat)], dtype="<u8").tobytes())
+    h = zlib.crc32(degrees.astype("<u4").tobytes(), h)
+    return zlib.crc32(flat.astype("<u4").tobytes(), h)
+
+
 def graph_checksum(g: DiGraph) -> int:
-    """CRC32 over a canonical little-endian encoding of (n, m, adjacency)."""
-    h = zlib.crc32(np.array([g.n, g.m], dtype="<u8").tobytes())
-    if g.n:
-        degs = np.fromiter(map(len, g.out_adj), dtype="<u4", count=g.n)
-        h = zlib.crc32(degs.tobytes(), h)
-    if g.m:
-        flat = np.fromiter(chain.from_iterable(g.out_adj), dtype="<u4", count=g.m)
-        h = zlib.crc32(flat.tobytes(), h)
-    return h
+    """CRC32 over a canonical little-endian encoding of (n, m, adjacency),
+    computed once when the graph was built."""
+    return g.checksum
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +484,9 @@ def weak_components(g: DiGraph) -> list[int]:
 
 @dataclass
 class LevelAssignment:
-    fwd: list[int]  # longest-path distance from any source
-    bwd: list[int]  # longest-path distance to any sink
+    # lists from topological_levels; array('I') once held by a ReachIndex
+    fwd: Sequence[int]  # longest-path distance from any source
+    bwd: Sequence[int]  # longest-path distance to any sink
     fwd_max: int
     bwd_max: int
 

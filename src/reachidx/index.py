@@ -9,6 +9,14 @@ side with the shorter queue, answers positively when the sides meet and
 negatively as soon as either queue is empty, and tests every newly
 encountered vertex against the search's fixed endpoint with the same
 observations, so a decisive negative prunes that vertex.
+
+In memory, every per-vertex integer column (weak component, both levels,
+and each ordering's pos, High/Low and Max/Min) is an array('I'): n
+contiguous uint32 cells instead of n pointers to separate int objects, so
+an index lookup reads one cache-friendly cell and loading copies each
+column out of the serialized records without creating an int per cell.
+The support masks stay lists of Python ints: k may exceed 64, and one int
+per vertex keeps S1-S3 a single `&` for any k.
 """
 
 from __future__ import annotations
@@ -16,9 +24,10 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
+from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,15 +106,40 @@ class QueryOutcome:
     work: int = 0  # vertices expanded by the fallback; 0 for observation answers
 
 
+assert array("I").itemsize == 4  # the columns are read and written as <u4
+
+
+def _column(values: Sequence[int]) -> array:
+    return values if isinstance(values, array) and values.typecode == "I" else array("I", values)
+
+
 @dataclass
 class ReachIndex:
+    """A built or loaded index.  Construction turns the integer columns of
+    wcc, levels and orderings into array('I') (see the module docstring);
+    the producers' lists are not kept."""
+
     graph: DiGraph
-    wcc: list[int]
+    wcc: array
     levels: LevelAssignment
     orderings: list[ExtTopOrder]
     supports: SupportSet
     params: IndexParams | None = None
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        self.wcc = _column(self.wcc)
+        lv = self.levels
+        self.levels = replace(lv, fwd=_column(lv.fwd), bwd=_column(lv.bwd))
+        self.orderings = [
+            replace(
+                o,
+                pos=_column(o.pos),
+                hi_or_lo=_column(o.hi_or_lo),
+                mx_or_mn=_column(o.mx_or_mn),
+            )
+            for o in self.orderings
+        ]
 
 
 def _substream(seed: int, tag: str, i: int = 0) -> int:
@@ -258,8 +292,8 @@ def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], boo
     lfx, lbx, fmx, bmx, wx = lf[x], lb[x], fm[x], bm[x], wcc[x]
     # own: the ordering's indices for v are read per call; fixed: pos(v) in
     # [a, b] or == m proves the pair, pos(v) outside [lo, hi] refutes it
-    own: list[tuple[list[int], list[int], list[int], int]] = []
-    fixed: list[tuple[list[int], int, int, int, int, int]] = []
+    own: list[tuple[array, array, array, int]] = []
+    fixed: list[tuple[array, int, int, int, int, int]] = []
     for o in ix.orderings:
         px = o.pos[x]
         if (o.flavor == FORWARD) == towards:
@@ -435,12 +469,12 @@ def serialize_index(ix: ReachIndex) -> bytes:
     k = ix.supports.k
     w = (k + 7) // 8
     header = HEADER.pack(MAGIC, VERSION, n, t, k, graph_checksum(ix.graph))
-    columns: list[list[int]] = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
+    columns: list[array] = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
     for order in ix.orderings:
         columns += [order.pos, order.hi_or_lo, order.mx_or_mn]
     ints = np.empty((n, len(columns)), dtype="<u4")
     for i, col in enumerate(columns):
-        ints[:, i] = col
+        ints[:, i] = np.frombuffer(col, dtype=np.uint32)  # a view, not a copy
     records = np.concatenate(
         [
             ints.view(np.uint8).reshape(n, 4 * len(columns)),
@@ -453,7 +487,8 @@ def serialize_index(ix: ReachIndex) -> bytes:
 
 
 def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
-    """Inverse of serialize_index; validates magic, version, n, and checksum."""
+    """Inverse of serialize_index; validates magic, version, n, the graph
+    checksum, the length, and that every integer column value is below n."""
     if len(data) < HEADER.size:
         raise IndexFormatError("truncated header")
     magic, version, n, t, k, checksum = HEADER.unpack_from(data)
@@ -474,32 +509,36 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
     records = np.frombuffer(data, dtype=np.uint8, offset=HEADER.size).reshape(
         n, per_vertex
     )
-    ints = np.ascontiguousarray(records[:, : 12 + 12 * t]).view("<u4")
-    wcc = ints[:, 0].tolist()
-    fwd = ints[:, 1].tolist()
-    bwd = ints[:, 2].tolist()
-    levels = LevelAssignment(fwd, bwd, max(fwd, default=0), max(bwd, default=0))
+    # the integer part of each record, viewed in place as (n, 3 + 3t) <u4
+    ints = np.ndarray(
+        (n, 3 + 3 * t), "<u4", data, offset=HEADER.size, strides=(per_vertex, 4)
+    )
+    if ints.size and ints.max() >= n:  # every column holds ids, levels or positions < n
+        v, i = divmod(int((ints >= n).argmax()), 3 + 3 * t)
+        names = ["wcc", "levels.fwd", "levels.bwd"] + [
+            f"orderings[{j}].{c}" for j in range(t) for c in ("pos", "hi_or_lo", "mx_or_mn")
+        ]
+        raise IndexFormatError(f"{names[i]}[{v}] = {ints[v, i]} is out of range for n={n}")
+    wcc, fwd, bwd, *rest = [_copy_column(ints[:, i]) for i in range(3 + 3 * t)]
+    lmax = ints[:, 1:3].max(axis=0, initial=0).tolist()
+    levels = LevelAssignment(fwd, bwd, lmax[0], lmax[1])
     n_fwd = (t + 1) // 2
-    orderings = []
-    for j in range(t):
-        base = 3 + 3 * j
-        orderings.append(
-            ExtTopOrder(
-                pos=ints[:, base].tolist(),
-                hi_or_lo=ints[:, base + 1].tolist(),
-                mx_or_mn=ints[:, base + 2].tolist(),
-                flavor=FORWARD if j < n_fwd else BACKWARD,
-            )
-        )
+    orderings = [
+        ExtTopOrder(*rest[3 * j : 3 * j + 3], flavor=FORWARD if j < n_fwd else BACKWARD)
+        for j in range(t)
+    ]
     fwd_rows = records[:, 12 + 12 * t : 12 + 12 * t + w]
     bwd_rows = records[:, 12 + 12 * t + w :]
     supports: list[int] = []
     if w:
         # A support is the unique vertex with its own bit set in both masks:
         # both directions reachable means same SCC, hence the same vertex.
-        both = np.unpackbits(fwd_rows & bwd_rows, axis=1, bitorder="little")[:, :k]
+        # So at most k rows of fwd & bwd are nonzero; only those are unpacked.
+        both = fwd_rows & bwd_rows
+        rows = np.flatnonzero(both.any(axis=1))
+        bits = np.unpackbits(both[rows], axis=1, bitorder="little")[:, :k]
         for i in range(k):
-            owners = np.flatnonzero(both[:, i])
+            owners = rows[np.flatnonzero(bits[:, i])]
             if owners.size == 0:
                 break
             supports.append(int(owners[0]))
@@ -507,3 +546,10 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
         supports, masks_from_rows(fwd_rows), masks_from_rows(bwd_rows), k
     )
     return ReachIndex(dag, wcc, levels, orderings, support_set)
+
+
+def _copy_column(values: np.ndarray) -> array:
+    """values, copied once into a new array('I')."""
+    col = array("I", [0]) * len(values)
+    np.frombuffer(col, dtype=np.uint32)[:] = values
+    return col

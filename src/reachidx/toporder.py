@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 from .baselines import ReachMatrix
 from .graph import AcyclicityError, DiGraph
@@ -29,9 +30,10 @@ BACKWARD = "backward"
 
 @dataclass
 class ExtTopOrder:
-    pos: list[int]
-    hi_or_lo: list[int]  # High for forward flavor, Low for backward
-    mx_or_mn: list[int]  # Max for forward flavor, Min for backward
+    # lists from the producers below; array('I') once held by a ReachIndex
+    pos: Sequence[int]
+    hi_or_lo: Sequence[int]  # High for forward flavor, Low for backward
+    mx_or_mn: Sequence[int]  # Max for forward flavor, Min for backward
     flavor: str
     seed: int | None = None
 

@@ -6,6 +6,7 @@ import os
 import tempfile
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from reachidx.graph import (
     write_gra,
     write_remap,
 )
+from reachidx.workbench import gen_random_dag
 
 from conftest import (
     PINNED_EDGE_LIST,
@@ -284,6 +286,34 @@ def test_checksum_stable_and_discriminating():
     g3 = DiGraph.from_edges(3, [(0, 1), (0, 2)])
     assert graph_checksum(g1) == graph_checksum(g2)
     assert graph_checksum(g1) != graph_checksum(g3)
+
+
+def list_walk_checksum(g: DiGraph) -> int:
+    """graph_checksum as a walk over the adjacency lists: the reference the
+    value stored at construction must equal."""
+    h = zlib.crc32(np.array([g.n, g.m], dtype="<u8").tobytes())
+    degs = np.array([len(nbrs) for nbrs in g.out_adj], dtype="<u4")
+    flat = np.array([v for nbrs in g.out_adj for v in nbrs], dtype="<u4")
+    return zlib.crc32(flat.tobytes(), zlib.crc32(degs.tobytes(), h))
+
+
+@settings(max_examples=60)
+@given(digraphs(max_n=12))
+def test_stored_checksum_is_the_list_walk(g):
+    assert graph_checksum(g) == g.checksum == list_walk_checksum(g)
+    r = g.reverse()
+    assert graph_checksum(r) == list_walk_checksum(r)
+    assert graph_checksum(r.reverse()) == graph_checksum(g)
+
+
+def test_stored_checksum_pinned_values():
+    empty = DiGraph.from_edges(0, [])
+    g = gen_random_dag(300, 1200, seed=0)
+    cond = scc_condense(parse_edge_list(PINNED_EDGE_LIST.splitlines()).graph).dag
+    for h in (empty, g, cond):
+        assert graph_checksum(h) == list_walk_checksum(h)
+        assert graph_checksum(h.reverse()) == list_walk_checksum(h.reverse())
+    assert graph_checksum(g) != graph_checksum(g.reverse())
 
 
 # ---------------------------------------------------------------------------

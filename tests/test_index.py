@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -460,3 +462,66 @@ def test_deserialize_rejects_corruption():
     other = DiGraph.from_edges(4, [(0, 1), (0, 2), (1, 3)])
     with pytest.raises(IndexFormatError, match="checksum"):
         deserialize_index(blob, other)
+
+
+@pytest.fixture(scope="module")
+def default_blob_200():
+    g = gen_random_dag(200, 600, seed=0)
+    return g, serialize_index(build_index(g, seed=0))
+
+
+@pytest.mark.parametrize("value", [200, 10**9])
+@pytest.mark.parametrize(
+    "column, name",
+    [
+        (0, "wcc"),
+        (1, "levels.fwd"),
+        (2, "levels.bwd"),
+        (3, "orderings[0].pos"),
+        (4, "orderings[0].hi_or_lo"),
+        (5, "orderings[0].mx_or_mn"),
+        (14, "orderings[3].mx_or_mn"),
+    ],
+)
+def test_deserialize_rejects_out_of_range_columns(default_blob_200, column, name, value):
+    """A value >= n in any integer column (here at vertex 5) is refused at
+    load; ordering 0's pos[5] = 10**9 used to load and answer wrongly."""
+    g, blob = default_blob_200
+    bad = bytearray(blob)
+    at = HEADER.size + 5 * payload_bytes_per_vertex(4, 16) + 4 * column
+    bad[at : at + 4] = value.to_bytes(4, "little")
+    message = rf"{re.escape(name)}\[5\] = {value} is out of range for n=200"
+    with pytest.raises(IndexFormatError, match=message):
+        deserialize_index(bytes(bad), g)
+    bad[at : at + 4] = (199).to_bytes(4, "little")
+    deserialize_index(bytes(bad), g)  # n - 1 is in range
+
+
+def int_columns(ix: ReachIndex) -> list:
+    columns = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
+    for o in ix.orderings:
+        columns += [o.pos, o.hi_or_lo, o.mx_or_mn]
+    return columns
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dags(max_n=12),
+    st.integers(0, 5),
+    st.sampled_from([0, 1, 9, 70]),
+    st.integers(0, 2**16),
+)
+def test_built_and_loaded_indexes_agree(g, t, k, seed):
+    built = build_index(g, IndexParams(t=t, k=k, p=2, h=3), seed=seed)
+    loaded = deserialize_index(serialize_index(built), g)
+    assert len(int_columns(built)) == len(int_columns(loaded)) == 3 + 3 * t
+    for a, b in zip(int_columns(built), int_columns(loaded)):
+        assert type(a) is array and type(b) is array
+        assert a.typecode == b.typecode == "I"
+        assert a == b and len(a) == g.n
+    assert loaded.levels == built.levels
+    for fallback in (PBIBFS, PLAIN_BFS):
+        for s in range(g.n):
+            for v in range(g.n):
+                assert query(loaded, s, v, fallback) == query(built, s, v, fallback)
+
