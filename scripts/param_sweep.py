@@ -14,23 +14,24 @@ from __future__ import annotations
 import argparse
 import time
 
+import numpy as np
+
 from reachidx import (
     IndexParams,
-    ObservationStats,
     build_index,
     build_oracle,
     gen_queries,
     gen_random_dag,
-    query,
+    observation_table,
 )
 from reachidx.index import payload_bytes_per_vertex
 
 
 def fallback_rate(ix, pairs) -> float:
-    stats = ObservationStats()
-    for s, t in pairs:
-        query(ix, s, t, stats=stats)
-    return stats.fallback_rate or 0.0
+    """Share of pairs that no observation decides."""
+    S, T = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    decided = np.logical_or.reduce([mask for _, _, mask in observation_table(ix, S, T)])
+    return int(np.count_nonzero(~decided)) / len(S) if len(S) else 0.0
 
 
 def main() -> None:

@@ -38,8 +38,9 @@ from .index import (
     ReachIndex,
     Resolver,
     build_index,
-    collect_observations,
     deserialize_index,
+    observation_stats,
+    observation_table,
     query,
     serialize_index,
     try_observations,

@@ -39,14 +39,13 @@ from .graph import (
     write_remap,
 )
 from .index import (
-    PBIBFS,
     IndexParams,
-    ObservationStats,
     QueryOutcome,
     RESOLVERS,
-    Resolver,
+    ReachIndex,
     build_index,
     deserialize_index,
+    observation_stats,
     query,
     serialize_index,
 )
@@ -226,12 +225,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_answerer(
-    args: argparse.Namespace, resolver: Resolver
-) -> Callable[[int, int, ObservationStats], QueryOutcome]:
+def _open_index(
+    args: argparse.Namespace,
+) -> tuple[ReachIndex, Callable[[int, int], tuple[int, int]]]:
     """Load the condensed graph, from the index's bundle when it matches the
-    graph file, and the index; return a function that answers one
-    original-id pair through resolver and records it in the given stats."""
+    graph file, and the index; return the index and a function that
+    translates an original-id pair to the pair of their SCCs."""
     fmt = graph_format(args.graph, args.format)
     bundle = _read_bundle(args.index + BUNDLE_SUFFIX, _source_digest(args.graph, fmt))
     if bundle is None:
@@ -244,34 +243,29 @@ def _open_answerer(
         id_map = dict(zip(original_ids, range(len(original_ids))))
     with open(args.index, "rb") as f:
         ix = deserialize_index(f.read(), dag)
+    return ix, lambda s, t: _translate(id_map, scc_of, s, t)
 
-    def answer(s: int, t: int, stats: ObservationStats) -> QueryOutcome:
-        cs, ct = _translate(id_map, scc_of, s, t)
-        if cs == ct and s != t:
-            # distinct originals in one SCC: mutually reachable, no index needed
-            stats.queries += 1
-            stats.first_hit["0:B3"] += 1
-            stats.outcomes["reachable"] += 1
-            return QueryOutcome(True, "0:B3", 0)
-        return query(ix, cs, ct, resolver, stats)
 
-    return answer
+# distinct originals in one SCC: mutually reachable, no index needed
+SAME_SCC = QueryOutcome(True, "0:B3", 0)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    answer = _open_answerer(args, RESOLVERS[args.fallback])
-    stats = ObservationStats()
-    mismatches = 0
+    ix, translate = _open_index(args)
+    resolver = RESOLVERS[args.fallback]
+    queries = fallbacks = mismatches = 0
     for s, t, exp in load_query_file(args.pairs):
-        outcome = answer(s, t, stats)
+        cs, ct = translate(s, t)
+        outcome = SAME_SCC if cs == ct and s != t else query(ix, cs, ct, resolver)
+        queries += 1
+        fallbacks += outcome.answered_by.startswith("fallback:")
         print(f"{s}\t{t}\t{int(outcome.answer)}\t{outcome.answered_by}\t{outcome.work}")
         if exp is not None and outcome.answer != exp:
             mismatches += 1
             _warn(f"({s}, {t}): answered {int(outcome.answer)}, expected {int(exp)}")
-    rate = stats.fallback_rate
     print(
-        f"queries={stats.queries} fallbacks={stats.fallbacks}"
-        + (f" fallback_rate={rate:.4f}" if rate is not None else ""),
+        f"queries={queries} fallbacks={fallbacks}"
+        + (f" fallback_rate={fallbacks / queries:.4f}" if queries else ""),
         file=sys.stderr,
     )
     if mismatches:
@@ -314,17 +308,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     # stats rows hold no work or resolver name, and every resolver is exact
-    answer = _open_answerer(args, PBIBFS)
-    first = True
-    for path in args.queries:
-        stats = ObservationStats(track_overlap=True)
-        for s, t, _exp in load_query_file(path):
-            answer(s, t, stats)
+    ix, translate = _open_index(args)
+    for i, path in enumerate(args.queries):
+        pairs = [(s != t, *translate(s, t)) for s, t, _exp in load_query_file(path)]
+        rest = [(cs, ct) for distinct, cs, ct in pairs if not (distinct and cs == ct)]
+        S, T = np.array(rest, dtype=np.int64).reshape(-1, 2).T
+        stats = observation_stats(ix, S, T)
+        if same := len(pairs) - len(rest):  # pairs answered 0:B3
+            stats.queries += same
+            stats.first_hit[SAME_SCC.answered_by] += same
+            stats.outcomes["reachable"] += same
         text = stats_report(stats, query_set=path.rsplit("/", 1)[-1])
-        if not first:  # drop the repeated header line
+        if i:  # drop the repeated header line
             text = text.split("\n", 1)[1]
         print(text, end="")
-        first = False
     return 0
 
 
@@ -416,6 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, least in (("n", 0), ("m", 0), ("count", 0), ("reps", 1)):  # counts
+        if vars(args).get(name, least) < least:
+            parser.error(f"argument --{name}: must be >= {least}, got {vars(args)[name]}")
+    if args.command == "gen-graph" and args.m > (cap := args.n * (args.n - 1) // 2):
+        parser.error(f"argument --m: {args.m} exceeds n(n-1)/2 = {cap} for --n {args.n}")
     if "t" in vars(args):  # a command that takes the index parameters
         try:
             args.params = IndexParams(t=args.t, k=args.k, p=args.p, h=args.h)

@@ -3,12 +3,17 @@ and binary serialization.
 
 A query runs through seven constant-time tests (equality, levels, positive
 support, first ordering, negative supports, remaining orderings, weak
-components); the first decisive one answers.  Undecided queries go to a
-fallback resolver, by default a pruned bidirectional BFS.  It expands the
-side with the shorter queue, answers positively when the sides meet and
-negatively as soon as either queue is empty, and tests every newly
-encountered vertex against the search's fixed endpoint with the same
-observations, so a decisive negative prunes that vertex.
+components); the first decisive one answers.  observation_table is their
+definition: one (test:tag, answer, mask) row per observation, in that order,
+over numpy views of the columns.  try_observations reads it for one pair,
+and observation_stats counts first hits and overlap from it in bulk.
+
+Undecided queries go to a fallback resolver, by default a pruned
+bidirectional BFS.  It expands the side with the shorter queue, answers
+positively when the sides meet and negatively as soon as either queue is
+empty, and tests every newly encountered vertex against the search's fixed
+endpoint with the same observations, so a decisive negative prunes that
+vertex.
 
 In memory, every per-vertex integer column (weak component, both levels,
 and each ordering's pos, High/Low and Max/Min) is an array('I'): n
@@ -27,6 +32,7 @@ import struct
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,8 +48,6 @@ from .graph import (
 )
 from .supportive import (
     SupportSet,
-    answer_s1,
-    answer_s23,
     mask_rows,
     masks_from_rows,
     pick_supports,
@@ -83,11 +87,10 @@ class ObservationStats:
 
     first_hit is keyed 'test:observation' (e.g. '4:T1') and counts the test
     that actually answered; together with fallbacks it partitions all
-    queries.  overlap (opt-in) counts every observation that could have
-    answered, ignoring test order.
+    queries.  overlap counts, per observation, the queries it could have
+    answered, ignoring test order (filled by observation_stats).
     """
 
-    track_overlap: bool = False
     queries: int = 0
     fallbacks: int = 0
     first_hit: Counter = field(default_factory=Counter)
@@ -178,7 +181,7 @@ def build_index(
 def try_observations(
     ix: ReachIndex, s: int, t: int, stats: ObservationStats | None = None
 ) -> tuple[bool | None, str | None]:
-    """Tests 1-7 in order; first decisive observation answers.
+    """Tests 1-7 in order: the first row of observation_table true for (s, t).
 
     Returns (answer, 'test:observation'); (None, None) when undecided.
     O(t + k) time, no adjacency access.
@@ -198,17 +201,18 @@ def try_observations(
         return hit(False, "2:B5")
     if levels.bwd[s] <= levels.bwd[t]:
         return hit(False, "2:B6")
-    ss = ix.supports
-    if answer_s1(ss, s, t):
+    fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
+    if bm[s] & fm[t]:
         return hit(True, "3:S1")
     orderings = ix.orderings
     if orderings:
         ans, obs = answer_T(orderings[0], s, t)
         if ans is not None:
             return hit(ans, f"4:{obs}")
-    neg = answer_s23(ss, s, t)
-    if neg is not None:
-        return hit(False, f"5:{neg}")
+    if fm[s] & ~fm[t]:
+        return hit(False, "5:S2")
+    if bm[t] & ~bm[s]:
+        return hit(False, "5:S3")
     for order in orderings[1:]:
         ans, obs = answer_T(order, s, t)
         if ans is not None:
@@ -218,49 +222,46 @@ def try_observations(
     return None, None
 
 
-def collect_observations(ix: ReachIndex, s: int, t: int) -> set[str]:
-    """Every observation able to answer (s, t), ignoring test order.
+def observation_table(
+    ix: ReachIndex, S: Sequence[int], T: Sequence[int]
+) -> list[tuple[str, bool, np.ndarray]]:
+    """The observations as (test:tag, answer, mask) rows in the fixed test
+    order, where mask[i] says the row proves answer for the pair (S[i], T[i]).
 
-    Ordering observations count once per id even when several orderings
-    fire.  Used for the overlap breakdown.
+    This is their definition: a pair's first true row is what
+    try_observations answers, and a pair with no true row is undecided.  Every
+    row but EQ excludes s == t.  Reads numpy views of the columns, never the
+    adjacency.  Raises IndexError when an id is not in [0, n).
     """
-    if s == t:
-        return {"EQ"}
-    hits: set[str] = set()
-    levels = ix.levels
-    if levels.fwd[t] <= levels.fwd[s]:
-        hits.add("B5")
-    if levels.bwd[s] <= levels.bwd[t]:
-        hits.add("B6")
-    if ix.wcc[s] != ix.wcc[t]:
-        hits.add("B2")
-    ss = ix.supports
-    if answer_s1(ss, s, t):
-        hits.add("S1")
-    if ss.fwd_mask[s] & ~ss.fwd_mask[t]:
-        hits.add("S2")
-    if ss.bwd_mask[t] & ~ss.bwd_mask[s]:
-        hits.add("S3")
-    for order in ix.orderings:
-        ps, pt = order.pos[s], order.pos[t]
-        if pt < ps:
-            hits.add("B4")
-            continue
-        if order.flavor == FORWARD:
-            if pt <= order.hi_or_lo[s]:
-                hits.add("T1")
-            if pt > order.mx_or_mn[s]:
-                hits.add("T2")
-            elif pt == order.mx_or_mn[s]:
-                hits.add("T3")
-        else:
-            if order.hi_or_lo[t] <= ps:
-                hits.add("T4")
-            if ps < order.mx_or_mn[t]:
-                hits.add("T5")
-            elif ps == order.mx_or_mn[t]:
-                hits.add("T6")
-    return hits
+    S, T = np.asarray(S, dtype=np.int64), np.asarray(T, dtype=np.int64)
+    if S.size:  # names the smallest id if negative, else the largest if >= n
+        check_ids(len(ix.wcc), int(min(S.min(), T.min())), int(max(S.max(), T.max())))
+    u32 = partial(np.frombuffer, dtype=np.uint32)
+    ne, lv, ss = S != T, ix.levels, ix.supports
+    w = 8 * max(1, -(-ss.k // 64))  # whole uint64 words, at least one
+    fm, bm = (mask_rows(m, w).view("<u8") for m in (ss.fwd_mask, ss.bwd_mask))
+    orderings = []  # four rows each: B4, then the T tests where pos(s) < pos(t)
+    for j, o in enumerate(ix.orderings):
+        test = 6 if j else 4
+        ps, pt = u32(o.pos)[S], u32(o.pos)[T]
+        x, y, after = u32(o.hi_or_lo), u32(o.mx_or_mn), ps < pt
+        if o.flavor == FORWARD:  # x, y = High, Max
+            tests = [("T1", True, pt <= x[S]), ("T2", False, pt > y[S]), ("T3", True, pt == y[S])]
+        else:  # x, y = Low, Min
+            tests = [("T4", True, x[T] <= ps), ("T5", False, ps < y[T]), ("T6", True, ps == y[T])]
+        orderings.append((f"{test}:B4", False, pt < ps))
+        orderings += [(f"{test}:{obs}", ans, after & m) for obs, ans, m in tests]
+    return [  # of the rows below, only B5, B6 and S1 could hold for s == t unmasked
+        ("1:EQ", True, ~ne),
+        ("2:B5", False, ne & (u32(lv.fwd)[T] <= u32(lv.fwd)[S])),
+        ("2:B6", False, ne & (u32(lv.bwd)[S] <= u32(lv.bwd)[T])),
+        ("3:S1", True, ne & (bm[S] & fm[T]).any(axis=1)),
+        *orderings[:4],
+        ("5:S2", False, (fm[S] & ~fm[T]).any(axis=1)),
+        ("5:S3", False, (bm[T] & ~bm[S]).any(axis=1)),
+        *orderings[4:],
+        ("7:B2", False, u32(ix.wcc)[S] != u32(ix.wcc)[T]),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +419,7 @@ PLAIN_BFS = Resolver("bfs", lambda ix, s, t: bfs_search(ix.graph, s, t))
 RESOLVERS = {r.name: r for r in (PBIBFS, PLAIN_BFS)}
 
 
-def query(
-    ix: ReachIndex,
-    s: int,
-    t: int,
-    fallback: Resolver | None = None,
-    stats: ObservationStats | None = None,
-) -> QueryOutcome:
+def query(ix: ReachIndex, s: int, t: int, fallback: Resolver | None = None) -> QueryOutcome:
     """Exact reachability answer: observations first, fallback on unknown.
 
     Raises IndexError when s or t is not a vertex id in [0, n).
@@ -432,22 +427,36 @@ def query(
     n = ix.graph.n
     if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
         check_ids(n, s, t)
-    if stats is not None:
-        stats.queries += 1
-        if stats.track_overlap:
-            for tag in collect_observations(ix, s, t):
-                stats.overlap[tag] += 1
-    ans, tag = try_observations(ix, s, t, stats)
-    work = 0
-    if ans is None:
-        resolver = fallback if fallback is not None else PBIBFS
-        ans, work = resolver.run(ix, s, t)
-        tag = f"fallback:{resolver.name}"
-        if stats is not None:
-            stats.fallbacks += 1
-    if stats is not None:
-        stats.outcomes["reachable" if ans else "unreachable"] += 1
-    return QueryOutcome(ans, tag, work)
+    ans, tag = try_observations(ix, s, t)
+    if ans is not None:
+        return QueryOutcome(ans, tag)
+    resolver = fallback if fallback is not None else PBIBFS
+    ans, work = resolver.run(ix, s, t)
+    return QueryOutcome(ans, f"fallback:{resolver.name}", work)
+
+
+def observation_stats(
+    ix: ReachIndex, S: Sequence[int], T: Sequence[int], fallback: Resolver | None = None
+) -> ObservationStats:
+    """The stats of querying each pair (S[i], T[i]), from one observation_table
+    call: a pair's first true row is its first hit, each observation true for
+    it counts once in overlap, and only undecided pairs go to the fallback."""
+    rows = observation_table(ix, S, T)
+    held = np.array([mask for _, _, mask in rows])
+    decided, first = held.any(axis=0), held.argmax(axis=0)
+    answer = np.array([ans for _, ans, _ in rows])[first] & decided
+    resolver = fallback if fallback is not None else PBIBFS
+    for i in np.flatnonzero(~decided).tolist():
+        answer[i] = resolver.run(ix, int(S[i]), int(T[i]))[0]
+    obs = np.array([tag.partition(":")[2] for tag, _, _ in rows])
+    reachable = int(np.count_nonzero(answer))
+    return ObservationStats(  # unary + drops the zero counts
+        queries=len(S),
+        fallbacks=int(np.count_nonzero(~decided)),
+        first_hit=Counter(rows[r][0] for r in first[decided].tolist()),
+        overlap=+Counter({o: int(held[obs == o].any(axis=0).sum()) for o in set(obs)}),
+        outcomes=+Counter(reachable=reachable, unreachable=len(S) - reachable),
+    )
 
 
 # ---------------------------------------------------------------------------

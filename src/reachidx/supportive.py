@@ -255,17 +255,3 @@ def pick_supports(
         k=k,
     )
 
-
-def answer_s1(ss: SupportSet, s: int, t: int) -> bool:
-    """True iff some support lies on an s-t path (reachable)."""
-    return ss.bwd_mask[s] & ss.fwd_mask[t] != 0
-
-
-def answer_s23(ss: SupportSet, s: int, t: int) -> str | None:
-    """'S2'/'S3' when a support certifies non-reachability, else None."""
-    if ss.fwd_mask[s] & ~ss.fwd_mask[t]:
-        return "S2"
-    if ss.bwd_mask[t] & ~ss.bwd_mask[s]:
-        return "S3"
-    return None
-

@@ -30,6 +30,7 @@ from .index import (
     RESOLVERS,
     _substream,
     build_index,
+    observation_stats,
     query,
     serialize_index,
 )
@@ -259,10 +260,8 @@ def standard_algorithms(
                     return query(ix, s, t, _resolver).answer
 
                 def run_with_stats(pairs: Iterable[tuple[int, int]]) -> ObservationStats:
-                    st = ObservationStats(track_overlap=True)
-                    for s, t in pairs:
-                        query(ix, s, t, _resolver, st)
-                    return st
+                    S, T = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
+                    return observation_stats(ix, S, T, _resolver)
 
                 return BuiltAlgorithm(answer, ms, nbytes, run_with_stats)
 

@@ -225,6 +225,33 @@ def test_negative_index_params_exit_before_reading(tmp_path, capsys, flag):
         assert f"error: index parameter {flag[2:]} must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen-graph", "--n", "-1", "--m", "0"], "argument --n: must be >= 0, got -1"),
+        (["gen-graph", "--n", "3", "--m", "-2"], "argument --m: must be >= 0, got -2"),
+        (["gen-graph", "--n", "3", "--m", "10"],
+         "argument --m: 10 exceeds n(n-1)/2 = 3 for --n 3"),
+        (["gen-queries", "--graph", "{g}", "--kind", "random", "--count", "-5"],
+         "argument --count: must be >= 0, got -5"),
+        (["bench", "--graph", "{g}", "--queries", "{q}", "--reps", "0", "--out-tsv"],
+         "argument --reps: must be >= 1, got 0"),
+    ],
+    ids=["n-negative", "m-negative", "m-above-capacity", "count-negative", "reps-zero"],
+)
+def test_bad_counts_exit_before_writing(tmp_path, capsys, argv, message):
+    g = write(tmp_path / "g.txt", DIAMOND)
+    q = write(tmp_path / "q.txt", "0 3 1\n")
+    out = tmp_path / "out.txt"
+    if argv[0] != "bench":
+        argv = [*argv, "--out"]
+    with pytest.raises(SystemExit) as e:
+        main([a.format(g=g, q=q) for a in argv] + [str(out)])
+    assert e.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the condensation bundle written by build and read by query and stats
 
@@ -277,6 +304,47 @@ def test_bundle_gives_the_reparse_output(pinned):
     assert "dropped 1 self-loop(s)" in err and "dropped 1 duplicate edge(s)" in err
     tags = {row.split("\t")[3] for row in out.splitlines()}
     assert {"0:B3", "1:EQ"} <= tags
+
+
+# `reachidx stats` on the pinned fixture's 100 ordered pairs, as recorded
+# before the breakdown was computed in bulk: "section test observation count share"
+PINNED_STATS = [
+    "first_hit 0 B3 6 0.060000",
+    "first_hit 1 EQ 10 0.100000",
+    "first_hit 2 B5 44 0.440000",
+    "first_hit 2 B6 3 0.030000",
+    "first_hit 3 S1 34 0.340000",
+    "first_hit 4 B4 1 0.010000",
+    "first_hit 5 S2 2 0.020000",
+    "overlap - B4 50 0.500000",
+    "overlap - B5 44 0.440000",
+    "overlap - B6 45 0.450000",
+    "overlap - EQ 10 0.100000",
+    "overlap - S1 34 0.340000",
+    "overlap - S2 50 0.500000",
+    "overlap - S3 50 0.500000",
+    "overlap - T1 22 0.220000",
+    "overlap - T3 16 0.160000",
+    "overlap - T4 34 0.340000",
+    "overlap - T5 16 0.160000",
+    "overlap - T6 12 0.120000",
+    "summary - queries 100 1.000000",
+    "summary - fallbacks 0 0.000000",
+    "summary - reachable 50 0.500000",
+    "summary - unreachable 50 0.500000",
+]
+
+
+def test_stats_output_frozen(pinned):
+    g, idx, pairs, run = pinned
+    argv = ["stats", "--graph", g, "--index", idx, "--queries", pairs]
+    expected = "query_set\tsection\ttest\tobservation\tcount\tshare\n" + "".join(
+        "q.txt\t" + row.replace(" ", "\t") + "\n" for row in PINNED_STATS
+    )
+    code, out, _err = run(argv, parses=0)
+    assert code == 0 and out == expected
+    os.remove(idx + ".cond")
+    assert run(argv, parses=1)[1] == expected
 
 
 def test_bundle_of_gra_input(tmp_path, monkeypatch, capsys):

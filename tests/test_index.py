@@ -6,6 +6,7 @@ import re
 import zlib
 from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,9 @@ from reachidx.index import (
     _endpoint_test,
     _substream,
     build_index,
-    collect_observations,
     deserialize_index,
+    observation_stats,
+    observation_table,
     payload_bytes_per_vertex,
     query,
     serialize_index,
@@ -172,7 +174,8 @@ def test_observations_never_touch_adjacency():
         for t in range(4):
             ans, _ = try_observations(blind, s, t)
             assert ans == matrix_query(build_matrix(diamond()), s, t) or ans is None
-            collect_observations(blind, s, t)
+    S, T = all_pairs(4)
+    assert first_rows(observation_table(blind, S, T)) == first_rows(observation_table(ix, S, T))
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +201,54 @@ def test_observations_sound_on_all_pairs(g, seed):
 def test_collected_observations_have_correct_sign(g, seed):
     ix = build_index(g, SMALL, seed=seed)
     mx = build_matrix(g)
-    for s in range(g.n):
-        for t in range(g.n):
-            hits = collect_observations(ix, s, t)
+    S, T = all_pairs(g.n)
+    rows = observation_table(ix, S, T)
+    for tag, ans, mask in rows:
+        obs = tag.split(":", 1)[1]
+        assert obs in (POSITIVE_OBS if ans else NEGATIVE_OBS), tag
+        for i in np.flatnonzero(mask).tolist():
+            s, t = S[i], T[i]
             if s == t:
-                assert hits == {"EQ"}
-                continue
-            truth = matrix_query(mx, s, t)
-            for obs in hits:
-                assert obs in POSITIVE_OBS | NEGATIVE_OBS
-                assert (obs in POSITIVE_OBS) == truth, (s, t, obs)
-            # the decisive first hit must be among the collected observations
-            ans, tag = try_observations(ix, s, t)
-            if tag is not None:
-                assert tag.split(":", 1)[1] in hits
+                assert obs == "EQ", (s, t, tag)
+            assert ans == matrix_query(mx, s, t), (s, t, tag)
+    # the decisive first hit must be among the observations that hold
+    for i, (s, t) in enumerate(zip(S, T)):
+        ans, tag = try_observations(ix, s, t)
+        if tag is not None:
+            assert any(row_tag == tag and mask[i] for row_tag, _, mask in rows)
+
+
+def all_pairs(n: int) -> tuple[list[int], list[int]]:
+    """Every ordered pair (s, t) of [0, n), s-major, as two id lists."""
+    return [s for s in range(n) for _ in range(n)], list(range(n)) * n
+
+
+def first_rows(rows) -> list[tuple[bool, str] | tuple[None, None]]:
+    """Each pair's first true row as try_observations reports it."""
+    first: list = [(None, None)] * len(rows[0][2])
+    for tag, ans, mask in reversed(rows):
+        for i in np.flatnonzero(mask).tolist():
+            first[i] = (ans, tag)
+    return first
+
+
+# ANY_PARAMS, plus two-word masks at k=70
+TABLE_PARAMS = ANY_PARAMS | st.builds(
+    IndexParams, t=st.integers(0, 5), k=st.just(70), p=st.integers(1, 3), h=st.integers(1, 4)
+)
+
+
+@settings(max_examples=80)
+@given(dags(max_n=12), TABLE_PARAMS, st.integers(0, 2**16))
+def test_table_matches_try_observations_and_is_sound(g, params, seed):
+    ix = build_index(g, params, seed=seed)
+    mx = build_matrix(g)
+    S, T = all_pairs(g.n)
+    rows = observation_table(ix, S, T)
+    assert first_rows(rows) == [try_observations(ix, s, t) for s, t in zip(S, T)]
+    for tag, ans, mask in rows:
+        for i in np.flatnonzero(mask).tolist():
+            assert ans == matrix_query(mx, S[i], T[i]), (S[i], T[i], tag)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +396,11 @@ def test_query_custom_fallback_is_labelled():
 def test_stats_conservation(g, seed):
     ix = build_index(g, SMALL, seed=seed)
     mx = build_matrix(g)
-    stats = ObservationStats(track_overlap=True)
+    stats = observation_stats(ix, *all_pairs(g.n))
     pos = 0
     for s in range(g.n):
         for t in range(g.n):
-            out = query(ix, s, t, stats=stats)
+            out = query(ix, s, t)
             assert out.answer == matrix_query(mx, s, t)
             pos += out.answer
     assert stats.queries == g.n * g.n
@@ -372,6 +409,87 @@ def test_stats_conservation(g, seed):
     assert stats.outcomes["reachable"] + stats.outcomes["unreachable"] == stats.queries
     assert stats.overlap["EQ"] == g.n
     assert stats.fallback_rate == stats.fallbacks / stats.queries
+
+
+def reference_stats(ix, pairs, fallback) -> ObservationStats:
+    """ObservationStats counted pair by pair: the first hit and outcome from
+    query(), the overlap from each observation's own test."""
+    st_ = ObservationStats()
+    fm, bm, wcc = ix.supports.fwd_mask, ix.supports.bwd_mask, ix.wcc
+    lf, lb = ix.levels.fwd, ix.levels.bwd
+    for s, t in pairs:
+        out = query(ix, s, t, fallback)
+        st_.queries += 1
+        if out.answered_by.startswith("fallback:"):
+            st_.fallbacks += 1
+        else:
+            st_.first_hit[out.answered_by] += 1
+        st_.outcomes["reachable" if out.answer else "unreachable"] += 1
+        if s == t:
+            holds = {"EQ"}
+        else:
+            holds = {
+                obs
+                for obs, cond in [
+                    ("B5", lf[t] <= lf[s]),
+                    ("B6", lb[s] <= lb[t]),
+                    ("B2", wcc[s] != wcc[t]),
+                    ("S1", bm[s] & fm[t]),
+                    ("S2", fm[s] & ~fm[t]),
+                    ("S3", bm[t] & ~bm[s]),
+                ]
+                if cond
+            }
+            for o in ix.orderings:
+                ps, pt = o.pos[s], o.pos[t]
+                if pt < ps:
+                    holds.add("B4")
+                elif o.flavor == FORWARD:
+                    hi, mx = o.hi_or_lo[s], o.mx_or_mn[s]
+                    holds |= {"T1"} if pt <= hi else set()
+                    holds |= {"T2"} if pt > mx else {"T3"} if pt == mx else set()
+                else:
+                    lo, mn = o.hi_or_lo[t], o.mx_or_mn[t]
+                    holds |= {"T4"} if lo <= ps else set()
+                    holds |= {"T5"} if ps < mn else {"T6"} if ps == mn else set()
+        st_.overlap.update(holds)
+    return st_
+
+
+@settings(max_examples=40)
+@given(dags(max_n=10), TABLE_PARAMS, st.integers(0, 2**16), st.data())
+def test_observation_stats_equals_per_pair_reference(g, params, seed, data):
+    ix = build_index(g, params, seed=seed)
+    pairs = data.draw(st.lists(st.tuples(*[st.integers(0, g.n - 1)] * 2), max_size=60))
+    for fallback in (None, PLAIN_BFS):
+        got = observation_stats(ix, [s for s, _ in pairs], [t for _, t in pairs], fallback)
+        assert got == reference_stats(ix, pairs, fallback)
+
+
+def test_table_with_two_word_masks():
+    """70 supports, so S1-S3 read bits 64.. from the masks' second word."""
+    g = gen_random_dag(300, 1200, seed=0)
+    ix = build_index(g, IndexParams(t=3, k=70, p=3), seed=0)
+    assert len(ix.supports.supports) == 70
+    rnd = random.Random(1)
+    S = [rnd.randrange(300) for _ in range(3000)]
+    T = [rnd.randrange(300) for _ in range(3000)]
+    expected = [try_observations(ix, s, t) for s, t in zip(S, T)]
+    assert first_rows(observation_table(ix, S, T)) == expected
+    high = [s for s in range(300) if ix.supports.fwd_mask[s] >> 64]
+    assert high
+    S, T = [s for s in high for _ in high], high * len(high)
+    rows = {tag: mask for tag, _, mask in observation_table(ix, S, T)}
+    assert [bool(m) for m in rows["5:S2"]] == [
+        bool(ix.supports.fwd_mask[s] & ~ix.supports.fwd_mask[t]) for s, t in zip(S, T)
+    ]
+
+
+def test_observation_stats_rejects_out_of_range_ids():
+    ix = build_index(DiGraph.from_edges(50, [(i, i + 1) for i in range(49)]), SMALL, seed=0)
+    for S, T, bad in [([0, -1], [1, 2], -1), ([0, 1], [2, -4], -4), ([0, 3], [1, 50], 50)]:
+        with pytest.raises(IndexError, match=rf"vertex id {bad} .*n=50"):
+            observation_stats(ix, S, T)
 
 
 def test_stats_empty_rate_is_none():

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachidx.baselines import build_matrix, matrix_query
-from reachidx.graph import DiGraph, topological_levels
+from reachidx.graph import DiGraph, topological_levels, weak_components
+from reachidx.index import ReachIndex, observation_table
 from reachidx.supportive import (
     TAG_CENTRAL,
     TAG_FILL,
     TAG_SLIM,
-    answer_s1,
-    answer_s23,
     mask_rows,
     masks_from_rows,
     pick_supports,
@@ -217,26 +216,30 @@ def test_mask_codec_edges():
 # observations
 
 
-def support_verdicts(ss, s, t):
-    return answer_s1(ss, s, t), answer_s23(ss, s, t)
+def support_verdicts(g, ss, s, t):
+    """(S1 holds, 'S2'/'S3'/None) for (s, t): the support rows of the
+    observation table, on an index with no orderings."""
+    ix = ReachIndex(g, weak_components(g), topological_levels(g), [], ss)
+    holds = {tag: bool(mask[0]) for tag, _, mask in observation_table(ix, [s], [t])}
+    return holds["3:S1"], "S2" if holds["5:S2"] else "S3" if holds["5:S3"] else None
 
 
 def test_answer_examples_path():
     g = path_graph(3)
     ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1)
-    assert support_verdicts(ss, 0, 2) == (True, None)
-    assert support_verdicts(ss, 2, 0) == (False, "S2")
-    assert support_verdicts(ss, 2, 1) == (False, "S3")
-    assert answer_s1(ss, 0, 1) and answer_s23(ss, 2, 0) == "S2"
+    assert support_verdicts(g, ss, 0, 2) == (True, None)
+    assert support_verdicts(g, ss, 2, 0) == (False, "S2")
+    assert support_verdicts(g, ss, 2, 1) == (False, "S3")
+    assert support_verdicts(g, ss, 0, 1)[0] and support_verdicts(g, ss, 2, 0)[1] == "S2"
 
 
 def test_answer_examples_diamond():
     g = diamond()
     ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1)
-    assert support_verdicts(ss, 0, 3) == (True, None)
-    assert support_verdicts(ss, 3, 0) == (False, "S3")
-    assert support_verdicts(ss, 1, 2) == (False, None)  # support 0 sees neither side
-    assert support_verdicts(ss, 1, 3) == (False, None)  # true answer exists, undecided here
+    assert support_verdicts(g, ss, 0, 3) == (True, None)
+    assert support_verdicts(g, ss, 3, 0) == (False, "S3")
+    assert support_verdicts(g, ss, 1, 2) == (False, None)  # support 0 sees neither side
+    assert support_verdicts(g, ss, 1, 3) == (False, None)  # true answer exists, undecided here
 
 
 @settings(max_examples=60)
@@ -250,8 +253,8 @@ def test_answer_is_sound(g, seed):
             if s == t:
                 continue
             truth = matrix_query(mx, s, t)
-            if answer_s1(ss, s, t):
+            s1, neg = support_verdicts(g, ss, s, t)
+            if s1:
                 assert truth, (s, t, "S1")
-            neg = answer_s23(ss, s, t)
             if neg is not None:
                 assert not truth, (s, t, neg)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from reachidx.baselines import CapacityError, build_matrix, matrix_query
 from reachidx.graph import DiGraph, GraphFormatError
-from reachidx.index import HEADER, IndexParams, ObservationStats, build_index, query
+from reachidx.index import HEADER, IndexParams, ObservationStats, build_index, observation_stats
 from reachidx.workbench import (
     Algorithm,
     AnswerMismatchError,
@@ -235,7 +235,8 @@ def test_built_algorithm_metadata():
     assert index.index_bytes == HEADER.size + 4 * 38  # t=2, k=4 record layout
     assert index.run_with_stats is not None
     st_ = index.run_with_stats([(0, 3), (3, 0), (1, 1)])
-    assert st_.queries == 3 and st_.track_overlap
+    assert st_.queries == 3 and st_.outcomes == {"reachable": 2, "unreachable": 1}
+    assert st_.overlap["EQ"] == 1 and sum(st_.overlap.values()) > 1  # overlap is counted
 
 
 def test_bench_report_shape_and_tsv():
@@ -300,11 +301,9 @@ def parse_report(text: str) -> list[dict]:
 def test_stats_report_path_all_negative():
     g = path_graph(4)
     ix = build_index(g, SMALL, seed=0)
-    stats = ObservationStats()
-    for s in range(4):
-        for t in range(4):
-            if s > t:  # exactly the unreachable pairs on a path
-                query(ix, s, t, stats=stats)
+    # exactly the unreachable pairs on a path
+    neg = [(s, t) for s in range(4) for t in range(4) if s > t]
+    stats = observation_stats(ix, [s for s, _ in neg], [t for _, t in neg])
     rows = parse_report(stats_report(stats, query_set="neg"))
     first = [r for r in rows if r["section"] == "first_hit"]
     assert first == [
@@ -325,7 +324,7 @@ def test_stats_report_path_all_negative():
 
 
 def test_stats_report_orders_tags_and_handles_empty():
-    stats = ObservationStats(track_overlap=True)
+    stats = ObservationStats()
     stats.queries = 4
     stats.first_hit.update({"4:T1": 1, "2:B5": 2})
     stats.fallbacks = 1
