@@ -71,11 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main() -> None:
     ap = build_parser()
     a = ap.parse_args()
-    try:
-        params = IndexParams(t=a.t, k=a.k, p=a.p, h=a.h)
+    try:  # bad parameters or counts: a usage error, not a traceback
+        run(a, IndexParams(t=a.t, k=a.k, p=a.p, h=a.h))
     except ValueError as e:
         ap.error(str(e))
-    run(a, params)
 
 
 if __name__ == "__main__":

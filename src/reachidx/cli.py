@@ -413,17 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, least in (("n", 0), ("m", 0), ("count", 0), ("reps", 1)):  # counts
-        if vars(args).get(name, least) < least:
-            parser.error(f"argument --{name}: must be >= {least}, got {vars(args)[name]}")
-    if args.command == "gen-graph" and args.m > (cap := args.n * (args.n - 1) // 2):
-        parser.error(f"argument --m: {args.m} exceeds n(n-1)/2 = {cap} for --n {args.n}")
     if "t" in vars(args):  # a command that takes the index parameters
         try:
             args.params = IndexParams(t=args.t, k=args.k, p=args.p, h=args.h)
         except ValueError as e:
             parser.error(str(e))
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as e:  # the generators and bench reject bad counts
+        if args.command not in ("gen-graph", "gen-queries", "bench"):
+            raise
+        parser.error(str(e))
 
 
 if __name__ == "__main__":

@@ -435,19 +435,17 @@ def query(ix: ReachIndex, s: int, t: int, fallback: Resolver | None = None) -> Q
     return QueryOutcome(ans, f"fallback:{resolver.name}", work)
 
 
-def observation_stats(
-    ix: ReachIndex, S: Sequence[int], T: Sequence[int], fallback: Resolver | None = None
-) -> ObservationStats:
+def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> ObservationStats:
     """The stats of querying each pair (S[i], T[i]), from one observation_table
     call: a pair's first true row is its first hit, each observation true for
-    it counts once in overlap, and only undecided pairs go to the fallback."""
+    it counts once in overlap, and only undecided pairs go to PBIBFS (every
+    resolver is exact, so the choice changes no count)."""
     rows = observation_table(ix, S, T)
     held = np.array([mask for _, _, mask in rows])
     decided, first = held.any(axis=0), held.argmax(axis=0)
     answer = np.array([ans for _, ans, _ in rows])[first] & decided
-    resolver = fallback if fallback is not None else PBIBFS
     for i in np.flatnonzero(~decided).tolist():
-        answer[i] = resolver.run(ix, int(S[i]), int(T[i]))[0]
+        answer[i] = PBIBFS.run(ix, int(S[i]), int(T[i]))[0]
     obs = np.array([tag.partition(":")[2] for tag, _, _ in rows])
     reachable = int(np.count_nonzero(answer))
     return ObservationStats(  # unary + drops the zero counts

@@ -50,10 +50,10 @@ def gen_random_dag(n: int, m: int, seed: int) -> DiGraph:
     """Uniform G(n, m) DAG: m distinct vertex pairs, each edge oriented from
     the smaller to the larger id."""
     if n < 0 or m < 0:
-        raise ValueError("n and m must be non-negative")
+        raise ValueError(f"n and m must be >= 0, got n={n}, m={m}")
     max_m = n * (n - 1) // 2
     if m > max_m:
-        raise CapacityError(f"m={m} exceeds n(n-1)/2={max_m}")
+        raise CapacityError(f"m={m} exceeds n(n-1)/2={max_m} for n={n}")
     if m == 0:
         return DiGraph.from_edges(n, [])
     ranks = random.Random(seed).sample(range(max_m), m)
@@ -103,6 +103,8 @@ def gen_queries(
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if kind == "mixed":
         pos = gen_queries(g, "positive", count, _substream(seed, "mix-pos"), oracle)
         neg = gen_queries(g, "negative", count, _substream(seed, "mix-neg"), oracle)
@@ -261,7 +263,7 @@ def standard_algorithms(
 
                 def run_with_stats(pairs: Iterable[tuple[int, int]]) -> ObservationStats:
                     S, T = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-                    return observation_stats(ix, S, T, _resolver)
+                    return observation_stats(ix, S, T)
 
                 return BuiltAlgorithm(answer, ms, nbytes, run_with_stats)
 
@@ -348,6 +350,8 @@ def bench(
     repetitions: int = 5,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
 ) -> BenchReport:
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     report = BenchReport()
     for algo in algorithms:
         if algo.seeded:

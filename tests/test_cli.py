@@ -228,14 +228,13 @@ def test_negative_index_params_exit_before_reading(tmp_path, capsys, flag):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["gen-graph", "--n", "-1", "--m", "0"], "argument --n: must be >= 0, got -1"),
-        (["gen-graph", "--n", "3", "--m", "-2"], "argument --m: must be >= 0, got -2"),
-        (["gen-graph", "--n", "3", "--m", "10"],
-         "argument --m: 10 exceeds n(n-1)/2 = 3 for --n 3"),
+        (["gen-graph", "--n", "-1", "--m", "0"], "n and m must be >= 0, got n=-1, m=0"),
+        (["gen-graph", "--n", "3", "--m", "-2"], "n and m must be >= 0, got n=3, m=-2"),
+        (["gen-graph", "--n", "3", "--m", "10"], "m=10 exceeds n(n-1)/2=3 for n=3"),
         (["gen-queries", "--graph", "{g}", "--kind", "random", "--count", "-5"],
-         "argument --count: must be >= 0, got -5"),
+         "count must be >= 0, got -5"),
         (["bench", "--graph", "{g}", "--queries", "{q}", "--reps", "0", "--out-tsv"],
-         "argument --reps: must be >= 1, got 0"),
+         "repetitions must be >= 1, got 0"),
     ],
     ids=["n-negative", "m-negative", "m-above-capacity", "count-negative", "reps-zero"],
 )

@@ -411,14 +411,14 @@ def test_stats_conservation(g, seed):
     assert stats.fallback_rate == stats.fallbacks / stats.queries
 
 
-def reference_stats(ix, pairs, fallback) -> ObservationStats:
+def reference_stats(ix, pairs) -> ObservationStats:
     """ObservationStats counted pair by pair: the first hit and outcome from
     query(), the overlap from each observation's own test."""
     st_ = ObservationStats()
     fm, bm, wcc = ix.supports.fwd_mask, ix.supports.bwd_mask, ix.wcc
     lf, lb = ix.levels.fwd, ix.levels.bwd
     for s, t in pairs:
-        out = query(ix, s, t, fallback)
+        out = query(ix, s, t)
         st_.queries += 1
         if out.answered_by.startswith("fallback:"):
             st_.fallbacks += 1
@@ -461,9 +461,8 @@ def reference_stats(ix, pairs, fallback) -> ObservationStats:
 def test_observation_stats_equals_per_pair_reference(g, params, seed, data):
     ix = build_index(g, params, seed=seed)
     pairs = data.draw(st.lists(st.tuples(*[st.integers(0, g.n - 1)] * 2), max_size=60))
-    for fallback in (None, PLAIN_BFS):
-        got = observation_stats(ix, [s for s, _ in pairs], [t for _, t in pairs], fallback)
-        assert got == reference_stats(ix, pairs, fallback)
+    got = observation_stats(ix, [s for s, _ in pairs], [t for _, t in pairs])
+    assert got == reference_stats(ix, pairs)
 
 
 def test_table_with_two_word_masks():

@@ -45,11 +45,16 @@ def test_desk_eval_index_params():
     d = IndexParams()
     a = runpy.run_path(script)["build_parser"]().parse_args([])
     assert (a.t, a.k, a.p, a.h) == (d.t, d.k, d.p, d.h)
-    proc = subprocess.run(
-        [sys.executable, script, *SMALL_GRAPH, "--k", "-3"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert proc.returncode == 2
-    assert "error: index parameter k must be >= 0, got -3" in proc.stderr
+    for bad, message in [
+        (["--k", "-3"], "index parameter k must be >= 0, got -3"),
+        (["--reps", "0", "--algos", "matrix"], "repetitions must be >= 1, got 0"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, script, *SMALL_GRAPH, *bad],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 2
+        assert f"error: {message}" in proc.stderr
+        assert proc.stdout == ""

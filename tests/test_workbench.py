@@ -85,6 +85,9 @@ def test_gen_queries_validation():
         gen_queries(g, "typo", 1, seed=0)
     with pytest.raises(ValueError, match="needs an oracle"):
         gen_queries(g, "positive", 1, seed=0)
+    for kind in ("random", "mixed"):
+        with pytest.raises(ValueError, match="count must be >= 0, got -5"):
+            gen_queries(g, kind, -5, seed=0, oracle=lambda s, t: True)
 
 
 def test_gen_queries_positive_negative():
@@ -278,6 +281,12 @@ def test_bench_detects_wrong_answers():
     qs = QuerySet([(0, 3)], "positive", 0, expected=[False])  # deliberately wrong
     with pytest.raises(AnswerMismatchError, match="matrix"):
         bench(g, standard_algorithms(["matrix"]), [qs], repetitions=1, seeds=(0,))
+
+
+def test_bench_rejects_zero_repetitions():
+    qs = QuerySet([(0, 3)], "random", 0)
+    with pytest.raises(ValueError, match="repetitions must be >= 1, got 0"):
+        bench(diamond(), standard_algorithms(["matrix"]), [qs], repetitions=0)
 
 
 def test_bench_skips_verification_without_expected():
