@@ -55,7 +55,7 @@ def main() -> None:
     print("t\tk\tp\tbytes_per_vertex\tbuild_ms\tfallback_neg\tfallback_pos")
     for t in a.t_grid:
         for k in a.k_grid:
-            p = max(1, a.budget // k)
+            p = max(1, a.budget // k) if k else 1  # k=0 draws no candidates
             params = IndexParams(t=t, k=k, p=p)
             t0 = time.perf_counter()
             ix = build_index(g, params, seed=a.index_seed)

@@ -13,7 +13,9 @@ bidirectional BFS.  It expands the side with the shorter queue, answers
 positively when the sides meet and negatively as soon as either queue is
 empty, and tests every newly encountered vertex against the search's fixed
 endpoint with the same observations, so a decisive negative prunes that
-vertex.
+vertex.  The level window is checked inline in the search loop; the other
+observations run in a per-side endpoint test, built on that side's first
+pop.
 
 In memory, every per-vertex integer column (weak component, both levels,
 and each ordering's pos, High/Low and Max/Min) is an array('I'): n
@@ -277,20 +279,21 @@ class Resolver:
 
 
 def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], bool | None]:
-    """Observations bound to the fixed endpoint x of one search side.
+    """Observations bound to the fixed endpoint x of one search side, for a
+    v != x inside x's level window (B5 and B6 do not hold for the pair; the
+    search checks that inline before the call).
 
-    towards=True gives test(v) == try_observations(ix, v, x)[0] (forward
-    side, x = t); towards=False gives test(v) == try_observations(ix, x, v)[0]
-    (backward side, x = s).  x's levels, masks, component and ordering
-    indices are read once.  Every observation is sound, so running them
-    cheapest-first (levels, S1, S2/S3, orderings, B2) gives the same verdict
-    as the fixed test order.  An ordering whose indices for the pair all sit
-    on x reduces to intervals of pos(v).
+    For such v, towards=True gives test(v) == try_observations(ix, v, x)[0]
+    (forward side, x = t) and towards=False gives
+    test(v) == try_observations(ix, x, v)[0] (backward side, x = s).  x's
+    masks, component and ordering indices are read once.  Every observation
+    is sound, so running them cheapest-first (S1, S2/S3, orderings, B2) gives
+    the same verdict as the fixed test order.  An ordering whose indices for
+    the pair all sit on x reduces to intervals of pos(v).
     """
-    lf, lb = ix.levels.fwd, ix.levels.bwd
     fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
     wcc = ix.wcc
-    lfx, lbx, fmx, bmx, wx = lf[x], lb[x], fm[x], bm[x], wcc[x]
+    fmx, bmx, wx = fm[x], bm[x], wcc[x]
     # own: the ordering's indices for v are read per call; fixed: pos(v) in
     # [a, b] or == m proves the pair, pos(v) outside [lo, hi] refutes it
     own: list[tuple[array, array, array, int]] = []
@@ -309,10 +312,6 @@ def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], boo
     if towards:
 
         def test(v: int) -> bool | None:
-            if v == x:
-                return True
-            if lf[v] >= lfx or lb[v] <= lbx:  # B5, B6
-                return False
             if bm[v] & fmx:  # S1
                 return True
             if fm[v] & ~fmx or bmx & ~bm[v]:  # S2, S3
@@ -341,10 +340,6 @@ def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], boo
     else:
 
         def test(v: int) -> bool | None:
-            if v == x:
-                return True
-            if lf[v] <= lfx or lb[v] >= lbx:  # B5, B6
-                return False
             if bmx & fm[v]:  # S1
                 return True
             if fmx & ~fm[v] or bm[v] & ~bmx:  # S2, S3
@@ -381,35 +376,50 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     vertex it could put on an s-t path.  Every newly encountered vertex v
     first goes through the observations as the subquery (v, t) or (s, v): a
     decisive positive answers the whole query, a decisive negative prunes v.
+    The level window (B5, B6) is checked inline; the rest of the observations
+    run in the side's _endpoint_test, built on that side's first pop.
     Raises IndexError when s or t is not a vertex id in [0, n).
     """
     g = ix.graph
-    check_ids(g.n, s, t)
+    n = g.n
+    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
+        check_ids(n, s, t)
     if s == t:
         return True, 0
+    lf, lb = ix.levels.fwd, ix.levels.bwd
     fq: deque[int] = deque((s,))
     bq: deque[int] = deque((t,))
-    fseen = {s}
-    bseen = {t}
-    # per side: queue, own seen-set, the other side's seen-set, adjacency, test
-    fwd = (fq, fseen, bseen, g.out_adj, _endpoint_test(ix, t, True))
-    bwd = (bq, bseen, fseen, g.in_adj, _endpoint_test(ix, s, False))
+    # each vertex either side has queued, mapped to that side's queue: the
+    # sides' seen sets are disjoint, as meeting ends the search
+    seen = {s: fq, t: bq}
+    # per side: queue, adjacency, then the pair's level window in the one form
+    # a[v] >= ax or b[v] <= bx (B5, B6), then the test; built on first pop
+    fwd = bwd = None
     work = 0
     while fq and bq:
-        q, seen, other, adj, test = fwd if len(fq) <= len(bq) else bwd
+        if len(fq) <= len(bq):
+            if fwd is None:
+                fwd = (fq, g.out_adj, lf, lf[t], lb, lb[t], _endpoint_test(ix, t, True))
+            q, adj, a, ax, b, bx, test = fwd
+        else:
+            if bwd is None:
+                bwd = (bq, g.in_adj, lb, lb[s], lf, lf[s], _endpoint_test(ix, s, False))
+            q, adj, a, ax, b, bx, test = bwd
         u = q.popleft()
         work += 1
         for v in adj[u]:
-            if v in other:  # frontiers met
-                return True, work
             if v in seen:
+                if seen[v] is not q:  # frontiers met
+                    return True, work
+                continue
+            if a[v] >= ax or b[v] <= bx:  # B5, B6
                 continue
             sub = test(v)
             if sub is True:
                 return True, work
             if sub is False:
                 continue
-            seen.add(v)
+            seen[v] = q
             q.append(v)
     return False, work
 

@@ -5,12 +5,14 @@ import random
 import re
 import zlib
 from array import array
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reachidx.index as index_mod
 from reachidx.baselines import build_matrix, matrix_query
 from reachidx.graph import DiGraph, topological_levels, weak_components
 from reachidx.index import (
@@ -271,13 +273,25 @@ def test_resolvers_are_exact(g, params, seed):
 
 
 def assert_endpoint_tests_match(ix: ReachIndex) -> None:
+    """Each side's test equals try_observations on the vertices the search
+    hands it: v != x, inside x's level window.  Together with the search's
+    inline window, (a, b) = (levels.fwd, levels.bwd) towards x and
+    (levels.bwd, levels.fwd) from x, it equals try_observations for every
+    v != x; v == x sits in the other side's seen set, where the sides meet,
+    just as EQ answers it."""
     n = ix.graph.n
+    lf, lb = ix.levels.fwd, ix.levels.bwd
     for x in range(n):
-        towards_x = _endpoint_test(ix, x, True)
-        from_x = _endpoint_test(ix, x, False)
+        towards_x, from_x = _endpoint_test(ix, x, True), _endpoint_test(ix, x, False)
         for v in range(n):
-            assert towards_x(v) == try_observations(ix, v, x)[0], (v, x)
-            assert from_x(v) == try_observations(ix, x, v)[0], (x, v)
+            if v == x:
+                continue
+            for test, a, b, pair in ((towards_x, lf, lb, (v, x)), (from_x, lb, lf, (x, v))):
+                expected = try_observations(ix, *pair)[0]
+                if a[v] >= a[x] or b[v] <= b[x]:  # refuted inline: B5 or B6
+                    assert expected is False, pair
+                else:
+                    assert test(v) == expected, pair
 
 
 @settings(max_examples=100)
@@ -294,6 +308,58 @@ def test_endpoint_test_matches_try_observations(g, params, seed):
 def test_endpoint_test_on_tag_cases(n, edges, params, seed):
     # graphs on which one observation decides alone, such as T3, T6 or B2
     assert_endpoint_tests_match(build_index(DiGraph.from_edges(n, edges), params, seed=seed))
+
+
+def reference_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
+    """The pruned bidirectional search written plainly: two seen sets, and
+    every new neighbour tested with try_observations as (v, t) or (s, v)."""
+    if s == t:
+        return True, 0
+    g = ix.graph
+    fq, bq = deque((s,)), deque((t,))
+    fseen, bseen = {s}, {t}
+    fwd = (fq, fseen, bseen, g.out_adj, lambda v: try_observations(ix, v, t)[0])
+    bwd = (bq, bseen, fseen, g.in_adj, lambda v: try_observations(ix, s, v)[0])
+    work = 0
+    while fq and bq:
+        q, seen, other, adj, test = fwd if len(fq) <= len(bq) else bwd
+        u = q.popleft()
+        work += 1
+        for v in adj[u]:
+            if v in other:
+                return True, work
+            if v in seen:
+                continue
+            sub = test(v)
+            if sub is True:
+                return True, work
+            if sub is False:
+                continue
+            seen.add(v)
+            q.append(v)
+    return False, work
+
+
+@st.composite
+def dag_unions(draw):
+    """Disjoint union of one to three drawn DAGs, ids shuffled across them."""
+    parts = draw(st.lists(dags(max_n=7), min_size=1, max_size=3))
+    n, edges = 0, []
+    for part in parts:
+        edges += [(n + u, n + v) for u in range(part.n) for v in part.out_adj[u]]
+        n += part.n
+    perm = draw(st.permutations(range(n)))
+    return DiGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=100)
+@given(dag_unions(), ANY_PARAMS, st.integers(0, 2**16))
+def test_search_matches_reference_search(g, params, seed):
+    # every ordered pair, decided or not: same pruning, same pops
+    ix = build_index(g, params, seed=seed)
+    for s in range(g.n):
+        for t in range(g.n):
+            assert PBIBFS.run(ix, s, t) == reference_search(ix, s, t), (s, t)
 
 
 @pytest.mark.parametrize("resolver", [PBIBFS, PLAIN_BFS], ids=lambda r: r.name)
@@ -363,6 +429,29 @@ def test_fallback_work_frozen(resolver):
             ans = FALLBACK_REACH[s][t] == "1"
             assert ans == matrix_query(mx, s, t)
             assert resolver.run(ix, s, t) == (ans, FALLBACK_WORK[resolver.name][s][t]), (s, t)
+
+
+def test_endpoint_tests_are_built_lazily(monkeypatch):
+    built = []
+
+    def counting(ix, x, towards):
+        built.append(towards)
+        return _endpoint_test(ix, x, towards)
+
+    monkeypatch.setattr(index_mod, "_endpoint_test", counting)
+    g = gen_random_dag(64, 160, 0)
+    ix = build_index(g, SMALL, seed=0)
+    sink = next(v for v in range(g.n) if not g.out_adj[v])
+    # the forward side pops first; a sink empties its queue on that pop
+    assert PBIBFS.run(ix, sink, (sink + 1) % g.n) == (False, 1)
+    assert built == [True]
+    counts = []
+    for s in range(g.n):
+        for t in range(g.n):
+            built.clear()
+            PBIBFS.run(ix, s, t)
+            counts.append(len(built))
+    assert set(counts) == {0, 1, 2} and counts.count(0) == g.n  # s == t builds none
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,11 @@ SMALL_GRAPH = ["--n", "64", "--m", "160", "--queries", "20"]
             ["--t-grid", "2", "--k-grid", "4"],
             "t\tk\tp\tbytes_per_vertex\tbuild_ms\tfallback_neg\tfallback_pos",
         ),
+        (  # k=0 is a valid index: no supports, so no budget to divide
+            "param_sweep.py",
+            ["--t-grid", "2", "--k-grid", "0", "16"],
+            "t\tk\tp\tbytes_per_vertex\tbuild_ms\tfallback_neg\tfallback_pos",
+        ),
     ],
 )
 def test_script_runs_and_prints_tsv(script, args, header):
