@@ -2,11 +2,12 @@
 and binary serialization.
 
 A query runs through seven constant-time tests (equality, levels, positive
-support, first ordering, negative supports, remaining orderings, weak
-components); the first decisive one answers.  observation_table is their
-definition: one (test:tag, answer, mask) row per observation, in that order,
-over numpy views of the columns.  try_observations reads it for one pair,
-and observation_stats counts first hits and overlap from it in bulk.
+support, first ordering, negative supports, remaining orderings, then weak
+components and Max/Min containment over all orderings); the first decisive
+one answers.  observation_table is their definition: one (test:tag,
+answer, mask) row per observation, in that order, over numpy views of the
+columns.  try_observations reads it for one pair, and observation_stats
+counts first hits and overlap from it in bulk.
 
 Undecided queries go to a fallback resolver, by default a pruned
 bidirectional BFS.  It expands the side with the shorter queue, answers
@@ -15,7 +16,8 @@ empty, and tests every newly encountered vertex against the search's fixed
 endpoint with the same observations, so a decisive negative prunes that
 vertex.  The level window is checked inline in the search loop; the other
 observations run in a per-side endpoint test, built on that side's first
-pop.
+pop.  There containment runs inside each ordering's checks, in place of
+the T2/T5 comparisons it subsumes.
 
 In memory, every per-vertex integer column (weak component, both levels,
 and each ordering's pos, High/Low and Max/Min) is an array('I'): n
@@ -180,47 +182,58 @@ def build_index(
     return ReachIndex(dag, wcc, levels, orderings, supports, params, seed)
 
 
+# answer_T's observation -> its tag in the first ordering (4) or a later one (6)
+_TAG4 = {obs: "4:" + obs for obs in ("B4", "T1", "T2", "T3", "T4", "T5", "T6")}
+_TAG6 = {obs: "6:" + obs for obs in _TAG4}
+
+
 def try_observations(
     ix: ReachIndex, s: int, t: int, stats: ObservationStats | None = None
 ) -> tuple[bool | None, str | None]:
     """Tests 1-7 in order: the first row of observation_table true for (s, t).
 
     Returns (answer, 'test:observation'); (None, None) when undecided.
-    O(t + k) time, no adjacency access.
+    O(t + k) time, no adjacency access.  Given stats, also counts the first
+    hit in stats.first_hit.
     """
-
-    def hit(ans: bool, tag: str) -> tuple[bool, str]:
-        if stats is not None:
+    if stats is not None:
+        ans, tag = try_observations(ix, s, t)
+        if tag is not None:
             stats.first_hit[tag] += 1
         return ans, tag
-
     if s == t:
-        return hit(True, "1:EQ")
+        return True, "1:EQ"
     # Test 2: levels.  <= rather than < is sound for s != t: a path forces a
     # strictly larger forward level and strictly smaller backward level.
     levels = ix.levels
     if levels.fwd[t] <= levels.fwd[s]:
-        return hit(False, "2:B5")
+        return False, "2:B5"
     if levels.bwd[s] <= levels.bwd[t]:
-        return hit(False, "2:B6")
+        return False, "2:B6"
     fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
     if bm[s] & fm[t]:
-        return hit(True, "3:S1")
+        return True, "3:S1"
     orderings = ix.orderings
     if orderings:
         ans, obs = answer_T(orderings[0], s, t)
         if ans is not None:
-            return hit(ans, f"4:{obs}")
+            return ans, _TAG4[obs]
     if fm[s] & ~fm[t]:
-        return hit(False, "5:S2")
+        return False, "5:S2"
     if bm[t] & ~bm[s]:
-        return hit(False, "5:S3")
+        return False, "5:S3"
     for order in orderings[1:]:
         ans, obs = answer_T(order, s, t)
         if ans is not None:
-            return hit(ans, f"6:{obs}")
+            return ans, _TAG6[obs]
     if ix.wcc[s] != ix.wcc[t]:
-        return hit(False, "7:B2")
+        return False, "7:B2"
+    # C, containment: s reaches t only if Max(t) <= Max(s) in a forward
+    # ordering and Min(s) <= Min(t) in a backward one; both read mx_or_mn
+    for order in orderings:
+        mm = order.mx_or_mn
+        if mm[t] > mm[s]:
+            return False, "7:C"
     return None, None
 
 
@@ -243,10 +256,12 @@ def observation_table(
     w = 8 * max(1, -(-ss.k // 64))  # whole uint64 words, at least one
     fm, bm = (mask_rows(m, w).view("<u8") for m in (ss.fwd_mask, ss.bwd_mask))
     orderings = []  # four rows each: B4, then the T tests where pos(s) < pos(t)
+    contained = np.zeros(len(S), dtype=bool)  # C over all orderings
     for j, o in enumerate(ix.orderings):
         test = 6 if j else 4
         ps, pt = u32(o.pos)[S], u32(o.pos)[T]
         x, y, after = u32(o.hi_or_lo), u32(o.mx_or_mn), ps < pt
+        contained |= y[T] > y[S]  # Max(t) > Max(s), or Min(s) < Min(t)
         if o.flavor == FORWARD:  # x, y = High, Max
             tests = [("T1", True, pt <= x[S]), ("T2", False, pt > y[S]), ("T3", True, pt == y[S])]
         else:  # x, y = Low, Min
@@ -263,6 +278,7 @@ def observation_table(
         ("5:S3", False, (bm[T] & ~bm[S]).any(axis=1)),
         *orderings[4:],
         ("7:B2", False, u32(ix.wcc)[S] != u32(ix.wcc)[T]),
+        ("7:C", False, contained),
     ]
 
 
@@ -288,26 +304,29 @@ def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], boo
     test(v) == try_observations(ix, x, v)[0] (backward side, x = s).  x's
     masks, component and ordering indices are read once.  Every observation
     is sound, so running them cheapest-first (S1, S2/S3, orderings, B2) gives
-    the same verdict as the fixed test order.  An ordering whose indices for
-    the pair all sit on x reduces to intervals of pos(v).
+    the same verdict as the fixed test order.  Containment (C) runs inside
+    each ordering's checks, in place of T2 and T5, which it subsumes: an own
+    ordering compares Max(x) or Min(x), read once, where T2/T5 compared
+    pos(x), and a fixed one reads Max(v) or Min(v) where T2/T5 compared
+    pos(v).  B4 and the positive tests of a fixed ordering reduce to
+    intervals of pos(v).
     """
     fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
     wcc = ix.wcc
     fmx, bmx, wx = fm[x], bm[x], wcc[x]
     # own: the ordering's indices for v are read per call; fixed: pos(v) in
-    # [a, b] or == m proves the pair, pos(v) outside [lo, hi] refutes it
-    own: list[tuple[array, array, array, int]] = []
-    fixed: list[tuple[array, int, int, int, int, int]] = []
+    # [a, b] or == cx proves the pair, pos(v) on the wrong side of pos(x)
+    # refutes it (B4).  cx is Max(x) or Min(x), whichever the ordering keeps.
+    own: list[tuple[array, array, array, int, int]] = []
+    fixed: list[tuple[array, array, int, int, int]] = []
     for o in ix.orderings:
-        px = o.pos[x]
+        px, cx = o.pos[x], o.mx_or_mn[x]
         if (o.flavor == FORWARD) == towards:
-            own.append((o.pos, o.hi_or_lo, o.mx_or_mn, px))
-        elif towards:  # backward ordering, pair (v, x): Low(x), Min(x)
-            lo, mn = o.hi_or_lo[x], o.mx_or_mn[x]
-            fixed.append((o.pos, lo, px, mn, px, mn))
-        else:  # forward ordering, pair (x, v): High(x), Max(x)
-            hi, mx = o.hi_or_lo[x], o.mx_or_mn[x]
-            fixed.append((o.pos, px, hi, px, mx, mx))
+            own.append((o.pos, o.hi_or_lo, o.mx_or_mn, px, cx))
+        elif towards:  # backward ordering, pair (v, x): [Low(x), pos(x)]
+            fixed.append((o.pos, o.mx_or_mn, o.hi_or_lo[x], px, cx))
+        else:  # forward ordering, pair (x, v): [pos(x), High(x)]
+            fixed.append((o.pos, o.mx_or_mn, px, o.hi_or_lo[x], cx))
 
     if towards:
 
@@ -316,22 +335,21 @@ def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], boo
                 return True
             if fm[v] & ~fmx or bmx & ~bm[v]:  # S2, S3
                 return False
-            for pos, hi, mx, px in own:  # B4, T1, T2, T3
-                p = pos[v]
-                if px < p:
+            for pos, hi, mx, px, mxx in own:  # B4, T1, C, T3
+                if px < pos[v]:
                     return False
                 if px <= hi[v]:
                     return True
                 m = mx[v]
-                if px > m:
+                if m < mxx:  # C: Max(x) > Max(v)
                     return False
                 if px == m:
                     return True
-            for pos, a, b, lo, hi, m in fixed:
+            for pos, mn, a, b, mnx in fixed:  # B4, C, T4, T6
                 p = pos[v]
-                if p < lo or p > hi:
+                if p > b or mn[v] < mnx:  # C: Min(v) < Min(x)
                     return False
-                if a <= p <= b or p == m:
+                if a <= p or p == mnx:
                     return True
             if wcc[v] != wx:  # B2
                 return False
@@ -344,21 +362,21 @@ def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], boo
                 return True
             if fmx & ~fm[v] or bm[v] & ~bmx:  # S2, S3
                 return False
-            for pos, lo, mn, px in own:  # B4, T4, T5, T6
+            for pos, lo, mn, px, mnx in own:  # B4, T4, C, T6
                 if pos[v] < px:
                     return False
                 if lo[v] <= px:
                     return True
                 m = mn[v]
-                if px < m:
+                if m > mnx:  # C: Min(x) < Min(v)
                     return False
                 if px == m:
                     return True
-            for pos, a, b, lo, hi, m in fixed:
+            for pos, mx, a, b, mxx in fixed:  # B4, C, T1, T3
                 p = pos[v]
-                if p < lo or p > hi:
+                if p < a or mx[v] > mxx:  # C: Max(v) > Max(x)
                     return False
-                if a <= p <= b or p == m:
+                if p <= b or p == mxx:
                     return True
             if wcc[v] != wx:  # B2
                 return False

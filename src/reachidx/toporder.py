@@ -13,6 +13,14 @@ indices per vertex obtained for free during the DFS that builds it:
 A query (s, t) can then be answered reachable when pos(t) falls inside a
 certified range, and unreachable when it falls beyond Max(s) (resp. before
 Min(t)) or behind s in the ordering.
+
+Max and Min also certify containment (GRAIL, Yildirim, Chaoji & Zaki, VLDB
+2010): if s reaches t, then t reaches nothing s does not, and every
+ancestor of s is one of t, so Max(t) <= Max(s) in every forward ordering
+and Min(s) <= Min(t) in every backward one.  Max(t) > Max(s) or
+Min(s) < Min(t) thus refutes (s, t); as Max(t) >= pos(t) and
+Min(s) <= pos(s), this holds wherever pos(t) > Max(s) or pos(s) < Min(t)
+does.
 """
 
 from __future__ import annotations

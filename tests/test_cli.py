@@ -318,6 +318,7 @@ PINNED_STATS = [
     "overlap - B4 50 0.500000",
     "overlap - B5 44 0.440000",
     "overlap - B6 45 0.450000",
+    "overlap - C 40 0.400000",
     "overlap - EQ 10 0.100000",
     "overlap - S1 34 0.340000",
     "overlap - S2 50 0.500000",

@@ -53,7 +53,7 @@ ANY_PARAMS = st.builds(
 )
 
 POSITIVE_OBS = {"EQ", "T1", "T3", "T4", "T6", "S1"}
-NEGATIVE_OBS = {"B2", "B4", "B5", "B6", "T2", "T5", "S2", "S3"}
+NEGATIVE_OBS = {"B2", "B4", "B5", "B6", "C", "T2", "T5", "S2", "S3"}
 
 
 def manual_diamond_index() -> ReachIndex:
@@ -144,6 +144,8 @@ FROZEN_TAG_CASES = [
     (5, [(0, 1), (0, 4), (1, 2), (1, 4), (3, 4)], T2K2, 2, 3, 2, False, "6:T5"),
     (5, [(0, 2), (0, 4), (1, 3), (1, 4), (2, 3)], T2K2, 2, 1, 3, True, "6:T6"),
     (9, [(0, 1), (0, 3), (4, 6), (5, 6)], T2K0, 2, 5, 1, False, "7:B2"),
+    # every other row of observation_table is false for this pair
+    (6, [(0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4), (3, 5)], T2K0, 1, 2, 5, False, "7:C"),
 ]
 
 
@@ -251,6 +253,20 @@ def test_table_matches_try_observations_and_is_sound(g, params, seed):
     for tag, ans, mask in rows:
         for i in np.flatnonzero(mask).tolist():
             assert ans == matrix_query(mx, S[i], T[i]), (S[i], T[i], tag)
+
+
+@settings(max_examples=80)
+@given(dags(max_n=12), TABLE_PARAMS, st.integers(0, 2**16))
+def test_containment_subsumes_t2_t5_and_is_sound(g, params, seed):
+    # Max(t) >= pos(t) > Max(s) for T2, Min(s) <= pos(s) < Min(t) for T5
+    ix = build_index(g, params, seed=seed)
+    S, T = all_pairs(g.n)
+    rows = {tag: mask for tag, _, mask in observation_table(ix, S, T)}
+    contained = rows["7:C"]
+    for tag, mask in rows.items():
+        if tag.endswith((":T2", ":T5")):
+            assert not (mask & ~contained).any(), tag
+    assert not (contained & build_matrix(g).to_dense()[S, T]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +516,16 @@ def test_stats_conservation(g, seed):
     assert stats.fallback_rate == stats.fallbacks / stats.queries
 
 
+def test_try_observations_counts_first_hits():
+    g = gen_random_dag(40, 90, 0)
+    ix = build_index(g, SMALL, seed=0)
+    S, T = all_pairs(g.n)
+    stats = ObservationStats()
+    got = [try_observations(ix, s, t, stats) for s, t in zip(S, T)]
+    assert got == [try_observations(ix, s, t) for s, t in zip(S, T)]
+    assert stats.first_hit == observation_stats(ix, S, T).first_hit
+
+
 def reference_stats(ix, pairs) -> ObservationStats:
     """ObservationStats counted pair by pair: the first hit and outcome from
     query(), the overlap from each observation's own test."""
@@ -531,6 +557,10 @@ def reference_stats(ix, pairs) -> ObservationStats:
             }
             for o in ix.orderings:
                 ps, pt = o.pos[s], o.pos[t]
+                if o.flavor == FORWARD and o.mx_or_mn[t] > o.mx_or_mn[s]:
+                    holds.add("C")  # Max(t) > Max(s)
+                if o.flavor == BACKWARD and o.mx_or_mn[s] < o.mx_or_mn[t]:
+                    holds.add("C")  # Min(s) < Min(t)
                 if pt < ps:
                     holds.add("B4")
                 elif o.flavor == FORWARD:
