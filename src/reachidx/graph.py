@@ -132,6 +132,13 @@ def _split(flat: np.ndarray, counts: np.ndarray) -> list[list[int]]:
             gc.enable()
 
 
+def _edge_arrays(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(degrees, flat targets) of adjacency lists as int64 arrays: the lists'
+    lengths, and the lists concatenated in vertex order."""
+    degrees = np.fromiter(map(len, adj), np.int64, len(adj))
+    return degrees, np.fromiter(chain.from_iterable(adj), np.int64, int(degrees.sum()))
+
+
 def _checksum(n: int, degrees: np.ndarray, flat: np.ndarray) -> int:
     """CRC32 of n and m as <u8, the out-degrees as <u4, then the sorted
     out-lists, concatenated, as <u4."""
@@ -450,10 +457,10 @@ def scc_condense(g: DiGraph) -> CondensationMap:
                             break
 
     c = len(rep_of)
-    degs = np.fromiter(map(len, out), np.int64, n)
+    degs, flat = _edge_arrays(out)
     scc = np.array(scc_of, dtype=np.int64)
     cu = np.repeat(scc, degs)
-    cv = scc[np.fromiter(chain.from_iterable(out), np.int64, g.m)]
+    cv = scc[flat]
     cross = cu != cv
     keys = _sorted_unique(cu[cross] * c + cv[cross])
     return CondensationMap(scc_of, _digraph(c, keys // c, keys % c), rep_of)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiGraph, LevelAssignment, topological_levels
+from .graph import DiGraph, LevelAssignment, _edge_arrays, topological_levels
 
 TAG_SLIM = "slim-level"
 TAG_CENTRAL = "random-central"
@@ -182,11 +182,10 @@ def _mask_matrix(
     M = np.zeros((n, words), dtype=np.uint64)
     for j, v in enumerate(cands):
         M[v, j >> 6] |= np.uint64(1 << (j & 63))
-    m = sum(len(x) for x in pred_adj)
-    if m == 0:
+    degrees, src = _edge_arrays(pred_adj)
+    if len(src) == 0:
         return M
-    dst = np.repeat(np.arange(n, dtype=np.int64), [len(x) for x in pred_adj])
-    src = np.fromiter((u for nbrs in pred_adj for u in nbrs), dtype=np.int64, count=m)
+    dst = np.repeat(np.arange(n, dtype=np.int64), degrees)
     key = level[dst]
     order = np.argsort(key, kind="stable")
     dst = dst[order]

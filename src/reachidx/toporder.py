@@ -21,16 +21,26 @@ and Min(s) <= Min(t) in every backward one.  Max(t) > Max(s) or
 Min(s) < Min(t) thus refutes (s, t); as Max(t) >= pos(t) and
 Min(s) <= pos(s), this holds wherever pos(t) > Max(s) or pos(s) < Min(t)
 does.
+
+Randomness: each random order is a stable sort of items by (group, key),
+with one 32-bit key per item read from the ordering's random.Random
+through randbytes.  start_sequence keys the n vertices, then
+extended_topsort the m edges, grouped by source.  All-zero keys keep the
+stored orders, ascending by id, so a stand-in rng whose randbytes returns
+zero bytes gives a deterministic ordering.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
+import numpy as np
+
 from .baselines import ReachMatrix
-from .graph import AcyclicityError, DiGraph
+from .graph import AcyclicityError, DiGraph, _edge_arrays, _split
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -46,17 +56,36 @@ class ExtTopOrder:
     seed: int | None = None
 
 
+def _keyed_order(groups: np.ndarray, rng: random.Random) -> np.ndarray:
+    """Indices 0..len(groups)-1 stable-sorted by (groups[i], key i), with
+    key i the i-th 32-bit word of rng.randbytes(4 * len(groups)): groups
+    ascending, each in random order, or in index order when the keys are
+    all zero.  groups must be int64 and below 2**31."""
+    keys = np.frombuffer(rng.randbytes(4 * len(groups)), "<u4")
+    return np.argsort((groups << 32) | keys, kind="stable")
+
+
+def _child_lists(adj: list[list[int]], rng: random.Random) -> list[list[int]]:
+    """Fresh copies of the adjacency lists, each in random order: the edges
+    keyed-sorted by (source, key), 4m bytes of keys from rng."""
+    degrees, flat = _edge_arrays(adj)
+    order = _keyed_order(np.repeat(np.arange(len(adj), dtype=np.int64), degrees), rng)
+    # the lists live through a whole pass: as graph._fill does, let them
+    # share one int object per vertex rather than hold one per edge
+    ids = np.arange(len(adj)).astype(object)
+    return _split(ids[flat[order]], degrees)
+
+
 def start_sequence(g: DiGraph, rng: random.Random) -> list[int]:
-    """Shuffled sources first, then the remaining vertices shuffled as a guard.
+    """Sources first, then the remaining vertices as a guard, each part in
+    random order: the vertices keyed-sorted by (has an in-edge, key), 4n
+    bytes of keys from rng.  Zero keys give both parts in ascending id order.
 
     On a DAG every vertex is reachable from some source, so the guard only
     matters for defensive completeness.
     """
-    sources = [v for v in range(g.n) if not g.in_adj[v]]
-    rest = [v for v in range(g.n) if g.in_adj[v]]
-    rng.shuffle(sources)
-    rng.shuffle(rest)
-    return sources + rest
+    has_in = np.fromiter(map(bool, g.in_adj), np.int64, g.n)
+    return _keyed_order(has_in, rng).tolist()
 
 
 def extended_topsort(
@@ -73,7 +102,10 @@ def extended_topsort(
     discovered below v.  Max(v) folds children's Max at finish time; on a
     DAG every out-neighbor is already finished then.
 
-    Child visit order is shuffled per vertex on a scratch copy; stored
+    Child visit order is drawn once for the whole pass: the edges
+    keyed-sorted by (source, key), 4m bytes of keys from rng, and split into
+    fresh child lists that the DFS walks with one iterator per stack entry.
+    Zero keys visit children in stored (ascending) order.  The graph's own
     adjacency is never mutated.  Non-recursive to avoid Python's recursion
     limit.
     """
@@ -83,45 +115,35 @@ def extended_topsort(
     mx = [-1] * n
     state = bytearray(n)  # 0 new, 1 active, 2 finished
     counter = n - 1
-    out = dag.out_adj
+    out = _child_lists(dag.out_adj, rng)
 
-    for root in list(start_order) + list(range(n)):
+    for root in chain(start_order, range(n)):
         if state[root]:
             continue
         state[root] = 1
         hi[root] = counter
-        children = list(out[root])
-        rng.shuffle(children)
-        stack: list[tuple[int, list[int], int]] = [(root, children, 0)]
+        stack = [(root, iter(out[root]))]
         while stack:
-            v, ch, i = stack[-1]
-            pushed = False
-            while i < len(ch):
-                w = ch[i]
-                i += 1
+            v, children = stack[-1]
+            for w in children:
                 st = state[w]
                 if st == 0:
-                    stack[-1] = (v, ch, i)
                     state[w] = 1
                     hi[w] = counter
-                    cw = list(out[w])
-                    rng.shuffle(cw)
-                    stack.append((w, cw, 0))
-                    pushed = True
+                    stack.append((w, iter(out[w])))
                     break
                 if st == 1:
                     raise AcyclicityError(f"cycle through edge ({v}, {w})")
-            if pushed:
-                continue
-            stack.pop()
-            pos[v] = counter
-            counter -= 1
-            best = pos[v]
-            for w in ch:
-                if mx[w] > best:
-                    best = mx[w]
-            mx[v] = best
-            state[v] = 2
+            else:
+                stack.pop()
+                pos[v] = counter
+                counter -= 1
+                best = pos[v]
+                for w in out[v]:
+                    if mx[w] > best:
+                        best = mx[w]
+                mx[v] = best
+                state[v] = 2
     return ExtTopOrder(pos, hi, mx, FORWARD, seed)
 
 

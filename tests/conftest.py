@@ -38,10 +38,11 @@ PINNED_EDGE_LIST = """\
 
 
 class NoShuffle:
-    """random.Random stand-in that keeps child order as stored (sorted)."""
+    """random.Random stand-in that keeps child order as stored (sorted): its
+    keys are all zero, and the orderings' keyed sorts are stable."""
 
-    def shuffle(self, x):
-        pass
+    def randbytes(self, k):
+        return bytes(k)
 
 
 def brute_reach_sets(g: DiGraph) -> list[set[int]]:

@@ -361,7 +361,8 @@ def test_scc_matches_brute_force_partition(g):
 
 def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     """Tarjan's numbering decides the condensed DAG and so the index bytes;
-    the values below were recorded before the array-based ingestion."""
+    the condensation was recorded before the array-based ingestion, the CRC
+    once the orderings drew their child orders by keyed sort."""
     res = parse_edge_list(PINNED_EDGE_LIST.splitlines())
     assert res.original_ids == [-3, 7, 8, 10, 12, 40, 55, 70, 90, 1000]
     assert (res.dropped_self_loops, res.dropped_duplicates) == (1, 1)
@@ -375,7 +376,7 @@ def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     assert main(["build", "--graph", str(g), "--out-index", str(idx)]) == 0
     capsys.readouterr()
     data = idx.read_bytes()
-    assert (len(data), zlib.crc32(data)) == (472, 3774216309)
+    assert (len(data), zlib.crc32(data)) == (472, 701085302)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,50 @@ def test_answer_tags_backward():
     edges = DiGraph.from_edges(4, [(0, 1), (2, 3)])
     o2 = extended_topsort_backward(edges, NoShuffle())
     assert answer_T(o2, 0, 3) == (False, "T5")  # before Min
+
+
+class Keys:
+    """random.Random stand-in whose randbytes returns the given 32-bit keys,
+    one list per call, and checks that the call asks for as many."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def randbytes(self, k):
+        keys = self.draws.pop(0)
+        assert k == 4 * len(keys)
+        return np.array(keys, dtype="<u4").tobytes()
+
+
+def test_children_visited_in_key_order_ties_in_stored_order():
+    star = DiGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    # one key per edge in stored order: visit 2, 3, 1, so 2 finishes first, at n-1
+    o = extended_topsort(star, [0], Keys([3, 1, 2]))
+    assert o.pos == [0, 1, 3, 2]
+    # equal keys keep the stored order: visit 3, then 1, then 2
+    o = extended_topsort(star, [0], Keys([5, 5, 0]))
+    assert o.pos == [0, 2, 1, 3]
+    # all-zero keys: children in stored order, so the first child finishes first, at n-1
+    wide = DiGraph.from_edges(41, [(0, v) for v in range(1, 41)])
+    assert extended_topsort(wide, [0], NoShuffle()).pos == [0] + list(range(40, 0, -1))
+
+
+def test_start_sequence_is_keyed_sources_first():
+    g = two_edges()  # sources 0 and 2
+    assert start_sequence(g, Keys([7, 9, 1, 0])) == [2, 0, 3, 1]
+    assert start_sequence(g, Keys([4, 4, 4, 4])) == [0, 2, 1, 3]
+    assert start_sequence(g, NoShuffle()) == [0, 2, 1, 3]
+    pairs = DiGraph.from_edges(60, [(v, v + 1) for v in range(0, 60, 2)])
+    assert start_sequence(pairs, NoShuffle()) == list(range(0, 60, 2)) + list(range(1, 60, 2))
+
+
+def test_each_draw_takes_one_key_per_vertex_then_per_edge():
+    g = two_edges()
+    rng = Keys([0] * 4, [0] * 2, [0] * 4, [0] * 2)
+    a = extended_topsort(g, start_sequence(g, rng), rng)
+    b = extended_topsort_backward(g, rng)
+    assert (a.pos, b.pos) == ([2, 3, 0, 1], [0, 1, 2, 3])
+    assert rng.draws == []
 
 
 # ---------------------------------------------------------------------------
