@@ -29,6 +29,7 @@ import numpy as np
 from .baselines import DEFAULT_MATRIX_CAP
 from .graph import (
     DiGraph,
+    GraphFormatError,
     ParseResult,
     _digraph,
     graph_format,
@@ -39,6 +40,7 @@ from .graph import (
     write_remap,
 )
 from .index import (
+    IndexFormatError,
     IndexParams,
     QueryOutcome,
     RESOLVERS,
@@ -420,6 +422,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(str(e))
     try:
         return args.fn(args)
+    except (GraphFormatError, IndexFormatError) as e:  # a bad input file, not a bad count
+        raise SystemExit(f"error: {e}") from None
     except ValueError as e:  # the generators and bench reject bad counts
         if args.command not in ("gen-graph", "gen-queries", "bench"):
             raise

@@ -106,8 +106,11 @@ class ObservationStats:
         return self.fallbacks / self.queries if self.queries else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryOutcome:
+    """Immutable: observation answers share one instance per tag (derive a
+    changed copy with dataclasses.replace)."""
+
     answer: bool
     answered_by: str  # 'test:observation' or 'fallback:<name>'
     work: int = 0  # vertices expanded by the fallback; 0 for observation answers
@@ -182,9 +185,28 @@ def build_index(
     return ReachIndex(dag, wcc, levels, orderings, supports, params, seed)
 
 
-# answer_T's observation -> its tag in the first ordering (4) or a later one (6)
-_TAG4 = {obs: "4:" + obs for obs in ("B4", "T1", "T2", "T3", "T4", "T5", "T6")}
-_TAG6 = {obs: "6:" + obs for obs in _TAG4}
+# answer_T's observation -> its answer, and its tag in the first ordering (4)
+# or a later one (6)
+_T_ANSWER = {"B4": False, "T1": True, "T2": False, "T3": True, "T4": True, "T5": False, "T6": True}
+_TAG4 = {obs: "4:" + obs for obs in _T_ANSWER}
+_TAG6 = {obs: "6:" + obs for obs in _T_ANSWER}
+# every tag try_observations returns -> the one outcome query() returns for
+# it, so that an observation answer allocates nothing
+_OUTCOMES = {
+    tag: QueryOutcome(ans, tag)
+    for tag, ans in [
+        ("1:EQ", True),
+        ("2:B5", False),
+        ("2:B6", False),
+        ("3:S1", True),
+        *((_TAG4[obs], ans) for obs, ans in _T_ANSWER.items()),
+        ("5:S2", False),
+        ("5:S3", False),
+        *((_TAG6[obs], ans) for obs, ans in _T_ANSWER.items()),
+        ("7:B2", False),
+        ("7:C", False),
+    ]
+}
 
 
 def try_observations(
@@ -288,10 +310,15 @@ def observation_table(
 
 @dataclass(frozen=True)
 class Resolver:
-    """Exact fallback: run(index, s, t) -> (answer, vertices expanded)."""
+    """Exact fallback: run(index, s, t) -> (answer, vertices expanded).
+    tag is the answered_by of its outcomes, 'fallback:<name>'."""
 
     name: str
     run: Callable[[ReachIndex, int, int], tuple[bool, int]]
+    tag: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tag", "fallback:" + self.name)
 
 
 def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], bool | None]:
@@ -450,6 +477,8 @@ RESOLVERS = {r.name: r for r in (PBIBFS, PLAIN_BFS)}
 def query(ix: ReachIndex, s: int, t: int, fallback: Resolver | None = None) -> QueryOutcome:
     """Exact reachability answer: observations first, fallback on unknown.
 
+    An observation answer is the one shared outcome of its tag; a fallback
+    answer is a new outcome that carries the search's work.
     Raises IndexError when s or t is not a vertex id in [0, n).
     """
     n = ix.graph.n
@@ -457,10 +486,10 @@ def query(ix: ReachIndex, s: int, t: int, fallback: Resolver | None = None) -> Q
         check_ids(n, s, t)
     ans, tag = try_observations(ix, s, t)
     if ans is not None:
-        return QueryOutcome(ans, tag)
+        return _OUTCOMES[tag]
     resolver = fallback if fallback is not None else PBIBFS
     ans, work = resolver.run(ix, s, t)
-    return QueryOutcome(ans, f"fallback:{resolver.name}", work)
+    return QueryOutcome(ans, resolver.tag, work)
 
 
 def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> ObservationStats:

@@ -9,8 +9,8 @@ import pytest
 
 from reachidx import cli
 from reachidx.cli import build_parser, main
-from reachidx.graph import GraphFormatError, parse_edge_list
-from reachidx.index import IndexFormatError, IndexParams
+from reachidx.graph import parse_edge_list
+from reachidx.index import IndexParams
 
 from conftest import PINNED_EDGE_LIST
 
@@ -392,7 +392,7 @@ def test_bad_bundle_is_never_read(pinned, tmp_path):
 
     # the same bytes read as another format
     for _ in range(2):
-        with pytest.raises(GraphFormatError, match="bad vertex count"):
+        with pytest.raises(SystemExit, match="bad vertex count"):
             run([*argv, "--format", "gra"], parses=1)
         bundle.unlink(missing_ok=True)
 
@@ -401,7 +401,7 @@ def test_bad_bundle_is_never_read(pinned, tmp_path):
     assert run(["build", "--graph", other, "--out-index", idx], parses=1)[0] == 0
     bundle.write_bytes(good)
     for _ in range(2):
-        with pytest.raises(IndexFormatError, match="index built for n=3, graph has n=7"):
+        with pytest.raises(SystemExit, match="index built for n=3, graph has n=7"):
             run(argv, parses=0 if bundle.exists() else 1)
         bundle.unlink(missing_ok=True)
 
@@ -416,6 +416,40 @@ def test_ids_beyond_64_bits_write_no_bundle(pinned, tmp_path):
     code, out, _err = run(["query", "--graph", g, "--index", idx, "--pairs", pairs], parses=1)
     assert code == 0
     assert [row.split("\t")[2] for row in out.splitlines()] == ["1", "0", "1"]
+
+
+def test_truncated_index_is_an_error_not_a_traceback(pinned):
+    g, idx, pairs, run = pinned
+    with open(idx, "rb") as f:
+        data = f.read()
+    for size, message in [(10, "truncated header"), (len(data) - 1, f"got {len(data) - 1}")]:
+        with open(idx, "wb") as f:
+            f.write(data[:size])
+        for argv in (["query", "--graph", g, "--index", idx, "--pairs", pairs],
+                     ["stats", "--graph", g, "--index", idx, "--queries", pairs]):
+            with pytest.raises(SystemExit, match=message) as e:
+                run(argv, parses=0)
+            assert e.value.code.startswith("error: ")  # a message: exit status 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "reachidx.cli", "query", "--graph", g, "--index", idx,
+         "--pairs", pairs],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(f"\nerror: expected {len(data)} bytes, got {len(data) - 1}\n")
+
+
+def test_bad_pairs_token_is_an_error_for_every_command(pinned, tmp_path):
+    g, idx, _pairs, run = pinned
+    bad = write(tmp_path / "bad.txt", "-3 7 1\n7 x\n")
+    for argv in (["query", "--graph", g, "--index", idx, "--pairs", bad],
+                 ["stats", "--graph", g, "--index", idx, "--queries", bad],
+                 ["bench", "--graph", g, "--queries", bad, "--algos", "bfs"]):
+        with pytest.raises(SystemExit, match="error: .*bad.txt:2: bad token") as e:
+            run(argv, parses=int(argv[0] == "bench"))
+        assert e.value.code.startswith("error: ")  # exit status 1, not argparse's 2
 
 
 def test_module_entry_point_help():

@@ -23,7 +23,9 @@ from reachidx.index import (
     IndexFormatError,
     IndexParams,
     ObservationStats,
+    QueryOutcome,
     ReachIndex,
+    _OUTCOMES,
     _endpoint_test,
     _substream,
     build_index,
@@ -523,6 +525,54 @@ def test_query_custom_fallback_is_labelled():
     ix = build_index(g, T2K2, seed=0)
     out = query(ix, 0, 4, fallback=PLAIN_BFS)
     assert out.answered_by == "fallback:bfs" and out.answer is False
+
+
+def test_every_table_tag_has_one_shared_outcome():
+    """Each tag observation_table's rows can produce maps to one outcome with
+    that row's answer and no work, so the shared table cannot drift from
+    the observations."""
+    g = gen_random_dag(40, 90, 0)
+    ix = build_index(g, IndexParams(t=4, k=4, p=2, h=3), seed=0)
+    flipped = dataclasses.replace(ix, orderings=ix.orderings[::-1])  # gives 4:T4-T6
+    S, T = all_pairs(g.n)
+    tags = set()
+    for index in (ix, flipped):
+        for tag, ans, _mask in observation_table(index, S, T):
+            assert _OUTCOMES[tag] == QueryOutcome(ans, tag, 0)
+            tags.add(tag)
+    assert tags == set(_OUTCOMES)
+
+
+def test_observation_answers_share_one_frozen_outcome():
+    g = gen_random_dag(40, 90, 0)
+    ix = build_index(g, SMALL, seed=0)
+    decided = 0
+    for s, t in zip(*all_pairs(g.n)):
+        out = query(ix, s, t)
+        if not out.answered_by.startswith("fallback:"):
+            assert out is _OUTCOMES[out.answered_by]
+            decided += 1
+    assert decided > len(_OUTCOMES)  # tags repeat: 1:EQ alone decides 40 pairs
+    out = query(ix, 3, 3)
+    assert out is query(ix, 7, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.answer = not out.answer
+    assert dataclasses.replace(out, work=5).work == 5 and out.work == 0
+
+
+@pytest.mark.parametrize("resolver", [PBIBFS, PLAIN_BFS], ids=lambda r: r.name)
+def test_fallback_outcomes_carry_work_and_resolver_tag(resolver):
+    g = DiGraph.from_edges(9, FALLBACK_EDGES)
+    ix = build_index(g, IndexParams(t=1, k=1, p=1, h=1), seed=0)
+    assert resolver.tag == "fallback:" + resolver.name
+    pairs = [(s, t) for s in range(g.n) for t in range(g.n)]
+    undecided = [(s, t) for s, t in pairs if try_observations(ix, s, t)[1] is None]
+    assert undecided
+    for s, t in undecided:
+        out = query(ix, s, t, fallback=resolver)
+        work = FALLBACK_WORK[resolver.name][s][t]
+        assert out == QueryOutcome(FALLBACK_REACH[s][t] == "1", resolver.tag, work)
+        assert out is not query(ix, s, t, fallback=resolver)
 
 
 @settings(max_examples=40)
