@@ -53,6 +53,7 @@ from .index import (
 )
 from .workbench import (
     ALGORITHM_NAMES,
+    InfeasibleError,
     QuerySet,
     bench,
     build_oracle,
@@ -422,7 +423,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(str(e))
     try:
         return args.fn(args)
-    except (GraphFormatError, IndexFormatError) as e:  # a bad input file, not a bad count
+    # a bad input file, or a graph without enough pairs of the asked kind:
+    # not a bad count
+    except (GraphFormatError, IndexFormatError, InfeasibleError) as e:
         raise SystemExit(f"error: {e}") from None
     except ValueError as e:  # the generators and bench reject bad counts
         if args.command not in ("gen-graph", "gen-queries", "bench"):

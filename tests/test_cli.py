@@ -251,6 +251,22 @@ def test_bad_counts_exit_before_writing(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_gen_queries_without_enough_pairs_is_an_error(tmp_path):
+    g = write(tmp_path / "g.txt", "0 1\n2 3\n")
+    out = tmp_path / "q.txt"
+    argv = ["gen-queries", "--graph", g, "--kind", "positive", "--count", "50", "--out", str(out)]
+    message = "error: no acceptable positive pair after 12 consecutive attempts"
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == message  # a message: exit status 1
+    assert not out.exists()
+    proc = subprocess.run([sys.executable, "-m", "reachidx.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == message + "\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the condensation bundle written by build and read by query and stats
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 import re
+import threading
+import warnings
 import zlib
 from array import array
 from collections import deque
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 import reachidx.index as index_mod
 from reachidx.baselines import build_matrix, matrix_query
-from reachidx.graph import DiGraph, topological_levels, weak_components
+from reachidx.graph import AcyclicityError, DiGraph, topological_levels, weak_components
 from reachidx.index import (
     PBIBFS,
     PLAIN_BFS,
@@ -137,6 +140,159 @@ def test_substream_labels_are_independent():
     assert _substream(7, "fwd", 0) != _substream(7, "fwd", 1)
     assert _substream(7, "fwd", 0) != _substream(7, "bwd", 0)
     assert _substream(7, "fwd", 0) != _substream(8, "fwd", 0)
+
+
+# ---------------------------------------------------------------------------
+# orderings built in forked workers; each path forced through index._cpus
+
+
+def several_components() -> DiGraph:
+    """Three random DAGs side by side, then two isolated vertices: just
+    large enough for a forked build."""
+    edges, base = [], 0
+    for seed, (n, m) in enumerate([(1500, 4000), (800, 1500), (300, 400)]):
+        part = gen_random_dag(n, m, seed=seed)
+        edges += [(base + u, base + v) for u in range(n) for v in part.out_adj[u]]
+        base += n
+    return DiGraph.from_edges(base + 2, edges)
+
+
+# Python >= 3.12 issues this in the parent of every fork() while the OS
+# counts more than one thread (numpy's BLAS pool is one)
+FORK_WARNING = (
+    "This process (pid={}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked while the test runs.  Each fork also
+    warns as Python >= 3.12 does, and any warning fails the test."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+            warnings.warn(FORK_WARNING.format(os.getpid()), DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield pids
+
+
+def build_bytes(monkeypatch, cpus: int, g: DiGraph, params: IndexParams, seed: int = 0) -> bytes:
+    monkeypatch.setattr(index_mod, "_cpus", lambda: cpus)
+    return serialize_index(build_index(g, params, seed=seed))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k", [0, 16, 130])
+@pytest.mark.parametrize("t", [0, 1, 2, 4, 5])
+def test_forked_and_inline_builds_give_the_same_bytes(monkeypatch, forks, t, k):
+    g = several_components()
+    params = IndexParams(t=t, k=k, p=2)
+    inline = build_bytes(monkeypatch, 1, g, params, seed=3)
+    assert forks == []
+    for cpus in (2, 3, 8):  # one worker, two, and as many as t - 1
+        del forks[:]
+        assert build_bytes(monkeypatch, cpus, g, params, seed=3) == inline
+        assert len(forks) == max(0, min(cpus, t) - 1)
+        assert_no_child_left()
+
+
+def test_build_stays_inline_while_other_threads_run(monkeypatch, forks):
+    g, params = several_components(), IndexParams(t=4, k=16, p=2)
+    inline = build_bytes(monkeypatch, 1, g, params)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert build_bytes(monkeypatch, 2, g, params) == inline
+    finally:
+        stop.set()
+        other.join()
+    assert forks == []
+
+
+def test_small_graph_builds_inline(monkeypatch, forks):
+    g = gen_random_dag(1000, index_mod._FORK_MIN_SIZE - 1001, seed=0)
+    assert build_bytes(monkeypatch, 4, g, IndexParams(t=4)) == build_bytes(
+        monkeypatch, 1, g, IndexParams(t=4)
+    )
+    assert forks == []
+
+
+def test_cyclic_input_raises_the_inline_error_and_leaves_no_child(monkeypatch, forks):
+    dag = gen_random_dag(3000, 6000, seed=0)
+    edges = [(u, v) for u in range(dag.n) for v in dag.out_adj[u]]
+    g = DiGraph.from_edges(dag.n, edges + [(v, u) for u, v in edges[:3]])
+    errors = []
+    for cpus in (1, 2, 4):
+        with pytest.raises(AcyclicityError) as e:
+            build_bytes(monkeypatch, cpus, g, IndexParams(t=4))
+        errors.append(str(e.value))
+        assert_no_child_left()
+    assert errors[1:] == errors[:-1] and len(forks) == 1 + 3
+
+
+@pytest.mark.parametrize(
+    "failure", ["raises", "exits-early", "short-columns", "exits-1-after-writing"]
+)
+def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, failure):
+    """A worker that raises (exit status 1), exits 0 before writing, writes
+    every column one cell short, or writes everything and exits 1: the
+    parent computes its orderings."""
+    g, params = several_components(), IndexParams(t=4, k=16, p=2)
+    inline = build_bytes(monkeypatch, 1, g, params)
+    parent = os.getpid()
+    ordering, column, exit_ = index_mod._ordering, index_mod._column, os._exit
+    in_parent = []
+
+    def worker_ordering(*args):
+        if os.getpid() == parent:
+            in_parent.append(args)
+        elif failure == "raises":
+            raise MemoryError
+        elif failure == "exits-early":
+            exit_(0)
+        return ordering(*args)
+
+    def worker_column(values):
+        col = column(values)
+        return col[:-1] if os.getpid() != parent and failure == "short-columns" else col
+
+    def worker_exit(code):
+        exit_(1 if failure == "exits-1-after-writing" else code)
+
+    monkeypatch.setattr(index_mod, "_ordering", worker_ordering)
+    monkeypatch.setattr(index_mod, "_column", worker_column)
+    monkeypatch.setattr(os, "_exit", worker_exit)
+    assert build_bytes(monkeypatch, 3, g, params) == inline
+    assert len(forks) == 2 and len(in_parent) == params.t  # ordering 0, then the failed three
+    assert_no_child_left()
+
+
+def test_parent_failure_kills_a_worker_blocked_on_its_pipe(monkeypatch, forks):
+    """The worker's 36 n bytes fill the pipe long before the parent, which
+    fails in pick_supports, would read them."""
+    g = gen_random_dag(3000, 6000, seed=0)
+
+    def failing(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(index_mod, "pick_supports", failing)
+    with pytest.raises(KeyboardInterrupt):
+        build_bytes(monkeypatch, 2, g, IndexParams(t=4, k=16, p=2))
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
