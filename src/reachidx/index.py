@@ -4,9 +4,9 @@ and binary serialization.
 Every build stage (weak components, levels, each extended ordering, the
 supports) draws from its own substream of the seed, so the stages are
 independent.  build_index overlaps them when the process may run on more
-than one CPU: forked workers compute orderings 1..t-1 while the caller
-computes the rest, and hand back each ordering's columns through a pipe as
-raw uint32 cells.  The index bytes are the same as those of the inline
+than one CPU: one forked worker computes orderings 1..t-1 while the caller
+computes the rest, and hands back each ordering's columns through a pipe
+as raw uint32 cells.  The index bytes are the same as those of the inline
 build, which small graphs, single-CPU processes, processes with other
 Python threads and platforms without fork use.
 
@@ -181,43 +181,36 @@ def build_index(
     from a k*p candidate pool.  Each stage draws from its own substream of
     seed, so the stages are independent and their order does not matter.
 
-    With more than one CPU, orderings 1..t-1 are computed in forked
-    workers (see _Worker, and _worker_count for when the build stays
-    inline) while this process runs the other stages and ordering 0; any
-    ordering a worker fails to deliver is computed here.  The index, its
-    bytes and any exception raised are the same either way, and no worker
-    outlives the call.
+    With more than one CPU, orderings 1..t-1 are computed in one forked
+    worker (see _Worker, and _forks for when the build stays inline) while
+    this process runs the other stages and ordering 0; if the worker fails
+    to deliver, its orderings are computed here.  The index, its bytes and
+    any exception raised are the same either way, and the worker does not
+    outlive the call.
     """
     if params is None:
         params = IndexParams()
     t = params.t
     streams = [(FORWARD, _substream(seed, "fwd", j)) for j in range((t + 1) // 2)]
     streams += [(BACKWARD, _substream(seed, "bwd", j)) for j in range(t // 2)]
-    orderings: list[ExtTopOrder | None] = [None] * t
-    workers: list[_Worker] = []
+    worker = None
     try:
-        n_workers = _worker_count(dag, t)
-        for w in range(n_workers):  # orderings 1..t-1, dealt round-robin
-            worker = _Worker.fork(dag, streams, range(1 + w, t, n_workers), workers)
-            if worker is not None:
-                workers.append(worker)
-        dealt = {i for worker in workers for i in worker.jobs}
+        if _forks(dag, t):
+            worker = _Worker.fork(dag, streams[1:])
         wcc = weak_components(dag)
         levels = topological_levels(dag)
-        for i in range(t):
-            if i not in dealt:
-                orderings[i] = _ordering(dag, *streams[i])
+        here = streams if worker is None else streams[:1]
+        orderings = [_ordering(dag, *stream) for stream in here]
         crng = random.Random(_substream(seed, "cand"))
         pool = select_candidates(dag, levels, params.k, params.p, params.h, crng)
         supports = pick_supports(pool, dag, params.k, levels)
-        for worker in workers:
-            for i, order in zip(worker.jobs, worker.collect(dag.n)):
-                orderings[i] = order
-        for i in range(t):  # what a failed worker left undone
-            if orderings[i] is None:
-                orderings[i] = _ordering(dag, *streams[i])
+        if worker is not None:
+            delivered = worker.collect(dag.n)
+            if delivered is None:  # the worker failed: its orderings here
+                delivered = [_ordering(dag, *stream) for stream in streams[1:]]
+            orderings += delivered
     finally:
-        for worker in workers:
+        if worker is not None:
             worker.stop()
     return ReachIndex(dag, wcc, levels, orderings, supports, params, seed)
 
@@ -244,46 +237,46 @@ def _cpus() -> int:
 _FORK_MIN_SIZE = 8192
 
 
-def _worker_count(dag: DiGraph, t: int) -> int:
-    """Workers for a build of t orderings: one per spare CPU, at most t - 1.
-    Zero for a small graph, without fork, or while other Python threads
-    run: a forked child holds only the forking thread, so a lock another
-    thread held at the fork would never be released there."""
+def _forks(dag: DiGraph, t: int) -> bool:
+    """Whether a build of t orderings forks a worker for orderings 1..t-1:
+    with a spare CPU, but not for a small graph, without fork, or while
+    other Python threads run (a forked child holds only the forking thread,
+    so a lock another thread held at the fork would never be released
+    there).  One worker only: the caller's own stages take longer than
+    orderings 1..3, so with t = 4 a second worker would not shorten the
+    build."""
     small = t <= 1 or dag.n + dag.m < _FORK_MIN_SIZE
     if small or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0
-    return min(_cpus(), t) - 1
+        return False
+    return _cpus() > 1
 
 
 class _Worker:
     """A forked process that computes some orderings of one build.
 
     It writes each ordering's pos, High/Low and Max/Min columns to a pipe,
-    in job order, as n raw uint32 cells each (the array('I') layout a
+    in order, as n raw uint32 cells each (the array('I') layout a
     ReachIndex holds), then leaves through os._exit: exit status 0 once
     everything is written, 1 on any exception.  It never returns into the
     caller's code, runs no exit handlers and prints nothing.
     """
 
-    def __init__(self, pid: int, reader, jobs: Sequence[int], streams) -> None:
+    def __init__(self, pid: int, reader, streams) -> None:
         self.pid = pid
         self.reader = reader
-        self.jobs = list(jobs)
-        self.streams = [streams[i] for i in self.jobs]
+        self.streams = streams
 
     @classmethod
-    def fork(
-        cls, dag: DiGraph, streams, jobs: Sequence[int], others: list[_Worker]
-    ) -> _Worker | None:
-        """A worker computing ordering i = _ordering(dag, *streams[i]) for
-        each i in jobs; None if the process could not be forked."""
+    def fork(cls, dag: DiGraph, streams) -> _Worker | None:
+        """A worker computing _ordering(dag, *stream) for each stream; None
+        if the process could not be forked."""
         r, w = os.pipe()
         try:
             with warnings.catch_warnings():
                 # Python >= 3.12 warns on fork() whenever the OS counts more
                 # than one thread.  Only one Python thread runs here (see
-                # _worker_count); the others are native pools such as
-                # numpy's BLAS threads, which the worker never calls into.
+                # _forks); the others are native pools such as numpy's
+                # BLAS threads, which the worker never calls into.
                 warnings.filterwarnings(
                     "ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning
                 )
@@ -296,13 +289,11 @@ class _Worker:
             code = 1
             try:
                 os.close(r)
-                for other in others:  # read ends inherited from earlier forks
-                    other.reader.close()
                 # every ordering first, then the writes: the parent reads
                 # only after its own stages, and a full pipe would block
                 columns = []
-                for i in jobs:
-                    order = _ordering(dag, *streams[i])
+                for stream in streams:
+                    order = _ordering(dag, *stream)
                     columns += map(_column, (order.pos, order.hi_or_lo, order.mx_or_mn))
                 with open(w, "wb") as out:
                     for col in columns:
@@ -311,13 +302,13 @@ class _Worker:
             finally:
                 os._exit(code)
         os.close(w)
-        return cls(pid, open(r, "rb"), jobs, streams)
+        return cls(pid, open(r, "rb"), streams)
 
-    def collect(self, n: int) -> list[ExtTopOrder | None]:
-        """The worker's orderings in job order, read straight into
-        array('I') columns, then the worker reaped.  All None when it
-        delivered short or exited nonzero."""
-        columns = [array("I") for _ in range(3 * len(self.jobs))]
+    def collect(self, n: int) -> list[ExtTopOrder] | None:
+        """The worker's orderings, read straight into array('I') columns,
+        then the worker reaped.  None when it delivered short or exited
+        nonzero."""
+        columns = [array("I") for _ in range(3 * len(self.streams))]
         try:
             for col in columns:
                 col.fromfile(self.reader, n)
@@ -327,7 +318,7 @@ class _Worker:
         status = _reap(self.pid)
         self.pid = 0
         if columns is None or status != 0:
-            return [None] * len(self.jobs)
+            return None
         return [
             ExtTopOrder(*columns[3 * j : 3 * j + 3], flavor=flavor, seed=seed)
             for j, (flavor, seed) in enumerate(self.streams)
