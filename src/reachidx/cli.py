@@ -21,7 +21,6 @@ import os
 import struct
 import sys
 import zlib
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +31,7 @@ from .graph import (
     GraphFormatError,
     ParseResult,
     _digraph,
+    _edge_arrays,
     graph_format,
     load_graph,
     scc_condense,
@@ -123,9 +123,9 @@ def _write_bundle(
     dag: DiGraph,
     dropped: tuple[int, int],
 ) -> None:
-    degs = np.fromiter(map(len, dag.out_adj), np.int64, dag.n)
+    degs, flat = _edge_arrays(dag.out_adj)
     offsets = np.r_[0, np.cumsum(degs)].astype("<u4")
-    targets = np.fromiter(chain.from_iterable(dag.out_adj), "<u4", dag.m)
+    targets = flat.astype("<u4")
     header = BUNDLE_HEADER.pack(
         BUNDLE_MAGIC, BUNDLE_VERSION, digest, len(original_ids), dag.n, dag.m, *dropped
     )
@@ -221,6 +221,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         with open(remap_path, "w", encoding="utf-8") as f:
             f.write(remap.getvalue())
         print(f"wrote sparse-id remap table to {remap_path}")
+    elif os.path.exists(args.out_index + ".remap"):
+        os.remove(args.out_index + ".remap")
     print(
         f"indexed {dag.n} SCC(s) of {n_input} vertices: "
         f"{len(data)} bytes to {args.out_index}"

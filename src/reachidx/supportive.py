@@ -15,10 +15,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .graph import DiGraph, LevelAssignment, _edge_arrays, topological_levels
+from .graph import DiGraph, LevelAssignment, _edge_arrays
 
 TAG_SLIM = "slim-level"
 TAG_CENTRAL = "random-central"
@@ -89,12 +90,14 @@ def select_candidates(
     h: int,
     rng: random.Random,
 ) -> CandidatePool:
-    """Collect up to k*p candidate vertices.
+    """Collect up to k*p candidate vertices, from three sources in turn.
 
-    Slim forward/backward levels (at most h vertices) first, in ascending
-    (level, id) order with forward levels before backward ones; then a
-    uniform draw from non-candidate vertices on central forward levels;
-    finally, a uniform draw from whatever is left (degenerate-graph guard).
+    First the slim levels (at most h vertices), forward levels then backward
+    ones, each in ascending (level, id) order; then a uniform draw from the
+    vertices on the central band of forward levels, [ceil(L/5), 4L/5]; then
+    a uniform draw from all vertices, a guard for degenerate graphs.  Each
+    source skips vertices already taken, and no source is read once the
+    pool is full.
     """
     n = dag.n
     cap = k * p
@@ -105,43 +108,26 @@ def select_candidates(
 
     used = bytearray(n)
 
-    def buckets(level: list[int], top: int) -> list[list[int]]:
-        by: list[list[int]] = [[] for _ in range(top + 1)]
-        for v in range(n):
-            by[level[v]].append(v)
-        return by
-
-    for level, top in ((levels.fwd, levels.fwd_max), (levels.bwd, levels.bwd_max)):
-        if len(cands) >= cap:
-            break
-        for members in buckets(level, top):
+    def take(vertices: Iterable[int], tag: str) -> None:
+        for v in vertices:
             if len(cands) >= cap:
-                break
-            if not members or len(members) > h:
-                continue
-            for v in members:
-                if len(cands) >= cap:
-                    break
-                if not used[v]:
-                    used[v] = 1
-                    cands.append(v)
-                    tags.append(TAG_SLIM)
+                return
+            if not used[v]:
+                used[v] = 1
+                cands.append(v)
+                tags.append(tag)
 
-    if len(cands) < cap:
-        lo = -(-levels.fwd_max // 5)  # ceil(L/5)
-        hi = (4 * levels.fwd_max) // 5
-        central = [v for v in range(n) if not used[v] and lo <= levels.fwd[v] <= hi]
-        for v in rng.sample(central, min(cap - len(cands), len(central))):
-            used[v] = 1
-            cands.append(v)
-            tags.append(TAG_CENTRAL)
+    for level in (levels.fwd, levels.bwd):
+        if len(cands) < cap:
+            lv = np.fromiter(level, np.int64, n)
+            slim = np.flatnonzero(np.bincount(lv)[lv] <= h)
+            take(slim[np.argsort(lv[slim], kind="stable")].tolist(), TAG_SLIM)
 
-    if len(cands) < cap:
-        rest = [v for v in range(n) if not used[v]]
-        for v in rng.sample(rest, min(cap - len(cands), len(rest))):
-            used[v] = 1
-            cands.append(v)
-            tags.append(TAG_FILL)
+    top = levels.fwd_max
+    for tag, lo, hi in ((TAG_CENTRAL, -(-top // 5), 4 * top // 5), (TAG_FILL, 0, top)):
+        if len(cands) < cap:
+            pool = [v for v in range(n) if not used[v] and lo <= levels.fwd[v] <= hi]
+            take(rng.sample(pool, min(cap - len(cands), len(pool))), tag)
 
     return CandidatePool(cands, tags)
 
@@ -223,17 +209,16 @@ def pick_supports(
     pool: CandidatePool,
     dag: DiGraph,
     k: int,
-    levels: LevelAssignment | None = None,
+    levels: LevelAssignment,
 ) -> SupportSet:
     """Keep the top min(k, |pool|) candidates by |R+| * |R-|, smaller vertex id
-    breaking ties, and materialize their per-vertex bit columns."""
+    breaking ties, and materialize their per-vertex bit columns.  levels
+    must be dag's topological_levels: they order the mask propagation."""
     n = dag.n
     k = max(k, 0)
     if k == 0 or not pool.candidates:
         zeros = [0] * n
         return SupportSet([], zeros, list(zeros), k)
-    if levels is None:
-        levels = topological_levels(dag)
     cands = pool.candidates
     fwd_levels = np.asarray(levels.fwd, dtype=np.int64)
     bwd_levels = np.asarray(levels.bwd, dtype=np.int64)

@@ -23,7 +23,7 @@ from .baselines import (
     bfs_query,
     build_matrix,
 )
-from .graph import DiGraph, GraphFormatError
+from .graph import DiGraph, GraphFormatError, _digraph
 from .index import (
     IndexParams,
     ObservationStats,
@@ -48,30 +48,25 @@ class AnswerMismatchError(RuntimeError):
 
 def gen_random_dag(n: int, m: int, seed: int) -> DiGraph:
     """Uniform G(n, m) DAG: m distinct vertex pairs, each edge oriented from
-    the smaller to the larger id."""
+    the smaller to the larger id.
+
+    The pairs are m distinct ranks in the lexicographic order of all
+    n(n-1)/2 pairs (u, v), u < v, drawn with one random.Random(seed).sample.
+    A rank is unranked exactly: S(u) = u(2n-1-u)/2 pairs have a source below
+    u, so its source is the last u with S(u) <= rank."""
     if n < 0 or m < 0:
         raise ValueError(f"n and m must be >= 0, got n={n}, m={m}")
     max_m = n * (n - 1) // 2
     if m > max_m:
         raise CapacityError(f"m={m} exceeds n(n-1)/2={max_m} for n={n}")
-    if m == 0:
-        return DiGraph.from_edges(n, [])
-    ranks = random.Random(seed).sample(range(max_m), m)
-    r = np.array(ranks, dtype=np.int64)
-    # unrank lexicographic pair index: S(u) = u*(2n-1-u)/2 pairs start below u
-    nn = 2 * n - 1
-    u = ((nn - np.sqrt((nn * nn - 8 * r).astype(np.float64))) / 2).astype(np.int64)
-    u = np.clip(u, 0, n - 2)
-    for _ in range(3):  # undo float rounding; off by at most one
-        s_u = u * (nn - u) // 2
-        u = np.where(s_u > r, u - 1, u)
-        s_u = u * (nn - u) // 2
-        u = np.where((u + 1) * (nn - u - 1) // 2 <= r, u + 1, u)
-    s_u = u * (nn - u) // 2
-    v = r - s_u + u + 1
+    r = np.array(random.Random(seed).sample(range(max_m), m), dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)
+    starts = ids * (2 * n - 1 - ids) // 2
+    u = np.searchsorted(starts, r, side="right") - 1
+    v = r - starts[u] + u + 1
     if not ((u < v).all() and (v < n).all() and (u >= 0).all()):
         raise AssertionError("pair unranking out of range")
-    return DiGraph.from_edges(n, zip(u.tolist(), v.tolist()))
+    return _digraph(n, u, v)
 
 
 @dataclass
@@ -350,40 +345,35 @@ def bench(
     repetitions: int = 5,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
 ) -> BenchReport:
+    """Time every algorithm on every query set.
+
+    A seeded algorithm is built once per seed and timed once per build,
+    shuffled by its seed, and reports the mean; any other is built once
+    and timed `repetitions` times, shuffled by the repetition, and reports
+    the median.  Every build is verified on every query set first."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     report = BenchReport()
     for algo in algorithms:
         if algo.seeded:
-            builds = [(seed, algo.build(g, seed)) for seed in seeds]
-            aggregation = f"mean({len(seeds)} seeds)"
+            build_seeds, passes = seeds, 1
+            aggregate, aggregation = statistics.fmean, f"mean({len(seeds)} seeds)"
         else:
-            builds = [(0, algo.build(g, 0))]
-            aggregation = f"median({repetitions} reps)"
+            build_seeds, passes = (0,), repetitions
+            aggregate, aggregation = statistics.median, f"median({repetitions} reps)"
+        builds = [(seed, algo.build(g, seed)) for seed in build_seeds]
         for qs in query_sets:
             times: list[float] = []
             for seed, built in builds:
                 _verify(built, qs, algo.name)
-                if not qs.pairs:
-                    continue
-                if algo.seeded:
-                    times.append(
-                        _timed_pass(built, qs.pairs, _substream(qs.seed, "shuffle", seed))
-                    )
-                else:
-                    for rep in range(repetitions):
-                        times.append(
-                            _timed_pass(
-                                built, qs.pairs, _substream(qs.seed, "shuffle", rep)
-                            )
-                        )
-            if qs.pairs and times:
-                total = (
-                    statistics.fmean(times) if algo.seeded else statistics.median(times)
-                )
-                avg_us = total / len(qs.pairs) * 1e6
-            else:
-                avg_us = None
+                if qs.pairs:
+                    times += [
+                        _timed_pass(built, qs.pairs, _substream(qs.seed, "shuffle", seed + rep))
+                        for rep in range(passes)
+                    ]
+            avg_us = aggregate(times) / len(qs.pairs) * 1e6 if times else None
             fallback_rate = None
             first = builds[0][1]
             if first.run_with_stats is not None and qs.pairs:
@@ -398,7 +388,7 @@ def bench(
                     avg_us=avg_us,
                     aggregation=aggregation,
                     build_ms=statistics.fmean(b.build_ms for _, b in builds),
-                    index_bytes=builds[0][1].index_bytes,
+                    index_bytes=first.index_bytes,
                     fallback_rate=fallback_rate,
                 )
             )

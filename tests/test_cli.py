@@ -125,6 +125,16 @@ def test_sparse_ids_get_remap_and_translated_queries(tmp_path, capsys):
     assert open(custom).read() == "10 0\n20 1\n30 2\n"
 
 
+def test_dense_rebuild_removes_a_stale_remap(tmp_path):
+    idx = str(tmp_path / "g.ridx")
+    sparse = write(tmp_path / "sparse.txt", "10 30\n30 20\n")
+    assert main(["build", "--graph", sparse, *SMALL_PARAMS, "--out-index", idx]) == 0
+    assert (tmp_path / "g.ridx.remap").exists()
+    dense = write(tmp_path / "dense.txt", "0 1\n1 2\n")
+    assert main(["build", "--graph", dense, *SMALL_PARAMS, "--out-index", idx]) == 0
+    assert not (tmp_path / "g.ridx.remap").exists()
+
+
 def test_parse_warnings_on_stderr(tmp_path, capsys):
     g = write(tmp_path / "g.txt", "0 1\n0 1\n2 2\n")
     idx = str(tmp_path / "g.ridx")

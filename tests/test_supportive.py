@@ -86,6 +86,48 @@ def test_candidates_zero_cap():
     assert pool.candidates == [] and pool.tags == []
 
 
+def reference_candidates(g, levels, k, p, h, rng):
+    """select_candidates written out phase by phase: slim forward levels,
+    slim backward levels, a draw from the central band of forward levels,
+    then a draw from every vertex left."""
+    cap = k * p
+    cands, tags = [], []
+    if cap <= 0 or g.n == 0:
+        return cands, tags
+    for level, top in ((levels.fwd, levels.fwd_max), (levels.bwd, levels.bwd_max)):
+        for lv in range(top + 1):
+            members = [v for v in range(g.n) if level[v] == lv]
+            if len(members) > h:
+                continue
+            for v in members:
+                if len(cands) < cap and v not in cands:
+                    cands.append(v)
+                    tags.append(TAG_SLIM)
+    lo, hi = -(-levels.fwd_max // 5), (4 * levels.fwd_max) // 5
+    for tag, lv_lo, lv_hi in ((TAG_CENTRAL, lo, hi), (TAG_FILL, 0, levels.fwd_max)):
+        if len(cands) < cap:
+            pool = [v for v in range(g.n) if v not in cands and lv_lo <= levels.fwd[v] <= lv_hi]
+            drawn = rng.sample(pool, min(cap - len(cands), len(pool)))
+            cands += drawn
+            tags += [tag] * len(drawn)
+    return cands, tags
+
+
+@settings(max_examples=200)
+@given(
+    dags(max_n=14),
+    st.integers(0, 5),
+    st.integers(0, 6),
+    st.integers(0, 4),
+    st.integers(0, 2**16),
+)
+def test_candidates_match_phase_by_phase_reference(g, k, p, h, seed):
+    lv = topological_levels(g)
+    pool = select_candidates(g, lv, k, p, h, random.Random(seed))
+    expect = reference_candidates(g, lv, k, p, h, random.Random(seed))
+    assert (pool.candidates, pool.tags) == expect
+
+
 @given(dags(max_n=14), st.integers(0, 2**16))
 def test_candidate_pool_invariants(g, seed):
     lv = topological_levels(g)
@@ -105,7 +147,7 @@ def test_candidate_pool_invariants(g, seed):
 
 def test_supports_path_prefers_middle():
     g = path_graph(3)
-    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1)
+    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1, levels=topological_levels(g))
     assert ss.supports == [1]
     assert ss.fwd_mask == [0, 1, 1]  # vertex 1 reaches itself and 2
     assert ss.bwd_mask == [1, 1, 0]  # 0 and 1 reach vertex 1
@@ -114,7 +156,7 @@ def test_supports_path_prefers_middle():
 
 def test_supports_diamond_tie_breaks_to_smallest_id():
     g = diamond()
-    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1)
+    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1, levels=topological_levels(g))
     assert ss.supports == [0]  # every product ties at 4
     assert ss.fwd_mask == [1, 1, 1, 1]
     assert ss.bwd_mask == [1, 0, 0, 0]
@@ -122,7 +164,7 @@ def test_supports_diamond_tie_breaks_to_smallest_id():
 
 def test_supports_k_zero():
     g = diamond()
-    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=0)
+    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=0, levels=topological_levels(g))
     assert ss.supports == [] and ss.k == 0 and ss.mask_bytes == 0
     assert ss.fwd_mask == [0, 0, 0, 0]
 
@@ -132,7 +174,7 @@ def test_supports_k_zero():
 def test_mask_columns_match_per_vertex_search(g, seed):
     """Batched mask propagation vs one independent DFS per support."""
     pool = pool_for(g, k=4, p=2, h=3, seed=seed)
-    ss = pick_supports(pool, g, k=4)
+    ss = pick_supports(pool, g, k=4, levels=topological_levels(g))
     reach = brute_reach_sets(g)
     for i, sv in enumerate(ss.supports):
         for w in range(g.n):
@@ -146,7 +188,7 @@ def test_mask_columns_match_per_vertex_search(g, seed):
 def test_mask_columns_beyond_one_word():
     """k > 64 chosen supports: bits 64.. land in the masks' second word."""
     g = gen_random_dag(300, 1200, seed=0)
-    ss = pick_supports(pool_for(g, k=70, p=3, h=8), g, k=70)
+    ss = pick_supports(pool_for(g, k=70, p=3, h=8), g, k=70, levels=topological_levels(g))
     assert len(ss.supports) == 70
     for i, sv in enumerate(ss.supports):
         fwd, bwd = reach_sets(g, sv)
@@ -159,7 +201,7 @@ def test_mask_columns_beyond_one_word():
 @given(dags(max_n=12), st.integers(0, 2**16))
 def test_supports_are_top_ranked_by_product(g, seed):
     pool = pool_for(g, k=3, p=3, h=3, seed=seed)
-    ss = pick_supports(pool, g, k=3)
+    ss = pick_supports(pool, g, k=3, levels=topological_levels(g))
 
     def rank(v):
         fwd, bwd = reach_sets(g, v)
@@ -226,7 +268,7 @@ def support_verdicts(g, ss, s, t):
 
 def test_answer_examples_path():
     g = path_graph(3)
-    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1)
+    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1, levels=topological_levels(g))
     assert support_verdicts(g, ss, 0, 2) == (True, None)
     assert support_verdicts(g, ss, 2, 0) == (False, "S2")
     assert support_verdicts(g, ss, 2, 1) == (False, "S3")
@@ -235,7 +277,7 @@ def test_answer_examples_path():
 
 def test_answer_examples_diamond():
     g = diamond()
-    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1)
+    ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1, levels=topological_levels(g))
     assert support_verdicts(g, ss, 0, 3) == (True, None)
     assert support_verdicts(g, ss, 3, 0) == (False, "S3")
     assert support_verdicts(g, ss, 1, 2) == (False, None)  # support 0 sees neither side
@@ -246,7 +288,7 @@ def test_answer_examples_diamond():
 @given(dags(max_n=12), st.integers(0, 2**16))
 def test_answer_is_sound(g, seed):
     pool = pool_for(g, k=4, p=2, h=3, seed=seed)
-    ss = pick_supports(pool, g, k=4)
+    ss = pick_supports(pool, g, k=4, levels=topological_levels(g))
     mx = build_matrix(g)
     for s in range(g.n):
         for t in range(g.n):

@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachidx import workbench
 from reachidx.baselines import CapacityError, build_matrix, matrix_query
-from reachidx.graph import DiGraph, GraphFormatError
-from reachidx.index import HEADER, IndexParams, ObservationStats, build_index, observation_stats
+from reachidx.graph import DiGraph, GraphFormatError, graph_checksum
+from reachidx.index import (
+    HEADER,
+    IndexParams,
+    ObservationStats,
+    _substream,
+    build_index,
+    observation_stats,
+)
 from reachidx.workbench import (
     Algorithm,
     AnswerMismatchError,
@@ -61,6 +69,26 @@ def test_gen_dag_seed_sensitivity():
     c = gen_random_dag(30, 100, seed=1)
     assert a.out_adj == b.out_adj
     assert a.out_adj != c.out_adj
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, checksum",
+    [
+        (0, 0, 0, 3971697493),
+        (1, 0, 5, 1790091467),
+        (2, 1, 0, 3311771039),
+        (5, 0, 1, 3348512471),
+        (7, 21, 4, 3444066126),  # complete
+        (30, 100, 0, 2832648463),
+        (1000, 2000, 7, 2409156989),
+        (4096, 16384, 1, 3085001202),
+        (200000, 40, 3, 3711544454),  # ranks up to ~2e10
+    ],
+)
+def test_gen_dag_checksum_frozen(n, m, seed, checksum):
+    """The sampled pairs and their unranking are part of every seeded
+    experiment: a change here changes every generated graph."""
+    assert graph_checksum(gen_random_dag(n, m, seed)) == checksum
 
 
 @given(
@@ -287,6 +315,70 @@ def test_bench_rejects_zero_repetitions():
     qs = QuerySet([(0, 3)], "random", 0)
     with pytest.raises(ValueError, match="repetitions must be >= 1, got 0"):
         bench(diamond(), standard_algorithms(["matrix"]), [qs], repetitions=0)
+
+
+def test_bench_rejects_empty_seeds():
+    qs = QuerySet([(0, 3)], "random", 0)
+    with pytest.raises(ValueError, match="seeds must not be empty"):
+        bench(diamond(), standard_algorithms(["index+pbibfs"]), [qs], seeds=())
+
+
+def test_bench_pass_schedule(monkeypatch):
+    """A seeded algorithm gets one build and one timed pass per seed, its
+    mean reported; an unseeded one gets one build and `repetitions` passes,
+    their median reported.  Pass j shuffles with _substream(qs.seed,
+    "shuffle", j), j the seed or the repetition."""
+    passes, verified = [], []
+    times = iter([1.0, 2.0, 6.0, 4.0, 1.0, 3.0])
+
+    def timed_pass(built, pairs, shuffle_seed):
+        passes.append((built.index_bytes, shuffle_seed))
+        return next(times)
+
+    def verify(built, qs, algo):
+        verified.append((algo, built.index_bytes, qs.label))
+
+    monkeypatch.setattr(workbench, "_timed_pass", timed_pass)
+    monkeypatch.setattr(workbench, "_verify", verify)
+    builds = []
+
+    def algorithm(name, seeded):
+        def build(g, seed):
+            builds.append((name, seed))
+            return BuiltAlgorithm(lambda s, t: True, 1.0, seed)
+
+        return Algorithm(name, seeded, build)
+
+    qs = QuerySet([(0, 3), (1, 2)], "random", 11)
+    empty = QuerySet([], "random", 12, name="empty")
+    report = bench(
+        diamond(),
+        [algorithm("seeded", True), algorithm("plain", False)],
+        [qs, empty],
+        repetitions=4,
+        seeds=(5, 9),
+    )
+    assert builds == [("seeded", 5), ("seeded", 9), ("plain", 0)]
+    assert passes == [
+        (5, _substream(11, "shuffle", 5)),
+        (9, _substream(11, "shuffle", 9)),
+        *((0, _substream(11, "shuffle", rep)) for rep in range(4)),
+    ]
+    assert verified == [
+        ("seeded", 5, "random"),
+        ("seeded", 9, "random"),
+        ("seeded", 5, "empty"),
+        ("seeded", 9, "empty"),
+        ("plain", 0, "random"),
+        ("plain", 0, "empty"),
+    ]
+    rows = {(r.algorithm, r.query_set): r for r in report.rows}
+    assert rows[("seeded", "random")].aggregation == "mean(2 seeds)"
+    assert rows[("seeded", "random")].avg_us == pytest.approx(1.5 / 2 * 1e6)
+    assert rows[("plain", "random")].aggregation == "median(4 reps)"
+    assert rows[("plain", "random")].avg_us == pytest.approx(3.5 / 2 * 1e6)
+    assert rows[("seeded", "empty")].avg_us is None
+    assert rows[("plain", "empty")].avg_us is None
 
 
 def test_bench_skips_verification_without_expected():
