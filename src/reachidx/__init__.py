@@ -49,7 +49,6 @@ from .supportive import (
     CandidatePool,
     SupportSet,
     pick_supports,
-    reach_sets,
     select_candidates,
 )
 from .toporder import (

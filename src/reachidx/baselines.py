@@ -57,9 +57,10 @@ def build_matrix(g: DiGraph, cap_bytes: int = DEFAULT_MATRIX_CAP) -> ReachMatrix
             f"matrix needs {n * n} bits, exceeds cap of {cap_bytes} bytes"
         )
     adj = [0] * n
-    for u, nbrs in enumerate(g.out_adj):
+    off, tg = g.out_off, g.out_tg
+    for u in range(n):
         bits = 0
-        for v in nbrs:
+        for v in tg[off[u]:off[u + 1]]:
             bits |= 1 << v
         adj[u] = bits
     rows = []
@@ -94,12 +95,12 @@ def bfs_search(g: DiGraph, s: int, t: int) -> tuple[bool, int]:
     seen = bytearray(g.n)
     seen[s] = 1
     dq = deque((s,))
-    out = g.out_adj
+    off, tg = g.out_off, g.out_tg
     work = 0
     while dq:
         u = dq.popleft()
         work += 1
-        for v in out[u]:
+        for v in tg[off[u]:off[u + 1]]:
             if v == t:
                 return True, work
             if not seen[v]:

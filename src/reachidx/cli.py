@@ -30,8 +30,7 @@ from .graph import (
     DiGraph,
     GraphFormatError,
     ParseResult,
-    _digraph,
-    _edge_arrays,
+    _csr_graph,
     graph_format,
     load_graph,
     scc_condense,
@@ -123,9 +122,8 @@ def _write_bundle(
     dag: DiGraph,
     dropped: tuple[int, int],
 ) -> None:
-    degs, flat = _edge_arrays(dag.out_adj)
-    offsets = np.r_[0, np.cumsum(degs)].astype("<u4")
-    targets = flat.astype("<u4")
+    offsets = np.frombuffer(dag.out_off, np.uint32).astype("<u4")
+    targets = np.frombuffer(dag.out_tg, np.uint32).astype("<u4")
     header = BUNDLE_HEADER.pack(
         BUNDLE_MAGIC, BUNDLE_VERSION, digest, len(original_ids), dag.n, dag.m, *dropped
     )
@@ -162,10 +160,32 @@ def _read_bundle(
     original_ids = np.frombuffer(data, "<i8", n, at)
     scc_of = np.frombuffer(data, "<u4", n, at + 8 * n)
     offsets = np.frombuffer(data, "<u4", c + 1, at + 12 * n).astype(np.int64)
-    targets = np.frombuffer(data, "<u4", m, at + 12 * n + 4 * (c + 1)).astype(np.int64)
-    sources = np.repeat(np.arange(c), np.diff(offsets))
-    dag = _digraph(c, sources, targets)
+    targets = np.frombuffer(data, "<u4", m, at + 12 * n + 4 * (c + 1))
+    if not _sound_condensation(original_ids, scc_of, offsets, targets):
+        return None
+    dag = _csr_graph(offsets, targets)
     return dag, original_ids.tolist(), scc_of.tolist(), tuple(dropped)
+
+
+def _sound_condensation(
+    original_ids: np.ndarray, scc_of: np.ndarray, off: np.ndarray, tg: np.ndarray
+) -> bool:
+    """Whether a bundle's arrays hold what `build` writes, in O(n + m): the
+    ids strictly increasing, every SCC id below c, and CSR rows of a simple
+    graph on c vertices (offsets rising from 0 to m, each row strictly
+    increasing, in range and free of its own vertex).  A CRC only tells an
+    intact file from a damaged one, not sound contents from unsound."""
+    c, m = len(off) - 1, len(tg)
+    if (original_ids[1:] <= original_ids[:-1]).any() or (scc_of >= c).any():
+        return False
+    degrees = np.diff(off)
+    if off[0] != 0 or off[-1] != m or (degrees < 0).any():
+        return False
+    row_start = np.zeros(m + 1, dtype=bool)
+    row_start[off] = True
+    rising = (tg[1:] > tg[:-1]) | row_start[1:m]
+    sources = np.repeat(np.arange(c), degrees)
+    return bool(rising.all() and (tg < c).all() and (tg != sources).all())
 
 
 def _cmd_gen_graph(args: argparse.Namespace) -> int:
@@ -216,13 +236,18 @@ def _cmd_build(args: argparse.Namespace) -> int:
         _write_bundle(bundle, digest, original_ids, scc_of, dag, dropped)
     elif os.path.exists(bundle):
         os.remove(bundle)
+    default_remap = args.out_index + ".remap"
+    remap_path = None
     if remap is not None:
-        remap_path = args.remap_out or args.out_index + ".remap"
+        remap_path = args.remap_out or default_remap
         with open(remap_path, "w", encoding="utf-8") as f:
             f.write(remap.getvalue())
         print(f"wrote sparse-id remap table to {remap_path}")
-    elif os.path.exists(args.out_index + ".remap"):
-        os.remove(args.out_index + ".remap")
+    # a table at the default path is an earlier build's unless this one wrote it
+    if os.path.exists(default_remap) and not (
+        remap_path is not None and os.path.samefile(remap_path, default_remap)
+    ):
+        os.remove(default_remap)
     print(
         f"indexed {dag.n} SCC(s) of {n_input} vertices: "
         f"{len(data)} bytes to {args.out_index}"

@@ -4,17 +4,19 @@ weakly connected components, and topological levels.
 Vertices are dense integers 0..n-1.  All containers here are immutable by
 convention after construction and safe for concurrent readers.
 
-Building a graph creates n adjacency lists per direction in one go.  Each
-new list counts towards CPython's cyclic-GC thresholds, so on large graphs
-construction would set off full collections that walk every list alive,
-for nothing: lists of ints cannot form a reference cycle.  `_split` pauses
-the collector while it creates them and restores the caller's setting.
+A graph is one layout: compressed sparse rows (CSR) in each direction, an
+offsets array of n + 1 cells and a targets array of m cells, all four
+array('I').  Python loops walk a vertex's neighbours as a slice of the
+targets; numpy code reads whole arrays in place through np.frombuffer.
+Beside the 4(2n + 2m + 2) bytes of cells there is no per-vertex or
+per-edge object, so a large graph costs the collector nothing and a
+forked process shares its pages until it writes them.
 """
 
 from __future__ import annotations
 
-import gc
 import zlib
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -32,16 +34,19 @@ class AcyclicityError(ValueError):
 
 
 class DiGraph:
-    """Simple directed graph (no self-loops, no parallel edges).
+    """Simple directed graph (no self-loops, no parallel edges) in compressed
+    sparse rows, both directions.
 
-    Neighbor lists are kept sorted so that equal graphs have identical
-    representations regardless of edge input order.  Build one with
-    `from_edges`; the parsers and `scc_condense` return graphs as well.
-    `checksum` is `graph_checksum`'s value, computed from the edge arrays
-    the graph was built from.
+    The out-neighbours of v are out_tg[out_off[v]:out_off[v + 1]], ascending,
+    and its in-neighbours in_tg[in_off[v]:in_off[v + 1]], ascending, so that
+    equal graphs have identical representations regardless of edge input
+    order.  All four are array('I'); numpy reads them in place through
+    np.frombuffer.  Build one with `from_edges`; the parsers and
+    `scc_condense` return graphs as well.  `checksum` is `graph_checksum`'s
+    value, computed from the rows when the graph was built.
     """
 
-    __slots__ = ("out_adj", "in_adj", "n", "m", "checksum", "_reverse_checksum")
+    __slots__ = ("out_off", "out_tg", "in_off", "in_tg", "n", "m", "checksum", "_reverse_checksum")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DiGraph":
@@ -52,16 +57,12 @@ class DiGraph:
         return _digraph(n, e[0::2], e[1::2])
 
     def reverse(self) -> "DiGraph":
-        """The transposed graph, sharing this graph's adjacency lists."""
+        """The transposed graph, sharing this graph's arrays."""
         g = DiGraph.__new__(DiGraph)
-        g.out_adj, g.in_adj, g.n, g.m = self.in_adj, self.out_adj, self.n, self.m
+        g.out_off, g.out_tg, g.in_off, g.in_tg = self.in_off, self.in_tg, self.out_off, self.out_tg
+        g.n, g.m = self.n, self.m
         g.checksum, g._reverse_checksum = self._reverse_checksum, self.checksum
         return g
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        for u, nbrs in enumerate(self.out_adj):
-            for v in nbrs:
-                yield u, v
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DiGraph(n={self.n}, m={self.m})"
@@ -82,14 +83,8 @@ def _index_array(values: Iterable[int], n: int) -> np.ndarray:
 
 
 def _digraph(n: int, u: np.ndarray, v: np.ndarray) -> DiGraph:
-    g = DiGraph.__new__(DiGraph)
-    _fill(g, n, u, v)
-    return g
-
-
-def _fill(g: DiGraph, n: int, u: np.ndarray, v: np.ndarray) -> None:
-    """The one construction path: validate the edges (u[i], v[i]) and set
-    g's sorted adjacency lists.  The first error is the one a scan of the
+    """The one path from edges to a graph: validate the edges (u[i], v[i])
+    and sort them into rows.  The first error is the one a scan of the
     sources in input order, then of the edges in (u, v) order, meets."""
     bad = (u < 0) | (u >= n)
     if bad.any():
@@ -109,42 +104,52 @@ def _fill(g: DiGraph, n: int, u: np.ndarray, v: np.ndarray) -> None:
         if a == b:
             raise ValueError(f"self-loop at vertex {a}")
         raise ValueError(f"parallel edge ({a}, {b})")
-    out_deg, in_deg = np.bincount(u, minlength=n), np.bincount(v, minlength=n)
-    sources = u[np.argsort(v * n + u)]  # the in-lists, flattened
-    ids = np.arange(n).astype(object)  # one int object per vertex, shared
-    g.out_adj = _split(ids[v], out_deg)
-    g.in_adj = _split(ids[sources], in_deg)
+    return _csr_graph(_offsets(np.bincount(u, minlength=n)), v)
+
+
+def _csr_graph(off: np.ndarray, tg: np.ndarray) -> DiGraph:
+    """The graph on len(off) - 1 vertices whose out-rows are tg[off[v]:off[v + 1]].
+
+    The caller vouches for the rows: off starts at 0, never decreases and
+    ends at len(tg); each row is strictly increasing, in range and free of
+    its own vertex.  The in-rows come from one stable argsort of the
+    targets: the edges are in (source, target) order, so each in-row lists
+    its sources ascending."""
+    n = len(off) - 1
+    src = np.repeat(np.arange(n, dtype=np.uint32), np.diff(off))
+    g = DiGraph.__new__(DiGraph)
+    g.out_off, g.out_tg = _uint_array(off), _uint_array(tg)
+    g.in_off = _uint_array(_offsets(np.bincount(tg, minlength=n)))
+    g.in_tg = _uint_array(src[np.argsort(tg, kind="stable")])
     g.n = n
-    g.m = len(u)
-    g.checksum = _checksum(n, out_deg, v)
-    g._reverse_checksum = _checksum(n, in_deg, sources)
+    g.m = len(tg)
+    g.checksum = _checksum(g.out_off, g.out_tg)
+    g._reverse_checksum = _checksum(g.in_off, g.in_tg)
+    return g
 
 
-def _split(flat: np.ndarray, counts: np.ndarray) -> list[list[int]]:
-    items = flat.tolist()
-    ends = np.cumsum(counts).tolist()
-    enabled = gc.isenabled()
-    gc.disable()  # the lists hold only ints: no cycles to find
-    try:
-        return [items[a:b] for a, b in zip([0, *ends], ends)]
-    finally:
-        if enabled:
-            gc.enable()
+def _keyed_graph(n: int, keys: np.ndarray) -> DiGraph:
+    """The graph whose edges (u, v) are the ascending, distinct keys u * n + v,
+    each with u != v and both ids in range."""
+    return _csr_graph(_offsets(np.bincount(keys // n, minlength=n)), keys % n)
 
 
-def _edge_arrays(adj: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(degrees, flat targets) of adjacency lists as int64 arrays: the lists'
-    lengths, and the lists concatenated in vertex order."""
-    degrees = np.fromiter(map(len, adj), np.int64, len(adj))
-    return degrees, np.fromiter(chain.from_iterable(adj), np.int64, int(degrees.sum()))
+def _offsets(degrees: np.ndarray) -> np.ndarray:
+    return np.r_[0, np.cumsum(degrees)]
 
 
-def _checksum(n: int, degrees: np.ndarray, flat: np.ndarray) -> int:
-    """CRC32 of n and m as <u8, the out-degrees as <u4, then the sorted
-    out-lists, concatenated, as <u4."""
-    h = zlib.crc32(np.array([n, len(flat)], dtype="<u8").tobytes())
-    h = zlib.crc32(degrees.astype("<u4").tobytes(), h)
-    return zlib.crc32(flat.astype("<u4").tobytes(), h)
+def _uint_array(values: np.ndarray) -> array:
+    out = array("I")
+    out.frombytes(np.asarray(values, dtype=np.uint32).tobytes())
+    return out
+
+
+def _checksum(off: array, tg: array) -> int:
+    """CRC32 of n and m as <u8, the out-degrees as <u4, then the out-rows,
+    concatenated, as <u4."""
+    h = zlib.crc32(np.array([len(off) - 1, len(tg)], dtype="<u8").tobytes())
+    h = zlib.crc32(np.diff(np.frombuffer(off, np.uint32)).astype("<u4").tobytes(), h)
+    return zlib.crc32(np.frombuffer(tg, np.uint32).astype("<u4").tobytes(), h)
 
 
 def graph_checksum(g: DiGraph) -> int:
@@ -345,7 +350,7 @@ def _finish_parse(
     loop = u == v
     keys = u[~loop] * n + v[~loop]
     kept = _sorted_unique(keys)
-    g = _digraph(n, kept // n, kept % n)
+    g = _keyed_graph(n, kept)
     return ParseResult(g, original_ids, id_map, int(loop.sum()), len(keys) - len(kept))
 
 
@@ -380,14 +385,17 @@ def load_graph(path: str, fmt: str | None = None) -> ParseResult:
 
 def write_edge_list(g: DiGraph, f: IO[str], original_ids: list[int] | None = None) -> None:
     ids = original_ids or range(g.n)
-    for u, v in g.edges():
-        f.write(f"{ids[u]} {ids[v]}\n")
+    off, tg = g.out_off, g.out_tg
+    for u in range(g.n):
+        for v in tg[off[u]:off[u + 1]]:
+            f.write(f"{ids[u]} {ids[v]}\n")
 
 
 def write_gra(g: DiGraph, f: IO[str]) -> None:
     f.write(f"{g.n}\n")
+    off, tg = g.out_off, g.out_tg
     for u in range(g.n):
-        nbrs = " ".join(str(v) for v in g.out_adj[u])
+        nbrs = " ".join(map(str, tg[off[u]:off[u + 1]]))
         f.write(f"{u}: {nbrs} #\n" if nbrs else f"{u}: #\n")
 
 
@@ -414,7 +422,7 @@ def scc_condense(g: DiGraph) -> CondensationMap:
     Roots are tried in vertex order and neighbors in adjacency order, so SCC
     ids are numbered in the order the components complete."""
     n = g.n
-    out = g.out_adj
+    off, tg = g.out_off, g.out_tg
     index = [-1] * n  # DFS number; n once the vertex has its SCC
     low = [0] * n
     stack: list[int] = []
@@ -428,7 +436,7 @@ def scc_condense(g: DiGraph) -> CondensationMap:
         index[root] = low[root] = next_index
         next_index += 1
         stack.append(root)
-        work = [(root, iter(out[root]))]
+        work = [(root, iter(tg[off[root]:off[root + 1]]))]
         while work:
             v, nbrs = work[-1]
             for w in nbrs:
@@ -436,7 +444,7 @@ def scc_condense(g: DiGraph) -> CondensationMap:
                     index[w] = low[w] = next_index
                     next_index += 1
                     stack.append(w)
-                    work.append((w, iter(out[w])))
+                    work.append((w, iter(tg[off[w]:off[w + 1]])))
                     break
                 if index[w] < low[v]:  # w is on the stack: finished ones read n
                     low[v] = index[w]
@@ -457,19 +465,19 @@ def scc_condense(g: DiGraph) -> CondensationMap:
                             break
 
     c = len(rep_of)
-    degs, flat = _edge_arrays(out)
     scc = np.array(scc_of, dtype=np.int64)
-    cu = np.repeat(scc, degs)
-    cv = scc[flat]
+    cu = np.repeat(scc, np.diff(np.frombuffer(off, np.uint32)))
+    cv = scc[np.frombuffer(tg, np.uint32)]
     cross = cu != cv
     keys = _sorted_unique(cu[cross] * c + cv[cross])
-    return CondensationMap(scc_of, _digraph(c, keys // c, keys % c), rep_of)
+    return CondensationMap(scc_of, _keyed_graph(c, keys), rep_of)
 
 
 def weak_components(g: DiGraph) -> list[int]:
     """Component ids, dense in order of first discovery from vertex 0 upward."""
     comp = [-1] * g.n
     c = 0
+    rows = ((g.out_off, g.out_tg), (g.in_off, g.in_tg))
     for start in range(g.n):
         if comp[start] != -1:
             continue
@@ -477,14 +485,11 @@ def weak_components(g: DiGraph) -> list[int]:
         dq = deque((start,))
         while dq:
             u = dq.popleft()
-            for v in g.out_adj[u]:
-                if comp[v] == -1:
-                    comp[v] = c
-                    dq.append(v)
-            for v in g.in_adj[u]:
-                if comp[v] == -1:
-                    comp[v] = c
-                    dq.append(v)
+            for off, tg in rows:
+                for v in tg[off[u]:off[u + 1]]:
+                    if comp[v] == -1:
+                        comp[v] = c
+                        dq.append(v)
         c += 1
     return comp
 
@@ -498,9 +503,11 @@ class LevelAssignment:
     bwd_max: int
 
 
-def _kahn_levels(out_adj: list[list[int]], in_adj: list[list[int]]) -> list[int]:
-    n = len(out_adj)
-    indeg = [len(x) for x in in_adj]
+def _kahn_levels(g: DiGraph) -> list[int]:
+    """Longest-path distance of each vertex from any source of g."""
+    n = g.n
+    off, tg = g.out_off, g.out_tg
+    indeg = np.diff(np.frombuffer(g.in_off, np.uint32)).tolist()
     level = [0] * n
     dq = deque(v for v in range(n) if indeg[v] == 0)
     seen = 0
@@ -508,7 +515,7 @@ def _kahn_levels(out_adj: list[list[int]], in_adj: list[list[int]]) -> list[int]
         u = dq.popleft()
         seen += 1
         nxt = level[u] + 1
-        for v in out_adj[u]:
+        for v in tg[off[u]:off[u + 1]]:
             if level[v] < nxt:
                 level[v] = nxt
             indeg[v] -= 1
@@ -520,6 +527,6 @@ def _kahn_levels(out_adj: list[list[int]], in_adj: list[list[int]]) -> list[int]
 
 
 def topological_levels(g: DiGraph) -> LevelAssignment:
-    fwd = _kahn_levels(g.out_adj, g.in_adj)
-    bwd = _kahn_levels(g.in_adj, g.out_adj)
+    fwd = _kahn_levels(g)
+    bwd = _kahn_levels(g.reverse())
     return LevelAssignment(fwd, bwd, max(fwd, default=0), max(bwd, default=0))

@@ -596,22 +596,25 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     # each vertex either side has queued, mapped to that side's queue: the
     # sides' seen sets are disjoint, as meeting ends the search
     seen = {s: fq, t: bq}
-    # per side: queue, adjacency, then the pair's level window in the one form
-    # a[v] >= ax or b[v] <= bx (B5, B6), then the test; built on first pop
+    # per side: queue, offsets and targets, then the pair's level window in
+    # the one form a[v] >= ax or b[v] <= bx (B5, B6), then the test; built on
+    # first pop
     fwd = bwd = None
     work = 0
     while fq and bq:
         if len(fq) <= len(bq):
             if fwd is None:
-                fwd = (fq, g.out_adj, lf, lf[t], lb, lb[t], _endpoint_test(ix, t, True))
-            q, adj, a, ax, b, bx, test = fwd
+                test = _endpoint_test(ix, t, True)
+                fwd = (fq, g.out_off, g.out_tg, lf, lf[t], lb, lb[t], test)
+            q, off, tg, a, ax, b, bx, test = fwd
         else:
             if bwd is None:
-                bwd = (bq, g.in_adj, lb, lb[s], lf, lf[s], _endpoint_test(ix, s, False))
-            q, adj, a, ax, b, bx, test = bwd
+                test = _endpoint_test(ix, s, False)
+                bwd = (bq, g.in_off, g.in_tg, lb, lb[s], lf, lf[s], test)
+            q, off, tg, a, ax, b, bx, test = bwd
         u = q.popleft()
         work += 1
-        for v in adj[u]:
+        for v in tg[off[u]:off[u + 1]]:
             if v in seen:
                 if seen[v] is not q:  # frontiers met
                     return True, work

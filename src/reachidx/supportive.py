@@ -13,13 +13,13 @@ levels; the k kept supports maximize |R+(v)| * |R-(v)|.
 from __future__ import annotations
 
 import random
-from collections import deque
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .graph import DiGraph, LevelAssignment, _edge_arrays
+from .graph import DiGraph, LevelAssignment
 
 TAG_SLIM = "slim-level"
 TAG_CENTRAL = "random-central"
@@ -132,45 +132,30 @@ def select_candidates(
     return CandidatePool(cands, tags)
 
 
-def reach_sets(dag: DiGraph, v: int) -> tuple[int, int]:
-    """(R+(v), R-(v)) as int bitsets, both including v itself."""
-    return _bfs_bits(dag.out_adj, v), _bfs_bits(dag.in_adj, v)
-
-
-def _bfs_bits(adj: list[list[int]], v: int) -> int:
-    bits = 1 << v
-    dq = deque((v,))
-    while dq:
-        u = dq.popleft()
-        for w in adj[u]:
-            b = 1 << w
-            if not bits & b:
-                bits |= b
-                dq.append(w)
-    return bits
-
-
 def _mask_matrix(
-    n: int,
-    pred_adj: list[list[int]],
+    pred_off: array,
+    pred_tg: array,
     level: np.ndarray,
     level_max: int,
     cands: list[int],
 ) -> np.ndarray:
     """Per-vertex candidate bitmask rows: bit j of row w is set iff candidate j
-    reaches w along the orientation whose predecessor lists are pred_adj.
+    reaches w along the orientation whose predecessor rows are pred_tg over
+    pred_off.
 
     Rows are finalized in level order, so each edge is applied exactly once
     with its source row already final; this is the batched replacement for
     one BFS per candidate.
     """
+    n = len(pred_off) - 1
     words = max(1, (len(cands) + 63) // 64)
     M = np.zeros((n, words), dtype=np.uint64)
     for j, v in enumerate(cands):
         M[v, j >> 6] |= np.uint64(1 << (j & 63))
-    degrees, src = _edge_arrays(pred_adj)
+    src = np.frombuffer(pred_tg, np.uint32).astype(np.int64)
     if len(src) == 0:
         return M
+    degrees = np.diff(np.frombuffer(pred_off, np.uint32))
     dst = np.repeat(np.arange(n, dtype=np.int64), degrees)
     key = level[dst]
     order = np.argsort(key, kind="stable")
@@ -222,8 +207,8 @@ def pick_supports(
     cands = pool.candidates
     fwd_levels = np.asarray(levels.fwd, dtype=np.int64)
     bwd_levels = np.asarray(levels.bwd, dtype=np.int64)
-    fwd_M = _mask_matrix(n, dag.in_adj, fwd_levels, levels.fwd_max, cands)
-    bwd_M = _mask_matrix(n, dag.out_adj, bwd_levels, levels.bwd_max, cands)
+    fwd_M = _mask_matrix(dag.in_off, dag.in_tg, fwd_levels, levels.fwd_max, cands)
+    bwd_M = _mask_matrix(dag.out_off, dag.out_tg, bwd_levels, levels.bwd_max, cands)
     sizes_f = _column_counts(fwd_M, len(cands))
     sizes_b = _column_counts(bwd_M, len(cands))
     ranked = sorted(

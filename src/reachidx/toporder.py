@@ -33,6 +33,7 @@ zero bytes gives a deterministic ordering.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .baselines import ReachMatrix
-from .graph import AcyclicityError, DiGraph, _edge_arrays, _split
+from .graph import AcyclicityError, DiGraph, _uint_array
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -65,15 +66,12 @@ def _keyed_order(groups: np.ndarray, rng: random.Random) -> np.ndarray:
     return np.argsort((groups << 32) | keys, kind="stable")
 
 
-def _child_lists(adj: list[list[int]], rng: random.Random) -> list[list[int]]:
-    """Fresh copies of the adjacency lists, each in random order: the edges
-    keyed-sorted by (source, key), 4m bytes of keys from rng."""
-    degrees, flat = _edge_arrays(adj)
-    order = _keyed_order(np.repeat(np.arange(len(adj), dtype=np.int64), degrees), rng)
-    # the lists live through a whole pass: as graph._fill does, let them
-    # share one int object per vertex rather than hold one per edge
-    ids = np.arange(len(adj)).astype(object)
-    return _split(ids[flat[order]], degrees)
+def _child_targets(g: DiGraph, rng: random.Random) -> array:
+    """g's out-targets with each row in random order, over g's out-offsets:
+    the edges keyed-sorted by (source, key), 4m bytes of keys from rng."""
+    degrees = np.diff(np.frombuffer(g.out_off, np.uint32))
+    order = _keyed_order(np.repeat(np.arange(g.n, dtype=np.int64), degrees), rng)
+    return _uint_array(np.frombuffer(g.out_tg, np.uint32)[order])
 
 
 def start_sequence(g: DiGraph, rng: random.Random) -> list[int]:
@@ -84,7 +82,7 @@ def start_sequence(g: DiGraph, rng: random.Random) -> list[int]:
     On a DAG every vertex is reachable from some source, so the guard only
     matters for defensive completeness.
     """
-    has_in = np.fromiter(map(bool, g.in_adj), np.int64, g.n)
+    has_in = (np.diff(np.frombuffer(g.in_off, np.uint32)) > 0).astype(np.int64)
     return _keyed_order(has_in, rng).tolist()
 
 
@@ -103,11 +101,11 @@ def extended_topsort(
     DAG every out-neighbor is already finished then.
 
     Child visit order is drawn once for the whole pass: the edges
-    keyed-sorted by (source, key), 4m bytes of keys from rng, and split into
-    fresh child lists that the DFS walks with one iterator per stack entry.
-    Zero keys visit children in stored (ascending) order.  The graph's own
-    adjacency is never mutated.  Non-recursive to avoid Python's recursion
-    limit.
+    keyed-sorted by (source, key), 4m bytes of keys from rng, into a fresh
+    targets array over the graph's out-offsets that the DFS walks with one
+    iterator per stack entry.  Zero keys visit children in stored
+    (ascending) order.  The graph's own arrays are never mutated.
+    Non-recursive to avoid Python's recursion limit.
     """
     n = dag.n
     pos = [-1] * n
@@ -115,14 +113,15 @@ def extended_topsort(
     mx = [-1] * n
     state = bytearray(n)  # 0 new, 1 active, 2 finished
     counter = n - 1
-    out = _child_lists(dag.out_adj, rng)
+    off = dag.out_off
+    kids = _child_targets(dag, rng)
 
     for root in chain(start_order, range(n)):
         if state[root]:
             continue
         state[root] = 1
         hi[root] = counter
-        stack = [(root, iter(out[root]))]
+        stack = [(root, iter(kids[off[root]:off[root + 1]]))]
         while stack:
             v, children = stack[-1]
             for w in children:
@@ -130,7 +129,7 @@ def extended_topsort(
                 if st == 0:
                     state[w] = 1
                     hi[w] = counter
-                    stack.append((w, iter(out[w])))
+                    stack.append((w, iter(kids[off[w]:off[w + 1]])))
                     break
                 if st == 1:
                     raise AcyclicityError(f"cycle through edge ({v}, {w})")
@@ -139,7 +138,7 @@ def extended_topsort(
                 pos[v] = counter
                 counter -= 1
                 best = pos[v]
-                for w in out[v]:
+                for w in kids[off[v]:off[v + 1]]:
                     if mx[w] > best:
                         best = mx[w]
                 mx[v] = best

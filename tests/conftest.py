@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 from hypothesis import strategies as st
 
 from reachidx.graph import DiGraph
@@ -45,6 +47,38 @@ class NoShuffle:
         return bytes(k)
 
 
+def successors(g: DiGraph, v: int) -> list[int]:
+    return g.out_tg[g.out_off[v]:g.out_off[v + 1]].tolist()
+
+
+def predecessors(g: DiGraph, v: int) -> list[int]:
+    return g.in_tg[g.in_off[v]:g.in_off[v + 1]].tolist()
+
+
+def edge_pairs(g: DiGraph) -> list[tuple[int, int]]:
+    """g's edges in (source, target) order."""
+    return [(u, v) for u in range(g.n) for v in successors(g, u)]
+
+
+def reach_sets(g: DiGraph, v: int) -> tuple[int, int]:
+    """(R+(v), R-(v)) as int bitsets, both including v itself: one BFS per
+    direction, the reference the supports' mask columns must equal."""
+    return _bfs_bits(g, v), _bfs_bits(g.reverse(), v)
+
+
+def _bfs_bits(g: DiGraph, v: int) -> int:
+    bits = 1 << v
+    dq = deque((v,))
+    while dq:
+        u = dq.popleft()
+        for w in successors(g, u):
+            b = 1 << w
+            if not bits & b:
+                bits |= b
+                dq.append(w)
+    return bits
+
+
 def brute_reach_sets(g: DiGraph) -> list[set[int]]:
     """Independent closure oracle: plain DFS from every vertex."""
     out = []
@@ -53,7 +87,7 @@ def brute_reach_sets(g: DiGraph) -> list[set[int]]:
         stack = [s]
         while stack:
             u = stack.pop()
-            for v in g.out_adj[u]:
+            for v in successors(g, u):
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)

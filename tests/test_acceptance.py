@@ -49,7 +49,7 @@ def criterion(name):
 
 
 # ---------------------------------------------------------------------------
-# adjacency instrumentation: counts every access to a neighbour list
+# adjacency instrumentation: counts every read of the graph's CSR arrays
 
 
 class _Touches:
@@ -59,29 +59,37 @@ class _Touches:
         self.count = 0
 
 
-class _CountingAdj:
-    __slots__ = ("_lists", "_touches")
+class _CountingArray:
+    """One CSR array: reading a cell or a slice counts as a touch."""
 
-    def __init__(self, lists, touches):
-        self._lists = lists
+    __slots__ = ("_cells", "_touches")
+
+    def __init__(self, cells, touches):
+        self._cells = cells
         self._touches = touches
 
     def __getitem__(self, i):
         self._touches.count += 1
-        return self._lists[i]
+        return self._cells[i]
 
     def __len__(self):
-        return len(self._lists)
+        return len(self._cells)
+
+
+CSR_FIELDS = ("out_off", "out_tg", "in_off", "in_tg")
 
 
 class _GuardedGraph:
-    __slots__ = ("n", "m", "out_adj", "in_adj")
+    """The graph's sizes, and every CSR array behind a counter: a search
+    cannot reach a neighbour without a touch."""
+
+    __slots__ = ("n", "m", *CSR_FIELDS)
 
     def __init__(self, g, touches):
         self.n = g.n
         self.m = g.m
-        self.out_adj = _CountingAdj(g.out_adj, touches)
-        self.in_adj = _CountingAdj(g.in_adj, touches)
+        for name in CSR_FIELDS:
+            setattr(self, name, _CountingArray(getattr(g, name), touches))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +134,8 @@ def corpus_sweep(corpus, corpus_indexes):
         "unsound": 0,
         "touched": 0,
         "observation_answered": 0,
+        "fallback_answered": 0,
+        "fallback_untouched": 0,
         "setup_s": corpus["setup_s"],
     }
     t0 = time.perf_counter()
@@ -150,6 +160,10 @@ def corpus_sweep(corpus, corpus_indexes):
                         res["observation_answered"] += 1
                         if touches.count != before:
                             res["touched"] += 1
+                    else:
+                        res["fallback_answered"] += 1
+                        if touches.count == before:
+                            res["fallback_untouched"] += 1
     res["elapsed"] = time.perf_counter() - t0
     return res
 
@@ -308,10 +322,15 @@ def test_zero_traversal_for_observation_answers(corpus_sweep):
     with criterion("zero-traversal") as info:
         info["detail"] = (
             f"({corpus_sweep['observation_answered']} observation answers, "
-            f"{corpus_sweep['touched']} adjacency accesses)"
+            f"{corpus_sweep['touched']} adjacency accesses; "
+            f"{corpus_sweep['fallback_answered']} fallback answers, "
+            f"{corpus_sweep['fallback_untouched']} without one)"
         )
         assert corpus_sweep["observation_answered"] > 0
         assert corpus_sweep["touched"] == 0
+        # the guard is live: a search that bypassed it would touch nothing
+        assert corpus_sweep["fallback_answered"] > 0
+        assert corpus_sweep["fallback_untouched"] == 0
 
 
 def test_build_time_and_fallback_work_bound():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import zlib
 
+import numpy as np
 import pytest
 
 from reachidx import cli
@@ -133,6 +134,22 @@ def test_dense_rebuild_removes_a_stale_remap(tmp_path):
     dense = write(tmp_path / "dense.txt", "0 1\n1 2\n")
     assert main(["build", "--graph", dense, *SMALL_PARAMS, "--out-index", idx]) == 0
     assert not (tmp_path / "g.ridx.remap").exists()
+
+
+def test_remap_elsewhere_removes_a_stale_default_remap(tmp_path):
+    idx = str(tmp_path / "x.ridx")
+    first = write(tmp_path / "first.txt", "10 30\n30 20\n")
+    assert main(["build", "--graph", first, *SMALL_PARAMS, "--out-index", idx]) == 0
+    assert (tmp_path / "x.ridx.remap").read_text() == "10 0\n20 1\n30 2\n"
+    second = write(tmp_path / "second.txt", "5 7\n7 9\n")
+    assert main(["build", "--graph", second, *SMALL_PARAMS, "--out-index", idx,
+                 "--remap-out", str(tmp_path / "map.tsv")]) == 0
+    assert (tmp_path / "map.tsv").read_text() == "5 0\n7 1\n9 2\n"
+    assert not (tmp_path / "x.ridx.remap").exists()
+    # the default path, however spelled, is the table this build wrote
+    assert main(["build", "--graph", second, *SMALL_PARAMS, "--out-index", idx,
+                 "--remap-out", os.path.join(tmp_path, ".", "x.ridx.remap")]) == 0
+    assert (tmp_path / "x.ridx.remap").read_text() == "5 0\n7 1\n9 2\n"
 
 
 def test_parse_warnings_on_stderr(tmp_path, capsys):
@@ -407,6 +424,27 @@ def test_bad_bundle_is_never_read(pinned, tmp_path):
     body[40] += 1  # the low byte of n, after magic, version and digest
     bundle.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
     assert run(argv, parses=1) == expected
+    # contents that build never writes, under a valid CRC
+    *_, n, c, m, _loops, _dups = cli.BUNDLE_HEADER.unpack_from(good)
+    assert (n, c, m) == (10, 7, 7)  # rows [], [0], [0, 1], [2], [1], [4], [3]
+    at = cli.BUNDLE_HEADER.size
+    ids, scc, off, tg = at, at + 8 * n, at + 12 * n, at + 12 * n + 4 * (c + 1)
+    for where, dtype, cells in [
+        (tg, "<u4", [c]),  # a target out of range
+        (scc, "<u4", [c]),  # an SCC id out of range
+        (off, "<u4", [1, 1]),  # offsets not starting at 0
+        (off + 12, "<u4", [0]),  # offsets decreasing
+        (off + 4 * c, "<u4", [m - 1]),  # offsets not ending at m
+        (tg + 4, "<u4", [1, 0]),  # a row out of order
+        (tg + 4, "<u4", [0, 0]),  # a parallel edge
+        (tg, "<u4", [1]),  # a self-loop
+        (ids, "<i8", [7, -3]),  # original ids out of order
+    ]:
+        body = bytearray(good[:-4])
+        cells = np.array(cells, dtype=dtype).tobytes()
+        body[where:where + len(cells)] = cells
+        bundle.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        assert run(argv, parses=1) == expected
     bundle.write_bytes(good)
     assert run(argv, parses=0) == expected
 

@@ -36,8 +36,16 @@ from conftest import (
     dags,
     diamond,
     digraphs,
+    edge_pairs,
     path_graph,
+    predecessors,
+    successors,
 )
+
+
+def rows(g):
+    """(out-neighbour lists, in-neighbour lists) of every vertex."""
+    return ([successors(g, v) for v in range(g.n)], [predecessors(g, v) for v in range(g.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +80,20 @@ def test_from_edges_keeps_gc_state(enabled):
 
 def test_adjacency_is_sorted_regardless_of_input_order():
     g = DiGraph.from_edges(4, [(0, 3), (0, 1), (0, 2)])
-    assert g.out_adj[0] == [1, 2, 3]
-    assert g.in_adj[3] == [0]
+    assert successors(g, 0) == [1, 2, 3]
+    assert predecessors(g, 3) == [0]
 
 
 def test_reverse_twice_is_identity():
     g = diamond()
     rr = g.reverse().reverse()
-    assert rr.out_adj == g.out_adj and rr.in_adj == g.in_adj
+    assert rows(rr) == rows(g)
 
 
 @given(dags(max_n=12))
 def test_reverse_swaps_adjacency(g):
     r = g.reverse()
-    assert r.out_adj == g.in_adj
-    assert r.in_adj == g.out_adj
+    assert rows(r) == rows(g)[::-1]
     assert (r.n, r.m) == (g.n, g.m)
 
 
@@ -124,7 +131,7 @@ def test_parse_edge_list_sparse_ids_remap():
     assert res.original_ids == [10, 20, 30]
     assert res.id_map == {10: 0, 20: 1, 30: 2}
     # edges translated through the remap
-    assert sorted(res.graph.edges()) == [(0, 2), (2, 1)]
+    assert edge_pairs(res.graph) == [(0, 2), (2, 1)]
     buf = io.StringIO()
     write_remap(res, buf)
     assert buf.getvalue() == "10 0\n20 1\n30 2\n"
@@ -140,7 +147,7 @@ def test_parse_edge_list_malformed_line_reports_lineno():
 def test_parse_gra_example():
     res = parse_gra(io.StringIO("3\n0: 1 2 #\n1: #\n2: #\n"))
     assert res.graph.n == 3 and res.graph.m == 2
-    assert res.graph.out_adj[0] == [1, 2]
+    assert successors(res.graph, 0) == [1, 2]
     assert not res.is_sparse
 
 
@@ -184,11 +191,11 @@ def test_write_parse_roundtrip_both_formats(g):
     buf2 = io.StringIO()
     write_gra(g, buf2)
     res = parse_gra(io.StringIO(buf2.getvalue()))
-    assert res.graph.out_adj == g.out_adj
+    assert rows(res.graph)[0] == rows(g)[0]
     if g.m:
         res2 = parse_edge_list(io.StringIO(buf.getvalue()))
-        assert sorted(res2.graph.edges()) == sorted(
-            (res2.id_map[u], res2.id_map[v]) for u, v in g.edges()
+        assert edge_pairs(res2.graph) == sorted(
+            (res2.id_map[u], res2.id_map[v]) for u, v in edge_pairs(g)
         )
 
 
@@ -245,7 +252,7 @@ def _outcome(parse, lines):
     except GraphFormatError as e:
         return "error", str(e)
     assert res.id_map == {x: i for i, x in enumerate(res.original_ids)}
-    return (res.original_ids, sorted(res.graph.edges()),
+    return (res.original_ids, edge_pairs(res.graph),
             res.dropped_self_loops, res.dropped_duplicates)
 
 
@@ -273,7 +280,7 @@ def test_parse_edge_list_matches_line_by_line_reference(lines, newline):
 def test_parse_edge_list_accepts_what_int_accepts():
     res = parse_edge_list(["+5 -0_7", "1_000 ٣", str(2**70) + " 5"])
     assert res.original_ids == [-7, 3, 5, 1000, 2**70]
-    assert sorted(res.graph.edges()) == [(2, 0), (3, 1), (4, 2)]
+    assert edge_pairs(res.graph) == [(2, 0), (3, 1), (4, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +299,9 @@ def list_walk_checksum(g: DiGraph) -> int:
     """graph_checksum as a walk over the adjacency lists: the reference the
     value stored at construction must equal."""
     h = zlib.crc32(np.array([g.n, g.m], dtype="<u8").tobytes())
-    degs = np.array([len(nbrs) for nbrs in g.out_adj], dtype="<u4")
-    flat = np.array([v for nbrs in g.out_adj for v in nbrs], dtype="<u4")
+    out = rows(g)[0]
+    degs = np.array([len(nbrs) for nbrs in out], dtype="<u4")
+    flat = np.array([v for nbrs in out for v in nbrs], dtype="<u4")
     return zlib.crc32(flat.tobytes(), zlib.crc32(degs.tobytes(), h))
 
 
@@ -333,7 +341,7 @@ def test_scc_example_structure():
     assert cond.dag.n == 2 and cond.dag.m == 1
     assert cond.scc_of[0] == cond.scc_of[1] == cond.scc_of[2]
     assert cond.scc_of[3] != cond.scc_of[0]
-    assert list(cond.dag.edges()) == [(cond.scc_of[0], cond.scc_of[3])]
+    assert edge_pairs(cond.dag) == [(cond.scc_of[0], cond.scc_of[3])]
     for cid, rep in enumerate(cond.rep_of):
         assert cond.scc_of[rep] == cid
 
@@ -342,8 +350,8 @@ def test_scc_example_structure():
 def test_scc_on_dag_is_bijection(g):
     cond = scc_condense(g)
     assert sorted(cond.scc_of) == list(range(g.n))
-    relabeled = sorted((cond.scc_of[u], cond.scc_of[v]) for u, v in g.edges())
-    assert relabeled == sorted(cond.dag.edges())
+    relabeled = sorted((cond.scc_of[u], cond.scc_of[v]) for u, v in edge_pairs(g))
+    assert relabeled == edge_pairs(cond.dag)
 
 
 @settings(max_examples=60)
@@ -369,7 +377,7 @@ def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     cond = scc_condense(res.graph)
     assert cond.scc_of == [3, 5, 4, 2, 0, 1, 1, 2, 0, 6]
     assert cond.rep_of == [4, 5, 7, 0, 2, 1, 9]
-    assert cond.dag.out_adj == [[], [0], [0, 1], [2], [1], [4], [3]]
+    assert rows(cond.dag)[0] == [[], [0], [0, 1], [2], [1], [4], [3]]
     g = tmp_path / "g.txt"
     g.write_text(PINNED_EDGE_LIST)
     idx = tmp_path / "g.ridx"
@@ -396,7 +404,7 @@ def test_weak_components_ids_dense(g):
     comp = weak_components(g)
     if g.n:
         assert sorted(set(comp)) == list(range(max(comp) + 1))
-    for u, v in g.edges():
+    for u, v in edge_pairs(g):
         assert comp[u] == comp[v]
 
 
@@ -428,11 +436,11 @@ def test_levels_cycle_raises():
 @given(dags(max_n=14))
 def test_level_invariants(g):
     lv = topological_levels(g)
-    for u, v in g.edges():
+    for u, v in edge_pairs(g):
         assert lv.fwd[u] < lv.fwd[v]
         assert lv.bwd[u] > lv.bwd[v]
     for v in range(g.n):
-        assert (lv.fwd[v] == 0) == (not g.in_adj[v])
-        assert (lv.bwd[v] == 0) == (not g.out_adj[v])
-        if g.in_adj[v]:
-            assert lv.fwd[v] == 1 + max(lv.fwd[u] for u in g.in_adj[v])
+        assert (lv.fwd[v] == 0) == (not predecessors(g, v))
+        assert (lv.bwd[v] == 0) == (not successors(g, v))
+        if predecessors(g, v):
+            assert lv.fwd[v] == 1 + max(lv.fwd[u] for u in predecessors(g, v))

@@ -50,7 +50,7 @@ from reachidx.toporder import (
 )
 from reachidx.workbench import gen_random_dag
 
-from conftest import NoShuffle, dags, diamond
+from conftest import NoShuffle, dags, diamond, edge_pairs, predecessors, successors
 
 SMALL = IndexParams(t=2, k=4, p=2, h=3)
 
@@ -152,7 +152,7 @@ def several_components() -> DiGraph:
     edges, base = [], 0
     for seed, (n, m) in enumerate([(1500, 4000), (800, 1500), (300, 400)]):
         part = gen_random_dag(n, m, seed=seed)
-        edges += [(base + u, base + v) for u in range(n) for v in part.out_adj[u]]
+        edges += [(base + u, base + v) for u, v in edge_pairs(part)]
         base += n
     return DiGraph.from_edges(base + 2, edges)
 
@@ -232,7 +232,7 @@ def test_small_graph_builds_inline(monkeypatch, forks):
 
 def test_cyclic_input_raises_the_inline_error_and_leaves_no_child(monkeypatch, forks):
     dag = gen_random_dag(3000, 6000, seed=0)
-    edges = [(u, v) for u in range(dag.n) for v in dag.out_adj[u]]
+    edges = edge_pairs(dag)
     g = DiGraph.from_edges(dag.n, edges + [(v, u) for u, v in edges[:3]])
     errors = []
     for cpus in (1, 2, 4):
@@ -521,14 +521,14 @@ def reference_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     g = ix.graph
     fq, bq = deque((s,)), deque((t,))
     fseen, bseen = {s}, {t}
-    fwd = (fq, fseen, bseen, g.out_adj, lambda v: try_observations(ix, v, t)[0])
-    bwd = (bq, bseen, fseen, g.in_adj, lambda v: try_observations(ix, s, v)[0])
+    fwd = (fq, fseen, bseen, successors, lambda v: try_observations(ix, v, t)[0])
+    bwd = (bq, bseen, fseen, predecessors, lambda v: try_observations(ix, s, v)[0])
     work = 0
     while fq and bq:
-        q, seen, other, adj, test = fwd if len(fq) <= len(bq) else bwd
+        q, seen, other, nbrs, test = fwd if len(fq) <= len(bq) else bwd
         u = q.popleft()
         work += 1
-        for v in adj[u]:
+        for v in nbrs(g, u):
             if v in other:
                 return True, work
             if v in seen:
@@ -549,7 +549,7 @@ def dag_unions(draw):
     parts = draw(st.lists(dags(max_n=7), min_size=1, max_size=3))
     n, edges = 0, []
     for part in parts:
-        edges += [(n + u, n + v) for u in range(part.n) for v in part.out_adj[u]]
+        edges += [(n + u, n + v) for u, v in edge_pairs(part)]
         n += part.n
     perm = draw(st.permutations(range(n)))
     return DiGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
@@ -644,7 +644,7 @@ def test_endpoint_tests_are_built_lazily(monkeypatch):
     monkeypatch.setattr(index_mod, "_endpoint_test", counting)
     g = gen_random_dag(64, 160, 0)
     ix = build_index(g, SMALL, seed=0)
-    sink = next(v for v in range(g.n) if not g.out_adj[v])
+    sink = next(v for v in range(g.n) if not successors(g, v))
     # the forward side pops first; a sink empties its queue on that pop
     assert PBIBFS.run(ix, sink, (sink + 1) % g.n) == (False, 1)
     assert built == [True]

@@ -17,13 +17,12 @@ from reachidx.supportive import (
     mask_rows,
     masks_from_rows,
     pick_supports,
-    reach_sets,
     select_candidates,
 )
 
 from reachidx.workbench import gen_random_dag
 
-from conftest import brute_reach_sets, dags, diamond, path_graph
+from conftest import brute_reach_sets, dags, diamond, path_graph, reach_sets
 
 
 def pool_for(g, k, p, h, seed=0):

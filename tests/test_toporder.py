@@ -19,7 +19,15 @@ from reachidx.toporder import (
     start_sequence,
 )
 
-from conftest import NoShuffle, brute_reach_sets, dags, diamond, path_graph
+from conftest import (
+    NoShuffle,
+    brute_reach_sets,
+    dags,
+    diamond,
+    edge_pairs,
+    path_graph,
+    predecessors,
+)
 
 
 def two_edges() -> DiGraph:
@@ -158,7 +166,7 @@ def test_forward_is_topological_permutation(g, seed):
     rng = random.Random(seed)
     o = extended_topsort(g, start_sequence(g, rng), rng, seed=seed)
     assert sorted(o.pos) == list(range(g.n))
-    for u, v in g.edges():
+    for u, v in edge_pairs(g):
         assert o.pos[u] < o.pos[v]
 
 
@@ -166,7 +174,7 @@ def test_forward_is_topological_permutation(g, seed):
 def test_backward_is_topological_permutation(g, seed):
     o = extended_topsort_backward(g, random.Random(seed), seed=seed)
     assert sorted(o.pos) == list(range(g.n))
-    for u, v in g.edges():
+    for u, v in edge_pairs(g):
         assert o.pos[u] < o.pos[v]
 
 
@@ -235,8 +243,8 @@ def test_same_seed_reproduces_ordering(g, seed):
 def test_start_sequence_sources_first(g, seed):
     seq = start_sequence(g, random.Random(seed))
     assert sorted(seq) == list(range(g.n))
-    n_sources = sum(1 for v in range(g.n) if not g.in_adj[v])
-    assert all(not g.in_adj[v] for v in seq[:n_sources])
+    n_sources = sum(1 for v in range(g.n) if not predecessors(g, v))
+    assert all(not predecessors(g, v) for v in seq[:n_sources])
 
 
 # ---------------------------------------------------------------------------
