@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import DiGraph, LevelAssignment
+from .graph import DiGraph, LevelAssignment, _concat_rows
 
 TAG_SLIM = "slim-level"
 TAG_CENTRAL = "random-central"
@@ -117,16 +117,17 @@ def select_candidates(
                 cands.append(v)
                 tags.append(tag)
 
-    for level in (levels.fwd, levels.bwd):
+    fwd, bwd = (np.fromiter(level, np.int64, n) for level in (levels.fwd, levels.bwd))
+    for lv in (fwd, bwd):
         if len(cands) < cap:
-            lv = np.fromiter(level, np.int64, n)
             slim = np.flatnonzero(np.bincount(lv)[lv] <= h)
             take(slim[np.argsort(lv[slim], kind="stable")].tolist(), TAG_SLIM)
 
+    marks = np.frombuffer(used, np.uint8)  # a view: sees every mark take makes
     top = levels.fwd_max
     for tag, lo, hi in ((TAG_CENTRAL, -(-top // 5), 4 * top // 5), (TAG_FILL, 0, top)):
         if len(cands) < cap:
-            pool = [v for v in range(n) if not used[v] and lo <= levels.fwd[v] <= hi]
+            pool = np.flatnonzero((marks == 0) & (fwd >= lo) & (fwd <= hi)).tolist()
             take(rng.sample(pool, min(cap - len(cands), len(pool))), tag)
 
     return CandidatePool(cands, tags)
@@ -145,28 +146,32 @@ def _mask_matrix(
 
     Rows are finalized in level order, so each edge is applied exactly once
     with its source row already final; this is the batched replacement for
-    one BFS per candidate.
+    one BFS per candidate.  The targets of a level are taken in id order
+    with their predecessor rows concatenated, so the predecessors of one
+    target are one run, which a single bitwise_or.reduceat folds.  level
+    must be the longest-path levels of this orientation, so that every
+    level from 1 to level_max has a vertex.
     """
     n = len(pred_off) - 1
     words = max(1, (len(cands) + 63) // 64)
     M = np.zeros((n, words), dtype=np.uint64)
-    for j, v in enumerate(cands):
-        M[v, j >> 6] |= np.uint64(1 << (j & 63))
-    src = np.frombuffer(pred_tg, np.uint32).astype(np.int64)
-    if len(src) == 0:
-        return M
-    degrees = np.diff(np.frombuffer(pred_off, np.uint32))
-    dst = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    key = level[dst]
-    order = np.argsort(key, kind="stable")
-    dst = dst[order]
-    src = src[order]
-    key = key[order]
-    starts = np.searchsorted(key, np.arange(1, level_max + 2))
+    j = np.arange(len(cands))
+    M[cands, j >> 6] = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
+    dst = np.argsort(level, kind="stable")  # (level, id) order
+    bounds = np.searchsorted(level[dst], np.arange(1, level_max + 2))
+    dst = dst[bounds[0]:]  # level-0 vertices have no predecessors
+    bounds = bounds - bounds[0]
+    off = np.frombuffer(pred_off, np.uint32).astype(np.int64)
+    src, heads = _concat_rows(off, np.frombuffer(pred_tg, np.uint32).astype(np.int64), dst)
+    edge_bounds = np.r_[heads, len(src)][bounds].tolist()
+    bounds = bounds.tolist()
     for li in range(level_max):
-        a, b = starts[li], starts[li + 1]
-        if a < b:
-            np.bitwise_or.at(M, dst[a:b], M[src[a:b]])
+        x, y = bounds[li], bounds[li + 1]
+        a, b = edge_bounds[li], edge_bounds[li + 1]
+        rows = M[src[a:b]]
+        if b - a > y - x:  # some target has several predecessors here
+            rows = np.bitwise_or.reduceat(rows, heads[x:y] - a, axis=0)
+        M[dst[x:y]] |= rows
     return M
 
 

@@ -4,7 +4,7 @@ from collections import deque
 
 from hypothesis import strategies as st
 
-from reachidx.graph import DiGraph
+from reachidx.graph import AcyclicityError, DiGraph
 
 
 def diamond() -> DiGraph:
@@ -93,6 +93,53 @@ def brute_reach_sets(g: DiGraph) -> list[set[int]]:
                     stack.append(v)
         out.append(seen)
     return out
+
+
+def ref_weak_components(g: DiGraph) -> list[int]:
+    """Reference for graph.weak_components: one BFS over both edge
+    directions from each vertex not yet labelled, vertex 0 upward, so
+    component ids are dense in order of first discovery."""
+    comp = [-1] * g.n
+    c = 0
+    rows = ((g.out_off, g.out_tg), (g.in_off, g.in_tg))
+    for start in range(g.n):
+        if comp[start] != -1:
+            continue
+        comp[start] = c
+        dq = deque((start,))
+        while dq:
+            u = dq.popleft()
+            for off, tg in rows:
+                for v in tg[off[u]:off[u + 1]]:
+                    if comp[v] == -1:
+                        comp[v] = c
+                        dq.append(v)
+        c += 1
+    return comp
+
+
+def ref_kahn_levels(g: DiGraph) -> list[int]:
+    """Reference for graph._kahn_levels: Kahn's algorithm one vertex at a
+    time, each vertex's level the longest-path distance from any source."""
+    n = g.n
+    off, tg = g.out_off, g.out_tg
+    indeg = [g.in_off[v + 1] - g.in_off[v] for v in range(n)]
+    level = [0] * n
+    dq = deque(v for v in range(n) if indeg[v] == 0)
+    seen = 0
+    while dq:
+        u = dq.popleft()
+        seen += 1
+        nxt = level[u] + 1
+        for v in tg[off[u]:off[u + 1]]:
+            if level[v] < nxt:
+                level[v] = nxt
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                dq.append(v)
+    if seen != n:
+        raise AcyclicityError("graph contains a cycle; levels undefined")
+    return level
 
 
 @st.composite

@@ -3,14 +3,18 @@ from __future__ import annotations
 import gc
 import io
 import os
+import random
 import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reachidx.graph as graph_mod
 from reachidx.cli import main
 from reachidx.graph import (
     AcyclicityError,
@@ -21,6 +25,7 @@ from reachidx.graph import (
     parse_edge_list,
     parse_gra,
     parse_graph,
+    _hook_and_compress,
     scc_condense,
     topological_levels,
     weak_components,
@@ -39,6 +44,8 @@ from conftest import (
     edge_pairs,
     path_graph,
     predecessors,
+    ref_kahn_levels,
+    ref_weak_components,
     successors,
 )
 
@@ -444,3 +451,129 @@ def test_level_invariants(g):
         assert (lv.bwd[v] == 0) == (not successors(g, v))
         if predecessors(g, v):
             assert lv.fwd[v] == 1 + max(lv.fwd[u] for u in predecessors(g, v))
+
+
+# ---------------------------------------------------------------------------
+# the numpy stages against the scalar references in conftest
+
+
+def relabelled(n, edges, seed):
+    """The graph on n vertices with its edges renamed by a seeded shuffle."""
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return DiGraph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def dag_unions(draw, max_parts: int = 4, max_n: int = 400):
+    """A disjoint union of random DAGs, some wide enough for whole-array
+    Kahn rounds, with shuffled vertex ids."""
+    parts = draw(st.lists(
+        st.tuples(st.integers(0, max_n), st.integers(0, 6), st.integers(0, 2**16)), max_size=max_parts
+    ))
+    n, edges = 0, []
+    for size, degree, seed in parts:
+        g = gen_random_dag(size, min(degree * size, size * (size - 1) // 2), seed)
+        edges += [(n + u, n + v) for u, v in edge_pairs(g)]
+        n += size
+    return relabelled(n, edges, draw(st.integers(0, 2**16)))
+
+
+def assert_matches_references(g):
+    assert weak_components(g) == ref_weak_components(g)
+    lv = topological_levels(g)
+    assert lv.fwd == ref_kahn_levels(g)
+    assert lv.bwd == ref_kahn_levels(g.reverse())
+    assert (lv.fwd_max, lv.bwd_max) == (max(lv.fwd, default=0), max(lv.bwd, default=0))
+    lo, hi = np.array(edge_pairs(g), dtype=np.int64).reshape(-1, 2).T
+    _, rounds = _hook_and_compress(g.n, np.minimum(lo, hi), np.maximum(lo, hi))
+    assert rounds <= max(g.n - 1, 0).bit_length()  # ceil(log2 n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dag_unions())
+def test_stages_match_references_on_dag_unions(g):
+    assert_matches_references(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags(max_n=24), st.sampled_from([1, 2, 128]))
+def test_levels_match_reference_in_both_regimes(g, narrow):
+    # a small threshold sends drawn DAGs through whole-array rounds too
+    with mock.patch.object(graph_mod, "_NARROW", narrow):
+        assert_matches_references(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(max_n=12), st.sampled_from([1, 2, 128]))
+def test_cycles_raise_as_the_reference_does(g, narrow):
+    try:
+        ref_kahn_levels(g)
+    except AcyclicityError:
+        with mock.patch.object(graph_mod, "_NARROW", narrow), pytest.raises(AcyclicityError):
+            topological_levels(g)
+    else:
+        with mock.patch.object(graph_mod, "_NARROW", narrow):
+            assert_matches_references(g)
+
+
+def wide_dag_over_path(n_wide: int, n_path: int, seed: int = 1):
+    """(edges, n): a random DAG on n_wide vertices with a path of n_path
+    vertices hanging below its highest vertex."""
+    g = gen_random_dag(n_wide, 4 * n_wide, seed)
+    top = max(range(n_wide), key=ref_kahn_levels(g).__getitem__)
+    chain = [top, *range(n_wide, n_wide + n_path)]
+    return edge_pairs(g) + list(zip(chain, chain[1:])), n_wide + n_path
+
+
+@pytest.mark.parametrize(
+    "name, n, edges",
+    [
+        ("empty", 0, []),
+        ("isolated", 300, []),
+        ("in-star", 1 + 2**12, [(v, 0) for v in range(1, 1 + 2**12)]),
+        ("out-star", 1 + 2**12, [(0, v) for v in range(1, 1 + 2**12)]),
+        ("path", 2**15, [(v, v + 1) for v in range(2**15 - 1)]),
+        ("wide-over-path", *reversed(wide_dag_over_path(4096, 2000))),
+    ],
+)
+@pytest.mark.parametrize("shuffle", [None, 7])
+def test_stages_match_references_on_fixed_shapes(name, n, edges, shuffle):
+    g = DiGraph.from_edges(n, edges) if shuffle is None else relabelled(n, edges, shuffle)
+    if name == "wide-over-path":
+        # both regimes in one call: wide rounds first, then 2000 single-vertex levels
+        fwd = topological_levels(g).fwd
+        assert fwd.count(0) >= graph_mod._NARROW and max(fwd) > 2000
+    assert_matches_references(g)
+
+
+@pytest.mark.parametrize("below", ["sink", "source"])
+def test_cycle_below_a_wide_prefix_raises(below):
+    edges, n = wide_dag_over_path(4096, 0)
+    lv = ref_kahn_levels(DiGraph.from_edges(n, edges))
+    # a 3-cycle reached from the highest vertex, or reaching the lowest one
+    end = max(range(n), key=lv.__getitem__) if below == "sink" else lv.index(0)
+    cyc = [n, n + 1, n + 2]
+    link = (end, n) if below == "sink" else (n, end)
+    g = DiGraph.from_edges(n + 3, edges + [link, (n, n + 1), (n + 1, n + 2), (n + 2, n)])
+    with pytest.raises(AcyclicityError):
+        topological_levels(g)
+    assert weak_components(g) == ref_weak_components(g)
+
+
+def test_component_rounds_within_log2_on_long_shapes():
+    n = 2**16
+    rng = random.Random(5)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    shapes = {
+        "shuffled path": [(perm[i], perm[i + 1]) for i in range(n - 1)],
+        "random tree": [(rng.randrange(v), v) for v in range(1, n)],
+        "caterpillar": [(v - 2, v) for v in range(2, n, 2)] + [(v - 1, v) for v in range(1, n, 2)],
+    }
+    for name, edges in shapes.items():
+        lo, hi = np.array(edges, dtype=np.int64).T
+        p = np.array(perm, dtype=np.int64)
+        root, rounds = _hook_and_compress(n, np.minimum(p[lo], p[hi]), np.maximum(p[lo], p[hi]))
+        assert rounds <= 16, name
+        assert (root == root[0]).all(), name

@@ -14,6 +14,7 @@ from reachidx.supportive import (
     TAG_CENTRAL,
     TAG_FILL,
     TAG_SLIM,
+    _mask_matrix,
     mask_rows,
     masks_from_rows,
     pick_supports,
@@ -194,6 +195,48 @@ def test_mask_columns_beyond_one_word():
         assert sum(((m >> i) & 1) << w for w, m in enumerate(ss.fwd_mask)) == fwd
         assert sum(((m >> i) & 1) << w for w, m in enumerate(ss.bwd_mask)) == bwd
     assert all(m >> 70 == 0 for m in ss.fwd_mask + ss.bwd_mask)
+
+
+def mask_matrix_or_at(pred_off, pred_tg, level, level_max, cands):
+    """Reference for _mask_matrix: edges stably sorted by their target's
+    level, each level applied with one np.bitwise_or.at."""
+    n = len(pred_off) - 1
+    M = np.zeros((n, max(1, (len(cands) + 63) // 64)), dtype=np.uint64)
+    for j, v in enumerate(cands):
+        M[v, j >> 6] |= np.uint64(1 << (j & 63))
+    src = np.frombuffer(pred_tg, np.uint32).astype(np.int64)
+    dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(np.frombuffer(pred_off, np.uint32)))
+    order = np.argsort(level[dst], kind="stable")
+    dst, src = dst[order], src[order]
+    starts = np.searchsorted(level[dst], np.arange(1, level_max + 2))
+    for li in range(level_max):
+        a, b = starts[li], starts[li + 1]
+        np.bitwise_or.at(M, dst[a:b], M[src[a:b]])
+    return M
+
+
+@pytest.mark.parametrize("ncands", [1, 64, 65, 130])
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_random_dag(1000, 4000, seed=2),
+        gen_random_dag(300, 300, seed=3),  # many components and isolated vertices
+        DiGraph.from_edges(201, [(v, 0) for v in range(1, 201)]),
+        path_graph(200),
+    ],
+    ids=["random", "sparse", "in-star", "path"],
+)
+def test_mask_matrix_matches_or_at_reference(g, ncands):
+    lv = topological_levels(g)
+    cands = random.Random(ncands).sample(range(g.n), ncands)
+    for (off, tg), level, top in (
+        ((g.in_off, g.in_tg), lv.fwd, lv.fwd_max),
+        ((g.out_off, g.out_tg), lv.bwd, lv.bwd_max),
+    ):
+        level = np.asarray(level, dtype=np.int64)
+        got = _mask_matrix(off, tg, level, top, cands)
+        assert got.shape == (g.n, -(-ncands // 64))
+        assert np.array_equal(got, mask_matrix_or_at(off, tg, level, top, cands))
 
 
 @settings(max_examples=60)
