@@ -13,8 +13,8 @@ per-edge object, so a large graph costs the collector nothing and a
 forked process shares its pages until it writes them.
 
 The two whole-graph stages of an index build run as numpy rounds over
-these arrays, each with the output of the one-vertex-at-a-time loop it
-replaced: `weak_components` hooks and compresses trees of vertices in
+these arrays and return their per-vertex columns as array('I') too, each
+with the output of the one-vertex-at-a-time loop it replaced: `weak_components` hooks and compresses trees of vertices in
 at most ceil(log2 n) rounds, and `topological_levels` removes Kahn's ready
 set one level per round while it is wide, then finishes one vertex at a
 time, so a long path stays O(n + m).  Tarjan's condensation stays a
@@ -28,7 +28,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -153,6 +153,9 @@ def _concat_rows(off: np.ndarray, tg: np.ndarray, vs: np.ndarray) -> tuple[np.nd
     deg = off[vs + 1] - first
     starts = np.cumsum(deg) - deg
     return tg[np.arange(deg.sum()) + np.repeat(first - starts, deg)], starts
+
+
+assert array("I").itemsize == 4  # CSR arrays and index columns are read and written as <u4
 
 
 def _uint_array(values: np.ndarray) -> array:
@@ -430,7 +433,6 @@ def write_remap(res: ParseResult, f: IO[str]) -> None:
 class CondensationMap:
     scc_of: list[int]  # original vertex -> SCC id
     dag: DiGraph  # condensation
-    rep_of: list[int]  # SCC id -> representative original vertex
 
 
 def scc_condense(g: DiGraph) -> CondensationMap:
@@ -444,7 +446,7 @@ def scc_condense(g: DiGraph) -> CondensationMap:
     low = [0] * n
     stack: list[int] = []
     scc_of = [-1] * n
-    rep_of: list[int] = []
+    c = 0  # SCCs completed
     next_index = 0
 
     for root in range(n):
@@ -472,25 +474,23 @@ def scc_condense(g: DiGraph) -> CondensationMap:
                     if low[v] < low[pv]:
                         low[pv] = low[v]
                 if low[v] == index[v]:
-                    cid = len(rep_of)
-                    rep_of.append(v)
                     while True:
                         w = stack.pop()
                         index[w] = n
-                        scc_of[w] = cid
+                        scc_of[w] = c
                         if w == v:
                             break
+                    c += 1
 
-    c = len(rep_of)
     scc = np.array(scc_of, dtype=np.int64)
     cu = np.repeat(scc, np.diff(np.frombuffer(off, np.uint32)))
     cv = scc[np.frombuffer(tg, np.uint32)]
     cross = cu != cv
     keys = _sorted_unique(cu[cross] * c + cv[cross])
-    return CondensationMap(scc_of, _keyed_graph(c, keys), rep_of)
+    return CondensationMap(scc_of, _keyed_graph(c, keys))
 
 
-def weak_components(g: DiGraph) -> list[int]:
+def weak_components(g: DiGraph) -> array:
     """Component ids, dense in order of each component's smallest vertex,
     which is the order a scan from vertex 0 upward first meets them.
 
@@ -505,7 +505,7 @@ def weak_components(g: DiGraph) -> list[int]:
     first.sort()
     comp = np.empty(n, np.int64)
     comp[root[first]] = np.arange(len(first))
-    return comp[root].tolist()
+    return _uint_array(comp[root])
 
 
 def _hook_and_compress(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, int]:
@@ -550,9 +550,8 @@ def _hook_and_compress(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarr
 
 @dataclass
 class LevelAssignment:
-    # lists from topological_levels; array('I') once held by a ReachIndex
-    fwd: Sequence[int]  # longest-path distance from any source
-    bwd: Sequence[int]  # longest-path distance to any sink
+    fwd: array  # longest-path distance from any source
+    bwd: array  # longest-path distance to any sink
     fwd_max: int
     bwd_max: int
 
@@ -565,7 +564,7 @@ class LevelAssignment:
 _NARROW = 128
 
 
-def _kahn_levels(g: DiGraph) -> list[int]:
+def _kahn_levels(g: DiGraph) -> array:
     """Longest-path distance of each vertex from any source of g, by Kahn's
     algorithm: a vertex's level is max(level(pred)) + 1, final once its last
     predecessor is removed.
@@ -613,7 +612,7 @@ def _kahn_levels(g: DiGraph) -> list[int]:
                     dq.append(v)
     if seen != n:
         raise AcyclicityError("graph contains a cycle; levels undefined")
-    return level
+    return array("I", level)  # a list above: the loop reads it faster
 
 
 def topological_levels(g: DiGraph) -> LevelAssignment:

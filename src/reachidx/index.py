@@ -31,7 +31,10 @@ the T2/T5 comparisons it subsumes.
 In memory, every per-vertex integer column (weak component, both levels,
 and each ordering's pos, High/Low and Max/Min) is an array('I'): n
 contiguous uint32 cells instead of n pointers to separate int objects, so
-an index lookup reads one cache-friendly cell and loading copies each
+an index lookup reads one cache-friendly cell.  The stages in graph and
+toporder return their columns in that type, and a ReachIndex holds them
+as given: the forked worker writes them to its pipe as they are,
+serialization views them through np.frombuffer, and loading copies each
 column out of the serialized records without creating an int per cell.
 The support masks stay lists of Python ints: k may exceed 64, and one int
 per vertex keeps S1-S3 a single `&` for any k.
@@ -49,7 +52,7 @@ import threading
 import warnings
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
@@ -59,6 +62,7 @@ from .baselines import bfs_search
 from .graph import (
     DiGraph,
     LevelAssignment,
+    _uint_array,
     check_ids,
     graph_checksum,
     topological_levels,
@@ -130,18 +134,11 @@ class QueryOutcome:
     work: int = 0  # vertices expanded by the fallback; 0 for observation answers
 
 
-assert array("I").itemsize == 4  # the columns are read and written as <u4
-
-
-def _column(values: Sequence[int]) -> array:
-    return values if isinstance(values, array) and values.typecode == "I" else array("I", values)
-
-
 @dataclass
 class ReachIndex:
-    """A built or loaded index.  Construction turns the integer columns of
-    wcc, levels and orderings into array('I') (see the module docstring);
-    the producers' lists are not kept."""
+    """A built or loaded index.  It holds the stages' objects as they are
+    given: the integer columns of wcc, levels and orderings are array('I')
+    (see the module docstring)."""
 
     graph: DiGraph
     wcc: array
@@ -150,20 +147,6 @@ class ReachIndex:
     supports: SupportSet
     params: IndexParams | None = None
     seed: int | None = None
-
-    def __post_init__(self) -> None:
-        self.wcc = _column(self.wcc)
-        lv = self.levels
-        self.levels = replace(lv, fwd=_column(lv.fwd), bwd=_column(lv.bwd))
-        self.orderings = [
-            replace(
-                o,
-                pos=_column(o.pos),
-                hi_or_lo=_column(o.hi_or_lo),
-                mx_or_mn=_column(o.mx_or_mn),
-            )
-            for o in self.orderings
-        ]
 
 
 def _substream(seed: int, tag: str, i: int = 0) -> int:
@@ -294,7 +277,7 @@ class _Worker:
                 columns = []
                 for stream in streams:
                     order = _ordering(dag, *stream)
-                    columns += map(_column, (order.pos, order.hi_or_lo, order.mx_or_mn))
+                    columns += [order.pos, order.hi_or_lo, order.mx_or_mn]
                 with open(w, "wb") as out:
                     for col in columns:
                         out.write(col)
@@ -745,7 +728,7 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
             f"orderings[{j}].{c}" for j in range(t) for c in ("pos", "hi_or_lo", "mx_or_mn")
         ]
         raise IndexFormatError(f"{names[i]}[{v}] = {ints[v, i]} is out of range for n={n}")
-    wcc, fwd, bwd, *rest = [_copy_column(ints[:, i]) for i in range(3 + 3 * t)]
+    wcc, fwd, bwd, *rest = [_uint_array(ints[:, i]) for i in range(3 + 3 * t)]
     lmax = ints[:, 1:3].max(axis=0, initial=0).tolist()
     levels = LevelAssignment(fwd, bwd, lmax[0], lmax[1])
     n_fwd = (t + 1) // 2
@@ -772,10 +755,3 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
         supports, masks_from_rows(fwd_rows), masks_from_rows(bwd_rows), k
     )
     return ReachIndex(dag, wcc, levels, orderings, support_set)
-
-
-def _copy_column(values: np.ndarray) -> array:
-    """values, copied once into a new array('I')."""
-    col = array("I", [0]) * len(values)
-    np.frombuffer(col, dtype=np.uint32)[:] = values
-    return col

@@ -117,7 +117,7 @@ def select_candidates(
                 cands.append(v)
                 tags.append(tag)
 
-    fwd, bwd = (np.fromiter(level, np.int64, n) for level in (levels.fwd, levels.bwd))
+    fwd, bwd = (np.frombuffer(level, np.uint32) for level in (levels.fwd, levels.bwd))
     for lv in (fwd, bwd):
         if len(cands) < cap:
             slim = np.flatnonzero(np.bincount(lv)[lv] <= h)
@@ -210,8 +210,7 @@ def pick_supports(
         zeros = [0] * n
         return SupportSet([], zeros, list(zeros), k)
     cands = pool.candidates
-    fwd_levels = np.asarray(levels.fwd, dtype=np.int64)
-    bwd_levels = np.asarray(levels.bwd, dtype=np.int64)
+    fwd_levels, bwd_levels = (np.frombuffer(lv, np.uint32) for lv in (levels.fwd, levels.bwd))
     fwd_M = _mask_matrix(dag.in_off, dag.in_tg, fwd_levels, levels.fwd_max, cands)
     bwd_M = _mask_matrix(dag.out_off, dag.out_tg, bwd_levels, levels.bwd_max, cands)
     sizes_f = _column_counts(fwd_M, len(cands))

@@ -36,7 +36,6 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -49,10 +48,9 @@ BACKWARD = "backward"
 
 @dataclass
 class ExtTopOrder:
-    # lists from the producers below; array('I') once held by a ReachIndex
-    pos: Sequence[int]
-    hi_or_lo: Sequence[int]  # High for forward flavor, Low for backward
-    mx_or_mn: Sequence[int]  # Max for forward flavor, Min for backward
+    pos: array
+    hi_or_lo: array  # High for forward flavor, Low for backward
+    mx_or_mn: array  # Max for forward flavor, Min for backward
     flavor: str
     seed: int | None = None
 
@@ -105,7 +103,9 @@ def extended_topsort(
     targets array over the graph's out-offsets that the DFS walks with one
     iterator per stack entry.  Zero keys visit children in stored
     (ascending) order.  The graph's own arrays are never mutated.
-    Non-recursive to avoid Python's recursion limit.
+    Non-recursive to avoid Python's recursion limit.  The columns are
+    lists while the DFS fills them (a Python loop reads a list faster) and
+    are returned as array('I').
     """
     n = dag.n
     pos = [-1] * n
@@ -143,7 +143,7 @@ def extended_topsort(
                         best = mx[w]
                 mx[v] = best
                 state[v] = 2
-    return ExtTopOrder(pos, hi, mx, FORWARD, seed)
+    return ExtTopOrder(array("I", pos), array("I", hi), array("I", mx), FORWARD, seed)
 
 
 def extended_topsort_backward(
@@ -157,10 +157,11 @@ def extended_topsort_backward(
     """
     rg = dag.reverse()
     fwd = extended_topsort(rg, start_sequence(rg, rng), rng, seed)
-    last = dag.n - 1
-    pos = [last - p for p in fwd.pos]
-    lo = [last - h for h in fwd.hi_or_lo]
-    mn = [last - m for m in fwd.mx_or_mn]
+    last = dag.n - 1  # -1 for the empty graph: int64, not uint32, arithmetic
+    pos, lo, mn = (
+        _uint_array(last - np.frombuffer(col, np.uint32).astype(np.int64))
+        for col in (fwd.pos, fwd.hi_or_lo, fwd.mx_or_mn)
+    )
     return ExtTopOrder(pos, lo, mn, BACKWARD, seed)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from hypothesis import strategies as st
@@ -95,7 +96,7 @@ def brute_reach_sets(g: DiGraph) -> list[set[int]]:
     return out
 
 
-def ref_weak_components(g: DiGraph) -> list[int]:
+def ref_weak_components(g: DiGraph) -> array:
     """Reference for graph.weak_components: one BFS over both edge
     directions from each vertex not yet labelled, vertex 0 upward, so
     component ids are dense in order of first discovery."""
@@ -115,10 +116,10 @@ def ref_weak_components(g: DiGraph) -> list[int]:
                         comp[v] = c
                         dq.append(v)
         c += 1
-    return comp
+    return array("I", comp)
 
 
-def ref_kahn_levels(g: DiGraph) -> list[int]:
+def ref_kahn_levels(g: DiGraph) -> array:
     """Reference for graph._kahn_levels: Kahn's algorithm one vertex at a
     time, each vertex's level the longest-path distance from any source."""
     n = g.n
@@ -139,7 +140,7 @@ def ref_kahn_levels(g: DiGraph) -> list[int]:
                 dq.append(v)
     if seen != n:
         raise AcyclicityError("graph contains a cycle; levels undefined")
-    return level
+    return array("I", level)
 
 
 @st.composite

@@ -123,7 +123,7 @@ def test_sparse_ids_get_remap_and_translated_queries(tmp_path, capsys):
     custom = str(tmp_path / "map.tsv")
     assert main(["build", "--graph", g, *SMALL_PARAMS, "--out-index", idx,
                  "--remap-out", custom]) == 0
-    assert open(custom).read() == "10 0\n20 1\n30 2\n"
+    assert (tmp_path / "map.tsv").read_text() == "10 0\n20 1\n30 2\n"
 
 
 def test_dense_rebuild_removes_a_stale_remap(tmp_path):

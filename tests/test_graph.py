@@ -349,8 +349,6 @@ def test_scc_example_structure():
     assert cond.scc_of[0] == cond.scc_of[1] == cond.scc_of[2]
     assert cond.scc_of[3] != cond.scc_of[0]
     assert edge_pairs(cond.dag) == [(cond.scc_of[0], cond.scc_of[3])]
-    for cid, rep in enumerate(cond.rep_of):
-        assert cond.scc_of[rep] == cid
 
 
 @given(dags(max_n=10))
@@ -383,7 +381,6 @@ def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     assert (res.dropped_self_loops, res.dropped_duplicates) == (1, 1)
     cond = scc_condense(res.graph)
     assert cond.scc_of == [3, 5, 4, 2, 0, 1, 1, 2, 0, 6]
-    assert cond.rep_of == [4, 5, 7, 0, 2, 1, 9]
     assert rows(cond.dag)[0] == [[], [0], [0, 1], [2], [1], [4], [3]]
     g = tmp_path / "g.txt"
     g.write_text(PINNED_EDGE_LIST)
@@ -400,10 +397,10 @@ def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
 
 def test_weak_components_examples():
     g = DiGraph.from_edges(3, [(0, 1)])
-    assert weak_components(g) == [0, 0, 1]
+    assert list(weak_components(g)) == [0, 0, 1]
     g2 = DiGraph.from_edges(3, [])
-    assert weak_components(g2) == [0, 1, 2]
-    assert weak_components(diamond()) == [0, 0, 0, 0]
+    assert list(weak_components(g2)) == [0, 1, 2]
+    assert list(weak_components(diamond())) == [0, 0, 0, 0]
 
 
 @given(dags(max_n=10))
@@ -421,17 +418,17 @@ def test_weak_components_ids_dense(g):
 
 def test_levels_diamond():
     lv = topological_levels(diamond())
-    assert lv.fwd == [0, 1, 1, 2]
-    assert lv.bwd == [2, 1, 1, 0]
+    assert list(lv.fwd) == [0, 1, 1, 2]
+    assert list(lv.bwd) == [2, 1, 1, 0]
     assert lv.fwd_max == 2 and lv.bwd_max == 2
 
 
 def test_levels_edgeless_and_path():
     lv = topological_levels(DiGraph.from_edges(3, []))
-    assert lv.fwd == [0, 0, 0] and lv.bwd == [0, 0, 0]
+    assert list(lv.fwd) == [0, 0, 0] and list(lv.bwd) == [0, 0, 0]
     lv2 = topological_levels(path_graph(4))
-    assert lv2.fwd == [0, 1, 2, 3]
-    assert lv2.bwd == [3, 2, 1, 0]
+    assert list(lv2.fwd) == [0, 1, 2, 3]
+    assert list(lv2.bwd) == [3, 2, 1, 0]
 
 
 def test_levels_cycle_raises():

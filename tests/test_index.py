@@ -132,6 +132,7 @@ def test_stage_by_stage_rebuild_gives_build_index_bytes(t):
     pool = select_candidates(g, lv, params.k, params.p, params.h, crng)
     ss = pick_supports(pool, g, params.k, lv)
     replayed = ReachIndex(g, weak_components(g), lv, orderings, ss, params, seed)
+    assert_uint_columns(replayed)
     assert serialize_index(replayed) == serialize_index(build_index(g, params, seed=seed))
 
 
@@ -184,9 +185,24 @@ def forks(monkeypatch):
         yield pids
 
 
+def int_columns(ix: ReachIndex) -> list:
+    columns = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
+    for o in ix.orderings:
+        columns += [o.pos, o.hi_or_lo, o.mx_or_mn]
+    return columns
+
+
+def assert_uint_columns(ix: ReachIndex) -> None:
+    """Every integer column is the array('I') its stage returned."""
+    for col in int_columns(ix):
+        assert type(col) is array and col.typecode == "I"
+
+
 def build_bytes(monkeypatch, cpus: int, g: DiGraph, params: IndexParams, seed: int = 0) -> bytes:
     monkeypatch.setattr(index_mod, "_cpus", lambda: cpus)
-    return serialize_index(build_index(g, params, seed=seed))
+    ix = build_index(g, params, seed=seed)
+    assert_uint_columns(ix)
+    return serialize_index(ix)
 
 
 def assert_no_child_left():
@@ -253,7 +269,7 @@ def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, failure):
     g, params = several_components(), IndexParams(t=4, k=16, p=2)
     inline = build_bytes(monkeypatch, 1, g, params)
     parent = os.getpid()
-    ordering, column, exit_ = index_mod._ordering, index_mod._column, os._exit
+    ordering, exit_ = index_mod._ordering, os._exit
     in_parent = []
 
     def worker_ordering(*args):
@@ -263,17 +279,16 @@ def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, failure):
             raise MemoryError
         elif failure == "exits-early":
             exit_(0)
+        elif failure == "short-columns":
+            o = ordering(*args)
+            short = {c: getattr(o, c)[:-1] for c in ("pos", "hi_or_lo", "mx_or_mn")}
+            return dataclasses.replace(o, **short)
         return ordering(*args)
-
-    def worker_column(values):
-        col = column(values)
-        return col[:-1] if os.getpid() != parent and failure == "short-columns" else col
 
     def worker_exit(code):
         exit_(1 if failure == "exits-1-after-writing" else code)
 
     monkeypatch.setattr(index_mod, "_ordering", worker_ordering)
-    monkeypatch.setattr(index_mod, "_column", worker_column)
     monkeypatch.setattr(os, "_exit", worker_exit)
     assert build_bytes(monkeypatch, 2, g, params) == inline
     assert len(forks) == 1 and len(in_parent) == params.t  # ordering 0, then the failed three
@@ -868,6 +883,7 @@ def test_serialized_length_diamond():
 
 def roundtrip_equal(ix: ReachIndex, g: DiGraph) -> None:
     loaded = deserialize_index(serialize_index(ix), g)
+    assert_uint_columns(loaded)
     assert loaded.wcc == ix.wcc
     assert loaded.levels == ix.levels
     assert loaded.supports.supports == ix.supports.supports
@@ -967,13 +983,6 @@ def test_deserialize_rejects_out_of_range_columns(default_blob_200, column, name
         deserialize_index(bytes(bad), g)
     bad[at : at + 4] = (199).to_bytes(4, "little")
     deserialize_index(bytes(bad), g)  # n - 1 is in range
-
-
-def int_columns(ix: ReachIndex) -> list:
-    columns = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
-    for o in ix.orderings:
-        columns += [o.pos, o.hi_or_lo, o.mx_or_mn]
-    return columns
 
 
 @settings(max_examples=40, deadline=None)
