@@ -50,11 +50,11 @@ class DiGraph:
     equal graphs have identical representations regardless of edge input
     order.  All four are array('I'); numpy reads them in place through
     np.frombuffer.  Build one with `from_edges`; the parsers and
-    `scc_condense` return graphs as well.  `checksum` is `graph_checksum`'s
-    value, computed from the rows when the graph was built.
+    `scc_condense` return graphs as well.  `checksum` caches
+    `graph_checksum`'s value: None until its first call.
     """
 
-    __slots__ = ("out_off", "out_tg", "in_off", "in_tg", "n", "m", "checksum", "_reverse_checksum")
+    __slots__ = ("out_off", "out_tg", "in_off", "in_tg", "n", "m", "checksum")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DiGraph":
@@ -69,7 +69,7 @@ class DiGraph:
         g = DiGraph.__new__(DiGraph)
         g.out_off, g.out_tg, g.in_off, g.in_tg = self.in_off, self.in_tg, self.out_off, self.out_tg
         g.n, g.m = self.n, self.m
-        g.checksum, g._reverse_checksum = self._reverse_checksum, self.checksum
+        g.checksum = None
         return g
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -131,8 +131,7 @@ def _csr_graph(off: np.ndarray, tg: np.ndarray) -> DiGraph:
     g.in_tg = _uint_array(src[np.argsort(tg, kind="stable")])
     g.n = n
     g.m = len(tg)
-    g.checksum = _checksum(g.out_off, g.out_tg)
-    g._reverse_checksum = _checksum(g.in_off, g.in_tg)
+    g.checksum = None
     return g
 
 
@@ -174,7 +173,10 @@ def _checksum(off: array, tg: array) -> int:
 
 def graph_checksum(g: DiGraph) -> int:
     """CRC32 over a canonical little-endian encoding of (n, m, adjacency),
-    computed once when the graph was built."""
+    computed on the first call and cached on the graph (racing first calls
+    store the same value)."""
+    if g.checksum is None:
+        g.checksum = _checksum(g.out_off, g.out_tg)
     return g.checksum
 
 

@@ -33,11 +33,13 @@ and each ordering's pos, High/Low and Max/Min) is an array('I'): n
 contiguous uint32 cells instead of n pointers to separate int objects, so
 an index lookup reads one cache-friendly cell.  The stages in graph and
 toporder return their columns in that type, and a ReachIndex holds them
-as given: the forked worker writes them to its pipe as they are,
-serialization views them through np.frombuffer, and loading copies each
-column out of the serialized records without creating an int per cell.
-The support masks stay lists of Python ints: k may exceed 64, and one int
-per vertex keeps S1-S3 a single `&` for any k.
+as given: the forked worker writes them to its pipe as they are.  The
+file (format version 2) holds them the same way, each column contiguous
+after the header, so serialization joins their bytes and loading copies
+each column out of one slice without creating an int per cell.  The
+support masks stay lists of Python ints: k may exceed 64, and one int per
+vertex keeps S1-S3 a single `&` for any k.  A payload CRC32 in the header
+rejects a damaged file before any of it is read.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ import signal
 import struct
 import threading
 import warnings
+import zlib
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,6 +104,8 @@ class IndexParams:
         for name, value in vars(self).items():
             if value < 0:
                 raise ValueError(f"index parameter {name} must be >= 0, got {value}")
+            if value > 0xFFFF and name in ("t", "k"):  # 16 bits each in the file header
+                raise ValueError(f"index parameter {name} must be <= 65535, got {value}")
 
 
 @dataclass
@@ -663,44 +668,45 @@ def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> Obs
 # serialization
 
 MAGIC = b"RIDX"
-VERSION = 1
-HEADER = struct.Struct("<4sIIIII")  # magic, version, n, t, k, graph checksum
+VERSION = 2
+# magic, version, t, k, n, graph checksum, payload CRC32 (see _payload_crc)
+HEADER = struct.Struct("<4sIHHIII")
 
 
 def payload_bytes_per_vertex(t: int, k: int) -> int:
     return 12 + 12 * t + 2 * ((k + 7) // 8)
 
 
+def _payload_crc(head: bytes, payload: Sequence) -> int:
+    """CRC32 of a file but the CRC's own four bytes, which end the header."""
+    crc = zlib.crc32(head[: HEADER.size - 4])
+    return reduce(lambda c, chunk: zlib.crc32(chunk, c), payload, crc)
+
+
 def serialize_index(ix: ReachIndex) -> bytes:
-    """Little-endian header + fixed-width per-vertex records."""
-    n = ix.graph.n
-    t = len(ix.orderings)
-    k = ix.supports.k
-    w = (k + 7) // 8
-    header = HEADER.pack(MAGIC, VERSION, n, t, k, graph_checksum(ix.graph))
+    """Little-endian header, then each column contiguous: the 3 + 3t uint32
+    columns of n cells (wcc, levels.fwd, levels.bwd, then pos, hi_or_lo and
+    mx_or_mn per ordering), then the forward and the backward mask rows."""
+    ss = ix.supports
     columns: list[array] = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
     for order in ix.orderings:
         columns += [order.pos, order.hi_or_lo, order.mx_or_mn]
-    ints = np.empty((n, len(columns)), dtype="<u4")
-    for i, col in enumerate(columns):
-        ints[:, i] = np.frombuffer(col, dtype=np.uint32)  # a view, not a copy
-    records = np.concatenate(
-        [
-            ints.view(np.uint8).reshape(n, 4 * len(columns)),
-            mask_rows(ix.supports.fwd_mask, w),
-            mask_rows(ix.supports.bwd_mask, w),
-        ],
-        axis=1,
-    )
-    return header + records.tobytes()
+    # a view, not a copy, where the host is little-endian
+    payload = [np.frombuffer(col, np.uint32).astype("<u4", copy=False) for col in columns]
+    payload += [mask_rows(m, (ss.k + 7) // 8).tobytes() for m in (ss.fwd_mask, ss.bwd_mask)]
+    checksum = graph_checksum(ix.graph)
+    head = HEADER.pack(MAGIC, VERSION, len(ix.orderings), ss.k, ix.graph.n, checksum, 0)
+    crc = _payload_crc(head, payload)
+    return b"".join([head[: HEADER.size - 4], crc.to_bytes(4, "little"), *payload])
 
 
 def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
     """Inverse of serialize_index; validates magic, version, n, the graph
-    checksum, the length, and that every integer column value is below n."""
+    checksum, the length, the payload CRC, and that every integer column
+    value is below n."""
     if len(data) < HEADER.size:
         raise IndexFormatError("truncated header")
-    magic, version, n, t, k, checksum = HEADER.unpack_from(data)
+    magic, version, t, k, n, checksum, crc = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise IndexFormatError(f"bad magic {magic!r}")
     if version != VERSION:
@@ -709,37 +715,30 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
         raise IndexFormatError(f"index built for n={n}, graph has n={dag.n}")
     if checksum != graph_checksum(dag):
         raise IndexFormatError("graph checksum mismatch")
-    w = (k + 7) // 8
-    per_vertex = payload_bytes_per_vertex(t, k)
-    if len(data) != HEADER.size + n * per_vertex:
-        raise IndexFormatError(
-            f"expected {HEADER.size + n * per_vertex} bytes, got {len(data)}"
-        )
-    records = np.frombuffer(data, dtype=np.uint8, offset=HEADER.size).reshape(
-        n, per_vertex
-    )
-    # the integer part of each record, viewed in place as (n, 3 + 3t) <u4
-    ints = np.ndarray(
-        (n, 3 + 3 * t), "<u4", data, offset=HEADER.size, strides=(per_vertex, 4)
-    )
+    size = HEADER.size + n * payload_bytes_per_vertex(t, k)
+    if len(data) != size:
+        raise IndexFormatError(f"expected {size} bytes, got {len(data)}")
+    if crc != _payload_crc(data, [memoryview(data)[HEADER.size :]]):
+        raise IndexFormatError("payload CRC mismatch")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    masks_at = HEADER.size + 4 * (3 + 3 * t) * n
+    ints = raw[HEADER.size : masks_at].view("<u4").reshape(3 + 3 * t, n)
     if ints.size and ints.max() >= n:  # every column holds ids, levels or positions < n
-        v, i = divmod(int((ints >= n).argmax()), 3 + 3 * t)
+        i, v = divmod(int((ints >= n).argmax()), n)
         names = ["wcc", "levels.fwd", "levels.bwd"] + [
             f"orderings[{j}].{c}" for j in range(t) for c in ("pos", "hi_or_lo", "mx_or_mn")
         ]
-        raise IndexFormatError(f"{names[i]}[{v}] = {ints[v, i]} is out of range for n={n}")
-    wcc, fwd, bwd, *rest = [_uint_array(ints[:, i]) for i in range(3 + 3 * t)]
-    lmax = ints[:, 1:3].max(axis=0, initial=0).tolist()
-    levels = LevelAssignment(fwd, bwd, lmax[0], lmax[1])
+        raise IndexFormatError(f"{names[i]}[{v}] = {ints[i, v]} is out of range for n={n}")
+    wcc, fwd, bwd, *rest = map(_uint_array, ints)
+    levels = LevelAssignment(fwd, bwd, *ints[1:3].max(axis=1, initial=0).tolist())
     n_fwd = (t + 1) // 2
     orderings = [
         ExtTopOrder(*rest[3 * j : 3 * j + 3], flavor=FORWARD if j < n_fwd else BACKWARD)
         for j in range(t)
     ]
-    fwd_rows = records[:, 12 + 12 * t : 12 + 12 * t + w]
-    bwd_rows = records[:, 12 + 12 * t + w :]
+    fwd_rows, bwd_rows = raw[masks_at:].reshape(2, n, (k + 7) // 8)
     supports: list[int] = []
-    if w:
+    if k:
         # A support is the unique vertex with its own bit set in both masks:
         # both directions reachable means same SCC, hence the same vertex.
         # So at most k rows of fwd & bwd are nonzero; only those are unpacked.
@@ -751,7 +750,5 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
             if owners.size == 0:
                 break
             supports.append(int(owners[0]))
-    support_set = SupportSet(
-        supports, masks_from_rows(fwd_rows), masks_from_rows(bwd_rows), k
-    )
+    support_set = SupportSet(supports, masks_from_rows(fwd_rows), masks_from_rows(bwd_rows), k)
     return ReachIndex(dag, wcc, levels, orderings, support_set)

@@ -252,6 +252,15 @@ def test_negative_index_params_exit_before_reading(tmp_path, capsys, flag):
         assert f"error: index parameter {flag[2:]} must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--t", "--k"])
+def test_index_params_the_header_cannot_hold_exit_2(tmp_path, capsys, flag):
+    missing = str(tmp_path / "missing.txt")
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--graph", missing, "--out-index", missing, flag, "65536"])
+    assert e.value.code == 2
+    assert f"error: index parameter {flag[2:]} must be <= 65535, got 65536" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -486,9 +495,11 @@ def test_truncated_index_is_an_error_not_a_traceback(pinned):
     g, idx, pairs, run = pinned
     with open(idx, "rb") as f:
         data = f.read()
-    for size, message in [(10, "truncated header"), (len(data) - 1, f"got {len(data) - 1}")]:
+    version_1 = data[:4] + (1).to_bytes(4, "little") + data[8:]  # v1 files are not read
+    for bad, message in [(data[:10], "truncated header"), (version_1, "unsupported version 1"),
+                         (data[:-1], f"got {len(data) - 1}")]:
         with open(idx, "wb") as f:
-            f.write(data[:size])
+            f.write(bad)
         for argv in (["query", "--graph", g, "--index", idx, "--pairs", pairs],
                      ["stats", "--graph", g, "--index", idx, "--queries", pairs]):
             with pytest.raises(SystemExit, match=message) as e:

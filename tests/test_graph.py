@@ -321,6 +321,16 @@ def test_stored_checksum_is_the_list_walk(g):
     assert graph_checksum(r.reverse()) == graph_checksum(g)
 
 
+def test_checksum_computed_on_first_call():
+    g = DiGraph.from_edges(3, [(0, 1), (1, 2)])
+    assert g.checksum is None
+    value = graph_checksum(g)
+    assert g.checksum == value == list_walk_checksum(g)
+    r = g.reverse()
+    assert r.checksum is None  # a reverse never shares its graph's checksum
+    assert graph_checksum(r) == list_walk_checksum(r) != value
+
+
 def test_stored_checksum_pinned_values():
     empty = DiGraph.from_edges(0, [])
     g = gen_random_dag(300, 1200, seed=0)
@@ -375,7 +385,7 @@ def test_scc_matches_brute_force_partition(g):
 def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     """Tarjan's numbering decides the condensed DAG and so the index bytes;
     the condensation was recorded before the array-based ingestion, the CRC
-    once the orderings drew their child orders by keyed sort."""
+    once format version 2 laid out each column contiguously."""
     res = parse_edge_list(PINNED_EDGE_LIST.splitlines())
     assert res.original_ids == [-3, 7, 8, 10, 12, 40, 55, 70, 90, 1000]
     assert (res.dropped_self_loops, res.dropped_duplicates) == (1, 1)
@@ -388,7 +398,7 @@ def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     assert main(["build", "--graph", str(g), "--out-index", str(idx)]) == 0
     capsys.readouterr()
     data = idx.read_bytes()
-    assert (len(data), zlib.crc32(data)) == (472, 701085302)
+    assert (len(data), zlib.crc32(data)) == (472, 2560489359)
 
 
 # ---------------------------------------------------------------------------

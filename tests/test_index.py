@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 import reachidx.index as index_mod
 from reachidx.baselines import build_matrix, matrix_query
-from reachidx.graph import AcyclicityError, DiGraph, topological_levels, weak_components
+from reachidx.graph import (
+    AcyclicityError,
+    DiGraph,
+    graph_checksum,
+    topological_levels,
+    weak_components,
+)
 from reachidx.index import (
     PBIBFS,
     PLAIN_BFS,
@@ -94,6 +100,14 @@ def test_index_params_reject_negative(name):
     with pytest.raises(ValueError, match=f"index parameter {name} must be >= 0, got -1"):
         IndexParams(**{name: -1})
     assert getattr(IndexParams(**{name: 0}), name) == 0
+
+
+@pytest.mark.parametrize("name", ["t", "k"])
+def test_index_params_fit_the_header(name):
+    with pytest.raises(ValueError, match=f"index parameter {name} must be <= 65535, got 65536"):
+        IndexParams(**{name: 65536})
+    assert getattr(IndexParams(**{name: 65535}), name) == 65535
+    IndexParams(p=65536, h=65536)  # the file holds neither
 
 
 def test_build_odd_t_rounds_forward_up():
@@ -923,11 +937,11 @@ def test_roundtrip_degenerate_shapes():
 
 @pytest.mark.parametrize(
     "t, k, size, crc",
-    [(4, 16, 19224, 1442893616), (3, 70, 19824, 2216331183)],
+    [(4, 16, 19224, 2187619612), (3, 70, 19824, 235917857)],
 )
 def test_index_bytes_frozen(t, k, size, crc):
     """Lengths recorded before the mask codec moved into one place, CRC32s
-    once the orderings drew their child orders by keyed sort."""
+    once format version 2 laid out each column contiguously."""
     g = gen_random_dag(300, 1200, seed=0)
     blob = serialize_index(build_index(g, IndexParams(t=t, k=k), seed=0))
     assert (len(blob), zlib.crc32(blob)) == (size, crc)
@@ -952,6 +966,45 @@ def test_deserialize_rejects_corruption():
         deserialize_index(blob, other)
 
 
+def resign(blob: bytearray) -> bytes:
+    """blob with its payload CRC, the last four header bytes, recomputed over
+    every byte but those four."""
+    crc = zlib.crc32(blob[HEADER.size :], zlib.crc32(blob[: HEADER.size - 4]))
+    blob[HEADER.size - 4 : HEADER.size] = crc.to_bytes(4, "little")
+    return bytes(blob)
+
+
+def test_file_holds_each_column_contiguously():
+    g = gen_random_dag(50, 150, seed=0)
+    ix = build_index(g, IndexParams(t=3, k=9), seed=0)
+    blob = serialize_index(ix)
+    magic, version, t, k, n, checksum, _crc = HEADER.unpack_from(blob)
+    assert (magic, version, t, k, n, checksum) == (b"RIDX", 2, 3, 9, 50, graph_checksum(g))
+    assert resign(bytearray(blob)) == blob
+    cells = np.frombuffer(blob, "<u4", 12 * 50, HEADER.size).reshape(12, 50)
+    assert [col.tolist() for col in cells] == [list(col) for col in int_columns(ix)]
+    masks = blob[HEADER.size + 4 * 12 * 50 :]  # 2 bytes per vertex and direction
+    assert len(masks) == 2 * 50 * 2
+    fwd = [int.from_bytes(masks[2 * v : 2 * v + 2], "little") for v in range(50)]
+    bwd = [int.from_bytes(masks[100 + 2 * v : 102 + 2 * v], "little") for v in range(50)]
+    assert (fwd, bwd) == (ix.supports.fwd_mask, ix.supports.bwd_mask)
+
+
+def test_every_changed_byte_is_rejected():
+    """Each byte of a small index, changed to any of three other values, makes
+    the load fail: the header fields through their own checks, the rest (and
+    t and k where the length still fits) through the payload CRC."""
+    g = gen_random_dag(12, 30, seed=0)
+    blob = serialize_index(build_index(g, IndexParams(t=2, k=4), seed=0))
+    assert len(blob) == HEADER.size + 12 * payload_bytes_per_vertex(2, 4)
+    deserialize_index(blob, g)
+    for at, byte in enumerate(blob):
+        for other in {byte ^ 0x01, byte ^ 0x80, byte ^ 0xFF}:
+            bad = blob[:at] + bytes([other]) + blob[at + 1 :]
+            with pytest.raises(IndexFormatError):
+                deserialize_index(bad, g)
+
+
 @pytest.fixture(scope="module")
 def default_blob_200():
     g = gen_random_dag(200, 600, seed=0)
@@ -973,16 +1026,17 @@ def default_blob_200():
 )
 def test_deserialize_rejects_out_of_range_columns(default_blob_200, column, name, value):
     """A value >= n in any integer column (here at vertex 5) is refused at
-    load; ordering 0's pos[5] = 10**9 used to load and answer wrongly."""
+    load, even under a payload CRC that matches; ordering 0's pos[5] = 10**9
+    used to load and answer wrongly."""
     g, blob = default_blob_200
     bad = bytearray(blob)
-    at = HEADER.size + 5 * payload_bytes_per_vertex(4, 16) + 4 * column
+    at = HEADER.size + 4 * (200 * column + 5)
     bad[at : at + 4] = value.to_bytes(4, "little")
     message = rf"{re.escape(name)}\[5\] = {value} is out of range for n=200"
     with pytest.raises(IndexFormatError, match=message):
-        deserialize_index(bytes(bad), g)
+        deserialize_index(resign(bad), g)
     bad[at : at + 4] = (199).to_bytes(4, "little")
-    deserialize_index(bytes(bad), g)  # n - 1 is in range
+    deserialize_index(resign(bad), g)  # n - 1 is in range
 
 
 @settings(max_examples=40, deadline=None)
