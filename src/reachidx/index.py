@@ -12,11 +12,14 @@ Python threads and platforms without fork use.
 
 A query runs through seven constant-time tests (equality, levels, positive
 support, first ordering, negative supports, remaining orderings, then weak
-components and Max/Min containment over all orderings); the first decisive
+components and Max containment over all orderings); the first decisive
 one answers.  observation_table is their definition: one (test:tag,
 answer, mask) row per observation, in that order, over numpy views of the
 columns.  try_observations reads it for one pair, and observation_stats
-counts first hits and overlap from it in bulk.
+counts first hits and overlap from it in bulk.  Each ordering test is
+written once, for a pair (source, target) in the ordering's own graph: the
+pair (s, t) in a forward ordering, (t, s) in a backward one, which is an
+ordering of the reverse graph (see toporder).
 
 Undecided queries go to a fallback resolver, by default a pruned
 bidirectional BFS.  It expands the side with the shorter queue, answers
@@ -26,15 +29,15 @@ endpoint with the same observations, so a decisive negative prunes that
 vertex.  The level window is checked inline in the search loop; the other
 observations run in a per-side endpoint test, built on that side's first
 pop.  There containment runs inside each ordering's checks, in place of
-the T2/T5 comparisons it subsumes.
+the T2 comparison it subsumes.
 
 In memory, every per-vertex integer column (weak component, both levels,
-and each ordering's pos, High/Low and Max/Min) is an array('I'): n
+and each ordering's pos, High and Max) is an array('I'): n
 contiguous uint32 cells instead of n pointers to separate int objects, so
 an index lookup reads one cache-friendly cell.  The stages in graph and
 toporder return their columns in that type, and a ReachIndex holds them
 as given: the forked worker writes them to its pipe as they are.  The
-file (format version 2) holds them the same way, each column contiguous
+file (format version 3) holds them the same way, each column contiguous
 after the header, so serialization joins their bytes and loading copies
 each column out of one slice without creating an int per cell.  The
 support masks stay lists of Python ints: k may exceed 64, and one int per
@@ -81,6 +84,7 @@ from .supportive import (
 from .toporder import (
     BACKWARD,
     FORWARD,
+    _T_TAGS,
     ExtTopOrder,
     answer_T,
     extended_topsort,
@@ -242,7 +246,7 @@ def _forks(dag: DiGraph, t: int) -> bool:
 class _Worker:
     """A forked process that computes some orderings of one build.
 
-    It writes each ordering's pos, High/Low and Max/Min columns to a pipe,
+    It writes each ordering's pos, High and Max columns to a pipe,
     in order, as n raw uint32 cells each (the array('I') layout a
     ReachIndex holds), then leaves through os._exit: exit status 0 once
     everything is written, 1 on any exception.  It never returns into the
@@ -282,7 +286,7 @@ class _Worker:
                 columns = []
                 for stream in streams:
                     order = _ordering(dag, *stream)
-                    columns += [order.pos, order.hi_or_lo, order.mx_or_mn]
+                    columns += [order.pos, order.hi, order.mx]
                 with open(w, "wb") as out:
                     for col in columns:
                         out.write(col)
@@ -397,11 +401,12 @@ def try_observations(
             return ans, _TAG6[obs]
     if ix.wcc[s] != ix.wcc[t]:
         return False, "7:B2"
-    # C, containment: s reaches t only if Max(t) <= Max(s) in a forward
-    # ordering and Min(s) <= Min(t) in a backward one; both read mx_or_mn
+    # C, containment: the source reaches the target only if Max(target) <=
+    # Max(source); the pair is (t, s) in a backward ordering
     for order in orderings:
-        mm = order.mx_or_mn
-        if mm[t] > mm[s]:
+        a, b = (s, t) if order.flavor == FORWARD else (t, s)
+        mx = order.mx
+        if mx[b] > mx[a]:
             return False, "7:C"
     return None, None
 
@@ -415,28 +420,32 @@ def observation_table(
     This is their definition: a pair's first true row is what
     try_observations answers, and a pair with no true row is undecided.  Every
     row but EQ excludes s == t.  Reads numpy views of the columns, never the
-    adjacency.  Raises IndexError when an id is not in [0, n).
+    adjacency.  Raises ValueError unless S and T are 1-D of equal length,
+    and IndexError when an id is not in [0, n).
     """
     S, T = np.asarray(S, dtype=np.int64), np.asarray(T, dtype=np.int64)
+    if S.ndim != 1 or S.shape != T.shape:
+        raise ValueError(f"S and T must be 1-D of equal length, got shapes {S.shape} and {T.shape}")
     if S.size:  # names the smallest id if negative, else the largest if >= n
         check_ids(len(ix.wcc), int(min(S.min(), T.min())), int(max(S.max(), T.max())))
     u32 = partial(np.frombuffer, dtype=np.uint32)
     ne, lv, ss = S != T, ix.levels, ix.supports
     w = 8 * max(1, -(-ss.k // 64))  # whole uint64 words, at least one
     fm, bm = (mask_rows(m, w).view("<u8") for m in (ss.fwd_mask, ss.bwd_mask))
-    orderings = []  # four rows each: B4, then the T tests where pos(s) < pos(t)
+    # four rows per ordering, over its (source, target) pairs A, B: B4, then
+    # the T tests where pos(a) < pos(b)
+    orderings = []
     contained = np.zeros(len(S), dtype=bool)  # C over all orderings
     for j, o in enumerate(ix.orderings):
-        test = 6 if j else 4
-        ps, pt = u32(o.pos)[S], u32(o.pos)[T]
-        x, y, after = u32(o.hi_or_lo), u32(o.mx_or_mn), ps < pt
-        contained |= y[T] > y[S]  # Max(t) > Max(s), or Min(s) < Min(t)
-        if o.flavor == FORWARD:  # x, y = High, Max
-            tests = [("T1", True, pt <= x[S]), ("T2", False, pt > y[S]), ("T3", True, pt == y[S])]
-        else:  # x, y = Low, Min
-            tests = [("T4", True, x[T] <= ps), ("T5", False, ps < y[T]), ("T6", True, ps == y[T])]
-        orderings.append((f"{test}:B4", False, pt < ps))
-        orderings += [(f"{test}:{obs}", ans, after & m) for obs, ans, m in tests]
+        A, B = (S, T) if o.flavor == FORWARD else (T, S)
+        pos, hi, mx = u32(o.pos), u32(o.hi), u32(o.mx)
+        pa, pb, ma = pos[A], pos[B], mx[A]
+        contained |= mx[B] > ma
+        after = pa < pb
+        masks = [pb < pa, after & (pb <= hi[A]), after & (pb > ma), after & (pb == ma)]
+        tag = _TAG6 if j else _TAG4
+        for obs, mask in zip(("B4", *_T_TAGS[o.flavor]), masks):
+            orderings.append((tag[obs], _T_ANSWER[obs], mask))
     return [  # of the rows below, only B5, B6 and S1 could hold for s == t unmasked
         ("1:EQ", True, ~ne),
         ("2:B5", False, ne & (u32(lv.fwd)[T] <= u32(lv.fwd)[S])),
@@ -478,83 +487,58 @@ def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], boo
     test(v) == try_observations(ix, x, v)[0] (backward side, x = s).  x's
     masks, component and ordering indices are read once.  Every observation
     is sound, so running them cheapest-first (S1, S2/S3, orderings, B2) gives
-    the same verdict as the fixed test order.  Containment (C) runs inside
-    each ordering's checks, in place of T2 and T5, which it subsumes: an own
-    ordering compares Max(x) or Min(x), read once, where T2/T5 compared
-    pos(x), and a fixed one reads Max(v) or Min(v) where T2/T5 compared
-    pos(v).  B4 and the positive tests of a fixed ordering reduce to
-    intervals of pos(v).
+    the same verdict as the fixed test order.
+
+    The tests are written for the forward side.  The backward side swaps the
+    two mask lists, which gives it S1 of (x, v) and S2 and S3 swapped.  An
+    ordering whose own graph has the pair (v, x) (a forward one on the
+    forward side, a backward one on the backward side) is an own ordering:
+    v's indices are read per call.  The others hold (x, v) and are fixed
+    orderings: B4 and the positive tests reduce to intervals of pos(v).
+    Containment (C) runs inside each ordering's checks, in place of T2,
+    which it subsumes: an own ordering compares Max(x), read once, where T2
+    compared pos(x), and a fixed one reads Max(v) where T2 compared pos(v).
     """
     fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
+    if not towards:
+        fm, bm = bm, fm
     wcc = ix.wcc
     fmx, bmx, wx = fm[x], bm[x], wcc[x]
-    # own: the ordering's indices for v are read per call; fixed: pos(v) in
-    # [a, b] or == cx proves the pair, pos(v) on the wrong side of pos(x)
-    # refutes it (B4).  cx is Max(x) or Min(x), whichever the ordering keeps.
+    # own: (v, x); fixed: (x, v), where pos(v) in [pos(x), High(x)] or on
+    # Max(x) proves the pair and pos(v) < pos(x) refutes it (B4)
     own: list[tuple[array, array, array, int, int]] = []
     fixed: list[tuple[array, array, int, int, int]] = []
     for o in ix.orderings:
-        px, cx = o.pos[x], o.mx_or_mn[x]
+        px, mxx = o.pos[x], o.mx[x]
         if (o.flavor == FORWARD) == towards:
-            own.append((o.pos, o.hi_or_lo, o.mx_or_mn, px, cx))
-        elif towards:  # backward ordering, pair (v, x): [Low(x), pos(x)]
-            fixed.append((o.pos, o.mx_or_mn, o.hi_or_lo[x], px, cx))
-        else:  # forward ordering, pair (x, v): [pos(x), High(x)]
-            fixed.append((o.pos, o.mx_or_mn, px, o.hi_or_lo[x], cx))
+            own.append((o.pos, o.hi, o.mx, px, mxx))
+        else:
+            fixed.append((o.pos, o.mx, px, o.hi[x], mxx))
 
-    if towards:
-
-        def test(v: int) -> bool | None:
-            if bm[v] & fmx:  # S1
+    def test(v: int) -> bool | None:
+        if bm[v] & fmx:  # S1
+            return True
+        if fm[v] & ~fmx or bmx & ~bm[v]:  # S2, S3
+            return False
+        for pos, hi, mx, px, mxx in own:  # B4, T1, C, T3
+            if px < pos[v]:
+                return False
+            if px <= hi[v]:
                 return True
-            if fm[v] & ~fmx or bmx & ~bm[v]:  # S2, S3
+            m = mx[v]
+            if m < mxx:  # C: Max(x) > Max(v)
                 return False
-            for pos, hi, mx, px, mxx in own:  # B4, T1, C, T3
-                if px < pos[v]:
-                    return False
-                if px <= hi[v]:
-                    return True
-                m = mx[v]
-                if m < mxx:  # C: Max(x) > Max(v)
-                    return False
-                if px == m:
-                    return True
-            for pos, mn, a, b, mnx in fixed:  # B4, C, T4, T6
-                p = pos[v]
-                if p > b or mn[v] < mnx:  # C: Min(v) < Min(x)
-                    return False
-                if a <= p or p == mnx:
-                    return True
-            if wcc[v] != wx:  # B2
-                return False
-            return None
-
-    else:
-
-        def test(v: int) -> bool | None:
-            if bmx & fm[v]:  # S1
+            if px == m:
                 return True
-            if fmx & ~fm[v] or bm[v] & ~bmx:  # S2, S3
+        for pos, mx, a, b, mxx in fixed:  # B4, C, T1, T3
+            p = pos[v]
+            if p < a or mx[v] > mxx:  # C: Max(v) > Max(x)
                 return False
-            for pos, lo, mn, px, mnx in own:  # B4, T4, C, T6
-                if pos[v] < px:
-                    return False
-                if lo[v] <= px:
-                    return True
-                m = mn[v]
-                if m > mnx:  # C: Min(x) < Min(v)
-                    return False
-                if px == m:
-                    return True
-            for pos, mx, a, b, mxx in fixed:  # B4, C, T1, T3
-                p = pos[v]
-                if p < a or mx[v] > mxx:  # C: Max(v) > Max(x)
-                    return False
-                if p <= b or p == mxx:
-                    return True
-            if wcc[v] != wx:  # B2
-                return False
-            return None
+            if p <= b or p == mxx:
+                return True
+        if wcc[v] != wx:  # B2
+            return False
+        return None
 
     return test
 
@@ -668,7 +652,7 @@ def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> Obs
 # serialization
 
 MAGIC = b"RIDX"
-VERSION = 2
+VERSION = 3
 # magic, version, t, k, n, graph checksum, payload CRC32 (see _payload_crc)
 HEADER = struct.Struct("<4sIHHIII")
 
@@ -685,12 +669,12 @@ def _payload_crc(head: bytes, payload: Sequence) -> int:
 
 def serialize_index(ix: ReachIndex) -> bytes:
     """Little-endian header, then each column contiguous: the 3 + 3t uint32
-    columns of n cells (wcc, levels.fwd, levels.bwd, then pos, hi_or_lo and
-    mx_or_mn per ordering), then the forward and the backward mask rows."""
+    columns of n cells (wcc, levels.fwd, levels.bwd, then pos, hi and mx per
+    ordering), then the forward and the backward mask rows."""
     ss = ix.supports
     columns: list[array] = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
     for order in ix.orderings:
-        columns += [order.pos, order.hi_or_lo, order.mx_or_mn]
+        columns += [order.pos, order.hi, order.mx]
     # a view, not a copy, where the host is little-endian
     payload = [np.frombuffer(col, np.uint32).astype("<u4", copy=False) for col in columns]
     payload += [mask_rows(m, (ss.k + 7) // 8).tobytes() for m in (ss.fwd_mask, ss.bwd_mask)]
@@ -726,7 +710,7 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
     if ints.size and ints.max() >= n:  # every column holds ids, levels or positions < n
         i, v = divmod(int((ints >= n).argmax()), n)
         names = ["wcc", "levels.fwd", "levels.bwd"] + [
-            f"orderings[{j}].{c}" for j in range(t) for c in ("pos", "hi_or_lo", "mx_or_mn")
+            f"orderings[{j}].{c}" for j in range(t) for c in ("pos", "hi", "mx")
         ]
         raise IndexFormatError(f"{names[i]}[{v}] = {ints[i, v]} is out of range for n={n}")
     wcc, fwd, bwd, *rest = map(_uint_array, ints)

@@ -175,12 +175,14 @@ def _mask_matrix(
     return M
 
 
-def _column_counts(M: np.ndarray, ncols: int, chunk: int = 8192) -> np.ndarray:
+def _column_counts(M: np.ndarray, ncols: int) -> np.ndarray:
+    """Set bits in each of the first ncols bit columns of M.  Each block of
+    255 unpacked rows is summed in uint8, which 255 ones cannot overflow."""
     counts = np.zeros(ncols, dtype=np.int64)
     byte_view = M.astype("<u8", copy=False).view(np.uint8)
-    for a in range(0, M.shape[0], chunk):
-        bits = np.unpackbits(byte_view[a : a + chunk], axis=1, bitorder="little")
-        counts += bits[:, :ncols].sum(axis=0, dtype=np.int64)
+    for a in range(0, M.shape[0], 255):
+        bits = np.unpackbits(byte_view[a : a + 255], axis=1, bitorder="little")
+        counts += bits[:, :ncols].sum(axis=0, dtype=np.uint8)
     return counts
 
 

@@ -1,26 +1,25 @@
 """Randomized extended topological orderings.
 
 Besides a topological position pos(v), each ordering carries two extra
-indices per vertex obtained for free during the DFS that builds it:
+indices per vertex obtained for free during the DFS that builds it, both
+positions in the ordering's own graph:
 
-* forward flavor: High(v) = highest position such that every vertex placed
-  in [pos(v), High(v)] is reachable from v, and Max(v) = highest position
-  holding any vertex reachable from v.
-* backward flavor: the mirror images Low(v) and Min(v) over the reverse
-  graph, mapped back so pos is still a valid topological order of the
-  original DAG.
+* High(v) = highest position such that every vertex placed in
+  [pos(v), High(v)] is reachable from v;
+* Max(v) = highest position holding any vertex reachable from v.
 
-A query (s, t) can then be answered reachable when pos(t) falls inside a
-certified range, and unreachable when it falls beyond Max(s) (resp. before
-Min(t)) or behind s in the ordering.
+A forward ordering is one of the DAG itself.  A backward ordering is the
+same DFS run on the reverse graph and kept in that graph's coordinates:
+there v reaches the vertices that reach v in the DAG.  A query (s, t) is
+therefore answered by the forward tests on (s, t) in a forward ordering and
+on (t, s) in a backward one: reachable when the target's position falls
+inside the source's certified range [pos, High] or on its Max, unreachable
+when it falls beyond Max or behind the source in the ordering.
 
-Max and Min also certify containment (GRAIL, Yildirim, Chaoji & Zaki, VLDB
-2010): if s reaches t, then t reaches nothing s does not, and every
-ancestor of s is one of t, so Max(t) <= Max(s) in every forward ordering
-and Min(s) <= Min(t) in every backward one.  Max(t) > Max(s) or
-Min(s) < Min(t) thus refutes (s, t); as Max(t) >= pos(t) and
-Min(s) <= pos(s), this holds wherever pos(t) > Max(s) or pos(s) < Min(t)
-does.
+Max also certifies containment (GRAIL, Yildirim, Chaoji & Zaki, VLDB 2010):
+if s reaches t, then t reaches nothing s does not, so Max(t) <= Max(s) in
+every ordering where s is the source.  Max(t) > Max(s) thus refutes (s, t);
+as Max(t) >= pos(t), this holds wherever pos(t) > Max(s) does.
 
 Randomness: each random order is a stable sort of items by (group, key),
 with one 32-bit key per item read from the ordering's random.Random
@@ -49,9 +48,9 @@ BACKWARD = "backward"
 @dataclass
 class ExtTopOrder:
     pos: array
-    hi_or_lo: array  # High for forward flavor, Low for backward
-    mx_or_mn: array  # Max for forward flavor, Min for backward
-    flavor: str
+    hi: array  # High, in the ordering's own graph
+    mx: array  # Max, in the ordering's own graph
+    flavor: str  # FORWARD: of the DAG; BACKWARD: of its reverse
     seed: int | None = None
 
 
@@ -149,48 +148,39 @@ def extended_topsort(
 def extended_topsort_backward(
     dag: DiGraph, rng: random.Random, seed: int | None = None
 ) -> ExtTopOrder:
-    """Forward pass over the reverse graph, mirrored back.
-
-    With pos'(v) the position in the reverse-graph ordering:
-    pos(v) = n-1-pos'(v) (a valid topological order of the original DAG),
-    Low(v) = n-1-High'(v), Min(v) = n-1-Max'(v).
-    """
+    """The forward pass over the reverse graph, as it returns it: pos, High
+    and Max are positions in the reverse graph's ordering, where pos is a
+    reversed topological order of the DAG."""
     rg = dag.reverse()
     fwd = extended_topsort(rg, start_sequence(rg, rng), rng, seed)
-    last = dag.n - 1  # -1 for the empty graph: int64, not uint32, arithmetic
-    pos, lo, mn = (
-        _uint_array(last - np.frombuffer(col, np.uint32).astype(np.int64))
-        for col in (fwd.pos, fwd.hi_or_lo, fwd.mx_or_mn)
-    )
-    return ExtTopOrder(pos, lo, mn, BACKWARD, seed)
+    return ExtTopOrder(fwd.pos, fwd.hi, fwd.mx, BACKWARD, seed)
+
+
+# answer_T's tags for T1-T3, by flavor: T4-T6 name them on a backward ordering
+_T_TAGS = {FORWARD: ("T1", "T2", "T3"), BACKWARD: ("T4", "T5", "T6")}
 
 
 def answer_T(order: ExtTopOrder, s: int, t: int) -> tuple[bool | None, str | None]:
     """Ordering observations for the non-trivial query (s, t), applied in
     the fixed order B4, T1, T2, T3 (forward) or B4, T4, T5, T6 (backward).
+    A backward ordering runs the same tests on (t, s): t reaches s in the
+    reverse graph.
 
     Returns (answer, observation); answer None means undecided.
     """
+    if order.flavor == BACKWARD:
+        s, t = t, s
     ps = order.pos[s]
     pt = order.pos[t]
     if pt < ps:
         return False, "B4"
-    if order.flavor == FORWARD:
-        if pt <= order.hi_or_lo[s]:
-            return True, "T1"
-        mxs = order.mx_or_mn[s]
-        if pt > mxs:
-            return False, "T2"
-        if pt == mxs:
-            return True, "T3"
-    else:
-        if order.hi_or_lo[t] <= ps:
-            return True, "T4"
-        mnt = order.mx_or_mn[t]
-        if ps < mnt:
-            return False, "T5"
-        if ps == mnt:
-            return True, "T6"
+    if pt <= order.hi[s]:
+        return True, _T_TAGS[order.flavor][0]
+    mxs = order.mx[s]
+    if pt > mxs:
+        return False, _T_TAGS[order.flavor][1]
+    if pt == mxs:
+        return True, _T_TAGS[order.flavor][2]
     return None, None
 
 
@@ -218,18 +208,15 @@ def ordering_analysis(order: ExtTopOrder, oracle: ReachMatrix) -> AnalysisReport
     neg_total = n * (n - 1) - pos_total
     neg_witnessed = 0
     pos_answered = 0
-    p = order.pos
     for s in range(n):
-        ps = p[s]
         for t in range(n):
             if s == t:
                 continue
-            if p[t] < ps:
+            ans, obs = answer_T(order, s, t)
+            if obs == "B4":
                 neg_witnessed += 1
-            else:
-                ans, _ = answer_T(order, s, t)
-                if ans is True:
-                    pos_answered += 1
+            elif ans is True:
+                pos_answered += 1
     return AnalysisReport(
         n=n,
         neg_witnessed=neg_witnessed,

@@ -495,8 +495,10 @@ def test_truncated_index_is_an_error_not_a_traceback(pinned):
     g, idx, pairs, run = pinned
     with open(idx, "rb") as f:
         data = f.read()
-    version_1 = data[:4] + (1).to_bytes(4, "little") + data[8:]  # v1 files are not read
+    # v1 and v2 files are not read
+    version_1, version_2 = (data[:4] + v.to_bytes(4, "little") + data[8:] for v in (1, 2))
     for bad, message in [(data[:10], "truncated header"), (version_1, "unsupported version 1"),
+                         (version_2, "unsupported version 2"),
                          (data[:-1], f"got {len(data) - 1}")]:
         with open(idx, "wb") as f:
             f.write(bad)

@@ -385,7 +385,8 @@ def test_scc_matches_brute_force_partition(g):
 def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     """Tarjan's numbering decides the condensed DAG and so the index bytes;
     the condensation was recorded before the array-based ingestion, the CRC
-    once format version 2 laid out each column contiguously."""
+    once format version 3 kept backward orderings in the reverse graph's
+    coordinates."""
     res = parse_edge_list(PINNED_EDGE_LIST.splitlines())
     assert res.original_ids == [-3, 7, 8, 10, 12, 40, 55, 70, 90, 1000]
     assert (res.dropped_self_loops, res.dropped_duplicates) == (1, 1)
@@ -398,7 +399,7 @@ def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     assert main(["build", "--graph", str(g), "--out-index", str(idx)]) == 0
     capsys.readouterr()
     data = idx.read_bytes()
-    assert (len(data), zlib.crc32(data)) == (472, 2560489359)
+    assert (len(data), zlib.crc32(data)) == (472, 2318885576)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def forks(monkeypatch):
 def int_columns(ix: ReachIndex) -> list:
     columns = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
     for o in ix.orderings:
-        columns += [o.pos, o.hi_or_lo, o.mx_or_mn]
+        columns += [o.pos, o.hi, o.mx]
     return columns
 
 
@@ -295,7 +295,7 @@ def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, failure):
             exit_(0)
         elif failure == "short-columns":
             o = ordering(*args)
-            short = {c: getattr(o, c)[:-1] for c in ("pos", "hi_or_lo", "mx_or_mn")}
+            short = {c: getattr(o, c)[:-1] for c in ("pos", "hi", "mx")}
             return dataclasses.replace(o, **short)
         return ordering(*args)
 
@@ -474,7 +474,8 @@ def test_table_matches_try_observations_and_is_sound(g, params, seed):
 @settings(max_examples=80)
 @given(dags(max_n=12), TABLE_PARAMS, st.integers(0, 2**16))
 def test_containment_subsumes_t2_t5_and_is_sound(g, params, seed):
-    # Max(t) >= pos(t) > Max(s) for T2, Min(s) <= pos(s) < Min(t) for T5
+    # Max(t) >= pos(t) > Max(s) for T2, and the same for the pair (t, s) in a
+    # backward ordering for T5
     ix = build_index(g, params, seed=seed)
     S, T = all_pairs(g.n)
     rows = {tag: mask for tag, _, mask in observation_table(ix, S, T)}
@@ -820,21 +821,17 @@ def reference_stats(ix, pairs) -> ObservationStats:
                 if cond
             }
             for o in ix.orderings:
-                ps, pt = o.pos[s], o.pos[t]
-                if o.flavor == FORWARD and o.mx_or_mn[t] > o.mx_or_mn[s]:
-                    holds.add("C")  # Max(t) > Max(s)
-                if o.flavor == BACKWARD and o.mx_or_mn[s] < o.mx_or_mn[t]:
-                    holds.add("C")  # Min(s) < Min(t)
-                if pt < ps:
+                # a backward ordering answers (t, s) in the reverse graph
+                a, b = (s, t) if o.flavor == FORWARD else (t, s)
+                pa, pb, hi, mx = o.pos[a], o.pos[b], o.hi[a], o.mx[a]
+                t1, t2, t3 = ("T1", "T2", "T3") if o.flavor == FORWARD else ("T4", "T5", "T6")
+                if o.mx[b] > mx:
+                    holds.add("C")  # Max(b) > Max(a)
+                if pb < pa:
                     holds.add("B4")
-                elif o.flavor == FORWARD:
-                    hi, mx = o.hi_or_lo[s], o.mx_or_mn[s]
-                    holds |= {"T1"} if pt <= hi else set()
-                    holds |= {"T2"} if pt > mx else {"T3"} if pt == mx else set()
                 else:
-                    lo, mn = o.hi_or_lo[t], o.mx_or_mn[t]
-                    holds |= {"T4"} if lo <= ps else set()
-                    holds |= {"T5"} if ps < mn else {"T6"} if ps == mn else set()
+                    holds |= {t1} if pb <= hi else set()
+                    holds |= {t2} if pb > mx else {t3} if pb == mx else set()
         st_.overlap.update(holds)
     return st_
 
@@ -874,6 +871,20 @@ def test_observation_stats_rejects_out_of_range_ids():
             observation_stats(ix, S, T)
 
 
+def test_observation_stats_rejects_mismatched_shapes():
+    """S and T must be 1-D lists of one length: a shorter T used to be
+    broadcast, and a longer one or 2-D input failed inside numpy."""
+    ix = build_index(gen_random_dag(50, 120, 0), SMALL, seed=0)
+    for S, T, shapes in [
+        ([0, 1], [2], r"\(2,\) and \(1,\)"),
+        ([0], [2, 3], r"\(1,\) and \(2,\)"),
+        ([[0, 1]], [[2, 3]], r"\(1, 2\) and \(1, 2\)"),
+        (0, 2, r"\(\) and \(\)"),
+    ]:
+        with pytest.raises(ValueError, match=rf"1-D of equal length, got shapes {shapes}"):
+            observation_stats(ix, S, T)
+
+
 def test_stats_empty_rate_is_none():
     assert ObservationStats().fallback_rate is None
 
@@ -906,12 +917,7 @@ def roundtrip_equal(ix: ReachIndex, g: DiGraph) -> None:
     assert loaded.supports.k == ix.supports.k
     assert len(loaded.orderings) == len(ix.orderings)
     for a, b in zip(loaded.orderings, ix.orderings):
-        assert (a.pos, a.hi_or_lo, a.mx_or_mn, a.flavor) == (
-            b.pos,
-            b.hi_or_lo,
-            b.mx_or_mn,
-            b.flavor,
-        )
+        assert (a.pos, a.hi, a.mx, a.flavor) == (b.pos, b.hi, b.mx, b.flavor)
     for s in range(g.n):
         for t in range(g.n):
             assert try_observations(loaded, s, t) == try_observations(ix, s, t)
@@ -937,11 +943,12 @@ def test_roundtrip_degenerate_shapes():
 
 @pytest.mark.parametrize(
     "t, k, size, crc",
-    [(4, 16, 19224, 2187619612), (3, 70, 19824, 235917857)],
+    [(4, 16, 19224, 687330637), (3, 70, 19824, 1733714632)],
 )
 def test_index_bytes_frozen(t, k, size, crc):
     """Lengths recorded before the mask codec moved into one place, CRC32s
-    once format version 2 laid out each column contiguously."""
+    once format version 3 kept backward orderings in the reverse graph's
+    coordinates."""
     g = gen_random_dag(300, 1200, seed=0)
     blob = serialize_index(build_index(g, IndexParams(t=t, k=k), seed=0))
     assert (len(blob), zlib.crc32(blob)) == (size, crc)
@@ -979,7 +986,7 @@ def test_file_holds_each_column_contiguously():
     ix = build_index(g, IndexParams(t=3, k=9), seed=0)
     blob = serialize_index(ix)
     magic, version, t, k, n, checksum, _crc = HEADER.unpack_from(blob)
-    assert (magic, version, t, k, n, checksum) == (b"RIDX", 2, 3, 9, 50, graph_checksum(g))
+    assert (magic, version, t, k, n, checksum) == (b"RIDX", 3, 3, 9, 50, graph_checksum(g))
     assert resign(bytearray(blob)) == blob
     cells = np.frombuffer(blob, "<u4", 12 * 50, HEADER.size).reshape(12, 50)
     assert [col.tolist() for col in cells] == [list(col) for col in int_columns(ix)]
@@ -1019,9 +1026,9 @@ def default_blob_200():
         (1, "levels.fwd"),
         (2, "levels.bwd"),
         (3, "orderings[0].pos"),
-        (4, "orderings[0].hi_or_lo"),
-        (5, "orderings[0].mx_or_mn"),
-        (14, "orderings[3].mx_or_mn"),
+        (4, "orderings[0].hi"),
+        (5, "orderings[0].mx"),
+        (14, "orderings[3].mx"),
     ],
 )
 def test_deserialize_rejects_out_of_range_columns(default_blob_200, column, name, value):

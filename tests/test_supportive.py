@@ -14,6 +14,7 @@ from reachidx.supportive import (
     TAG_CENTRAL,
     TAG_FILL,
     TAG_SLIM,
+    _column_counts,
     _mask_matrix,
     mask_rows,
     masks_from_rows,
@@ -237,6 +238,19 @@ def test_mask_matrix_matches_or_at_reference(g, ncands):
         got = _mask_matrix(off, tg, level, top, cands)
         assert got.shape == (g.n, -(-ncands // 64))
         assert np.array_equal(got, mask_matrix_or_at(off, tg, level, top, cands))
+
+
+def test_column_counts_past_one_uint8_block():
+    """Column 0 has 1000 set bits and column 70 has 999, more than one uint8
+    block of 255 rows can sum; the counts match a per-bit reference."""
+    M = np.zeros((1000, 2), dtype=np.uint64)
+    M[:, 0] = np.uint64(1)
+    M[1:, 1] = np.uint64(1 << 6)
+    M[::7, 0] |= np.uint64(1 << 63)
+    got = _column_counts(M, 71)
+    ref = [int(((M[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)).sum()) for j in range(71)]
+    assert got.tolist() == ref
+    assert (got[0], got[63], got[70]) == (1000, 143, 999)
 
 
 @settings(max_examples=60)

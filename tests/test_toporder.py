@@ -42,44 +42,44 @@ def test_forward_trace_diamond():
     o = extended_topsort(diamond(), [0], NoShuffle())
     assert o.flavor == FORWARD
     assert list(o.pos) == [0, 2, 1, 3]
-    assert list(o.hi_or_lo) == [3, 3, 1, 3]
-    assert list(o.mx_or_mn) == [3, 3, 3, 3]
+    assert list(o.hi) == [3, 3, 1, 3]
+    assert list(o.mx) == [3, 3, 3, 3]
 
 
 def test_forward_trace_path():
     o = extended_topsort(path_graph(4), [0], NoShuffle())
     assert list(o.pos) == [0, 1, 2, 3]
-    assert list(o.hi_or_lo) == [3, 3, 3, 3]
-    assert list(o.mx_or_mn) == [3, 3, 3, 3]
+    assert list(o.hi) == [3, 3, 3, 3]
+    assert list(o.mx) == [3, 3, 3, 3]
 
 
 def test_forward_trace_edgeless_respects_start_order():
     o = extended_topsort(DiGraph.from_edges(2, []), [0, 1], NoShuffle())
     assert list(o.pos) == [1, 0]
-    assert list(o.hi_or_lo) == [1, 0]
-    assert list(o.mx_or_mn) == [1, 0]
+    assert list(o.hi) == [1, 0]
+    assert list(o.mx) == [1, 0]
 
 
 def test_forward_trace_two_components():
     o = extended_topsort(two_edges(), [0, 2], NoShuffle())
     assert list(o.pos) == [2, 3, 0, 1]
-    assert list(o.hi_or_lo) == [3, 3, 1, 1]
-    assert list(o.mx_or_mn) == [3, 3, 1, 1]
+    assert list(o.hi) == [3, 3, 1, 1]
+    assert list(o.mx) == [3, 3, 1, 1]
 
 
 def test_backward_trace_path():
     o = extended_topsort_backward(path_graph(3), NoShuffle())
     assert o.flavor == BACKWARD
-    assert list(o.pos) == [0, 1, 2]
-    assert list(o.hi_or_lo) == [0, 0, 0]  # Low
-    assert list(o.mx_or_mn) == [0, 0, 0]  # Min
+    assert list(o.pos) == [2, 1, 0]  # in the reverse graph: 2 -> 1 -> 0
+    assert list(o.hi) == [2, 2, 2]
+    assert list(o.mx) == [2, 2, 2]
 
 
 def test_backward_trace_diamond():
     o = extended_topsort_backward(diamond(), NoShuffle())
-    assert list(o.pos) == [0, 1, 2, 3]
-    assert list(o.hi_or_lo) == [0, 0, 2, 0]
-    assert list(o.mx_or_mn) == [0, 0, 0, 0]
+    assert list(o.pos) == [3, 2, 1, 0]
+    assert list(o.hi) == [3, 3, 1, 3]
+    assert list(o.mx) == [3, 3, 3, 3]
 
 
 def test_cycle_raises():
@@ -153,7 +153,7 @@ def test_each_draw_takes_one_key_per_vertex_then_per_edge():
     rng = Keys([0] * 4, [0] * 2, [0] * 4, [0] * 2)
     a = extended_topsort(g, start_sequence(g, rng), rng)
     b = extended_topsort_backward(g, rng)
-    assert (list(a.pos), list(b.pos)) == ([2, 3, 0, 1], [0, 1, 2, 3])
+    assert (list(a.pos), list(b.pos)) == ([2, 3, 0, 1], [3, 2, 1, 0])
     assert rng.draws == []
 
 
@@ -171,46 +171,37 @@ def test_forward_is_topological_permutation(g, seed):
 
 
 @given(dags(max_n=14), st.integers(0, 2**32 - 1))
-@example(DiGraph.from_edges(0, []), 0)  # n - 1 = -1 in the mirror
+@example(DiGraph.from_edges(0, []), 0)
 @example(DiGraph.from_edges(1, []), 0)
 def test_backward_is_topological_permutation(g, seed):
+    """Topological in the reverse graph: every edge (u, v) is placed v first."""
     o = extended_topsort_backward(g, random.Random(seed), seed=seed)
     assert sorted(o.pos) == list(range(g.n))
     for u, v in edge_pairs(g):
-        assert o.pos[u] < o.pos[v]
+        assert o.pos[v] < o.pos[u]
 
 
 @settings(max_examples=60)
-@given(dags(max_n=12), st.integers(0, 2**32 - 1))
-def test_high_range_certified_and_max_exact(g, seed):
+@given(dags(max_n=12), st.integers(0, 2**32 - 1), st.sampled_from([FORWARD, BACKWARD]))
+@example(DiGraph.from_edges(0, []), 0, BACKWARD)
+@example(DiGraph.from_edges(1, []), 0, BACKWARD)
+def test_high_range_certified_and_max_exact(g, seed, flavor):
+    """In the ordering's own graph, the reverse one for a backward ordering,
+    v reaches every vertex placed in [pos(v), High(v)], and Max(v) is the
+    last position v reaches."""
     rng = random.Random(seed)
-    o = extended_topsort(g, start_sequence(g, rng), rng)
-    reach = brute_reach_sets(g)
+    if flavor == FORWARD:
+        o, own = extended_topsort(g, start_sequence(g, rng), rng), g
+    else:
+        o, own = extended_topsort_backward(g, rng), g.reverse()
+    assert o.flavor == flavor
+    reach = brute_reach_sets(own)
     by_pos = sorted(range(g.n), key=lambda v: o.pos[v])
     for v in range(g.n):
-        assert o.pos[v] <= o.hi_or_lo[v] <= o.mx_or_mn[v]
-        for p in range(o.pos[v], o.hi_or_lo[v] + 1):
+        assert o.pos[v] <= o.hi[v] <= o.mx[v]
+        for p in range(o.pos[v], o.hi[v] + 1):
             assert by_pos[p] in reach[v]
-        assert o.mx_or_mn[v] == max(o.pos[w] for w in reach[v])
-
-
-@settings(max_examples=60)
-@given(dags(max_n=12), st.integers(0, 2**32 - 1))
-@example(DiGraph.from_edges(0, []), 0)
-@example(DiGraph.from_edges(1, []), 0)
-def test_low_range_certified_and_min_exact(g, seed):
-    o = extended_topsort_backward(g, random.Random(seed))
-    reach = brute_reach_sets(g)
-    reachers = [set() for _ in range(g.n)]
-    for s in range(g.n):
-        for t in reach[s]:
-            reachers[t].add(s)
-    by_pos = sorted(range(g.n), key=lambda v: o.pos[v])
-    for v in range(g.n):
-        assert o.mx_or_mn[v] <= o.hi_or_lo[v] <= o.pos[v]
-        for p in range(o.hi_or_lo[v], o.pos[v] + 1):
-            assert by_pos[p] in reachers[v]
-        assert o.mx_or_mn[v] == min(o.pos[w] for w in reachers[v])
+        assert o.mx[v] == max(o.pos[w] for w in reach[v])
 
 
 @settings(max_examples=60)
@@ -256,12 +247,13 @@ def test_start_sequence_sources_first(g, seed):
 
 
 def test_analysis_path_fully_witnessed():
+    """Either flavor of ordering of a path witnesses every pair."""
     g = path_graph(4)
-    o = extended_topsort(g, [0], NoShuffle())
-    rep = ordering_analysis(o, build_matrix(g))
-    assert rep.neg_witnessed == 6 and rep.neg_total == 6
-    assert rep.pos_answered == 6 and rep.pos_total == 6
-    assert rep.rho_neg == 1.0 and rep.rho_pos == 1.0
+    for o in (extended_topsort(g, [0], NoShuffle()), extended_topsort_backward(g, NoShuffle())):
+        rep = ordering_analysis(o, build_matrix(g))
+        assert rep.neg_witnessed == 6 and rep.neg_total == 6
+        assert rep.pos_answered == 6 and rep.pos_total == 6
+        assert rep.rho_neg == 1.0 and rep.rho_pos == 1.0
 
 
 def test_analysis_edgeless():
