@@ -182,26 +182,48 @@ def test_backward_is_topological_permutation(g, seed):
 
 
 @settings(max_examples=60)
-@given(dags(max_n=12), st.integers(0, 2**32 - 1), st.sampled_from([FORWARD, BACKWARD]))
-@example(DiGraph.from_edges(0, []), 0, BACKWARD)
-@example(DiGraph.from_edges(1, []), 0, BACKWARD)
-def test_high_range_certified_and_max_exact(g, seed, flavor):
-    """In the ordering's own graph, the reverse one for a backward ordering,
-    v reaches every vertex placed in [pos(v), High(v)], and Max(v) is the
+@given(dags(max_n=12), st.integers(0, 2**32 - 1))
+def test_high_range_certified_and_max_exact(g, seed):
+    """v reaches every vertex placed in [pos(v), High(v)], and Max(v) is the
     last position v reaches."""
     rng = random.Random(seed)
-    if flavor == FORWARD:
-        o, own = extended_topsort(g, start_sequence(g, rng), rng), g
-    else:
-        o, own = extended_topsort_backward(g, rng), g.reverse()
-    assert o.flavor == flavor
-    reach = brute_reach_sets(own)
+    o = extended_topsort(g, start_sequence(g, rng), rng)
+    assert o.flavor == FORWARD
+    reach = brute_reach_sets(g)
     by_pos = sorted(range(g.n), key=lambda v: o.pos[v])
     for v in range(g.n):
         assert o.pos[v] <= o.hi[v] <= o.mx[v]
         for p in range(o.pos[v], o.hi[v] + 1):
             assert by_pos[p] in reach[v]
         assert o.mx[v] == max(o.pos[w] for w in reach[v])
+
+
+@settings(max_examples=60)
+@given(dags(max_n=12), st.integers(0, 2**32 - 1))
+@example(DiGraph.from_edges(0, []), 0)
+@example(DiGraph.from_edges(1, []), 0)
+def test_low_range_certified_and_min_exact(g, seed):
+    """A backward ordering keeps High/Max in the reverse graph's coordinates;
+    mirrored into the DAG's top-down order (position n-1-p) they are Low/Min:
+    every vertex placed in [Low(v), pos(v)] reaches v, and Min(v) is the
+    first position of a vertex that reaches v."""
+    o = extended_topsort_backward(g, random.Random(seed))
+    assert o.flavor == BACKWARD
+    last = g.n - 1
+    pos = [last - p for p in o.pos]
+    lo = [last - h for h in o.hi]
+    mn = [last - m for m in o.mx]
+    reach = brute_reach_sets(g)
+    reachers = [set() for _ in range(g.n)]
+    for s in range(g.n):
+        for t in reach[s]:
+            reachers[t].add(s)
+    by_pos = sorted(range(g.n), key=lambda v: pos[v])
+    for v in range(g.n):
+        assert mn[v] <= lo[v] <= pos[v]
+        for p in range(lo[v], pos[v] + 1):
+            assert by_pos[p] in reachers[v]
+        assert mn[v] == min(pos[w] for w in reachers[v])
 
 
 @settings(max_examples=60)
