@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import os
 import struct
 import sys
@@ -36,13 +35,11 @@ from .graph import (
     scc_condense,
     write_edge_list,
     write_gra,
-    write_remap,
 )
 from .index import (
     IndexFormatError,
     IndexParams,
     QueryOutcome,
-    RESOLVERS,
     ReachIndex,
     build_index,
     deserialize_index,
@@ -216,10 +213,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     cond = scc_condense(res.graph)
     dag = cond.dag
     n_input = res.graph.n
-    remap = None
-    if res.is_sparse:
-        remap = io.StringIO()
-        write_remap(res, remap)
     try:
         original_ids = np.array(res.original_ids, dtype="<i8")
     except OverflowError:
@@ -236,18 +229,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         _write_bundle(bundle, digest, original_ids, scc_of, dag, dropped)
     elif os.path.exists(bundle):
         os.remove(bundle)
-    default_remap = args.out_index + ".remap"
-    remap_path = None
-    if remap is not None:
-        remap_path = args.remap_out or default_remap
-        with open(remap_path, "w", encoding="utf-8") as f:
-            f.write(remap.getvalue())
-        print(f"wrote sparse-id remap table to {remap_path}")
-    # a table at the default path is an earlier build's unless this one wrote it
-    if os.path.exists(default_remap) and not (
-        remap_path is not None and os.path.samefile(remap_path, default_remap)
-    ):
-        os.remove(default_remap)
     print(
         f"indexed {dag.n} SCC(s) of {n_input} vertices: "
         f"{len(data)} bytes to {args.out_index}"
@@ -282,11 +263,10 @@ SAME_SCC = QueryOutcome(True, "0:B3", 0)
 
 def _cmd_query(args: argparse.Namespace) -> int:
     ix, translate = _open_index(args)
-    resolver = RESOLVERS[args.fallback]
     queries = fallbacks = mismatches = 0
     for s, t, exp in load_query_file(args.pairs):
         cs, ct = translate(s, t)
-        outcome = SAME_SCC if cs == ct and s != t else query(ix, cs, ct, resolver)
+        outcome = SAME_SCC if cs == ct and s != t else query(ix, cs, ct)
         queries += 1
         fallbacks += outcome.answered_by.startswith("fallback:")
         print(f"{s}\t{t}\t{int(outcome.answer)}\t{outcome.answered_by}\t{outcome.work}")
@@ -337,7 +317,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    # stats rows hold no work or resolver name, and every resolver is exact
+    # stats rows hold no work or fallback tag: only the count of undecided pairs
     ix, translate = _open_index(args)
     for i, path in enumerate(args.queries):
         pairs = [(s != t, *translate(s, t)) for s, t, _exp in load_query_file(path)]
@@ -402,15 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-index", required=True)
-    p.add_argument("--remap-out", default=None,
-                   help="remap table path for sparse ids (default: <index>.remap)")
     p.set_defaults(fn=_cmd_build)
 
     p = sub.add_parser("query", help="answer query pairs from a file")
     add_graph_arg(p)
     p.add_argument("--index", required=True)
     p.add_argument("--pairs", required=True, help="query file: 's t [expected]'")
-    p.add_argument("--fallback", choices=tuple(RESOLVERS), default="pbibfs")
     p.set_defaults(fn=_cmd_query)
 
     p = sub.add_parser("bench", help="time algorithms over query sets")

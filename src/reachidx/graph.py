@@ -23,6 +23,7 @@ Python loop.
 
 from __future__ import annotations
 
+import operator
 import zlib
 from array import array
 from collections import deque
@@ -34,7 +35,7 @@ import numpy as np
 
 
 class GraphFormatError(ValueError):
-    """Malformed graph, query, or remap file."""
+    """Malformed graph or query file."""
 
 
 class AcyclicityError(ValueError):
@@ -58,6 +59,11 @@ class DiGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DiGraph":
+        """The graph on vertices 0..n-1 with the given (u, v) edges; raises
+        ValueError on n < 0, an id that is not an integer or not in [0, n),
+        a self-loop or a parallel edge."""
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
         pairs = list(edges)
         e = _index_array(chain.from_iterable(pairs), n)
         if len(e) != 2 * len(pairs):
@@ -83,9 +89,16 @@ def check_ids(n: int, s: int, t: int) -> None:
         raise IndexError(f"vertex id {bad} out of range for n={n}")
 
 
+def _vertex_id(x) -> int:
+    try:
+        return operator.index(x)  # refuses floats, which int64 would truncate
+    except TypeError:
+        raise ValueError(f"vertex id {x!r} is not an integer") from None
+
+
 def _index_array(values: Iterable[int], n: int) -> np.ndarray:
     try:
-        return np.fromiter(values, np.int64)
+        return np.fromiter(map(_vertex_id, values), np.int64)
     except OverflowError:
         raise ValueError(f"vertex id out of range 0..{n - 1}") from None
 
@@ -191,10 +204,6 @@ class ParseResult:
     id_map: dict[int, int]  # original id -> dense id
     dropped_self_loops: int = 0
     dropped_duplicates: int = 0
-
-    @property
-    def is_sparse(self) -> bool:
-        return self.original_ids != list(range(len(self.original_ids)))
 
 
 # Code points that str.split() and str.strip() treat as whitespace; none
@@ -419,12 +428,6 @@ def write_gra(g: DiGraph, f: IO[str]) -> None:
     for u in range(g.n):
         nbrs = " ".join(map(str, tg[off[u]:off[u + 1]]))
         f.write(f"{u}: {nbrs} #\n" if nbrs else f"{u}: #\n")
-
-
-def write_remap(res: ParseResult, f: IO[str]) -> None:
-    """Two-column 'original dense' table for sparse-id inputs."""
-    for dense, orig in enumerate(res.original_ids):
-        f.write(f"{orig} {dense}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,15 @@ written once, for a pair (source, target) in the ordering's own graph: the
 pair (s, t) in a forward ordering, (t, s) in a backward one, which is an
 ordering of the reverse graph (see toporder).
 
-Undecided queries go to a fallback resolver, by default a pruned
-bidirectional BFS.  It expands the side with the shorter queue, answers
-positively when the sides meet and negatively as soon as either queue is
-empty, and tests every newly encountered vertex against the search's fixed
-endpoint with the same observations, so a decisive negative prunes that
-vertex.  The level window is checked inline in the search loop; the other
-observations run in a per-side endpoint test, built on that side's first
-pop.  There containment runs inside each ordering's checks, in place of
+Undecided queries go to the one fallback, PBIBFS, a pruned bidirectional
+BFS (PLAIN_BFS, the forward BFS baseline, stays as a reference search for
+tests and per-layer timing).  It expands the side with the shorter queue,
+answers positively when the sides meet and negatively as soon as either
+queue is empty, and tests every newly encountered vertex against the
+search's fixed endpoint with the same observations, so a decisive negative
+prunes that vertex.  The level window is checked inline in the search loop;
+the other observations run in a per-side endpoint test, built on that
+side's first pop.  There containment runs inside each ordering's checks, in place of
 the T2 comparison it subsumes.
 
 In memory, every per-vertex integer column (weak component, both levels,
@@ -139,7 +140,7 @@ class QueryOutcome:
     changed copy with dataclasses.replace)."""
 
     answer: bool
-    answered_by: str  # 'test:observation' or 'fallback:<name>'
+    answered_by: str  # 'test:observation' or 'fallback:pbibfs'
     work: int = 0  # vertices expanded by the fallback; 0 for observation answers
 
 
@@ -367,13 +368,17 @@ def try_observations(
 
     Returns (answer, 'test:observation'); (None, None) when undecided.
     O(t + k) time, no adjacency access.  Given stats, also counts the first
-    hit in stats.first_hit.
+    hit in stats.first_hit.  Raises IndexError when s or t is not a vertex
+    id in [0, n).
     """
     if stats is not None:
         ans, tag = try_observations(ix, s, t)
         if tag is not None:
             stats.first_hit[tag] += 1
         return ans, tag
+    n = len(ix.wcc)  # a label column: the observations never read the graph
+    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
+        check_ids(n, s, t)
     if s == t:
         return True, "1:EQ"
     # Test 2: levels.  <= rather than < is sound for s != t: a path forces a
@@ -461,13 +466,13 @@ def observation_table(
 
 
 # ---------------------------------------------------------------------------
-# fallback resolvers
+# fallback searches
 
 
 @dataclass(frozen=True)
 class Resolver:
-    """Exact fallback: run(index, s, t) -> (answer, vertices expanded).
-    tag is the answered_by of its outcomes, 'fallback:<name>'."""
+    """Exact search: run(index, s, t) -> (answer, vertices expanded).
+    tag is 'fallback:<name>'; query's fallback outcomes carry PBIBFS.tag."""
 
     name: str
     run: Callable[[ReachIndex, int, int], tuple[bool, int]]
@@ -605,32 +610,27 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
 
 PBIBFS = Resolver("pbibfs", _bidirectional_search)
 PLAIN_BFS = Resolver("bfs", lambda ix, s, t: bfs_search(ix.graph, s, t))
-RESOLVERS = {r.name: r for r in (PBIBFS, PLAIN_BFS)}
 
 
-def query(ix: ReachIndex, s: int, t: int, fallback: Resolver | None = None) -> QueryOutcome:
-    """Exact reachability answer: observations first, fallback on unknown.
+def query(ix: ReachIndex, s: int, t: int) -> QueryOutcome:
+    """Exact reachability answer: observations first, PBIBFS on unknown.
 
     An observation answer is the one shared outcome of its tag; a fallback
     answer is a new outcome that carries the search's work.
     Raises IndexError when s or t is not a vertex id in [0, n).
     """
-    n = ix.graph.n
-    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
-        check_ids(n, s, t)
     ans, tag = try_observations(ix, s, t)
     if ans is not None:
         return _OUTCOMES[tag]
-    resolver = fallback if fallback is not None else PBIBFS
-    ans, work = resolver.run(ix, s, t)
-    return QueryOutcome(ans, resolver.tag, work)
+    ans, work = PBIBFS.run(ix, s, t)
+    return QueryOutcome(ans, PBIBFS.tag, work)
 
 
 def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> ObservationStats:
     """The stats of querying each pair (S[i], T[i]), from one observation_table
     call: a pair's first true row is its first hit, each observation true for
-    it counts once in overlap, and only undecided pairs go to PBIBFS (every
-    resolver is exact, so the choice changes no count)."""
+    it counts once in overlap, and only undecided pairs go to PBIBFS, the
+    fallback of query."""
     rows = observation_table(ix, S, T)
     held = np.array([mask for _, _, mask in rows])
     decided, first = held.any(axis=0), held.argmax(axis=0)

@@ -27,7 +27,6 @@ from .graph import DiGraph, GraphFormatError, _digraph
 from .index import (
     IndexParams,
     ObservationStats,
-    RESOLVERS,
     _substream,
     build_index,
     observation_stats,
@@ -214,7 +213,7 @@ class Algorithm:
     build: Callable[[DiGraph, int], BuiltAlgorithm]
 
 
-ALGORITHM_NAMES = ("matrix", "bfs", *(f"index+{name}" for name in RESOLVERS))
+ALGORITHM_NAMES = ("matrix", "bfs", "index+pbibfs")
 
 
 def standard_algorithms(
@@ -243,18 +242,15 @@ def standard_algorithms(
 
             out.append(Algorithm("bfs", False, build_bfs))
         else:
-            resolver = RESOLVERS[name.removeprefix("index+")]
 
-            def build_ix(
-                g: DiGraph, seed: int, _resolver=resolver
-            ) -> BuiltAlgorithm:
+            def build_ix(g: DiGraph, seed: int) -> BuiltAlgorithm:
                 t0 = time.perf_counter()
                 ix = build_index(g, params, seed)
                 ms = (time.perf_counter() - t0) * 1e3
                 nbytes = len(serialize_index(ix))
 
                 def answer(s: int, t: int) -> bool:
-                    return query(ix, s, t, _resolver).answer
+                    return query(ix, s, t).answer
 
                 def run_with_stats(pairs: Iterable[tuple[int, int]]) -> ObservationStats:
                     S, T = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T

@@ -59,7 +59,7 @@ def test_build_and_query_diamond(tmp_path, capsys):
     assert "indexed 4 SCC(s) of 4 vertices" in out
     with open(idx, "rb") as f:
         assert f.read(4) == b"RIDX"
-    assert not (tmp_path / "g.ridx.remap").exists()  # ids were dense
+    assert sorted(os.listdir(tmp_path)) == ["g.ridx", "g.ridx.cond", "g.txt"]
 
     pairs = write(tmp_path / "q.txt", "0 3 1\n3 0 0\n1 2\n2 2 1\n")
     assert main(["query", "--graph", g, "--index", idx, "--pairs", pairs]) == 0
@@ -113,43 +113,13 @@ def test_sparse_ids_get_remap_and_translated_queries(tmp_path, capsys):
     g = write(tmp_path / "g.txt", "10 30\n30 20\n")
     idx = str(tmp_path / "g.ridx")
     assert main(["build", "--graph", g, *SMALL_PARAMS, "--out-index", idx]) == 0
-    assert (tmp_path / "g.ridx.remap").read_text() == "10 0\n20 1\n30 2\n"
+    # the id table lives in the bundle only
+    assert sorted(os.listdir(tmp_path)) == ["g.ridx", "g.ridx.cond", "g.txt"]
     capsys.readouterr()
     pairs = write(tmp_path / "q.txt", "10 20 1\n20 10 0\n")
     assert main(["query", "--graph", g, "--index", idx, "--pairs", pairs]) == 0
     out = capsys.readouterr().out
     assert out.startswith("10\t20\t1\t")
-
-    custom = str(tmp_path / "map.tsv")
-    assert main(["build", "--graph", g, *SMALL_PARAMS, "--out-index", idx,
-                 "--remap-out", custom]) == 0
-    assert (tmp_path / "map.tsv").read_text() == "10 0\n20 1\n30 2\n"
-
-
-def test_dense_rebuild_removes_a_stale_remap(tmp_path):
-    idx = str(tmp_path / "g.ridx")
-    sparse = write(tmp_path / "sparse.txt", "10 30\n30 20\n")
-    assert main(["build", "--graph", sparse, *SMALL_PARAMS, "--out-index", idx]) == 0
-    assert (tmp_path / "g.ridx.remap").exists()
-    dense = write(tmp_path / "dense.txt", "0 1\n1 2\n")
-    assert main(["build", "--graph", dense, *SMALL_PARAMS, "--out-index", idx]) == 0
-    assert not (tmp_path / "g.ridx.remap").exists()
-
-
-def test_remap_elsewhere_removes_a_stale_default_remap(tmp_path):
-    idx = str(tmp_path / "x.ridx")
-    first = write(tmp_path / "first.txt", "10 30\n30 20\n")
-    assert main(["build", "--graph", first, *SMALL_PARAMS, "--out-index", idx]) == 0
-    assert (tmp_path / "x.ridx.remap").read_text() == "10 0\n20 1\n30 2\n"
-    second = write(tmp_path / "second.txt", "5 7\n7 9\n")
-    assert main(["build", "--graph", second, *SMALL_PARAMS, "--out-index", idx,
-                 "--remap-out", str(tmp_path / "map.tsv")]) == 0
-    assert (tmp_path / "map.tsv").read_text() == "5 0\n7 1\n9 2\n"
-    assert not (tmp_path / "x.ridx.remap").exists()
-    # the default path, however spelled, is the table this build wrote
-    assert main(["build", "--graph", second, *SMALL_PARAMS, "--out-index", idx,
-                 "--remap-out", os.path.join(tmp_path, ".", "x.ridx.remap")]) == 0
-    assert (tmp_path / "x.ridx.remap").read_text() == "5 0\n7 1\n9 2\n"
 
 
 def test_parse_warnings_on_stderr(tmp_path, capsys):
@@ -205,24 +175,38 @@ def test_full_pipeline_on_generated_graph(tmp_path, capsys):
     assert main(["gen-queries", "--graph", g, "--kind", "mixed", "--count", "25",
                  "--seed", "4", "--out", q]) == 0
     assert main(["build", "--graph", g, "--out-index", idx]) == 0
-    assert main(["query", "--graph", g, "--index", idx, "--pairs", q,
-                 "--fallback", "bfs"]) == 0
+    assert main(["query", "--graph", g, "--index", idx, "--pairs", q]) == 0
     captured = capsys.readouterr()
     assert "mismatch" not in captured.err
     assert len(captured.out.strip().split("\n")) >= 50
 
 
 def test_bad_fallback_choice_exits(tmp_path, capsys):
+    # query has one fallback: no command takes --fallback, whatever its value
     g = write(tmp_path / "g.txt", DIAMOND)
     for argv in (
+        ["query", "--graph", g, "--index", "x", "--pairs", "y", "--fallback", "bfs"],
+        ["query", "--graph", g, "--index", "x", "--pairs", "y", "--fallback", "pbibfs"],
         ["query", "--graph", g, "--index", "x", "--pairs", "y", "--fallback", "dfs"],
-        ["query", "--graph", g, "--index", "x", "--pairs", "y", "--fallback", "bibfs"],
         ["stats", "--graph", g, "--index", "x", "--queries", "y", "--fallback", "pbibfs"],
     ):
         with pytest.raises(SystemExit) as e:
             main(argv)
         assert e.value.code == 2
         assert "error: " in capsys.readouterr().err
+
+
+def test_removed_options_exit(tmp_path, capsys):
+    g = write(tmp_path / "g.txt", DIAMOND)
+    for argv in (
+        ["bench", "--graph", g, "--queries", "y", "--algos", "index+bfs"],
+        ["build", "--graph", g, "--out-index", str(tmp_path / "g.ridx"), "--remap-out", "x"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "error: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["g.txt"]  # nothing built
 
 
 def test_bad_algos_choice_exits_before_reading(tmp_path, capsys):

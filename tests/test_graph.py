@@ -31,7 +31,6 @@ from reachidx.graph import (
     weak_components,
     write_edge_list,
     write_gra,
-    write_remap,
 )
 from reachidx.workbench import gen_random_dag
 
@@ -74,6 +73,22 @@ def test_from_edges_rejects_out_of_range():
         DiGraph.from_edges(2, [(0, 5)])
 
 
+@pytest.mark.parametrize(
+    "edges, bad",
+    [([(0, 1.9), (1.2, 2)], "1.9"), ([(1.0, 2)], "1.0"), ([(0, "1")], "'1'")],
+)
+def test_from_edges_rejects_non_integer_ids(edges, bad):
+    # int64 conversion used to truncate: (0, 1.9), (1.2, 2) built (0, 1), (1, 2)
+    with pytest.raises(ValueError, match=rf"^vertex id {bad} is not an integer$"):
+        DiGraph.from_edges(3, edges)
+
+
+def test_from_edges_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match=r"^vertex count must be >= 0, got -1$"):
+        DiGraph.from_edges(-1, [])
+    assert DiGraph.from_edges(3, [(np.int32(0), 1), (True, 2)]).m == 2  # int-like ids
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_from_edges_keeps_gc_state(enabled):
     was = gc.isenabled()
@@ -111,7 +126,7 @@ def test_reverse_swaps_adjacency(g):
 def test_parse_edge_list_dense():
     res = parse_edge_list(io.StringIO("0 1\n1 2\n"))
     assert res.graph.n == 3 and res.graph.m == 2
-    assert not res.is_sparse
+    assert res.original_ids == [0, 1, 2]
 
 
 def test_parse_edge_list_comments_and_blank_lines():
@@ -134,14 +149,10 @@ def test_parse_edge_list_drops_duplicates_with_count():
 def test_parse_edge_list_sparse_ids_remap():
     res = parse_edge_list(["10 30", "30 20"])
     assert res.graph.n == 3
-    assert res.is_sparse
     assert res.original_ids == [10, 20, 30]
     assert res.id_map == {10: 0, 20: 1, 30: 2}
     # edges translated through the remap
     assert edge_pairs(res.graph) == [(0, 2), (2, 1)]
-    buf = io.StringIO()
-    write_remap(res, buf)
-    assert buf.getvalue() == "10 0\n20 1\n30 2\n"
 
 
 def test_parse_edge_list_malformed_line_reports_lineno():
@@ -155,7 +166,7 @@ def test_parse_gra_example():
     res = parse_gra(io.StringIO("3\n0: 1 2 #\n1: #\n2: #\n"))
     assert res.graph.n == 3 and res.graph.m == 2
     assert successors(res.graph, 0) == [1, 2]
-    assert not res.is_sparse
+    assert res.original_ids == [0, 1, 2]
 
 
 def test_parse_gra_tolerates_header_line():

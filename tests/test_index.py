@@ -27,7 +27,6 @@ from reachidx.graph import (
 from reachidx.index import (
     PBIBFS,
     PLAIN_BFS,
-    RESOLVERS,
     HEADER,
     IndexFormatError,
     IndexParams,
@@ -603,11 +602,6 @@ def test_resolvers_reject_out_of_range_ids(resolver, s, t, bad):
         resolver.run(ix, s, t)
 
 
-def test_resolver_registry():
-    assert set(RESOLVERS) == {"pbibfs", "bfs"}
-    assert RESOLVERS["pbibfs"] is PBIBFS
-
-
 # Frozen (answer, work) of every ordered pair on one fixed DAG: pins each
 # fallback's side choice, stopping rule, meeting test, pruning and pop
 # counting, not just its answers.
@@ -706,11 +700,18 @@ def test_query_rejects_out_of_range_ids(s, t, bad):
         query(ix, s, t)
 
 
-def test_query_custom_fallback_is_labelled():
-    g = DiGraph.from_edges(5, [(0, 2), (1, 2), (1, 3), (1, 4), (2, 3)])
-    ix = build_index(g, T2K2, seed=0)
-    out = query(ix, 0, 4, fallback=PLAIN_BFS)
-    assert out.answered_by == "fallback:bfs" and out.answer is False
+@pytest.mark.parametrize("s,t,bad", [(-4, -1, -4), (-1, 0, -1), (0, 4, 4), (2, -5, -5)])
+def test_try_observations_rejects_out_of_range_ids(s, t, bad):
+    """Negative ids used to read the columns from their ends: (-4, -1)
+    answered (True, '3:S1') and (-1, 0) answered (False, '2:B5')."""
+    ix = build_index(DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), T2K2, seed=0)
+    message = rf"^vertex id {bad} out of range for n=4$"
+    with pytest.raises(IndexError, match=message):
+        try_observations(ix, s, t)
+    with pytest.raises(IndexError, match=message):
+        try_observations(ix, s, t, ObservationStats())
+    with pytest.raises(IndexError, match=message):
+        query(ix, s, t)
 
 
 def test_every_table_tag_has_one_shared_outcome():
@@ -746,19 +747,18 @@ def test_observation_answers_share_one_frozen_outcome():
     assert dataclasses.replace(out, work=5).work == 5 and out.work == 0
 
 
-@pytest.mark.parametrize("resolver", [PBIBFS, PLAIN_BFS], ids=lambda r: r.name)
-def test_fallback_outcomes_carry_work_and_resolver_tag(resolver):
+def test_fallback_outcomes_carry_work_and_resolver_tag():
     g = DiGraph.from_edges(9, FALLBACK_EDGES)
     ix = build_index(g, IndexParams(t=1, k=1, p=1, h=1), seed=0)
-    assert resolver.tag == "fallback:" + resolver.name
+    assert PBIBFS.tag == "fallback:pbibfs"
     pairs = [(s, t) for s in range(g.n) for t in range(g.n)]
     undecided = [(s, t) for s, t in pairs if try_observations(ix, s, t)[1] is None]
     assert undecided
     for s, t in undecided:
-        out = query(ix, s, t, fallback=resolver)
-        work = FALLBACK_WORK[resolver.name][s][t]
-        assert out == QueryOutcome(FALLBACK_REACH[s][t] == "1", resolver.tag, work)
-        assert out is not query(ix, s, t, fallback=resolver)
+        out = query(ix, s, t)
+        work = FALLBACK_WORK["pbibfs"][s][t]
+        assert out == QueryOutcome(FALLBACK_REACH[s][t] == "1", PBIBFS.tag, work)
+        assert out is not query(ix, s, t)
 
 
 @settings(max_examples=40)
@@ -944,6 +944,7 @@ def test_roundtrip_degenerate_shapes():
 @pytest.mark.parametrize(
     "t, k, size, crc",
     [(4, 16, 19224, 687330637), (3, 70, 19824, 1733714632)],
+    ids=["t4-k16", "t3-k70"],  # a re-freeze changes size and crc, not the ids
 )
 def test_index_bytes_frozen(t, k, size, crc):
     """Lengths recorded before the mask codec moved into one place, CRC32s
@@ -1018,18 +1019,22 @@ def default_blob_200():
     return g, serialize_index(build_index(g, seed=0))
 
 
+COLUMN_NAMES = [
+    (0, "wcc"),
+    (1, "levels.fwd"),
+    (2, "levels.bwd"),
+    (3, "orderings[0].pos"),
+    (4, "orderings[0].hi"),
+    (5, "orderings[0].mx"),
+    (14, "orderings[3].mx"),
+]
+
+
 @pytest.mark.parametrize("value", [200, 10**9])
 @pytest.mark.parametrize(
     "column, name",
-    [
-        (0, "wcc"),
-        (1, "levels.fwd"),
-        (2, "levels.bwd"),
-        (3, "orderings[0].pos"),
-        (4, "orderings[0].hi"),
-        (5, "orderings[0].mx"),
-        (14, "orderings[3].mx"),
-    ],
+    COLUMN_NAMES,
+    ids=[f"col{column}" for column, _ in COLUMN_NAMES],  # a renamed column keeps its id
 )
 def test_deserialize_rejects_out_of_range_columns(default_blob_200, column, name, value):
     """A value >= n in any integer column (here at vertex 5) is refused at
@@ -1062,8 +1067,8 @@ def test_built_and_loaded_indexes_agree(g, t, k, seed):
         assert a.typecode == b.typecode == "I"
         assert a == b and len(a) == g.n
     assert loaded.levels == built.levels
-    for fallback in (PBIBFS, PLAIN_BFS):
-        for s in range(g.n):
-            for v in range(g.n):
-                assert query(loaded, s, v, fallback) == query(built, s, v, fallback)
+    for s in range(g.n):
+        for v in range(g.n):
+            assert query(loaded, s, v) == query(built, s, v)
+            assert PLAIN_BFS.run(loaded, s, v) == PLAIN_BFS.run(built, s, v)
 

@@ -233,11 +233,13 @@ def test_query_file_comments_and_errors(tmp_path):
 
 
 def test_standard_algorithms_names():
-    algos = standard_algorithms(["matrix", "bfs", "index+pbibfs", "index+bfs"], SMALL)
-    assert [a.name for a in algos] == ["matrix", "bfs", "index+pbibfs", "index+bfs"]
-    assert [a.seeded for a in algos] == [False, False, True, True]
+    algos = standard_algorithms(["matrix", "bfs", "index+pbibfs"], SMALL)
+    assert [a.name for a in algos] == ["matrix", "bfs", "index+pbibfs"]
+    assert [a.seeded for a in algos] == [False, False, True]
     with pytest.raises(ValueError, match="unknown algorithm"):
         standard_algorithms(["dijkstra"])
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        standard_algorithms(["index+bfs"])  # the index has one fallback
     with pytest.raises(ValueError, match="unknown algorithm"):
         standard_algorithms(["index+astar"])
     with pytest.raises(ValueError, match="unknown algorithm"):
