@@ -20,7 +20,7 @@ import os
 import struct
 import sys
 import zlib
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,19 +74,33 @@ def _warn_dropped(path: str, self_loops: int, duplicates: int) -> None:
 
 
 def _load(path: str, fmt: str | None) -> ParseResult:
-    res = load_graph(path, fmt)
+    try:
+        res = load_graph(path, fmt)
+    except GraphFormatError as e:  # say which input file is at fault
+        raise GraphFormatError(f"{path}: {e}") from None
     _warn_dropped(path, res.dropped_self_loops, res.dropped_duplicates)
     return res
 
 
-def _translate(
-    id_map: dict[int, int], scc_of: list[int], s: int, t: int
-) -> tuple[int, int]:
-    try:
-        ds, dt = id_map[s], id_map[t]
-    except KeyError as e:
-        raise SystemExit(f"error: unknown vertex id {e.args[0]}") from None
-    return scc_of[ds], scc_of[dt]
+def _load_condensed(path: str, fmt: str | None) -> tuple[DiGraph, dict[int, int]]:
+    """The condensed DAG of the graph at path, and each original id's SCC."""
+    res = _load(path, fmt)
+    cond = scc_condense(res.graph)
+    return cond.dag, dict(zip(res.original_ids, cond.scc_of))
+
+
+def _read_pairs(
+    path: str, scc_by_id: dict[int, int]
+) -> list[tuple[int, int, int, int, bool | None]]:
+    """The pairs file at path as rows (s, t, SCC of s, SCC of t, expected
+    bit), all read and translated before a command prints any answer."""
+    rows = []
+    for s, t, exp in load_query_file(path):
+        try:
+            rows.append((s, t, scc_by_id[s], scc_by_id[t], exp))
+        except KeyError as e:
+            raise GraphFormatError(f"{path}: unknown vertex id {e.args[0]}") from None
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +148,8 @@ def _write_bundle(
 
 def _read_bundle(
     path: str, digest: bytes
-) -> tuple[DiGraph, list[int], list[int], tuple[int, int]] | None:
-    """(condensed DAG, original_ids, scc_of, dropped self-loops and
+) -> tuple[DiGraph, dict[int, int], tuple[int, int]] | None:
+    """(condensed DAG, map from original id to SCC, dropped self-loops and
     duplicates) from the bundle at path, or None unless it is whole, intact
     and written for the graph bytes and format that digest names."""
     try:
@@ -161,7 +175,7 @@ def _read_bundle(
     if not _sound_condensation(original_ids, scc_of, offsets, targets):
         return None
     dag = _csr_graph(offsets, targets)
-    return dag, original_ids.tolist(), scc_of.tolist(), tuple(dropped)
+    return dag, dict(zip(original_ids.tolist(), scc_of.tolist())), tuple(dropped)
 
 
 def _sound_condensation(
@@ -236,25 +250,20 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_index(
-    args: argparse.Namespace,
-) -> tuple[ReachIndex, Callable[[int, int], tuple[int, int]]]:
+def _open_index(args: argparse.Namespace) -> tuple[ReachIndex, dict[int, int]]:
     """Load the condensed graph, from the index's bundle when it matches the
-    graph file, and the index; return the index and a function that
-    translates an original-id pair to the pair of their SCCs."""
+    graph file, and the index; return the index and the map from each
+    original vertex id to its SCC."""
     fmt = graph_format(args.graph, args.format)
     bundle = _read_bundle(args.index + BUNDLE_SUFFIX, _source_digest(args.graph, fmt))
     if bundle is None:
-        res = _load(args.graph, fmt)
-        cond = scc_condense(res.graph)
-        dag, id_map, scc_of = cond.dag, res.id_map, cond.scc_of
+        dag, scc_by_id = _load_condensed(args.graph, fmt)
     else:
-        dag, original_ids, scc_of, dropped = bundle
+        dag, scc_by_id, dropped = bundle
         _warn_dropped(args.graph, *dropped)
-        id_map = dict(zip(original_ids, range(len(original_ids))))
     with open(args.index, "rb") as f:
         ix = deserialize_index(f.read(), dag)
-    return ix, lambda s, t: _translate(id_map, scc_of, s, t)
+    return ix, scc_by_id
 
 
 # distinct originals in one SCC: mutually reachable, no index needed
@@ -262,10 +271,9 @@ SAME_SCC = QueryOutcome(True, "0:B3", 0)
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    ix, translate = _open_index(args)
+    ix, scc_by_id = _open_index(args)
     queries = fallbacks = mismatches = 0
-    for s, t, exp in load_query_file(args.pairs):
-        cs, ct = translate(s, t)
+    for s, t, cs, ct, exp in _read_pairs(args.pairs, scc_by_id):
         outcome = SAME_SCC if cs == ct and s != t else query(ix, cs, ct)
         queries += 1
         fallbacks += outcome.answered_by.startswith("fallback:")
@@ -284,28 +292,17 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_query_sets(args, res: ParseResult, scc_of: list[int]) -> list[QuerySet]:
-    sets = []
-    for path in args.queries:
-        rows = load_query_file(path)
-        pairs = []
-        expected: list[bool] | None = []
-        for s, t, exp in rows:
-            pairs.append(_translate(res.id_map, scc_of, s, t))
-            expected.append(exp)
-        if all(e is None for e in expected):
-            expected = None
-        name = path.rsplit("/", 1)[-1]
-        sets.append(QuerySet(pairs, "file", 0, expected, name=name))
-    return sets
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    res = _load(args.graph, args.format)
-    cond = scc_condense(res.graph)
-    query_sets = _load_query_sets(args, res, cond.scc_of)
+    dag, scc_by_id = _load_condensed(args.graph, args.format)
+    query_sets = []
+    for path in args.queries:
+        rows = _read_pairs(path, scc_by_id)
+        pairs = [(cs, ct) for _s, _t, cs, ct, _exp in rows]
+        expected = [exp for *_, exp in rows]
+        expected = None if all(e is None for e in expected) else expected
+        query_sets.append(QuerySet(pairs, "file", 0, expected, name=path.rsplit("/", 1)[-1]))
     algos = standard_algorithms(args.algos, args.params, args.matrix_cap)
-    report = bench(cond.dag, algos, query_sets, args.reps, args.seeds)
+    report = bench(dag, algos, query_sets, args.reps, args.seeds)
     tsv = report.to_tsv()
     if args.out_tsv:
         with open(args.out_tsv, "w", encoding="utf-8") as f:
@@ -318,13 +315,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     # stats rows hold no work or fallback tag: only the count of undecided pairs
-    ix, translate = _open_index(args)
-    for i, path in enumerate(args.queries):
-        pairs = [(s != t, *translate(s, t)) for s, t, _exp in load_query_file(path)]
-        rest = [(cs, ct) for distinct, cs, ct in pairs if not (distinct and cs == ct)]
+    ix, scc_by_id = _open_index(args)
+    files = [(path, _read_pairs(path, scc_by_id)) for path in args.queries]
+    for i, (path, rows) in enumerate(files):
+        rest = [(cs, ct) for s, t, cs, ct, _exp in rows if s == t or cs != ct]
         S, T = np.array(rest, dtype=np.int64).reshape(-1, 2).T
         stats = observation_stats(ix, S, T)
-        if same := len(pairs) - len(rest):  # pairs answered 0:B3
+        if same := len(rows) - len(rest):  # pairs answered 0:B3
             stats.queries += same
             stats.first_hit[SAME_SCC.answered_by] += same
             stats.outcomes["reachable"] += same
@@ -427,9 +424,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(str(e))
     try:
         return args.fn(args)
-    # a bad input file, or a graph without enough pairs of the asked kind:
-    # not a bad count
-    except (GraphFormatError, IndexFormatError, InfeasibleError) as e:
+    except BrokenPipeError:  # a closed stdout is not an input error
+        raise
+    # a bad, missing or unwritable file, or a graph without enough pairs of
+    # the asked kind: not a bad count
+    except (GraphFormatError, IndexFormatError, InfeasibleError, OSError) as e:
         raise SystemExit(f"error: {e}") from None
     except ValueError as e:  # the generators and bench reject bad counts
         if args.command not in ("gen-graph", "gen-queries", "bench"):

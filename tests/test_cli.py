@@ -513,6 +513,92 @@ def test_bad_pairs_token_is_an_error_for_every_command(pinned, tmp_path):
         assert e.value.code.startswith("error: ")  # exit status 1, not argparse's 2
 
 
+def test_unknown_vertex_id_is_an_error_before_any_answer(pinned, tmp_path, capsys):
+    g, idx, pairs, _run = pinned
+    bad = write(tmp_path / "bad.txt", "-3 7 1\n7 99\n")
+    for argv in (["query", "--graph", g, "--index", idx, "--pairs", bad],
+                 ["stats", "--graph", g, "--index", idx, "--queries", pairs, bad],
+                 ["bench", "--graph", g, "--queries", pairs, bad, "--algos", "bfs"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == f"error: {bad}: unknown vertex id 99"
+        assert capsys.readouterr().out == ""
+
+
+INPUT_FLAGS = {
+    "query": ["--graph", "--index", "--pairs"],
+    "stats": ["--graph", "--index", "--queries"],
+    "bench": ["--graph", "--queries"],
+    "gen-queries": ["--graph", "--out"],
+    "build": ["--graph", "--out-index"],
+}
+EXTRA_ARGS = {
+    "bench": ["--algos", "bfs", "--reps", "1"],
+    "gen-queries": ["--kind", "random", "--count", "5"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c, flags in INPUT_FLAGS.items() for f in flags],
+)
+def test_missing_or_unwritable_file_is_an_error_for_every_command(
+    pinned, tmp_path, capsys, command, flag
+):
+    g, idx, pairs, _run = pinned
+    files = {"--graph": g, "--index": idx, "--pairs": pairs, "--queries": pairs,
+             "--out": str(tmp_path / "out.txt"), "--out-index": str(tmp_path / "new.ridx")}
+    files[flag] = str(tmp_path / "missing" / "x")  # no such directory: cannot read or write
+    argv = [command, *EXTRA_ARGS.get(command, [])]
+    for f in INPUT_FLAGS[command]:
+        argv += [f, files[f]]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code.startswith("error: ") and "\n" not in e.value.code
+    assert "No such file or directory" in e.value.code
+    assert capsys.readouterr().out == ""
+
+
+def test_missing_index_exits_1_without_traceback(pinned, tmp_path):
+    g, _idx, pairs, _run = pinned
+    missing = str(tmp_path / "missing.ridx")
+    proc = subprocess.run(
+        [sys.executable, "-m", "reachidx.cli", "query", "--graph", g, "--index", missing,
+         "--pairs", pairs],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr  # only the parse warnings come before
+    assert proc.stderr.endswith(f"\nerror: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+def test_graph_errors_name_the_graph_file(pinned, tmp_path):
+    g, idx, pairs, _run = pinned
+    os.remove(idx + ".cond")  # query and stats parse the graph
+    for argv in (["query", "--graph", g, "--index", idx, "--pairs", pairs],
+                 ["stats", "--graph", g, "--index", idx, "--queries", pairs],
+                 ["bench", "--graph", g, "--queries", pairs, "--algos", "bfs"],
+                 ["build", "--graph", g, "--out-index", str(tmp_path / "x.ridx")],
+                 ["gen-queries", "--graph", g, "--kind", "random", "--count", "5",
+                  "--out", str(tmp_path / "x.txt")]):
+        with pytest.raises(SystemExit) as e:
+            main([*argv, "--format", "gra"])
+        assert e.value.code == f"error: {g}: line 4: bad vertex count '10 70'"
+
+
+def test_closed_stdout_is_not_an_input_error(pinned, monkeypatch):
+    g, idx, pairs, _run = pinned
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["query", "--graph", g, "--index", idx, "--pairs", pairs])
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "reachidx.cli", "--help"],

@@ -33,6 +33,7 @@ SMALL_GRAPH = ["--n", "64", "--m", "160", "--queries", "20"]
             "t\tk\tp\tbytes_per_vertex\tbuild_ms\tfallback_neg\tfallback_pos",
         ),
     ],
+    ids=["desk_eval-index+pbibfs-bfs", "param_sweep-t2-k4", "param_sweep-t2-k0-16"],
 )
 def test_script_runs_and_prints_tsv(script, args, header):
     proc = subprocess.run(
