@@ -222,27 +222,31 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     fmt = graph_format(args.graph, args.format)
-    digest = _source_digest(args.graph, fmt)
-    res = _load(args.graph, fmt)
-    cond = scc_condense(res.graph)
-    dag = cond.dag
-    n_input = res.graph.n
+    out = open(args.out_index, "wb")  # an unwritable path fails before the graph is read
     try:
-        original_ids = np.array(res.original_ids, dtype="<i8")
-    except OverflowError:
-        original_ids = None  # ids beyond 64 bits: no bundle, query re-parses
-    scc_of = np.array(cond.scc_of, dtype="<u4")
-    dropped = (res.dropped_self_loops, res.dropped_duplicates)
-    del res, cond  # the input graph would only raise the peak memory of the build
-    ix = build_index(dag, args.params, args.seed)
-    data = serialize_index(ix)
-    with open(args.out_index, "wb") as f:
-        f.write(data)
-    bundle = args.out_index + BUNDLE_SUFFIX
-    if original_ids is not None:
-        _write_bundle(bundle, digest, original_ids, scc_of, dag, dropped)
-    elif os.path.exists(bundle):
-        os.remove(bundle)
+        with out:
+            digest = _source_digest(args.graph, fmt)
+            res = _load(args.graph, fmt)
+            cond = scc_condense(res.graph)
+            dag = cond.dag
+            n_input = res.graph.n
+            try:
+                original_ids = np.array(res.original_ids, dtype="<i8")
+            except OverflowError:
+                original_ids = None  # ids beyond 64 bits: no bundle, query re-parses
+            scc_of = np.array(cond.scc_of, dtype="<u4")
+            dropped = (res.dropped_self_loops, res.dropped_duplicates)
+            del res, cond  # the input graph would only raise the peak memory of the build
+            data = serialize_index(build_index(dag, args.params, args.seed))
+            out.write(data)
+        bundle = args.out_index + BUNDLE_SUFFIX
+        if original_ids is not None:
+            _write_bundle(bundle, digest, original_ids, scc_of, dag, dropped)
+        elif os.path.exists(bundle):
+            os.remove(bundle)
+    except BaseException:  # no index is left behind by a build that failed
+        os.remove(args.out_index)
+        raise
     print(
         f"indexed {dag.n} SCC(s) of {n_input} vertices: "
         f"{len(data)} bytes to {args.out_index}"
@@ -423,9 +427,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         except ValueError as e:
             parser.error(str(e))
     try:
-        return args.fn(args)
-    except BrokenPipeError:  # a closed stdout is not an input error
-        raise
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: not an input error.  Point
+        # it at devnull, so that Python's flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+        return 1
     # a bad, missing or unwritable file, or a graph without enough pairs of
     # the asked kind: not a bad count
     except (GraphFormatError, IndexFormatError, InfeasibleError, OSError) as e:

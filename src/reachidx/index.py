@@ -27,10 +27,21 @@ tests and per-layer timing).  It expands the side with the shorter queue,
 answers positively when the sides meet and negatively as soon as either
 queue is empty, and tests every newly encountered vertex against the
 search's fixed endpoint with the same observations, so a decisive negative
-prunes that vertex.  The level window is checked inline in the search loop;
-the other observations run in a per-side endpoint test, built on that
-side's first pop.  There containment runs inside each ordering's checks, in place of
-the T2 comparison it subsumes.
+prunes that vertex.  The search checks the negatives inline: the level
+window, then every other negative observation (S2, S3, B4 and containment
+per ordering, which subsumes T2, and B2) in one comparison of packed keys.
+Each vertex's key is one Python int holding one field per observation,
+each with a guard bit above it, oriented so that a reachable pair (a, b)
+has u(a) <= u(b) in every field u; the guard bits of g + key(b) - key(a)
+are then all set exactly when no field refutes the pair, so one addition,
+one & and one compare test them all at once.  The keys are built with
+numpy on an index's first fallback, not at build or load (~30-50 ms, ~5 MB,
+about 72 bytes a vertex, for 2^16 vertices at the default parameters), and
+kept on the ReachIndex.  The levels stay out of the key: the decided
+queries read the same level columns, and with the fallbacks no longer
+reading them those queries slowed by ~30%.  A vertex the negatives leave
+goes through the positive observations (S1, T1 and T3) in a per-side
+endpoint test, built on that side's first pop.
 
 In memory, every per-vertex integer column (weak component, both levels,
 and each ordering's pos, High and Max) is an array('I'): n
@@ -144,11 +155,30 @@ class QueryOutcome:
     work: int = 0  # vertices expanded by the fallback; 0 for observation answers
 
 
+@dataclass(frozen=True)
+class PackedKeys:
+    """The search's negative observations beyond the levels, packed into one
+    Python int per vertex (see _pack_keys)."""
+
+    keys: list[int]
+    guard: int  # the guard bit of every field
+
+    def bound(self, x: int, towards: bool) -> tuple[int, int]:
+        """(c, want) for the search side with fixed endpoint x: an
+        observation refutes the pair (v, x) (towards=True) or (x, v), for any
+        v != x, exactly when (keys[v] + c) & guard != want."""
+        kx, g = self.keys[x], self.guard
+        if towards:  # the bits of g + kx - keys[v] flipped, kept nonnegative
+            return (1 << g.bit_length()) - 1 - g - kx, 0
+        return g - kx, g
+
+
 @dataclass
 class ReachIndex:
     """A built or loaded index.  It holds the stages' objects as they are
     given: the integer columns of wcc, levels and orderings are array('I')
-    (see the module docstring)."""
+    (see the module docstring).  keys is the search's packed keys, built on
+    the index's first fallback."""
 
     graph: DiGraph
     wcc: array
@@ -157,6 +187,8 @@ class ReachIndex:
     supports: SupportSet
     params: IndexParams | None = None
     seed: int | None = None
+    # not an init field, so that dataclasses.replace starts without stale keys
+    keys: PackedKeys | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _substream(seed: int, tag: str, i: int = 0) -> int:
@@ -482,67 +514,97 @@ class Resolver:
         object.__setattr__(self, "tag", "fallback:" + self.name)
 
 
+def _pack_keys(ix: ReachIndex) -> PackedKeys:
+    """The negative observations of the search but the levels, as one key
+    per vertex.
+
+    Each observation becomes fields u with u(a) <= u(b) whenever a reaches
+    b: wcc and W - wcc (B2), per ordering pos and N - Max, or N - pos and
+    Max for a backward one (B4, C), and one 2-bit field per support bit of
+    the forward masks and of the complemented backward masks (S2, S3).  The
+    other fields take whole bytes.  The top bit of each field is its guard
+    bit, g has every guard bit set and the values stay below them: then each
+    field of g + keys[b] - keys[a] holds 2^w + u(b) - u(a), with w the
+    guard's place in it, which lies in [1, 2^(w+1)) and so borrows nothing
+    from its neighbour, and the guard bit stays set exactly when u does not
+    refute (a, b).  So one addition, one & and one compare test every
+    observation at once (Lamport, "Multiple byte processing with full-word
+    instructions", CACM 1975).
+    """
+    n, ss = len(ix.wcc), ix.supports
+
+    def col(a: array) -> np.ndarray:
+        return np.frombuffer(a, dtype=np.uint32).astype(np.int64)
+
+    def fields():  # one at a time, so that only one int64 column is alive
+        wcc = col(ix.wcc)
+        yield wcc
+        yield wcc.max(initial=0) - wcc
+        for o in ix.orderings:
+            if o.flavor == FORWARD:
+                yield col(o.pos)
+                yield n - 1 - col(o.mx)
+            else:
+                yield n - 1 - col(o.pos)
+                yield col(o.mx)
+
+    parts, guard = [], bytearray()
+    for values in fields():
+        width = (int(values.max(initial=0)).bit_length() + 8) // 8  # room for the guard bit
+        parts.append(values.astype("<u8").view(np.uint8).reshape(n, 8)[:, :width].copy())
+        guard += bytes(width - 1) + b"\x80"
+    for m, flip in ((ss.fwd_mask, 0), (ss.bwd_mask, 1)):
+        bits = np.unpackbits(mask_rows(m, ss.mask_bytes), axis=1, bitorder="little") ^ flip
+        spread = np.zeros((n, 2 * bits.shape[1]), dtype=np.uint8)
+        spread[:, ::2] = bits  # bit i of the mask to bit 2i, its guard at 2i + 1
+        parts.append(np.packbits(spread, axis=1, bitorder="little"))
+        guard += b"\xaa" * (bits.shape[1] // 4)
+    data, size, from_bytes = np.hstack(parts).tobytes(), len(guard), int.from_bytes
+    keys = [from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    return PackedKeys(keys, from_bytes(guard, "little"))
+
+
 def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], bool | None]:
-    """Observations bound to the fixed endpoint x of one search side, for a
-    v != x inside x's level window (B5 and B6 do not hold for the pair; the
-    search checks that inline before the call).
+    """The positive observations bound to the fixed endpoint x of one search
+    side, for a v != x that no negative observation refutes (the search
+    checks that first, with the level window and the packed keys).
 
     For such v, towards=True gives test(v) == try_observations(ix, v, x)[0]
     (forward side, x = t) and towards=False gives
-    test(v) == try_observations(ix, x, v)[0] (backward side, x = s).  x's
-    masks, component and ordering indices are read once.  Every observation
-    is sound, so running them cheapest-first (S1, S2/S3, orderings, B2) gives
-    the same verdict as the fixed test order.
+    test(v) == try_observations(ix, x, v)[0] (backward side, x = s): True
+    when S1, T1 or T3 of some ordering proves the pair, else None.  x's masks
+    and ordering indices are read once.
 
     The tests are written for the forward side.  The backward side swaps the
-    two mask lists, which gives it S1 of (x, v) and S2 and S3 swapped.  An
-    ordering whose own graph has the pair (v, x) (a forward one on the
-    forward side, a backward one on the backward side) is an own ordering:
-    v's indices are read per call.  The others hold (x, v) and are fixed
-    orderings: B4 and the positive tests reduce to intervals of pos(v).
-    Containment (C) runs inside each ordering's checks, in place of T2,
-    which it subsumes: an own ordering compares Max(x), read once, where T2
-    compared pos(x), and a fixed one reads Max(v) where T2 compared pos(v).
+    two mask lists, which gives it S1 of (x, v).  An ordering whose own graph
+    has the pair (v, x) (a forward one on the forward side, a backward one on
+    the backward side) is an own ordering: v's High and Max are read per
+    call.  The others hold (x, v) and are fixed orderings: their tests
+    reduce to pos(v) in [pos(x), High(x)] or on Max(x), and pos(v) >= pos(x)
+    holds already, as B4 does not refute the pair.
     """
     fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
     if not towards:
         fm, bm = bm, fm
-    wcc = ix.wcc
-    fmx, bmx, wx = fm[x], bm[x], wcc[x]
-    # own: (v, x); fixed: (x, v), where pos(v) in [pos(x), High(x)] or on
-    # Max(x) proves the pair and pos(v) < pos(x) refutes it (B4)
-    own: list[tuple[array, array, array, int, int]] = []
-    fixed: list[tuple[array, array, int, int, int]] = []
+    fmx = fm[x]
+    own: list[tuple[array, array, int]] = []
+    fixed: list[tuple[array, int, int]] = []
     for o in ix.orderings:
-        px, mxx = o.pos[x], o.mx[x]
         if (o.flavor == FORWARD) == towards:
-            own.append((o.pos, o.hi, o.mx, px, mxx))
+            own.append((o.hi, o.mx, o.pos[x]))
         else:
-            fixed.append((o.pos, o.mx, px, o.hi[x], mxx))
+            fixed.append((o.pos, o.hi[x], o.mx[x]))
 
     def test(v: int) -> bool | None:
         if bm[v] & fmx:  # S1
             return True
-        if fm[v] & ~fmx or bmx & ~bm[v]:  # S2, S3
-            return False
-        for pos, hi, mx, px, mxx in own:  # B4, T1, C, T3
-            if px < pos[v]:
-                return False
-            if px <= hi[v]:
+        for hi, mx, px in own:  # T1, T3
+            if px <= hi[v] or px == mx[v]:
                 return True
-            m = mx[v]
-            if m < mxx:  # C: Max(x) > Max(v)
-                return False
-            if px == m:
-                return True
-        for pos, mx, a, b, mxx in fixed:  # B4, C, T1, T3
+        for pos, b, m in fixed:  # T1, T3
             p = pos[v]
-            if p < a or mx[v] > mxx:  # C: Max(v) > Max(x)
-                return False
-            if p <= b or p == mxx:
+            if p <= b or p == m:
                 return True
-        if wcc[v] != wx:  # B2
-            return False
         return None
 
     return test
@@ -557,8 +619,10 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     vertex it could put on an s-t path.  Every newly encountered vertex v
     first goes through the observations as the subquery (v, t) or (s, v): a
     decisive positive answers the whole query, a decisive negative prunes v.
-    The level window (B5, B6) is checked inline; the rest of the observations
-    run in the side's _endpoint_test, built on that side's first pop.
+    The negative observations run inline: the level window (B5, B6), then
+    one comparison of packed keys for the rest.  The positive ones run in the
+    side's _endpoint_test, built on that side's first pop.  The index's keys
+    are built on its first search with s != t.
     Raises IndexError when s or t is not a vertex id in [0, n).
     """
     g = ix.graph
@@ -573,22 +637,26 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     # each vertex either side has queued, mapped to that side's queue: the
     # sides' seen sets are disjoint, as meeting ends the search
     seen = {s: fq, t: bq}
-    # per side: queue, offsets and targets, then the pair's level window in
-    # the one form a[v] >= ax or b[v] <= bx (B5, B6), then the test; built on
-    # first pop
+    # per side: queue, offsets and targets, the pair's level window in the
+    # one form a[v] >= ax or b[v] <= bx (B5, B6), the key bound (c, want) and
+    # the positive test; built on first pop
     fwd = bwd = None
+    if ix.keys is None:
+        ix.keys = _pack_keys(ix)
+    pk = ix.keys
+    keys, guard = pk.keys, pk.guard
     work = 0
     while fq and bq:
         if len(fq) <= len(bq):
             if fwd is None:
-                test = _endpoint_test(ix, t, True)
-                fwd = (fq, g.out_off, g.out_tg, lf, lf[t], lb, lb[t], test)
-            q, off, tg, a, ax, b, bx, test = fwd
+                fwd = (fq, g.out_off, g.out_tg, lf, lf[t], lb, lb[t],
+                       *pk.bound(t, True), _endpoint_test(ix, t, True))
+            q, off, tg, a, ax, b, bx, c, want, test = fwd
         else:
             if bwd is None:
-                test = _endpoint_test(ix, s, False)
-                bwd = (bq, g.in_off, g.in_tg, lb, lb[s], lf, lf[s], test)
-            q, off, tg, a, ax, b, bx, test = bwd
+                bwd = (bq, g.in_off, g.in_tg, lb, lb[s], lf, lf[s],
+                       *pk.bound(s, False), _endpoint_test(ix, s, False))
+            q, off, tg, a, ax, b, bx, c, want, test = bwd
         u = q.popleft()
         work += 1
         for v in tg[off[u]:off[u + 1]]:
@@ -596,13 +664,11 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
                 if seen[v] is not q:  # frontiers met
                     return True, work
                 continue
-            if a[v] >= ax or b[v] <= bx:  # B5, B6
+            # B5, B6, then S2, S3, B4, C and B2 in one comparison
+            if a[v] >= ax or b[v] <= bx or (keys[v] + c) & guard != want:
                 continue
-            sub = test(v)
-            if sub is True:
+            if test(v):
                 return True, work
-            if sub is False:
-                continue
             seen[v] = q
             q.append(v)
     return False, work

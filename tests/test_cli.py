@@ -543,7 +543,7 @@ EXTRA_ARGS = {
     [(c, f) for c, flags in INPUT_FLAGS.items() for f in flags],
 )
 def test_missing_or_unwritable_file_is_an_error_for_every_command(
-    pinned, tmp_path, capsys, command, flag
+    pinned, tmp_path, capsys, monkeypatch, command, flag
 ):
     g, idx, pairs, _run = pinned
     files = {"--graph": g, "--index": idx, "--pairs": pairs, "--queries": pairs,
@@ -552,6 +552,8 @@ def test_missing_or_unwritable_file_is_an_error_for_every_command(
     argv = [command, *EXTRA_ARGS.get(command, [])]
     for f in INPUT_FLAGS[command]:
         argv += [f, files[f]]
+    if flag == "--out-index":  # the output is opened before the graph is read
+        monkeypatch.setattr(cli, "build_index", lambda *a: pytest.fail("build_index called"))
     with pytest.raises(SystemExit) as e:
         main(argv)
     assert e.value.code.startswith("error: ") and "\n" not in e.value.code
@@ -585,18 +587,27 @@ def test_graph_errors_name_the_graph_file(pinned, tmp_path):
         with pytest.raises(SystemExit) as e:
             main([*argv, "--format", "gra"])
         assert e.value.code == f"error: {g}: line 4: bad vertex count '10 70'"
+    assert not (tmp_path / "x.ridx").exists()  # a failed build leaves no index
 
 
-def test_closed_stdout_is_not_an_input_error(pinned, monkeypatch):
+def test_closed_stdout_is_not_an_input_error(pinned):
+    # as with `reachidx query ... | head -1`: status 1, no traceback
     g, idx, pairs, _run = pinned
-
-    class ClosedPipe:
-        def write(self, text):
-            raise BrokenPipeError(32, "Broken pipe")
-
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    with pytest.raises(BrokenPipeError):
-        main(["query", "--graph", g, "--index", idx, "--pairs", pairs])
+    r, w = os.pipe()
+    os.close(r)  # no reader: the first write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "reachidx.cli", "query", "--graph", g, "--index", idx,
+             "--pairs", pairs],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert "error:" not in proc.stderr
 
 
 def test_module_entry_point_help():

@@ -505,22 +505,26 @@ def test_resolvers_are_exact(g, params, seed):
 
 
 def assert_endpoint_tests_match(ix: ReachIndex) -> None:
-    """Each side's test equals try_observations on the vertices the search
-    hands it: v != x, inside x's level window.  Together with the search's
-    inline window, (a, b) = (levels.fwd, levels.bwd) towards x and
-    (levels.bwd, levels.fwd) from x, it equals try_observations for every
-    v != x; v == x sits in the other side's seen set, where the sides meet,
+    """Each side's negative checks and positive test together equal
+    try_observations for every v != x: where the level window, (a, b) =
+    (levels.fwd, levels.bwd) towards x and (levels.bwd, levels.fwd) from x,
+    or the packed key refutes the pair, try_observations answers False, and
+    elsewhere the positive test answers what try_observations does, True or
+    None.  v == x sits in the other side's seen set, where the sides meet,
     just as EQ answers it."""
     n = ix.graph.n
     lf, lb = ix.levels.fwd, ix.levels.bwd
+    pk = index_mod._pack_keys(ix)
     for x in range(n):
-        towards_x, from_x = _endpoint_test(ix, x, True), _endpoint_test(ix, x, False)
-        for v in range(n):
-            if v == x:
-                continue
-            for test, a, b, pair in ((towards_x, lf, lb, (v, x)), (from_x, lb, lf, (x, v))):
+        for towards, a, b in ((True, lf, lb), (False, lb, lf)):
+            c, want = pk.bound(x, towards)
+            test = _endpoint_test(ix, x, towards)
+            for v in range(n):
+                if v == x:
+                    continue
+                pair = (v, x) if towards else (x, v)
                 expected = try_observations(ix, *pair)[0]
-                if a[v] >= a[x] or b[v] <= b[x]:  # refuted inline: B5 or B6
+                if a[v] >= a[x] or b[v] <= b[x] or (pk.keys[v] + c) & pk.guard != want:
                     assert expected is False, pair
                 else:
                     assert test(v) == expected, pair
@@ -540,6 +544,56 @@ def test_endpoint_test_matches_try_observations(g, params, seed):
 def test_endpoint_test_on_tag_cases(n, edges, params, seed):
     # graphs on which one observation decides alone, such as T3, T6 or B2
     assert_endpoint_tests_match(build_index(DiGraph.from_edges(n, edges), params, seed=seed))
+
+
+def path_graph(n: int) -> DiGraph:
+    return DiGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# Packed-key edges that ANY_PARAMS never reaches: masks of two words, one
+# vertex, a key of the components alone (t = 0, k = 0), and positions that
+# fill their fields' bytes (n = 128: at most 127) or need one byte more
+# (n = 129), also on paths, where the levels reach n - 1
+KEY_EDGE_CASES = {
+    "k70": (lambda: gen_random_dag(300, 1200, 0), IndexParams(t=4, k=70, p=3, h=8)),
+    "n1": (lambda: path_graph(1), IndexParams()),
+    "t0-k0": (lambda: gen_random_dag(128, 400, 1), IndexParams(t=0, k=0)),
+    "n128": (lambda: gen_random_dag(128, 400, 2), IndexParams(t=3, k=9)),
+    "n129": (lambda: gen_random_dag(129, 400, 3), IndexParams(t=3, k=9)),
+    "path128": (lambda: path_graph(128), IndexParams(t=2, k=2)),
+    "path129": (lambda: path_graph(129), IndexParams(t=2, k=2)),
+}
+
+
+@pytest.mark.parametrize("graph,params", KEY_EDGE_CASES.values(), ids=KEY_EDGE_CASES)
+def test_search_on_key_edge_cases(graph, params):
+    g = graph()
+    ix = build_index(g, params, seed=0)
+    assert_endpoint_tests_match(ix)
+    mx = build_matrix(g)
+    rng = random.Random(0)
+    for _ in range(300):
+        s, t = rng.randrange(g.n), rng.randrange(g.n)
+        assert PBIBFS.run(ix, s, t) == reference_search(ix, s, t), (s, t)
+        assert query(ix, s, t).answer == matrix_query(mx, s, t), (s, t)
+
+
+def test_keys_are_built_on_the_first_fallback():
+    g = gen_random_dag(64, 160, 0)
+    ix = build_index(g, SMALL, seed=0)
+    loaded = deserialize_index(serialize_index(ix), g)
+    for s in range(g.n):  # the observations never build them
+        for t in range(g.n):
+            try_observations(ix, s, t)
+    assert ix.keys is None and loaded.keys is None
+    PBIBFS.run(ix, 3, 3)  # s == t: no search
+    assert ix.keys is None
+    PBIBFS.run(ix, 0, 1)
+    keys = ix.keys
+    assert keys is not None
+    PBIBFS.run(ix, 1, 0)
+    assert ix.keys is keys  # built once per index
+    assert dataclasses.replace(ix, orderings=ix.orderings[:1]).keys is None
 
 
 def reference_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
