@@ -19,7 +19,6 @@ from reachidx import (
     build_oracle,
     gen_queries,
     gen_random_dag,
-    standard_algorithms,
     stats_report,
 )
 from reachidx.workbench import ALGORITHM_NAMES
@@ -32,8 +31,7 @@ def run(a: argparse.Namespace, params: IndexParams) -> None:
         gen_queries(g, kind, a.queries, a.query_seed + i, oracle)
         for i, kind in enumerate(a.kinds)
     ]
-    algos = standard_algorithms(a.algos, params)
-    report = bench(g, algos, sets, a.reps, a.index_seeds)
+    report = bench(g, a.algos, sets, a.reps, a.index_seeds, params)
     print(report.to_tsv(), end="")
     for (algo, label), stats in sorted(report.stats.items()):
         print()

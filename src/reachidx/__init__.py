@@ -60,7 +60,6 @@ from .toporder import (
     ordering_analysis,
 )
 from .workbench import (
-    Algorithm,
     AnswerMismatchError,
     BenchReport,
     InfeasibleError,
@@ -69,7 +68,6 @@ from .workbench import (
     build_oracle,
     gen_queries,
     gen_random_dag,
-    standard_algorithms,
     stats_report,
 )
 

@@ -2,8 +2,9 @@
 
 The matrix doubles as the ground-truth oracle in tests, so it stays
 deliberately simple: one bit-parallel BFS per source vertex, no shared
-machinery with the index implementation.  The plain BFS is also the index's
-`bfs` fallback.
+machinery with the index implementation.  The plain BFS is also the
+reference search (index.PLAIN_BFS) that the tests and the benchmark time
+and check the index's fallback against.
 """
 
 from __future__ import annotations

@@ -15,12 +15,14 @@ parsed it; deleting one is always safe.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import os
 import struct
 import sys
 import zlib
-from typing import Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +51,7 @@ from .index import (
 )
 from .workbench import (
     ALGORITHM_NAMES,
+    QUERY_KINDS,
     InfeasibleError,
     QuerySet,
     bench,
@@ -57,7 +60,6 @@ from .workbench import (
     gen_random_dag,
     load_query_file,
     save_query_set,
-    standard_algorithms,
     stats_report,
 )
 
@@ -126,7 +128,7 @@ def _source_digest(path: str, fmt: str) -> bytes:
 
 
 def _write_bundle(
-    path: str,
+    f: IO[bytes],
     digest: bytes,
     original_ids: np.ndarray,
     scc_of: np.ndarray,
@@ -141,9 +143,8 @@ def _write_bundle(
     body = b"".join(
         [header, original_ids.tobytes(), scc_of.tobytes(), offsets.tobytes(), targets.tobytes()]
     )
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(struct.pack("<I", zlib.crc32(body)))
+    f.write(body)
+    f.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def _read_bundle(
@@ -220,33 +221,59 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[IO[bytes]]:
+    """A new file beside path, renamed onto path when the block succeeds and
+    removed when it fails, so that path holds its old bytes or all the new."""
+    if os.path.isdir(path):  # os.replace would fail only after the build
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = f"{path}.{os.getpid()}.tmp"  # not mkstemp: its files are private to the user
+    try:
+        f = open(tmp, "wb")
+    except OSError as e:  # name the path asked for, not the temporary
+        raise OSError(e.errno, e.strerror, path) from None
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing
+        return False
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     fmt = graph_format(args.graph, args.format)
-    out = open(args.out_index, "wb")  # an unwritable path fails before the graph is read
-    try:
-        with out:
-            digest = _source_digest(args.graph, fmt)
-            res = _load(args.graph, fmt)
-            cond = scc_condense(res.graph)
-            dag = cond.dag
-            n_input = res.graph.n
-            try:
-                original_ids = np.array(res.original_ids, dtype="<i8")
-            except OverflowError:
-                original_ids = None  # ids beyond 64 bits: no bundle, query re-parses
-            scc_of = np.array(cond.scc_of, dtype="<u4")
-            dropped = (res.dropped_self_loops, res.dropped_duplicates)
-            del res, cond  # the input graph would only raise the peak memory of the build
-            data = serialize_index(build_index(dag, args.params, args.seed))
-            out.write(data)
-        bundle = args.out_index + BUNDLE_SUFFIX
+    bundle = args.out_index + BUNDLE_SUFFIX
+    for path in (args.out_index, bundle):
+        if _same_file(path, args.graph):
+            raise OSError(f"{path} is the graph file: the build would overwrite its input")
+    # an unwritable path fails here, before the graph is read
+    with _replacing(args.out_index) as out, _replacing(bundle) as out_bundle:
+        digest = _source_digest(args.graph, fmt)
+        res = _load(args.graph, fmt)
+        cond = scc_condense(res.graph)
+        dag = cond.dag
+        n_input = res.graph.n
+        try:
+            original_ids = np.array(res.original_ids, dtype="<i8")
+        except OverflowError:
+            original_ids = None  # ids beyond 64 bits: no bundle, query re-parses
+        scc_of = np.array(cond.scc_of, dtype="<u4")
+        dropped = (res.dropped_self_loops, res.dropped_duplicates)
+        del res, cond  # the input graph would only raise the peak memory of the build
+        data = serialize_index(build_index(dag, args.params, args.seed))
+        out.write(data)
         if original_ids is not None:
-            _write_bundle(bundle, digest, original_ids, scc_of, dag, dropped)
-        elif os.path.exists(bundle):
-            os.remove(bundle)
-    except BaseException:  # no index is left behind by a build that failed
-        os.remove(args.out_index)
-        raise
+            _write_bundle(out_bundle, digest, original_ids, scc_of, dag, dropped)
+    if original_ids is None:  # drop the empty bundle the block renamed into place
+        os.remove(bundle)
     print(
         f"indexed {dag.n} SCC(s) of {n_input} vertices: "
         f"{len(data)} bytes to {args.out_index}"
@@ -305,8 +332,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         expected = [exp for *_, exp in rows]
         expected = None if all(e is None for e in expected) else expected
         query_sets.append(QuerySet(pairs, "file", 0, expected, name=path.rsplit("/", 1)[-1]))
-    algos = standard_algorithms(args.algos, args.params, args.matrix_cap)
-    report = bench(dag, algos, query_sets, args.reps, args.seeds)
+    report = bench(dag, args.algos, query_sets, args.reps, args.seeds, args.params, args.matrix_cap)
     tsv = report.to_tsv()
     if args.out_tsv:
         with open(args.out_tsv, "w", encoding="utf-8") as f:
@@ -369,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-queries", help="sample a query set with expected bits")
     add_graph_arg(p)
-    p.add_argument("--kind", choices=("positive", "negative", "random", "mixed"),
-                   required=True)
+    p.add_argument("--kind", choices=QUERY_KINDS, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--matrix-cap", type=int, default=DEFAULT_MATRIX_CAP,

@@ -414,12 +414,11 @@ def load_graph(path: str, fmt: str | None = None) -> ParseResult:
         return parse_graph(f, fmt)
 
 
-def write_edge_list(g: DiGraph, f: IO[str], original_ids: list[int] | None = None) -> None:
-    ids = original_ids or range(g.n)
+def write_edge_list(g: DiGraph, f: IO[str]) -> None:
     off, tg = g.out_off, g.out_tg
     for u in range(g.n):
         for v in tg[off[u]:off[u + 1]]:
-            f.write(f"{ids[u]} {ids[v]}\n")
+            f.write(f"{u} {v}\n")
 
 
 def write_gra(g: DiGraph, f: IO[str]) -> None:

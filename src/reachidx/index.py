@@ -15,11 +15,12 @@ support, first ordering, negative supports, remaining orderings, then weak
 components and Max containment over all orderings); the first decisive
 one answers.  observation_table is their definition: one (test:tag,
 answer, mask) row per observation, in that order, over numpy views of the
-columns.  try_observations reads it for one pair, and observation_stats
-counts first hits and overlap from it in bulk.  Each ordering test is
-written once, for a pair (source, target) in the ordering's own graph: the
-pair (s, t) in a forward ordering, (t, s) in a backward one, which is an
-ordering of the reverse graph (see toporder).
+columns, from which observation_stats counts first hits and overlap in
+bulk.  try_observations is a separate scalar pass over the same tests for
+one pair, which the tests pin to the table's first true row.  Each
+ordering test is written once, for a pair (source, target) in the
+ordering's own graph: the pair (s, t) in a forward ordering, (t, s) in a
+backward one, which is an ordering of the reverse graph (see toporder).
 
 Undecided queries go to the one fallback, PBIBFS, a pruned bidirectional
 BFS (PLAIN_BFS, the forward BFS baseline, stays as a reference search for

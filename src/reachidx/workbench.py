@@ -13,7 +13,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .graph import DiGraph, GraphFormatError, _digraph
 from .index import (
     IndexParams,
     ObservationStats,
+    ReachIndex,
     _substream,
     build_index,
     observation_stats,
@@ -198,68 +199,31 @@ def save_query_set(
 # benchmarking
 
 
+ALGORITHM_NAMES = ("matrix", "bfs", "index+pbibfs")
+
+
 @dataclass
 class BuiltAlgorithm:
     answer: Callable[[int, int], bool]
     build_ms: float
     index_bytes: int
-    run_with_stats: Callable[[Iterable[tuple[int, int]]], ObservationStats] | None = None
+    index: ReachIndex | None = None
 
 
-@dataclass
-class Algorithm:
-    name: str
-    seeded: bool
-    build: Callable[[DiGraph, int], BuiltAlgorithm]
-
-
-ALGORITHM_NAMES = ("matrix", "bfs", "index+pbibfs")
-
-
-def standard_algorithms(
-    names: Iterable[str],
-    params: IndexParams | None = None,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-) -> list[Algorithm]:
-    """Algorithms by name; the known names are ALGORITHM_NAMES."""
-    out = []
-    for name in names:
-        if name not in ALGORITHM_NAMES:
-            raise ValueError(f"unknown algorithm {name!r}")
-        if name == "matrix":
-
-            def build_mx(g: DiGraph, _seed: int) -> BuiltAlgorithm:
-                t0 = time.perf_counter()
-                mx = build_matrix(g, matrix_cap)
-                ms = (time.perf_counter() - t0) * 1e3
-                return BuiltAlgorithm(mx.query, ms, g.n * ((g.n + 7) // 8))
-
-            out.append(Algorithm("matrix", False, build_mx))
-        elif name == "bfs":
-
-            def build_bfs(g: DiGraph, _seed: int) -> BuiltAlgorithm:
-                return BuiltAlgorithm(lambda s, t: bfs_query(g, s, t), 0.0, 0)
-
-            out.append(Algorithm("bfs", False, build_bfs))
-        else:
-
-            def build_ix(g: DiGraph, seed: int) -> BuiltAlgorithm:
-                t0 = time.perf_counter()
-                ix = build_index(g, params, seed)
-                ms = (time.perf_counter() - t0) * 1e3
-                nbytes = len(serialize_index(ix))
-
-                def answer(s: int, t: int) -> bool:
-                    return query(ix, s, t).answer
-
-                def run_with_stats(pairs: Iterable[tuple[int, int]]) -> ObservationStats:
-                    S, T = np.array(list(pairs), dtype=np.int64).reshape(-1, 2).T
-                    return observation_stats(ix, S, T)
-
-                return BuiltAlgorithm(answer, ms, nbytes, run_with_stats)
-
-            out.append(Algorithm(name, True, build_ix))
-    return out
+def _build(
+    name: str, g: DiGraph, seed: int, params: IndexParams | None, matrix_cap: int
+) -> BuiltAlgorithm:
+    """One build of the named algorithm; only the index reads the seed."""
+    t0 = time.perf_counter()
+    if name == "matrix":
+        mx = build_matrix(g, matrix_cap)
+        ms = (time.perf_counter() - t0) * 1e3
+        return BuiltAlgorithm(mx.query, ms, g.n * ((g.n + 7) // 8))
+    if name == "bfs":
+        return BuiltAlgorithm(lambda s, t: bfs_query(g, s, t), 0.0, 0)
+    ix = build_index(g, params, seed)
+    ms = (time.perf_counter() - t0) * 1e3
+    return BuiltAlgorithm(lambda s, t: query(ix, s, t).answer, ms, len(serialize_index(ix)), ix)
 
 
 @dataclass
@@ -336,34 +300,40 @@ def _verify(built: BuiltAlgorithm, qs: QuerySet, algo: str) -> None:
 
 def bench(
     g: DiGraph,
-    algorithms: Sequence[Algorithm],
+    names: Sequence[str],
     query_sets: Sequence[QuerySet],
     repetitions: int = 5,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
+    params: IndexParams | None = None,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> BenchReport:
-    """Time every algorithm on every query set.
+    """Time every named algorithm (of ALGORITHM_NAMES) on every query set.
 
-    A seeded algorithm is built once per seed and timed once per build,
-    shuffled by its seed, and reports the mean; any other is built once
-    and timed `repetitions` times, shuffled by the repetition, and reports
-    the median.  Every build is verified on every query set first."""
+    The index, the one seeded algorithm, is built with `params` once per
+    seed and timed once per build, shuffled by its seed, and reports the
+    mean; any other is built once and timed `repetitions` times, shuffled
+    by the repetition, and reports the median.  Every build is verified on
+    every query set first."""
+    for name in names:
+        if name not in ALGORITHM_NAMES:
+            raise ValueError(f"unknown algorithm {name!r}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if not seeds:
         raise ValueError("seeds must not be empty")
     report = BenchReport()
-    for algo in algorithms:
-        if algo.seeded:
+    for name in names:
+        if name == "index+pbibfs":
             build_seeds, passes = seeds, 1
             aggregate, aggregation = statistics.fmean, f"mean({len(seeds)} seeds)"
         else:
             build_seeds, passes = (0,), repetitions
             aggregate, aggregation = statistics.median, f"median({repetitions} reps)"
-        builds = [(seed, algo.build(g, seed)) for seed in build_seeds]
+        builds = [(seed, _build(name, g, seed, params, matrix_cap)) for seed in build_seeds]
         for qs in query_sets:
             times: list[float] = []
             for seed, built in builds:
-                _verify(built, qs, algo.name)
+                _verify(built, qs, name)
                 if qs.pairs:
                     times += [
                         _timed_pass(built, qs.pairs, _substream(qs.seed, "shuffle", seed + rep))
@@ -372,13 +342,14 @@ def bench(
             avg_us = aggregate(times) / len(qs.pairs) * 1e6 if times else None
             fallback_rate = None
             first = builds[0][1]
-            if first.run_with_stats is not None and qs.pairs:
-                st = first.run_with_stats(qs.pairs)
-                report.stats[(algo.name, qs.label)] = st
+            if first.index is not None and qs.pairs:
+                S, T = np.array(qs.pairs, dtype=np.int64).T
+                st = observation_stats(first.index, S, T)
+                report.stats[(name, qs.label)] = st
                 fallback_rate = st.fallback_rate
             report.rows.append(
                 BenchRow(
-                    algorithm=algo.name,
+                    algorithm=name,
                     query_set=qs.label,
                     n_queries=len(qs.pairs),
                     avg_us=avg_us,

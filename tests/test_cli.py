@@ -590,6 +590,51 @@ def test_graph_errors_name_the_graph_file(pinned, tmp_path):
     assert not (tmp_path / "x.ridx").exists()  # a failed build leaves no index
 
 
+def test_build_refuses_to_write_over_its_graph(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_index", lambda *a: pytest.fail("build_index called"))
+    g = write(tmp_path / "g.txt", DIAMOND)
+    bundle = write(tmp_path / "x.cond", DIAMOND)
+    os.symlink(g, tmp_path / "link.txt")
+    # the index, or its bundle, would be the graph file, under any of its names
+    for graph, out_index in [(g, g), (str(tmp_path / "link.txt"), g),
+                             (g, str(tmp_path / "link.txt")), (bundle, str(tmp_path / "x"))]:
+        with pytest.raises(SystemExit) as e:
+            main(["build", "--graph", graph, "--out-index", out_index])
+        assert e.value.code.startswith("error: ") and "\n" not in e.value.code
+        assert "is the graph file" in e.value.code
+    assert (tmp_path / "g.txt").read_text() == (tmp_path / "x.cond").read_text() == DIAMOND
+    assert sorted(os.listdir(tmp_path)) == ["g.txt", "link.txt", "x.cond"]
+    assert capsys.readouterr().out == ""
+
+
+def test_build_to_a_directory_fails_before_reading(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "build_index", lambda *a: pytest.fail("build_index called"))
+    g = write(tmp_path / "g.txt", DIAMOND)
+    for out_index, directory in [("x.ridx", "x.ridx"), ("y.ridx", "y.ridx.cond")]:
+        os.mkdir(tmp_path / directory)
+        with pytest.raises(SystemExit) as e:
+            main(["build", "--graph", g, "--out-index", str(tmp_path / out_index)])
+        assert e.value.code == f"error: [Errno 21] Is a directory: '{tmp_path / directory}'"
+    assert sorted(os.listdir(tmp_path)) == ["g.txt", "x.ridx", "y.ridx.cond"]
+
+
+def test_failed_build_keeps_the_last_good_index(pinned, tmp_path, monkeypatch):
+    g, idx, _pairs, _run = pinned
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    bad = write(tmp_path / "bad.txt", "0 1\n1 x\n")
+    with pytest.raises(SystemExit, match=f"error: {bad}: "):
+        main(["build", "--graph", bad, "--out-index", idx])
+
+    def interrupted(*a):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_index", interrupted)  # fails after the graph is read
+    with pytest.raises(KeyboardInterrupt):
+        main(["build", "--graph", g, "--out-index", idx])
+    after = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert after == {**before, "bad.txt": b"0 1\n1 x\n"}  # no temporary left either
+
+
 def test_closed_stdout_is_not_an_input_error(pinned):
     # as with `reachidx query ... | head -1`: status 1, no traceback
     g, idx, pairs, _run = pinned

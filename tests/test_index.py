@@ -55,7 +55,7 @@ from reachidx.toporder import (
 )
 from reachidx.workbench import gen_random_dag
 
-from conftest import NoShuffle, dags, diamond, edge_pairs, predecessors, successors
+from conftest import NoShuffle, dags, diamond, edge_pairs, path_graph, predecessors, successors
 
 SMALL = IndexParams(t=2, k=4, p=2, h=3)
 
@@ -546,10 +546,6 @@ def test_endpoint_test_on_tag_cases(n, edges, params, seed):
     assert_endpoint_tests_match(build_index(DiGraph.from_edges(n, edges), params, seed=seed))
 
 
-def path_graph(n: int) -> DiGraph:
-    return DiGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 # Packed-key edges that ANY_PARAMS never reaches: masks of two words, one
 # vertex, a key of the components alone (t = 0, k = 0), and positions that
 # fill their fields' bytes (n = 128: at most 127) or need one byte more
@@ -646,6 +642,32 @@ def test_search_matches_reference_search(g, params, seed):
     for s in range(g.n):
         for t in range(g.n):
             assert PBIBFS.run(ix, s, t) == reference_search(ix, s, t), (s, t)
+
+
+def layered_dag(n: int, width: int, rng: np.random.Generator) -> DiGraph:
+    """Four out-edges per vertex v, to v + width·U{1..8} + U{-(width-1)..width-1},
+    each kept when its target is in range and above v; duplicates dropped."""
+    v = np.repeat(np.arange(n), 4)
+    tg = v + width * rng.integers(1, 9, v.size) + rng.integers(-(width - 1), width, v.size)
+    keep = (tg < n) & (tg > v)
+    return DiGraph.from_edges(n, sorted(set(zip(v[keep].tolist(), tg[keep].tolist()))))
+
+
+def test_positive_observations_prune_the_search_on_a_deep_graph():
+    # ~1000 levels of width 4, where most fallbacks are reachable: with S1, T1
+    # and T3 in _endpoint_test the search pops 3.9 vertices per fallback on
+    # these 461 fallbacks, without them 679.  No benchmark workload is this
+    # deep, and on the uniform ones these tests cost more than they save.
+    g = layered_dag(4096, 4, np.random.default_rng(1))
+    ix = build_index(g, seed=0)
+    work = []
+    for s, t in np.random.default_rng(5).integers(0, g.n, (2, 2000)).T.tolist():
+        outcome = query(ix, s, t)
+        if outcome.answered_by == PBIBFS.tag:
+            assert outcome.answer == reference_search(ix, s, t)[0], (s, t)
+            work.append(outcome.work)
+    assert len(work) > 200
+    assert sum(work) / len(work) < 50
 
 
 @pytest.mark.parametrize("resolver", [PBIBFS, PLAIN_BFS], ids=lambda r: r.name)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachidx import workbench
-from reachidx.baselines import CapacityError, build_matrix, matrix_query
+from reachidx.baselines import DEFAULT_MATRIX_CAP, CapacityError, build_matrix, matrix_query
 from reachidx.graph import DiGraph, GraphFormatError, graph_checksum
 from reachidx.index import (
     HEADER,
@@ -18,7 +19,6 @@ from reachidx.index import (
     observation_stats,
 )
 from reachidx.workbench import (
-    Algorithm,
     AnswerMismatchError,
     BenchReport,
     BuiltAlgorithm,
@@ -30,7 +30,6 @@ from reachidx.workbench import (
     gen_random_dag,
     load_query_file,
     save_query_set,
-    standard_algorithms,
     stats_report,
 )
 
@@ -232,44 +231,37 @@ def test_query_file_comments_and_errors(tmp_path):
 # algorithms and bench
 
 
-def test_standard_algorithms_names():
-    algos = standard_algorithms(["matrix", "bfs", "index+pbibfs"], SMALL)
-    assert [a.name for a in algos] == ["matrix", "bfs", "index+pbibfs"]
-    assert [a.seeded for a in algos] == [False, False, True]
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        standard_algorithms(["dijkstra"])
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        standard_algorithms(["index+bfs"])  # the index has one fallback
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        standard_algorithms(["index+astar"])
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        standard_algorithms(["index+bibfs"])
+def test_bench_rejects_unknown_names_before_building(monkeypatch):
+    monkeypatch.setattr(workbench, "_build", lambda *a: pytest.fail("built"))
+    qs = QuerySet([(0, 3)], "random", 0)
+    # the index has one fallback: "index+bfs" and the like are not algorithms
+    for bad in ("dijkstra", "index+bfs", "index+astar", "index+bibfs"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown algorithm {bad!r}")):
+            bench(diamond(), ["matrix", bad], [qs], repetitions=1, seeds=(0,))
+
+
+def build_named(name, g, seed=0):
+    return workbench._build(name, g, seed, SMALL, DEFAULT_MATRIX_CAP)
 
 
 def test_built_algorithms_agree_with_matrix():
     g = gen_random_dag(24, 60, seed=7)
     mx = build_matrix(g)
-    for algo in standard_algorithms(["matrix", "bfs", "index+pbibfs"], SMALL):
-        built = algo.build(g, 3)
+    for name in workbench.ALGORITHM_NAMES:
+        built = build_named(name, g, 3)
         for s in range(g.n):
             for t in range(g.n):
-                assert built.answer(s, t) == matrix_query(mx, s, t), algo.name
+                assert built.answer(s, t) == matrix_query(mx, s, t), name
 
 
 def test_built_algorithm_metadata():
     g = diamond()
-    matrix, bfs, index = (
-        a.build(g, 0)
-        for a in standard_algorithms(["matrix", "bfs", "index+pbibfs"], SMALL)
-    )
+    matrix, bfs, index = (build_named(name, g) for name in ("matrix", "bfs", "index+pbibfs"))
     assert matrix.index_bytes == 4  # 4 vertices, 1 byte of row each
-    assert matrix.run_with_stats is None
-    assert bfs.index_bytes == 0 and bfs.build_ms == 0.0
+    assert matrix.index is None
+    assert bfs.index_bytes == 0 and bfs.build_ms == 0.0 and bfs.index is None
     assert index.index_bytes == HEADER.size + 4 * 38  # t=2, k=4 record layout
-    assert index.run_with_stats is not None
-    st_ = index.run_with_stats([(0, 3), (3, 0), (1, 1)])
-    assert st_.queries == 3 and st_.outcomes == {"reachable": 2, "unreachable": 1}
-    assert st_.overlap["EQ"] == 1 and sum(st_.overlap.values()) > 1  # overlap is counted
+    assert index.index.params == SMALL
 
 
 def test_bench_report_shape_and_tsv():
@@ -279,8 +271,7 @@ def test_bench_report_shape_and_tsv():
         gen_queries(g, "mixed", 5, seed=1, oracle=oracle),
         QuerySet([], "random", 0, name="empty"),
     ]
-    algos = standard_algorithms(["matrix", "index+pbibfs"], SMALL)
-    report = bench(g, algos, sets, repetitions=3, seeds=(0, 1))
+    report = bench(g, ["matrix", "index+pbibfs"], sets, repetitions=3, seeds=(0, 1), params=SMALL)
     assert len(report.rows) == 4
     by_key = {(r.algorithm, r.query_set): r for r in report.rows}
     mixed_mx = by_key[("matrix", "mixed")]
@@ -291,8 +282,12 @@ def test_bench_report_shape_and_tsv():
     mixed_ix = by_key[("index+pbibfs", "mixed")]
     assert mixed_ix.aggregation == "mean(2 seeds)"
     assert mixed_ix.fallback_rate is not None
-    assert ("index+pbibfs", "mixed") in report.stats
-    assert ("matrix", "mixed") not in report.stats
+    # the stats are the first seed's index's, over the set's pairs
+    S, T = zip(*sets[0].pairs)
+    assert report.stats == {
+        ("index+pbibfs", "mixed"): observation_stats(build_index(g, SMALL, seed=0), S, T)
+    }
+    assert mixed_ix.fallback_rate == report.stats[("index+pbibfs", "mixed")].fallback_rate
     empty = by_key[("matrix", "empty")]
     assert empty.n_queries == 0 and empty.avg_us is None
 
@@ -310,25 +305,25 @@ def test_bench_detects_wrong_answers():
     g = diamond()
     qs = QuerySet([(0, 3)], "positive", 0, expected=[False])  # deliberately wrong
     with pytest.raises(AnswerMismatchError, match="matrix"):
-        bench(g, standard_algorithms(["matrix"]), [qs], repetitions=1, seeds=(0,))
+        bench(g, ["matrix"], [qs], repetitions=1, seeds=(0,))
 
 
 def test_bench_rejects_zero_repetitions():
     qs = QuerySet([(0, 3)], "random", 0)
     with pytest.raises(ValueError, match="repetitions must be >= 1, got 0"):
-        bench(diamond(), standard_algorithms(["matrix"]), [qs], repetitions=0)
+        bench(diamond(), ["matrix"], [qs], repetitions=0)
 
 
 def test_bench_rejects_empty_seeds():
     qs = QuerySet([(0, 3)], "random", 0)
     with pytest.raises(ValueError, match="seeds must not be empty"):
-        bench(diamond(), standard_algorithms(["index+pbibfs"]), [qs], seeds=())
+        bench(diamond(), ["index+pbibfs"], [qs], seeds=())
 
 
 def test_bench_pass_schedule(monkeypatch):
-    """A seeded algorithm gets one build and one timed pass per seed, its
-    mean reported; an unseeded one gets one build and `repetitions` passes,
-    their median reported.  Pass j shuffles with _substream(qs.seed,
+    """The index, the seeded algorithm, gets one build and one timed pass
+    per seed, its mean reported; an unseeded one gets one build and
+    `repetitions` passes, their median reported.  Pass j shuffles with _substream(qs.seed,
     "shuffle", j), j the seed or the repetition."""
     passes, verified = [], []
     times = iter([1.0, 2.0, 6.0, 4.0, 1.0, 3.0])
@@ -344,49 +339,41 @@ def test_bench_pass_schedule(monkeypatch):
     monkeypatch.setattr(workbench, "_verify", verify)
     builds = []
 
-    def algorithm(name, seeded):
-        def build(g, seed):
-            builds.append((name, seed))
-            return BuiltAlgorithm(lambda s, t: True, 1.0, seed)
+    def build(name, g, seed, params, matrix_cap):
+        builds.append((name, seed))
+        return BuiltAlgorithm(lambda s, t: True, 1.0, seed)
 
-        return Algorithm(name, seeded, build)
-
+    monkeypatch.setattr(workbench, "_build", build)
     qs = QuerySet([(0, 3), (1, 2)], "random", 11)
     empty = QuerySet([], "random", 12, name="empty")
-    report = bench(
-        diamond(),
-        [algorithm("seeded", True), algorithm("plain", False)],
-        [qs, empty],
-        repetitions=4,
-        seeds=(5, 9),
-    )
-    assert builds == [("seeded", 5), ("seeded", 9), ("plain", 0)]
+    report = bench(diamond(), ["index+pbibfs", "matrix"], [qs, empty], repetitions=4, seeds=(5, 9))
+    assert builds == [("index+pbibfs", 5), ("index+pbibfs", 9), ("matrix", 0)]
     assert passes == [
         (5, _substream(11, "shuffle", 5)),
         (9, _substream(11, "shuffle", 9)),
         *((0, _substream(11, "shuffle", rep)) for rep in range(4)),
     ]
     assert verified == [
-        ("seeded", 5, "random"),
-        ("seeded", 9, "random"),
-        ("seeded", 5, "empty"),
-        ("seeded", 9, "empty"),
-        ("plain", 0, "random"),
-        ("plain", 0, "empty"),
+        ("index+pbibfs", 5, "random"),
+        ("index+pbibfs", 9, "random"),
+        ("index+pbibfs", 5, "empty"),
+        ("index+pbibfs", 9, "empty"),
+        ("matrix", 0, "random"),
+        ("matrix", 0, "empty"),
     ]
     rows = {(r.algorithm, r.query_set): r for r in report.rows}
-    assert rows[("seeded", "random")].aggregation == "mean(2 seeds)"
-    assert rows[("seeded", "random")].avg_us == pytest.approx(1.5 / 2 * 1e6)
-    assert rows[("plain", "random")].aggregation == "median(4 reps)"
-    assert rows[("plain", "random")].avg_us == pytest.approx(3.5 / 2 * 1e6)
-    assert rows[("seeded", "empty")].avg_us is None
-    assert rows[("plain", "empty")].avg_us is None
+    assert rows[("index+pbibfs", "random")].aggregation == "mean(2 seeds)"
+    assert rows[("index+pbibfs", "random")].avg_us == pytest.approx(1.5 / 2 * 1e6)
+    assert rows[("matrix", "random")].aggregation == "median(4 reps)"
+    assert rows[("matrix", "random")].avg_us == pytest.approx(3.5 / 2 * 1e6)
+    assert rows[("index+pbibfs", "empty")].avg_us is None
+    assert rows[("matrix", "empty")].avg_us is None
 
 
 def test_bench_skips_verification_without_expected():
     g = diamond()
     qs = QuerySet([(0, 3)], "random", 0, expected=None)
-    report = bench(g, standard_algorithms(["matrix"]), [qs], repetitions=1)
+    report = bench(g, ["matrix"], [qs], repetitions=1)
     assert report.rows[0].n_queries == 1
 
 
