@@ -18,7 +18,9 @@ with the output of the one-vertex-at-a-time loop it replaced: `weak_components` 
 at most ceil(log2 n) rounds, and `topological_levels` removes Kahn's ready
 set one level per round while it is wide, then finishes one vertex at a
 time, so a long path stays O(n + m).  Tarjan's condensation stays a
-Python loop.
+Python loop.  `level_fold` pushes per-vertex rows down those levels in the
+same two regimes (one numpy step per wide level, a loop over long runs of
+narrow ones): the support masks and each ordering's Max are such folds.
 """
 
 from __future__ import annotations
@@ -625,3 +627,120 @@ def topological_levels(g: DiGraph) -> LevelAssignment:
     fwd = _kahn_levels(g)
     bwd = _kahn_levels(g.reverse())
     return LevelAssignment(fwd, bwd, max(fwd, default=0), max(bwd, default=0))
+
+
+# A level that folds fewer than _FOLD_NARROW predecessor rows is narrow,
+# and a run of at least _FOLD_RUN consecutive narrow levels is folded by
+# _fold_run's Python loop rather than one numpy step per level.  A numpy
+# step costs ~1-6 us whatever its size, the loop ~0.1-0.3 us per row, and
+# setting up a run ~15-20 us.  On 65536 vertices (the fold of Max / of
+# 1200 candidate masks, in ms), numpy steps alone against these cutoffs:
+# a path 81 / 174 against 20 / 58, layered_dag width 1 57 / 135 against
+# 29 / 69, width 2 33 / 86 against 28 / 61, width 4 20 / 56 against
+# 21 / 58; a star and G(2^16, 2^18) have no narrow run.
+_FOLD_NARROW = 24
+_FOLD_RUN = 16
+
+
+def level_fold(
+    off: array,
+    tg: array,
+    level: np.ndarray,
+    level_max: int,
+    rows: np.ndarray,
+    ufunc: np.ufunc,
+) -> np.ndarray:
+    """rows folded down the levels, in place: the row of each vertex w at a
+    level from 1 to level_max becomes ufunc over its own row and the final
+    rows of its predecessors tg[off[w]:off[w + 1]], and rows is returned.
+
+    level must be the longest-path levels along these predecessor rows, so
+    that every predecessor sits on a lower level and every level from 1 to
+    level_max has a vertex.  ufunc is np.maximum or np.bitwise_or; rows is
+    one integer per vertex, or (n, w) uint64 words of one bitmask per
+    vertex for np.bitwise_or.
+
+    Vertices are taken in (level, id) order with their predecessor rows
+    concatenated, so the predecessors of one vertex are one run, which one
+    ufunc.reduceat folds for a whole level.  Long runs of narrow levels go
+    through _fold_run's loop instead (see _FOLD_NARROW), so a long path
+    costs O(n + m) in a few numpy calls, not one numpy step per level."""
+    if ufunc not in (np.maximum, np.bitwise_or):
+        raise ValueError(f"level_fold folds with np.maximum or np.bitwise_or, not {ufunc}")
+    if level_max == 0:
+        return rows
+    dst = np.argsort(level, kind="stable")  # (level, id) order
+    bounds = np.searchsorted(level[dst], np.arange(1, level_max + 2))
+    dst = dst[bounds[0]:]  # level-0 vertices have no predecessors
+    bounds = bounds - bounds[0]
+    off64 = np.frombuffer(off, np.uint32).astype(np.int64)
+    src, heads = _concat_rows(off64, np.frombuffer(tg, np.uint32).astype(np.int64), dst)
+    edge_bounds = np.r_[heads, len(src)][bounds]
+    local = heads - np.repeat(edge_bounds[:-1], np.diff(bounds))  # heads within a level
+    narrow = np.diff(edge_bounds) < _FOLD_NARROW
+    # the levels where a run of narrow or of wide levels starts, then level_max
+    cuts = np.r_[0, np.flatnonzero(narrow[1:] != narrow[:-1]) + 1, level_max].tolist()
+    bounds, edge_bounds = bounds.tolist(), edge_bounds.tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        if narrow[lo] and hi - lo >= _FOLD_RUN:
+            x, y, a = bounds[lo], bounds[hi], edge_bounds[lo]
+            _fold_run(rows, ufunc, dst[x:y], src[a:edge_bounds[hi]], heads[x:y] - a)
+            continue
+        for li in range(lo, hi):
+            x, y = bounds[li], bounds[li + 1]
+            a, b = edge_bounds[li], edge_bounds[li + 1]
+            folded = rows[src[a:b]]
+            if b - a > y - x:  # some vertex has several predecessors here
+                folded = ufunc.reduceat(folded, local[x:y], axis=0)
+            w = dst[x:y]
+            rows[w] = ufunc(rows[w], folded, out=folded)
+    return rows
+
+
+def _fold_run(
+    rows: np.ndarray, ufunc: np.ufunc, dst: np.ndarray, src: np.ndarray, heads: np.ndarray
+) -> None:
+    """level_fold over consecutive levels one vertex at a time, on Python
+    ints: dst the levels' vertices in (level, id) order, src their
+    predecessors concatenated, heads where each vertex's begin in src.
+    Each vertex involved gets one slot, and a multi-word row one int."""
+    ids, slot = np.unique(np.r_[dst, src], return_inverse=True)
+    vals = _row_ints(rows[ids])
+    own, pred = slot[: len(dst)].tolist(), slot[len(dst):].tolist()
+    ends = np.r_[heads[1:], len(src)].tolist()
+    a = 0
+    if ufunc is np.maximum:
+        for d, b in zip(own, ends):
+            acc = vals[d]
+            for p in pred[a:b]:
+                if vals[p] > acc:
+                    acc = vals[p]
+            vals[d] = acc
+            a = b
+    else:
+        for d, b in zip(own, ends):
+            acc = vals[d]
+            for p in pred[a:b]:
+                acc |= vals[p]
+            vals[d] = acc
+            a = b
+    rows[dst] = _int_rows([vals[d] for d in own], rows)
+
+
+def _row_ints(rows: np.ndarray) -> list[int]:
+    """One Python int per row: the row itself, or its uint64 words with
+    word j as bits 64j.. of the int."""
+    if rows.ndim == 1:
+        return rows.tolist()
+    w = 8 * rows.shape[1]
+    buf = rows.astype("<u8", copy=False).tobytes()
+    return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
+
+
+def _int_rows(ints: list[int], like: np.ndarray):
+    """Inverse of _row_ints, for rows shaped as like's."""
+    if like.ndim == 1:
+        return ints
+    w = like.shape[1]
+    buf = b"".join([x.to_bytes(8 * w, "little") for x in ints])
+    return np.frombuffer(buf, "<u8").reshape(len(ints), w)

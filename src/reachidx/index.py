@@ -3,10 +3,12 @@ and binary serialization.
 
 Every build stage (weak components, levels, each extended ordering, the
 supports) draws from its own substream of the seed, so the stages are
-independent.  build_index overlaps them when the process may run on more
-than one CPU: one forked worker computes orderings 1..t-1 while the caller
-computes the rest, and hands back each ordering's columns through a pipe
-as raw uint32 cells.  The index bytes are the same as those of the inline
+independent.  The levels come first, since the orderings' Max and the
+support masks are both folded along them (graph.level_fold).  build_index
+then overlaps the rest when the process may run on more than one CPU: one
+forked worker computes orderings 1..t-1 while the caller computes the
+rest, and hands back each ordering's columns through a pipe as raw uint32
+cells.  The index bytes are the same as those of the inline
 build, which small graphs, single-CPU processes, processes with other
 Python threads and platforms without fork use.
 
@@ -207,7 +209,9 @@ def build_index(
     from a k*p candidate pool.  Each stage draws from its own substream of
     seed, so the stages are independent and their order does not matter.
 
-    With more than one CPU, orderings 1..t-1 are computed in one forked
+    The levels come first: every ordering folds its Max along them, and
+    they raise AcyclicityError on a cycle before any worker exists.  Then,
+    with more than one CPU, orderings 1..t-1 are computed in one forked
     worker (see _Worker, and _forks for when the build stays inline) while
     this process runs the other stages and ordering 0; if the worker fails
     to deliver, its orderings are computed here.  The index, its bytes and
@@ -219,21 +223,21 @@ def build_index(
     t = params.t
     streams = [(FORWARD, _substream(seed, "fwd", j)) for j in range((t + 1) // 2)]
     streams += [(BACKWARD, _substream(seed, "bwd", j)) for j in range(t // 2)]
+    levels = topological_levels(dag)  # raises on a cycle before any fork
     worker = None
     try:
         if _forks(dag, t):
-            worker = _Worker.fork(dag, streams[1:])
+            worker = _Worker.fork(dag, levels, streams[1:])
         wcc = weak_components(dag)
-        levels = topological_levels(dag)
         here = streams if worker is None else streams[:1]
-        orderings = [_ordering(dag, *stream) for stream in here]
+        orderings = [_ordering(dag, levels, *stream) for stream in here]
         crng = random.Random(_substream(seed, "cand"))
         pool = select_candidates(dag, levels, params.k, params.p, params.h, crng)
         supports = pick_supports(pool, dag, params.k, levels)
         if worker is not None:
             delivered = worker.collect(dag.n)
             if delivered is None:  # the worker failed: its orderings here
-                delivered = [_ordering(dag, *stream) for stream in streams[1:]]
+                delivered = [_ordering(dag, levels, *stream) for stream in streams[1:]]
             orderings += delivered
     finally:
         if worker is not None:
@@ -241,12 +245,13 @@ def build_index(
     return ReachIndex(dag, wcc, levels, orderings, supports, params, seed)
 
 
-def _ordering(dag: DiGraph, flavor: str, seed: int) -> ExtTopOrder:
-    """One extended ordering of build_index, drawn from random.Random(seed)."""
+def _ordering(dag: DiGraph, levels: LevelAssignment, flavor: str, seed: int) -> ExtTopOrder:
+    """One extended ordering of build_index, drawn from random.Random(seed);
+    levels are dag's topological_levels."""
     rng = random.Random(seed)
     if flavor == FORWARD:
-        return extended_topsort(dag, start_sequence(dag, rng), rng, seed=seed)
-    return extended_topsort_backward(dag, rng, seed=seed)
+        return extended_topsort(dag, start_sequence(dag, rng), rng, seed, levels)
+    return extended_topsort_backward(dag, rng, seed, levels)
 
 
 def _cpus() -> int:
@@ -268,9 +273,11 @@ def _forks(dag: DiGraph, t: int) -> bool:
     with a spare CPU, but not for a small graph, without fork, or while
     other Python threads run (a forked child holds only the forking thread,
     so a lock another thread held at the fork would never be released
-    there).  One worker only: the caller's own stages take longer than
-    orderings 1..3, so with t = 4 a second worker would not shorten the
-    build."""
+    there).  One worker only: on G(2^16, 2^18) with t = 4 (2 CPUs) the
+    caller's stages after the fork (components, ordering 0, the supports)
+    took ~145 ms against ~160 ms for the worker's orderings 1..3, so a
+    second worker could save at most ~15 ms, and it would need a third
+    CPU."""
     small = t <= 1 or dag.n + dag.m < _FORK_MIN_SIZE
     if small or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
@@ -293,9 +300,9 @@ class _Worker:
         self.streams = streams
 
     @classmethod
-    def fork(cls, dag: DiGraph, streams) -> _Worker | None:
-        """A worker computing _ordering(dag, *stream) for each stream; None
-        if the process could not be forked."""
+    def fork(cls, dag: DiGraph, levels: LevelAssignment, streams) -> _Worker | None:
+        """A worker computing _ordering(dag, levels, *stream) for each
+        stream; None if the process could not be forked."""
         r, w = os.pipe()
         try:
             with warnings.catch_warnings():
@@ -319,7 +326,7 @@ class _Worker:
                 # only after its own stages, and a full pipe would block
                 columns = []
                 for stream in streams:
-                    order = _ordering(dag, *stream)
+                    order = _ordering(dag, levels, *stream)
                     columns += [order.pos, order.hi, order.mx]
                 with open(w, "wb") as out:
                     for col in columns:

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import DiGraph, LevelAssignment, _concat_rows
+from .graph import DiGraph, LevelAssignment, level_fold
 
 TAG_SLIM = "slim-level"
 TAG_CENTRAL = "random-central"
@@ -144,35 +144,16 @@ def _mask_matrix(
     reaches w along the orientation whose predecessor rows are pred_tg over
     pred_off.
 
-    Rows are finalized in level order, so each edge is applied exactly once
-    with its source row already final; this is the batched replacement for
-    one BFS per candidate.  The targets of a level are taken in id order
-    with their predecessor rows concatenated, so the predecessors of one
-    target are one run, which a single bitwise_or.reduceat folds.  level
-    must be the longest-path levels of this orientation, so that every
-    level from 1 to level_max has a vertex.
-    """
+    Candidate j's bit starts in its own row, and level_fold ORs each row
+    into its successors' in level order, the batched replacement for one
+    BFS per candidate.  level must be the longest-path levels of this
+    orientation."""
     n = len(pred_off) - 1
     words = max(1, (len(cands) + 63) // 64)
     M = np.zeros((n, words), dtype=np.uint64)
     j = np.arange(len(cands))
     M[cands, j >> 6] = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
-    dst = np.argsort(level, kind="stable")  # (level, id) order
-    bounds = np.searchsorted(level[dst], np.arange(1, level_max + 2))
-    dst = dst[bounds[0]:]  # level-0 vertices have no predecessors
-    bounds = bounds - bounds[0]
-    off = np.frombuffer(pred_off, np.uint32).astype(np.int64)
-    src, heads = _concat_rows(off, np.frombuffer(pred_tg, np.uint32).astype(np.int64), dst)
-    edge_bounds = np.r_[heads, len(src)][bounds].tolist()
-    bounds = bounds.tolist()
-    for li in range(level_max):
-        x, y = bounds[li], bounds[li + 1]
-        a, b = edge_bounds[li], edge_bounds[li + 1]
-        rows = M[src[a:b]]
-        if b - a > y - x:  # some target has several predecessors here
-            rows = np.bitwise_or.reduceat(rows, heads[x:y] - a, axis=0)
-        M[dst[x:y]] |= rows
-    return M
+    return level_fold(pred_off, pred_tg, level, level_max, M, np.bitwise_or)
 
 
 def _column_counts(M: np.ndarray, ncols: int) -> np.ndarray:

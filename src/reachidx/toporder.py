@@ -1,8 +1,10 @@
 """Randomized extended topological orderings.
 
 Besides a topological position pos(v), each ordering carries two extra
-indices per vertex obtained for free during the DFS that builds it, both
-positions in the ordering's own graph:
+indices per vertex, both positions in the ordering's own graph.  The DFS
+that builds the ordering finds High as it goes; Max is one level_fold of
+the positions after it, children first by height, and the levels that
+order that fold are what detect a cycle (AcyclicityError):
 
 * High(v) = highest position such that every vertex placed in
   [pos(v), High(v)] is reachable from v;
@@ -39,7 +41,7 @@ from itertools import chain
 import numpy as np
 
 from .baselines import ReachMatrix
-from .graph import AcyclicityError, DiGraph, _uint_array
+from .graph import DiGraph, LevelAssignment, _kahn_levels, _uint_array, level_fold
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -88,14 +90,18 @@ def extended_topsort(
     start_order: list[int],
     rng: random.Random,
     seed: int | None = None,
+    levels: LevelAssignment | None = None,
 ) -> ExtTopOrder:
-    """One randomized DFS pass computing pos, High, and Max.
+    """One randomized DFS pass computing pos and High, then Max by a fold.
 
     Positions are assigned from a counter decreasing from n-1 as vertices
     finish (prepend order).  High(v) is the counter value when v is first
     visited: every position from pos(v) up to it gets filled by vertices
-    discovered below v.  Max(v) folds children's Max at finish time; on a
-    DAG every out-neighbor is already finished then.
+    discovered below v.  Max(v) is pos(v) maxed with its children's Max,
+    which level_fold computes after the DFS, children first by height
+    (longest-path distance to a sink): levels.bwd, or computed here when
+    levels, dag's topological_levels, are not given.  Either way a cyclic
+    dag raises AcyclicityError from the levels, before the DFS.
 
     Child visit order is drawn once for the whole pass: the edges
     keyed-sorted by (source, key), 4m bytes of keys from rng, into a fresh
@@ -106,54 +112,64 @@ def extended_topsort(
     lists while the DFS fills them (a Python loop reads a list faster) and
     are returned as array('I').
     """
-    n = dag.n
+    height = _kahn_levels(dag.reverse()) if levels is None else levels.bwd
+    return _extended_order(dag, start_order, rng, height, FORWARD, seed)
+
+
+def extended_topsort_backward(
+    dag: DiGraph,
+    rng: random.Random,
+    seed: int | None = None,
+    levels: LevelAssignment | None = None,
+) -> ExtTopOrder:
+    """The forward pass over the reverse graph, as it returns it: pos, High
+    and Max are positions in the reverse graph's ordering, where pos is a
+    reversed topological order of the DAG.  There a vertex's height is its
+    forward level in the DAG: levels.fwd, or computed here when levels,
+    dag's topological_levels, are not given."""
+    height = _kahn_levels(dag) if levels is None else levels.fwd
+    rg = dag.reverse()
+    return _extended_order(rg, start_sequence(rg, rng), rng, height, BACKWARD, seed)
+
+
+def _extended_order(
+    g: DiGraph,
+    start_order: list[int],
+    rng: random.Random,
+    height: array,
+    flavor: str,
+    seed: int | None,
+) -> ExtTopOrder:
+    """extended_topsort's pass over g, whose heights are height."""
+    n = g.n
     pos = [-1] * n
-    hi = [-1] * n
-    mx = [-1] * n
-    state = bytearray(n)  # 0 new, 1 active, 2 finished
+    hi = [-1] * n  # -1 until the vertex is visited
     counter = n - 1
-    off = dag.out_off
-    kids = _child_targets(dag, rng)
+    off = g.out_off
+    kids = _child_targets(g, rng)
 
     for root in chain(start_order, range(n)):
-        if state[root]:
+        if hi[root] >= 0:
             continue
-        state[root] = 1
         hi[root] = counter
         stack = [(root, iter(kids[off[root]:off[root + 1]]))]
         while stack:
             v, children = stack[-1]
             for w in children:
-                st = state[w]
-                if st == 0:
-                    state[w] = 1
+                if hi[w] < 0:
                     hi[w] = counter
                     stack.append((w, iter(kids[off[w]:off[w + 1]])))
                     break
-                if st == 1:
-                    raise AcyclicityError(f"cycle through edge ({v}, {w})")
             else:
                 stack.pop()
                 pos[v] = counter
                 counter -= 1
-                best = pos[v]
-                for w in kids[off[v]:off[v + 1]]:
-                    if mx[w] > best:
-                        best = mx[w]
-                mx[v] = best
-                state[v] = 2
-    return ExtTopOrder(array("I", pos), array("I", hi), array("I", mx), FORWARD, seed)
-
-
-def extended_topsort_backward(
-    dag: DiGraph, rng: random.Random, seed: int | None = None
-) -> ExtTopOrder:
-    """The forward pass over the reverse graph, as it returns it: pos, High
-    and Max are positions in the reverse graph's ordering, where pos is a
-    reversed topological order of the DAG."""
-    rg = dag.reverse()
-    fwd = extended_topsort(rg, start_sequence(rg, rng), rng, seed)
-    return ExtTopOrder(fwd.pos, fwd.hi, fwd.mx, BACKWARD, seed)
+    pos = array("I", pos)
+    h = np.frombuffer(height, np.uint32)
+    mx = level_fold(
+        g.out_off, g.out_tg, h, int(h.max(initial=0)), np.array(pos, np.uint32), np.maximum
+    )
+    return ExtTopOrder(pos, array("I", hi), _uint_array(mx), flavor, seed)
 
 
 # answer_T's tags for T1-T3, by flavor: T4-T6 name them on a backward ordering

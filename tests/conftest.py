@@ -2,9 +2,13 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from contextlib import contextmanager
+from unittest import mock
 
+import numpy as np
 from hypothesis import strategies as st
 
+import reachidx.graph as graph_mod
 from reachidx.graph import AcyclicityError, DiGraph
 
 
@@ -14,6 +18,19 @@ def diamond() -> DiGraph:
 
 def path_graph(n: int) -> DiGraph:
     return DiGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def out_star(leaves: int) -> DiGraph:
+    return DiGraph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def layered_dag(n: int, width: int, rng: np.random.Generator) -> DiGraph:
+    """Four out-edges per vertex v, to v + width·U{1..8} + U{-(width-1)..width-1},
+    each kept when its target is in range and above v; duplicates dropped."""
+    v = np.repeat(np.arange(n), 4)
+    tg = v + width * rng.integers(1, 9, v.size) + rng.integers(-(width - 1), width, v.size)
+    keep = (tg < n) & (tg > v)
+    return DiGraph.from_edges(n, sorted(set(zip(v[keep].tolist(), tg[keep].tolist()))))
 
 
 # A cyclic edge list with sparse ids, both comment styles, a self-loop, a
@@ -38,6 +55,25 @@ PINNED_EDGE_LIST = """\
 1000 -3
 40 12
 """
+
+
+# level_fold's (_FOLD_NARROW, _FOLD_RUN) per regime: numpy steps only (no
+# level folds fewer than one row), one loop over all levels, short loop
+# runs between numpy steps on small graphs, and the shipped cutoffs
+FOLD_REGIMES = {"numpy": (1, 1), "loop": (2**62, 1), "mixed": (4, 2), "default": None}
+
+
+@contextmanager
+def fold_regime(name: str):
+    cutoffs = FOLD_REGIMES[name]
+    if cutoffs is None:
+        yield
+        return
+    narrow, run = cutoffs
+    with mock.patch.object(graph_mod, "_FOLD_NARROW", narrow), mock.patch.object(
+        graph_mod, "_FOLD_RUN", run
+    ):
+        yield
 
 
 class NoShuffle:

@@ -26,6 +26,7 @@ from reachidx.graph import (
     parse_gra,
     parse_graph,
     _hook_and_compress,
+    level_fold,
     scc_condense,
     topological_levels,
     weak_components,
@@ -578,6 +579,13 @@ def test_cycle_below_a_wide_prefix_raises(below):
     with pytest.raises(AcyclicityError):
         topological_levels(g)
     assert weak_components(g) == ref_weak_components(g)
+
+
+def test_level_fold_refuses_a_ufunc_its_loop_cannot_mirror():
+    g = path_graph(3)
+    level = np.arange(3, dtype=np.uint32)
+    with pytest.raises(ValueError, match="np.maximum or np.bitwise_or"):
+        level_fold(g.in_off, g.in_tg, level, 2, np.ones(3, np.uint32), np.add)
 
 
 def test_component_rounds_within_log2_on_long_shapes():

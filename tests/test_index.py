@@ -55,7 +55,16 @@ from reachidx.toporder import (
 )
 from reachidx.workbench import gen_random_dag
 
-from conftest import NoShuffle, dags, diamond, edge_pairs, path_graph, predecessors, successors
+from conftest import (
+    NoShuffle,
+    dags,
+    diamond,
+    edge_pairs,
+    layered_dag,
+    path_graph,
+    predecessors,
+    successors,
+)
 
 SMALL = IndexParams(t=2, k=4, p=2, h=3)
 
@@ -251,6 +260,23 @@ def test_build_stays_inline_while_other_threads_run(monkeypatch, forks):
     assert forks == []
 
 
+def test_orderings_called_without_levels_give_the_build_columns():
+    """The public ordering calls, without levels and with build_index's
+    substream seeds (as a stage-by-stage replay of the build makes them),
+    give build_index's orderings."""
+    g = gen_random_dag(2**12, 2**14, seed=0)
+    ix = build_index(g, seed=0)
+    replayed = []
+    for j in range((ix.params.t + 1) // 2):
+        s = _substream(0, "fwd", j)
+        rng = random.Random(s)
+        replayed.append(extended_topsort(g, start_sequence(g, rng), rng, seed=s))
+    for j in range(ix.params.t // 2):
+        s = _substream(0, "bwd", j)
+        replayed.append(extended_topsort_backward(g, random.Random(s), seed=s))
+    assert replayed == ix.orderings
+
+
 def test_small_graph_builds_inline(monkeypatch, forks):
     g = gen_random_dag(1000, index_mod._FORK_MIN_SIZE - 1001, seed=0)
     assert build_bytes(monkeypatch, 4, g, IndexParams(t=4)) == build_bytes(
@@ -269,7 +295,7 @@ def test_cyclic_input_raises_the_inline_error_and_leaves_no_child(monkeypatch, f
             build_bytes(monkeypatch, cpus, g, IndexParams(t=4))
         errors.append(str(e.value))
         assert_no_child_left()
-    assert errors[1:] == errors[:-1] and len(forks) == 2
+    assert errors[1:] == errors[:-1] and forks == []
 
 
 @pytest.mark.parametrize(
@@ -642,15 +668,6 @@ def test_search_matches_reference_search(g, params, seed):
     for s in range(g.n):
         for t in range(g.n):
             assert PBIBFS.run(ix, s, t) == reference_search(ix, s, t), (s, t)
-
-
-def layered_dag(n: int, width: int, rng: np.random.Generator) -> DiGraph:
-    """Four out-edges per vertex v, to v + width·U{1..8} + U{-(width-1)..width-1},
-    each kept when its target is in range and above v; duplicates dropped."""
-    v = np.repeat(np.arange(n), 4)
-    tg = v + width * rng.integers(1, 9, v.size) + rng.integers(-(width - 1), width, v.size)
-    keep = (tg < n) & (tg > v)
-    return DiGraph.from_edges(n, sorted(set(zip(v[keep].tolist(), tg[keep].tolist()))))
 
 
 def test_positive_observations_prune_the_search_on_a_deep_graph():

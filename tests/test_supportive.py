@@ -24,7 +24,17 @@ from reachidx.supportive import (
 
 from reachidx.workbench import gen_random_dag
 
-from conftest import brute_reach_sets, dags, diamond, path_graph, reach_sets
+from conftest import (
+    FOLD_REGIMES,
+    brute_reach_sets,
+    dags,
+    diamond,
+    fold_regime,
+    layered_dag,
+    out_star,
+    path_graph,
+    reach_sets,
+)
 
 
 def pool_for(g, k, p, h, seed=0):
@@ -238,6 +248,42 @@ def test_mask_matrix_matches_or_at_reference(g, ncands):
         got = _mask_matrix(off, tg, level, top, cands)
         assert got.shape == (g.n, -(-ncands // 64))
         assert np.array_equal(got, mask_matrix_or_at(off, tg, level, top, cands))
+
+
+def assert_mask_matrices_match_or_at(g: DiGraph, cands: list[int]) -> None:
+    lv = topological_levels(g)
+    for (off, tg), level, top in (
+        ((g.in_off, g.in_tg), lv.fwd, lv.fwd_max),
+        ((g.out_off, g.out_tg), lv.bwd, lv.bwd_max),
+    ):
+        level = np.frombuffer(level, np.uint32)
+        got = _mask_matrix(off, tg, level, top, cands)
+        assert np.array_equal(got, mask_matrix_or_at(off, tg, level, top, cands))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags(max_n=16), st.integers(0, 2**16), st.sampled_from(sorted(FOLD_REGIMES)))
+def test_mask_matrix_matches_or_at_in_every_fold_regime(g, seed, regime):
+    cands = random.Random(seed).sample(range(g.n), min(g.n, 1 + seed % 70))
+    with fold_regime(regime):
+        assert_mask_matrices_match_or_at(g, cands)
+
+
+@pytest.mark.parametrize("regime", sorted(FOLD_REGIMES))
+@pytest.mark.parametrize("ncands", [1, 130])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path_graph(3000),
+        lambda: out_star(3000),
+        lambda: layered_dag(4096, 4, np.random.default_rng(1)),
+    ],
+    ids=["path", "star", "layered-4"],
+)
+def test_mask_matrix_matches_or_at_on_fixed_shapes(make, ncands, regime):
+    g = make()
+    with fold_regime(regime):
+        assert_mask_matrices_match_or_at(g, random.Random(ncands).sample(range(g.n), ncands))
 
 
 def test_column_counts_past_one_uint8_block():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reachidx.baselines import build_matrix, matrix_query
-from reachidx.graph import AcyclicityError, DiGraph
+from reachidx.graph import AcyclicityError, DiGraph, topological_levels
 from reachidx.toporder import (
     BACKWARD,
     FORWARD,
@@ -20,11 +20,15 @@ from reachidx.toporder import (
 )
 
 from conftest import (
+    FOLD_REGIMES,
     NoShuffle,
     brute_reach_sets,
     dags,
     diamond,
     edge_pairs,
+    fold_regime,
+    layered_dag,
+    out_star,
     path_graph,
     predecessors,
 )
@@ -86,6 +90,12 @@ def test_cycle_raises():
     g = DiGraph.from_edges(2, [(0, 1), (1, 0)])
     with pytest.raises(AcyclicityError):
         extended_topsort(g, [0], NoShuffle())
+
+
+def test_backward_cycle_raises_before_drawing():
+    g = DiGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+    with pytest.raises(AcyclicityError):
+        extended_topsort_backward(g, Keys())  # any draw would fail: no keys
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +307,91 @@ def test_analysis_negative_count_is_half_the_pairs(g, seed):
     assert rep.neg_witnessed == g.n * (g.n - 1) // 2
     assert rep.neg_total + rep.pos_total == g.n * (g.n - 1)
     assert rep.pos_answered <= rep.pos_total
+
+
+# ---------------------------------------------------------------------------
+# Max by level_fold against the DFS that folded it at each finish
+
+
+def reference_extended_topsort(g: DiGraph, start_order, rng) -> tuple[list, list, list]:
+    """(pos, High, Max) of the one-pass DFS that folded Max over a vertex's
+    children at its finish, one comparison per edge, and raised on an edge
+    into an active vertex."""
+    n = g.n
+    pos, hi, mx = [-1] * n, [-1] * n, [-1] * n
+    state = bytearray(n)  # 0 new, 1 active, 2 finished
+    counter = n - 1
+    off = g.out_off
+    degrees = np.diff(np.frombuffer(off, np.uint32))
+    groups = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    keys = np.frombuffer(rng.randbytes(4 * g.m), "<u4")
+    kids = np.frombuffer(g.out_tg, np.uint32)[np.argsort((groups << 32) | keys, kind="stable")]
+    kids = kids.tolist()
+    for root in [*start_order, *range(n)]:
+        if state[root]:
+            continue
+        state[root] = 1
+        hi[root] = counter
+        stack = [(root, iter(kids[off[root]:off[root + 1]]))]
+        while stack:
+            v, children = stack[-1]
+            for w in children:
+                if state[w] == 0:
+                    state[w] = 1
+                    hi[w] = counter
+                    stack.append((w, iter(kids[off[w]:off[w + 1]])))
+                    break
+                if state[w] == 1:
+                    raise AcyclicityError(f"cycle through edge ({v}, {w})")
+            else:
+                stack.pop()
+                pos[v] = counter
+                counter -= 1
+                best = pos[v]
+                for w in kids[off[v]:off[v + 1]]:
+                    if mx[w] > best:
+                        best = mx[w]
+                mx[v] = best
+                state[v] = 2
+    return pos, hi, mx
+
+
+def assert_orderings_match_reference(g: DiGraph, seed: int) -> None:
+    """Both flavours, called with and without g's levels, give the
+    reference's columns from the same draws."""
+    levels = topological_levels(g)
+    for flavor, h in ((FORWARD, g), (BACKWARD, g.reverse())):
+        rng = random.Random(seed)
+        ref = reference_extended_topsort(h, start_sequence(h, rng), rng)
+        for lv in (None, levels):
+            rng = random.Random(seed)
+            if flavor == FORWARD:
+                o = extended_topsort(g, start_sequence(g, rng), rng, seed, lv)
+            else:
+                o = extended_topsort_backward(g, rng, seed, lv)
+            assert (o.flavor, o.seed) == (flavor, seed)
+            assert (o.pos.tolist(), o.hi.tolist(), o.mx.tolist()) == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags(max_n=16), st.integers(0, 2**32 - 1), st.sampled_from(sorted(FOLD_REGIMES)))
+@example(DiGraph.from_edges(0, []), 0, "loop")
+def test_max_fold_matches_the_per_edge_dfs(g, seed, regime):
+    with fold_regime(regime):
+        assert_orderings_match_reference(g, seed)
+
+
+@pytest.mark.parametrize("regime", sorted(FOLD_REGIMES))
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: path_graph(3000),
+        lambda: out_star(3000),
+        lambda: layered_dag(4096, 4, np.random.default_rng(1)),
+    ],
+    ids=["path", "star", "layered-4"],
+)
+def test_max_fold_matches_the_per_edge_dfs_on_fixed_shapes(make, regime):
+    g = make()
+    with fold_regime(regime):
+        assert_orderings_match_reference(g, seed=7)
