@@ -788,7 +788,7 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
         ]
         raise IndexFormatError(f"{names[i]}[{v}] = {ints[i, v]} is out of range for n={n}")
     wcc, fwd, bwd, *rest = map(_uint_array, ints)
-    levels = LevelAssignment(fwd, bwd, *ints[1:3].max(axis=1, initial=0).tolist())
+    levels = LevelAssignment(fwd, bwd)
     n_fwd = (t + 1) // 2
     orderings = [
         ExtTopOrder(*rest[3 * j : 3 * j + 3], flavor=FORWARD if j < n_fwd else BACKWARD)

@@ -19,7 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import DiGraph, LevelAssignment, level_fold
+# mask_rows and masks_from_rows, the mask codec, live beside level_fold, which
+# also uses them; they are re-exported here, where the masks are made.
+from .graph import DiGraph, LevelAssignment, level_fold, mask_rows, masks_from_rows
 
 TAG_SLIM = "slim-level"
 TAG_CENTRAL = "random-central"
@@ -42,44 +44,6 @@ class SupportSet:
     @property
     def mask_bytes(self) -> int:
         return (self.k + 7) // 8
-
-
-# A mask column (one int per vertex, bit i = the i-th support) is stored as
-# (n, w) uint8 rows of w = ceil(k/8) little-endian bytes.  Encoding and
-# decoding both go through 64-bit words, so the work is per word column, not
-# per vertex; ints are combined with shifts only when k > 64.
-_WORD = (1 << 64) - 1
-
-
-def mask_rows(masks: list[int], w: int) -> np.ndarray:
-    """The (len(masks), w) uint8 rows holding each mask in w little-endian
-    bytes; raises ValueError for a mask that does not fit."""
-    if masks and max(masks) >> (8 * w):
-        raise ValueError(f"mask does not fit in {w} bytes")
-    words = np.zeros((len(masks), -(-w // 8)), dtype="<u8")
-    if words.shape[1] == 1:
-        words[:, 0] = masks
-    elif words.shape[1] > 1:
-        big = np.array(masks, dtype=object)
-        for j in range(words.shape[1]):
-            words[:, j] = (big >> (64 * j)) & _WORD
-    return words.view(np.uint8)[:, :w]
-
-
-def masks_from_rows(rows: np.ndarray) -> list[int]:
-    """Inverse of mask_rows: the masks held in (n, w) little-endian byte rows."""
-    n, w = rows.shape
-    if w == 0:
-        return [0] * n
-    padded = np.zeros((n, -(-w // 8) * 8), dtype=np.uint8)
-    padded[:, :w] = rows
-    words = padded.view("<u8")
-    if words.shape[1] == 1:
-        return words[:, 0].tolist()
-    big = words[:, 0].astype(object)
-    for j in range(1, words.shape[1]):
-        big |= words[:, j].astype(object) << (64 * j)
-    return big.tolist()
 
 
 def select_candidates(
@@ -124,7 +88,7 @@ def select_candidates(
             take(slim[np.argsort(lv[slim], kind="stable")].tolist(), TAG_SLIM)
 
     marks = np.frombuffer(used, np.uint8)  # a view: sees every mark take makes
-    top = levels.fwd_max
+    top = int(fwd.max(initial=0))
     for tag, lo, hi in ((TAG_CENTRAL, -(-top // 5), 4 * top // 5), (TAG_FILL, 0, top)):
         if len(cands) < cap:
             pool = np.flatnonzero((marks == 0) & (fwd >= lo) & (fwd <= hi)).tolist()
@@ -137,7 +101,6 @@ def _mask_matrix(
     pred_off: array,
     pred_tg: array,
     level: np.ndarray,
-    level_max: int,
     cands: list[int],
 ) -> np.ndarray:
     """Per-vertex candidate bitmask rows: bit j of row w is set iff candidate j
@@ -150,10 +113,10 @@ def _mask_matrix(
     orientation."""
     n = len(pred_off) - 1
     words = max(1, (len(cands) + 63) // 64)
-    M = np.zeros((n, words), dtype=np.uint64)
+    M = np.zeros((n, words), dtype="<u8")
     j = np.arange(len(cands))
     M[cands, j >> 6] = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
-    return level_fold(pred_off, pred_tg, level, level_max, M, np.bitwise_or)
+    return level_fold(pred_off, pred_tg, level, M, np.bitwise_or)
 
 
 def _column_counts(M: np.ndarray, ncols: int) -> np.ndarray:
@@ -194,8 +157,8 @@ def pick_supports(
         return SupportSet([], zeros, list(zeros), k)
     cands = pool.candidates
     fwd_levels, bwd_levels = (np.frombuffer(lv, np.uint32) for lv in (levels.fwd, levels.bwd))
-    fwd_M = _mask_matrix(dag.in_off, dag.in_tg, fwd_levels, levels.fwd_max, cands)
-    bwd_M = _mask_matrix(dag.out_off, dag.out_tg, bwd_levels, levels.bwd_max, cands)
+    fwd_M = _mask_matrix(dag.in_off, dag.in_tg, fwd_levels, cands)
+    bwd_M = _mask_matrix(dag.out_off, dag.out_tg, bwd_levels, cands)
     sizes_f = _column_counts(fwd_M, len(cands))
     sizes_b = _column_counts(bwd_M, len(cands))
     ranked = sorted(

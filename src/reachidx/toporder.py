@@ -166,9 +166,7 @@ def _extended_order(
                 counter -= 1
     pos = array("I", pos)
     h = np.frombuffer(height, np.uint32)
-    mx = level_fold(
-        g.out_off, g.out_tg, h, int(h.max(initial=0)), np.array(pos, np.uint32), np.maximum
-    )
+    mx = level_fold(g.out_off, g.out_tg, h, np.array(pos, np.uint32), np.maximum)
     return ExtTopOrder(pos, array("I", hi), _uint_array(mx), flavor, seed)
 
 

@@ -105,8 +105,9 @@ def reference_candidates(g, levels, k, p, h, rng):
     cands, tags = [], []
     if cap <= 0 or g.n == 0:
         return cands, tags
-    for level, top in ((levels.fwd, levels.fwd_max), (levels.bwd, levels.bwd_max)):
-        for lv in range(top + 1):
+    top_fwd = max(levels.fwd, default=0)
+    for level in (levels.fwd, levels.bwd):
+        for lv in range(max(level, default=0) + 1):
             members = [v for v in range(g.n) if level[v] == lv]
             if len(members) > h:
                 continue
@@ -114,8 +115,8 @@ def reference_candidates(g, levels, k, p, h, rng):
                 if len(cands) < cap and v not in cands:
                     cands.append(v)
                     tags.append(TAG_SLIM)
-    lo, hi = -(-levels.fwd_max // 5), (4 * levels.fwd_max) // 5
-    for tag, lv_lo, lv_hi in ((TAG_CENTRAL, lo, hi), (TAG_FILL, 0, levels.fwd_max)):
+    lo, hi = -(-top_fwd // 5), (4 * top_fwd) // 5
+    for tag, lv_lo, lv_hi in ((TAG_CENTRAL, lo, hi), (TAG_FILL, 0, top_fwd)):
         if len(cands) < cap:
             pool = [v for v in range(g.n) if v not in cands and lv_lo <= levels.fwd[v] <= lv_hi]
             drawn = rng.sample(pool, min(cap - len(cands), len(pool)))
@@ -208,10 +209,11 @@ def test_mask_columns_beyond_one_word():
     assert all(m >> 70 == 0 for m in ss.fwd_mask + ss.bwd_mask)
 
 
-def mask_matrix_or_at(pred_off, pred_tg, level, level_max, cands):
+def mask_matrix_or_at(pred_off, pred_tg, level, cands):
     """Reference for _mask_matrix: edges stably sorted by their target's
     level, each level applied with one np.bitwise_or.at."""
     n = len(pred_off) - 1
+    top = int(level.max(initial=0))
     M = np.zeros((n, max(1, (len(cands) + 63) // 64)), dtype=np.uint64)
     for j, v in enumerate(cands):
         M[v, j >> 6] |= np.uint64(1 << (j & 63))
@@ -219,8 +221,8 @@ def mask_matrix_or_at(pred_off, pred_tg, level, level_max, cands):
     dst = np.repeat(np.arange(n, dtype=np.int64), np.diff(np.frombuffer(pred_off, np.uint32)))
     order = np.argsort(level[dst], kind="stable")
     dst, src = dst[order], src[order]
-    starts = np.searchsorted(level[dst], np.arange(1, level_max + 2))
-    for li in range(level_max):
+    starts = np.searchsorted(level[dst], np.arange(1, top + 2))
+    for li in range(top):
         a, b = starts[li], starts[li + 1]
         np.bitwise_or.at(M, dst[a:b], M[src[a:b]])
     return M
@@ -240,25 +242,19 @@ def mask_matrix_or_at(pred_off, pred_tg, level, level_max, cands):
 def test_mask_matrix_matches_or_at_reference(g, ncands):
     lv = topological_levels(g)
     cands = random.Random(ncands).sample(range(g.n), ncands)
-    for (off, tg), level, top in (
-        ((g.in_off, g.in_tg), lv.fwd, lv.fwd_max),
-        ((g.out_off, g.out_tg), lv.bwd, lv.bwd_max),
-    ):
+    for (off, tg), level in (((g.in_off, g.in_tg), lv.fwd), ((g.out_off, g.out_tg), lv.bwd)):
         level = np.asarray(level, dtype=np.int64)
-        got = _mask_matrix(off, tg, level, top, cands)
+        got = _mask_matrix(off, tg, level, cands)
         assert got.shape == (g.n, -(-ncands // 64))
-        assert np.array_equal(got, mask_matrix_or_at(off, tg, level, top, cands))
+        assert np.array_equal(got, mask_matrix_or_at(off, tg, level, cands))
 
 
 def assert_mask_matrices_match_or_at(g: DiGraph, cands: list[int]) -> None:
     lv = topological_levels(g)
-    for (off, tg), level, top in (
-        ((g.in_off, g.in_tg), lv.fwd, lv.fwd_max),
-        ((g.out_off, g.out_tg), lv.bwd, lv.bwd_max),
-    ):
+    for (off, tg), level in (((g.in_off, g.in_tg), lv.fwd), ((g.out_off, g.out_tg), lv.bwd)):
         level = np.frombuffer(level, np.uint32)
-        got = _mask_matrix(off, tg, level, top, cands)
-        assert np.array_equal(got, mask_matrix_or_at(off, tg, level, top, cands))
+        got = _mask_matrix(off, tg, level, cands)
+        assert np.array_equal(got, mask_matrix_or_at(off, tg, level, cands))
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,7 +266,7 @@ def test_mask_matrix_matches_or_at_in_every_fold_regime(g, seed, regime):
 
 
 @pytest.mark.parametrize("regime", sorted(FOLD_REGIMES))
-@pytest.mark.parametrize("ncands", [1, 130])
+@pytest.mark.parametrize("ncands", [1, 130, 300])
 @pytest.mark.parametrize(
     "make",
     [
@@ -316,8 +312,10 @@ def test_supports_are_top_ranked_by_product(g, seed):
 # ---------------------------------------------------------------------------
 # mask codec
 
-# w = 1..17 bytes crosses the 8- and 16-byte word boundaries
-widths = st.integers(1, 17)
+# w = 1..152 bytes crosses the word boundaries and both codec cutoffs (rows
+# of 8 bytes, ints of 3 words), up to level_fold's default row: 1200
+# candidates in 19 words
+widths = st.one_of(st.integers(1, 33), st.integers(34, 152))
 
 
 @settings(max_examples=150)
@@ -354,6 +352,14 @@ def test_mask_codec_edges():
     assert masks_from_rows(np.zeros((0, 9), np.uint8)) == []
     with pytest.raises(ValueError, match="fit"):
         mask_rows([1 << 16], 2)
+
+
+def test_mask_rows_refuses_a_wide_mask_that_does_not_fit():
+    """Rows wider than one word are encoded per row, with the same error."""
+    assert mask_rows([(1 << 72) - 1], 9).tobytes() == b"\xff" * 9
+    for bad in (1 << 72, -1):
+        with pytest.raises(ValueError, match="fit in 9 bytes"):
+            mask_rows([0, bad], 9)
 
 
 # ---------------------------------------------------------------------------
