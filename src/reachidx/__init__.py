@@ -42,6 +42,7 @@ from .index import (
     observation_stats,
     observation_table,
     query,
+    query_batch,
     serialize_index,
     try_observations,
 )

@@ -10,6 +10,13 @@ by a digest of the graph file's bytes and format, so that `query` and
 `stats` need not parse the graph and run Tarjan again.  A bundle that is
 missing, stale or damaged is ignored and the graph is parsed as `build`
 parsed it; deleting one is always safe.
+
+`query` answers its pairs file in bulk.  It reads the whole file first and
+translates every original id to its SCC with one search of the sorted ids,
+so an unknown id fails the command before any answer is printed.  It then
+answers QUERY_CHUNK pairs at a time with index.query_batch, which gives
+each pair the outcome query() gives it, and writes each chunk's rows as
+one string, cut into WRITE_PIECE pieces.
 """
 
 from __future__ import annotations
@@ -34,19 +41,20 @@ from .graph import (
     _csr_graph,
     graph_format,
     load_graph,
+    load_pairs,
     scc_condense,
     write_edge_list,
     write_gra,
 )
 from .index import (
+    PBIBFS,
     IndexFormatError,
     IndexParams,
-    QueryOutcome,
     ReachIndex,
     build_index,
     deserialize_index,
     observation_stats,
-    query,
+    query_batch,
     serialize_index,
 )
 from .workbench import (
@@ -58,7 +66,6 @@ from .workbench import (
     build_oracle,
     gen_queries,
     gen_random_dag,
-    load_query_file,
     save_query_set,
     stats_report,
 )
@@ -84,25 +91,37 @@ def _load(path: str, fmt: str | None) -> ParseResult:
     return res
 
 
-def _load_condensed(path: str, fmt: str | None) -> tuple[DiGraph, dict[int, int]]:
-    """The condensed DAG of the graph at path, and each original id's SCC."""
+def _load_condensed(path: str, fmt: str | None) -> tuple[DiGraph, np.ndarray, np.ndarray]:
+    """The condensed DAG of the graph at path, its original ids ascending,
+    and the SCC of each."""
     res = _load(path, fmt)
     cond = scc_condense(res.graph)
-    return cond.dag, dict(zip(res.original_ids, cond.scc_of))
+    try:
+        ids = np.array(res.original_ids, dtype=np.int64)
+    except OverflowError:  # ids beyond 64 bits compare as Python ints
+        ids = np.array(res.original_ids, dtype=object)
+    return cond.dag, ids, np.array(cond.scc_of, dtype=np.uint32)
 
 
 def _read_pairs(
-    path: str, scc_by_id: dict[int, int]
-) -> list[tuple[int, int, int, int, bool | None]]:
-    """The pairs file at path as rows (s, t, SCC of s, SCC of t, expected
-    bit), all read and translated before a command prints any answer."""
-    rows = []
-    for s, t, exp in load_query_file(path):
-        try:
-            rows.append((s, t, scc_by_id[s], scc_by_id[t], exp))
-        except KeyError as e:
-            raise GraphFormatError(f"{path}: unknown vertex id {e.args[0]}") from None
-    return rows
+    path: str, ids: np.ndarray, scc_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs file at path as (S, T, SCC of S, SCC of T, expected bit,
+    -1 for none), all read and translated before a command prints any
+    answer.  ids are the graph's original ids, ascending, and scc_of[i] is
+    the SCC of ids[i]; an id not among them fails the whole file, naming
+    the first one in reading order."""
+    S, T, expected = load_pairs(path)
+    ends = np.column_stack((S, T)).ravel()  # s, t of each pair in turn
+    if ends.dtype != ids.dtype:  # ids beyond 64 bits on one side: compare as ints
+        ends, ids = ends.astype(object), ids.astype(object)
+    at = np.searchsorted(ids, ends)
+    known = at < len(ids)
+    known[known] = ids[at[known]] == ends[known]
+    if not known.all():
+        raise GraphFormatError(f"{path}: unknown vertex id {ends[known.argmin()]}")
+    scc = scc_of[at]
+    return S, T, scc[0::2], scc[1::2], expected
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +168,11 @@ def _write_bundle(
 
 def _read_bundle(
     path: str, digest: bytes
-) -> tuple[DiGraph, dict[int, int], tuple[int, int]] | None:
-    """(condensed DAG, map from original id to SCC, dropped self-loops and
-    duplicates) from the bundle at path, or None unless it is whole, intact
-    and written for the graph bytes and format that digest names."""
+) -> tuple[DiGraph, np.ndarray, np.ndarray, tuple[int, int]] | None:
+    """(condensed DAG, original ids ascending, the SCC of each, dropped
+    self-loops and duplicates) from the bundle at path, or None unless it is
+    whole, intact and written for the graph bytes and format that digest
+    names."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -175,8 +195,7 @@ def _read_bundle(
     targets = np.frombuffer(data, "<u4", m, at + 12 * n + 4 * (c + 1))
     if not _sound_condensation(original_ids, scc_of, offsets, targets):
         return None
-    dag = _csr_graph(offsets, targets)
-    return dag, dict(zip(original_ids.tolist(), scc_of.tolist())), tuple(dropped)
+    return _csr_graph(offsets, targets), original_ids, scc_of, tuple(dropped)
 
 
 def _sound_condensation(
@@ -281,37 +300,58 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_index(args: argparse.Namespace) -> tuple[ReachIndex, dict[int, int]]:
+def _open_index(args: argparse.Namespace) -> tuple[ReachIndex, np.ndarray, np.ndarray]:
     """Load the condensed graph, from the index's bundle when it matches the
-    graph file, and the index; return the index and the map from each
-    original vertex id to its SCC."""
+    graph file, and the index; return the index, the original vertex ids
+    ascending and the SCC of each."""
     fmt = graph_format(args.graph, args.format)
     bundle = _read_bundle(args.index + BUNDLE_SUFFIX, _source_digest(args.graph, fmt))
     if bundle is None:
-        dag, scc_by_id = _load_condensed(args.graph, fmt)
+        dag, ids, scc_of = _load_condensed(args.graph, fmt)
     else:
-        dag, scc_by_id, dropped = bundle
+        dag, ids, scc_of, dropped = bundle
         _warn_dropped(args.graph, *dropped)
     with open(args.index, "rb") as f:
         ix = deserialize_index(f.read(), dag)
-    return ix, scc_by_id
+    return ix, ids, scc_of
 
 
 # distinct originals in one SCC: mutually reachable, no index needed
-SAME_SCC = QueryOutcome(True, "0:B3", 0)
+SAME_SCC = "0:B3"
+# pairs that query answers with one query_batch call, so that the
+# observation table stays a few MB whatever the file's length; each call
+# also converts all n support masks to rows (~5 ms at n = 2^16)
+QUERY_CHUNK = 1 << 16
+# characters of a chunk's rows per stdout write.  A stdout that writes
+# through (PYTHONUNBUFFERED, -u) drops the rest of a short write unseen, as
+# when the reader leaves during it, so one write of all the rows could end
+# with status 0 and rows missing; the next piece's write fails instead.
+WRITE_PIECE = 1 << 16
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    ix, scc_by_id = _open_index(args)
-    queries = fallbacks = mismatches = 0
-    for s, t, cs, ct, exp in _read_pairs(args.pairs, scc_by_id):
-        outcome = SAME_SCC if cs == ct and s != t else query(ix, cs, ct)
-        queries += 1
-        fallbacks += outcome.answered_by.startswith("fallback:")
-        print(f"{s}\t{t}\t{int(outcome.answer)}\t{outcome.answered_by}\t{outcome.work}")
-        if exp is not None and outcome.answer != exp:
+    ix, ids, scc_of = _open_index(args)
+    S, T, CS, CT, expected = _read_pairs(args.pairs, ids, scc_of)
+    fallbacks = mismatches = 0
+    for lo in range(0, len(S), QUERY_CHUNK):
+        chunk = slice(lo, lo + QUERY_CHUNK)
+        answer, tags, work = query_batch(ix, CS[chunk], CT[chunk])
+        s, t = S[chunk].tolist(), T[chunk].tolist()
+        for i in np.flatnonzero((CS[chunk] == CT[chunk]) & (S[chunk] != T[chunk])).tolist():
+            tags[i] = SAME_SCC  # answered True with no work by 1:EQ of the SCCs
+        bits = answer.astype(np.uint8).tolist()
+        text = "".join([
+            f"{a}\t{b}\t{bit}\t{tag}\t{w}\n"
+            for a, b, bit, tag, w in zip(s, t, bits, tags, work.tolist())
+        ])
+        for i in range(0, len(text), WRITE_PIECE):
+            sys.stdout.write(text[i : i + WRITE_PIECE])
+        fallbacks += tags.count(PBIBFS.tag)
+        exp = expected[chunk]
+        for i in np.flatnonzero((exp >= 0) & (answer != (exp == 1))).tolist():
             mismatches += 1
-            _warn(f"({s}, {t}): answered {int(outcome.answer)}, expected {int(exp)}")
+            _warn(f"({s[i]}, {t[i]}): answered {bits[i]}, expected {int(exp[i])}")
+    queries = len(S)
     print(
         f"queries={queries} fallbacks={fallbacks}"
         + (f" fallback_rate={fallbacks / queries:.4f}" if queries else ""),
@@ -324,13 +364,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    dag, scc_by_id = _load_condensed(args.graph, args.format)
+    dag, ids, scc_of = _load_condensed(args.graph, args.format)
     query_sets = []
     for path in args.queries:
-        rows = _read_pairs(path, scc_by_id)
-        pairs = [(cs, ct) for _s, _t, cs, ct, _exp in rows]
-        expected = [exp for *_, exp in rows]
-        expected = None if all(e is None for e in expected) else expected
+        _S, _T, CS, CT, exp = _read_pairs(path, ids, scc_of)
+        pairs = list(zip(CS.tolist(), CT.tolist()))
+        expected = None if (exp < 0).all() else [None if e < 0 else e == 1 for e in exp.tolist()]
         query_sets.append(QuerySet(pairs, "file", 0, expected, name=path.rsplit("/", 1)[-1]))
     report = bench(dag, args.algos, query_sets, args.reps, args.seeds, args.params, args.matrix_cap)
     tsv = report.to_tsv()
@@ -345,15 +384,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     # stats rows hold no work or fallback tag: only the count of undecided pairs
-    ix, scc_by_id = _open_index(args)
-    files = [(path, _read_pairs(path, scc_by_id)) for path in args.queries]
-    for i, (path, rows) in enumerate(files):
-        rest = [(cs, ct) for s, t, cs, ct, _exp in rows if s == t or cs != ct]
-        S, T = np.array(rest, dtype=np.int64).reshape(-1, 2).T
-        stats = observation_stats(ix, S, T)
-        if same := len(rows) - len(rest):  # pairs answered 0:B3
+    ix, ids, scc_of = _open_index(args)
+    files = [(path, _read_pairs(path, ids, scc_of)) for path in args.queries]
+    for i, (path, (S, T, CS, CT, _exp)) in enumerate(files):
+        rest = (S == T) | (CS != CT)
+        stats = observation_stats(ix, CS[rest], CT[rest])
+        if same := len(S) - int(np.count_nonzero(rest)):  # pairs answered 0:B3
             stats.queries += same
-            stats.first_hit[SAME_SCC.answered_by] += same
+            stats.first_hit[SAME_SCC] += same
             stats.outcomes["reachable"] += same
         text = stats_report(stats, query_set=path.rsplit("/", 1)[-1])
         if i:  # drop the repeated header line

@@ -136,15 +136,24 @@ def _csr_graph(off: np.ndarray, tg: np.ndarray) -> DiGraph:
 
     The caller vouches for the rows: off starts at 0, never decreases and
     ends at len(tg); each row is strictly increasing, in range and free of
-    its own vertex.  The in-rows come from one stable argsort of the
-    targets: the edges are in (source, target) order, so each in-row lists
-    its sources ascending."""
+    its own vertex.  The edges are then in (source, target) order, so a
+    stable sort of the targets lists each in-row's sources ascending.  That
+    sort is a least-significant-digit radix sort on 16-bit digits, as
+    numpy's stable argsort of uint16 is a counting sort: one pass when every
+    target fits in 16 bits, else a second on the high digit.  On 2^18 random
+    uint32 targets (numpy 2.4, min of 9) one stable argsort took 18.4 ms;
+    the one pass took 1.7-2.0 ms on targets below 2^16, and the two passes
+    4.0-4.5 ms on targets below 2^17, with the same permutation."""
     n = len(off) - 1
+    tg = np.asarray(tg).astype(np.uint32, copy=False)
     src = np.repeat(np.arange(n, dtype=np.uint32), np.diff(off))
+    order = np.argsort(tg.astype(np.uint16), kind="stable")  # the low digit
+    if n > 1 << 16:
+        order = order[np.argsort((tg[order] >> 16).astype(np.uint16), kind="stable")]
     g = DiGraph.__new__(DiGraph)
     g.out_off, g.out_tg = _uint_array(off), _uint_array(tg)
     g.in_off = _uint_array(_offsets(np.bincount(tg, minlength=n)))
-    g.in_tg = _uint_array(src[np.argsort(tg, kind="stable")])
+    g.in_tg = _uint_array(src[order])
     g.n = n
     g.m = len(tg)
     g.checksum = None
@@ -228,38 +237,65 @@ def parse_edge_list(lines: Iterable[str]) -> ParseResult:
     return _parse_edge_text("\n".join(lines), starts)
 
 
-def _parse_edge_text(text: str, line_starts: np.ndarray | None = None) -> ParseResult:
-    """Edge-list text, split into lines at '\\n' unless line_starts gives the
-    offset of each line.  The whole text is tokenized at once on an array of
-    its code points; the tokens are the ones str.split() would return."""
+@dataclass
+class _Tokens:
+    """The tokens of a text, line by line, as str.split() returns them."""
+
+    text: str
+    codes: np.ndarray  # per code point; those above U+3000 read as U+3001
+    line_starts: np.ndarray  # per line: offset of its first code point
+    starts: np.ndarray  # per token: offset of its first code point
+    ends: np.ndarray  # per token: offset past its last code point
+    line: np.ndarray  # per token: its line, ascending
+    counts: np.ndarray  # per line: its tokens
+
+    def line_text(self, i: int) -> str:
+        """Line i, stripped."""
+        ls = self.line_starts
+        return self.text[ls[i] : ls[i + 1] if i + 1 < len(ls) else len(self.text)].strip()
+
+
+def _tokenize(text: str, comments: str, line_starts: np.ndarray | None = None) -> _Tokens:
+    """The tokens of text, split into lines at '\\n' unless line_starts gives
+    the offset of each line.  A line whose first token starts with a
+    character of comments is a comment and holds none.  The whole text is
+    tokenized at once on an array of its code points."""
     try:
         codes = np.frombuffer(text.encode("latin-1"), np.uint8)
     except UnicodeEncodeError:
         codes = np.minimum(np.frombuffer(text.encode("utf-32-le"), np.uint32), 0x3001)
     if line_starts is None:
         line_starts = np.r_[0, np.flatnonzero(codes == 10) + 1]
-    n_lines = len(line_starts)
     word = ~_WS_TABLE[codes]
     starts = np.flatnonzero(word & np.r_[True, ~word[:-1]])
     ends = np.flatnonzero(word & np.r_[~word[1:], True]) + 1
     del word
     line = np.searchsorted(line_starts, starts, side="right") - 1
-    opener = np.isin(codes[starts], (ord("#"), ord("%")))
+    opener = np.isin(codes[starts], [ord(c) for c in comments])
     opener[1:] &= line[1:] != line[:-1]  # only a line's first token opens a comment
-    skip = np.zeros(n_lines, dtype=bool)
-    skip[line[opener]] = True
-    counts = np.bincount(line, minlength=n_lines)
-    bad = (counts != 0) & (counts != 2) & ~skip
-    first_bad = int(bad.argmax()) if bad.any() else n_lines
+    comment = np.zeros(len(line_starts), dtype=bool)
+    comment[line[opener]] = True
+    keep = ~comment[line]
+    starts, ends, line = starts[keep], ends[keep], line[keep]
+    counts = np.bincount(line, minlength=len(line_starts))
+    return _Tokens(text, codes, line_starts, starts, ends, line, counts)
+
+
+def _parse_edge_text(text: str, line_starts: np.ndarray | None = None) -> ParseResult:
+    """Edge-list text, split into lines at '\\n' unless line_starts gives the
+    offset of each line (see _tokenize)."""
+    tk = _tokenize(text, "#%", line_starts)
+    bad = (tk.counts != 0) & (tk.counts != 2)
+    first_bad = int(bad.argmax()) if bad.any() else len(bad)
     # the lines before the first malformed one may still hold a bad id,
     # which the line-by-line reading order reports first
-    keep = ~skip[line] & (line < first_bad)
-    vals = _parse_ids(text, codes, starts[keep], ends[keep], line[keep])
-    if first_bad < n_lines:
-        hi = line_starts[first_bad + 1] if first_bad + 1 < n_lines else len(text)
-        raw = text[line_starts[first_bad]:hi].strip()
-        raise GraphFormatError(f"line {first_bad + 1}: expected 'u v', got {raw!r}")
-    del codes, starts, ends, line, keep
+    before = tk.line < first_bad
+    vals, i = _parse_ids(text, tk.codes, tk.starts[before], tk.ends[before])
+    if i < len(vals):
+        raise GraphFormatError(f"line {tk.line[i] + 1}: non-integer vertex id")
+    if first_bad < len(bad):
+        raise GraphFormatError(f"line {first_bad + 1}: expected 'u v', got {tk.line_text(first_bad)!r}")
+    del tk, before
     uniq, dense = np.unique(vals, return_inverse=True)
     original_ids = uniq.tolist()
     id_map = dict(zip(original_ids, range(len(original_ids))))
@@ -268,11 +304,13 @@ def _parse_edge_text(text: str, line_starts: np.ndarray | None = None) -> ParseR
 
 
 def _parse_ids(
-    text: str, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray, line: np.ndarray
-) -> np.ndarray:
-    """int() of each token text[starts[i]:ends[i]].  Tokens of an optional
-    sign and up to 18 ASCII digits are converted digit column by digit
-    column; int() converts the rest one by one."""
+    text: str, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """(vals, i): vals[j] is int() of the token text[starts[j]:ends[j]], for
+    each j before i, the first token int() refuses (len(starts) when none
+    does).  Tokens of an optional sign and up to 18 ASCII digits are
+    converted digit column by digit column; int() converts the rest one by
+    one.  vals holds objects when some id needs more than 64 bits."""
     sign = np.isin(codes[starts], (ord("+"), ord("-")))
     first = starts + sign
     n_digits = ends - first
@@ -284,18 +322,51 @@ def _parse_ids(
         simple &= ~live | ((d >= 0) & (d <= 9))
         vals = np.where(live, vals * 10 + d, vals)
     vals[codes[starts] == ord("-")] *= -1
-    rest = np.flatnonzero(~simple)
     fixes = []
-    for i in rest.tolist():
+    for i in np.flatnonzero(~simple).tolist():
         try:
             fixes.append((i, int(text[starts[i]:ends[i]])))
         except ValueError:
-            raise GraphFormatError(f"line {line[i] + 1}: non-integer vertex id") from None
+            return vals, i
     if any(not -(2**63) <= x < 2**63 for _, x in fixes):
         vals = vals.astype(object)  # ids beyond 64 bits compare as Python ints
     for i, x in fixes:
         vals[i] = x
-    return vals
+    return vals, len(starts)
+
+
+def load_pairs(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The query file at path, read at once, as (S, T, expected): the pair
+    (S[i], T[i]) and its expected bit, 1 or 0, or -1 when it has none.
+
+    One pair per line, 's t [expected]': two ids as int() reads them, then
+    an optional 0 or 1.  Blank lines and lines whose first non-blank
+    character is '#' are skipped.  S and T hold objects when some id needs
+    more than 64 bits.  Raises GraphFormatError for the first line that is
+    not a pair, as a line-by-line reading meets it."""
+    with open(path, "r", encoding="utf-8") as f:
+        tk = _tokenize(f.read(), "#")
+    n_lines, counts, line = len(tk.counts), tk.counts, tk.line
+    shape_bad = (counts != 0) & (counts != 2) & (counts != 3)
+    col = np.arange(len(line)) - (np.cumsum(counts) - counts)[line]  # place in its line
+    shaped = ~shape_bad[line]
+    bit = shaped & (col == 2)
+    bit_bad = bit & ((tk.ends - tk.starts != 1) | ~np.isin(tk.codes[tk.starts], (48, 49)))
+    first = int(shape_bad.argmax()) if shape_bad.any() else n_lines
+    if bit_bad.any():
+        first = min(first, int(line[bit_bad.argmax()]))
+    ids = shaped & (col < 2) & (line < first)
+    vals, i = _parse_ids(tk.text, tk.codes, tk.starts[ids], tk.ends[ids])
+    if i < len(vals):
+        first = int(line[ids][i])
+    if first < n_lines:
+        if shape_bad[first]:
+            got = tk.line_text(first)
+            raise GraphFormatError(f"{path}:{first + 1}: expected 's t [expected]', got {got!r}")
+        raise GraphFormatError(f"{path}:{first + 1}: bad token")
+    expected = np.full(len(vals) // 2, -1, dtype=np.int8)
+    expected[counts[line[col == 0]] == 3] = tk.codes[tk.starts[bit]] - ord("0")
+    return vals[0::2], vals[1::2], expected
 
 
 def _clean_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
@@ -746,14 +817,14 @@ def _fold_run(
 
 def mask_rows(masks: list[int], w: int) -> np.ndarray:
     """The (len(masks), w) uint8 rows holding each mask in w little-endian
-    bytes; raises ValueError for a mask that does not fit."""
+    bytes; raises ValueError for a mask that is negative or does not fit."""
     if w > 8:  # wider than one word: per row
         try:
             buf = b"".join([m.to_bytes(w, "little") for m in masks])
         except OverflowError:
             raise ValueError(f"mask does not fit in {w} bytes") from None
         return np.frombuffer(buf, np.uint8).reshape(len(masks), w)
-    if masks and max(masks) >> (8 * w):
+    if masks and (max(masks) >> (8 * w) or min(masks) < 0):
         raise ValueError(f"mask does not fit in {w} bytes")
     words = np.zeros((len(masks), 1), dtype="<u8")
     words[:, 0] = masks

@@ -17,9 +17,11 @@ support, first ordering, negative supports, remaining orderings, then weak
 components and Max containment over all orderings); the first decisive
 one answers.  observation_table is their definition: one (test:tag,
 answer, mask) row per observation, in that order, over numpy views of the
-columns, from which observation_stats counts first hits and overlap in
-bulk.  try_observations is a separate scalar pass over the same tests for
-one pair, which the tests pin to the table's first true row.  Each
+columns.  query_batch answers many pairs from one table, each by its first
+true row or else by the fallback, as query answers it alone, and
+observation_stats counts first hits and overlap from the same decision.
+try_observations is a separate scalar pass over the same tests for one
+pair, which the tests pin to the table's first true row.  Each
 ordering test is written once, for a pair (source, target) in the
 ordering's own graph: the pair (s, t) in a forward ordering, (t, s) in a
 backward one, which is an ordering of the reverse graph (see toporder).
@@ -700,23 +702,52 @@ def query(ix: ReachIndex, s: int, t: int) -> QueryOutcome:
     return QueryOutcome(ans, PBIBFS.tag, work)
 
 
-def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> ObservationStats:
-    """The stats of querying each pair (S[i], T[i]), from one observation_table
-    call: a pair's first true row is its first hit, each observation true for
-    it counts once in overlap, and only undecided pairs go to PBIBFS, the
-    fallback of query."""
+def query_batch(
+    ix: ReachIndex, S: Sequence[int], T: Sequence[int]
+) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """query(ix, S[i], T[i]) for every i, in bulk: (answer, answered_by,
+    work), with answer a bool array, answered_by a list of tags and work an
+    int64 array.  A pair's outcome is that of its first true row in one
+    observation_table call, else PBIBFS's.  Raises as observation_table."""
     rows = observation_table(ix, S, T)
-    held = np.array([mask for _, _, mask in rows])
-    decided, first = held.any(axis=0), held.argmax(axis=0)
-    answer = np.array([ans for _, ans, _ in rows])[first] & decided
-    for i in np.flatnonzero(~decided).tolist():
-        answer[i] = PBIBFS.run(ix, int(S[i]), int(T[i]))[0]
+    _held, first, answer, work = _decide(ix, S, T, rows)
+    tags = [tag for tag, _, _ in rows] + [PBIBFS.tag]
+    return answer, [tags[r] for r in first.tolist()], work
+
+
+def _decide(
+    ix: ReachIndex, S: Sequence[int], T: Sequence[int], rows: list[tuple[str, bool, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(held, first, answer, work) of the pairs (S[i], T[i]) from their
+    observation_table rows: held[r, i] says row r holds for pair i, first[i]
+    is its first true row (len(rows) when none holds), and the undecided
+    pairs get PBIBFS's answer and work."""
+    held = np.array([mask for _, _, mask in rows]).reshape(len(rows), len(S))
+    decided = held.any(axis=0)
+    first = np.where(decided, held.argmax(axis=0), len(rows))
+    answer = np.array([ans for _, ans, _ in rows] + [False])[first]
+    work = np.zeros(len(S), dtype=np.int64)
+    undecided = np.flatnonzero(~decided)
+    S, T = np.asarray(S)[undecided].tolist(), np.asarray(T)[undecided].tolist()
+    for i, s, t in zip(undecided.tolist(), S, T):
+        answer[i], work[i] = PBIBFS.run(ix, s, t)
+    return held, first, answer, work
+
+
+def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> ObservationStats:
+    """The stats of querying each pair (S[i], T[i]), decided as query_batch
+    decides it: a pair's first true row is its first hit, each observation
+    true for it counts once in overlap, and only undecided pairs go to
+    PBIBFS, the fallback of query."""
+    rows = observation_table(ix, S, T)
+    held, first, answer, _work = _decide(ix, S, T, rows)
     obs = np.array([tag.partition(":")[2] for tag, _, _ in rows])
     reachable = int(np.count_nonzero(answer))
+    fallbacks = first == len(rows)
     return ObservationStats(  # unary + drops the zero counts
         queries=len(S),
-        fallbacks=int(np.count_nonzero(~decided)),
-        first_hit=Counter(rows[r][0] for r in first[decided].tolist()),
+        fallbacks=int(np.count_nonzero(fallbacks)),
+        first_hit=Counter(rows[r][0] for r in first[~fallbacks].tolist()),
         overlap=+Counter({o: int(held[obs == o].any(axis=0).sum()) for o in set(obs)}),
         outcomes=+Counter(reachable=reachable, unreachable=len(S) - reachable),
     )

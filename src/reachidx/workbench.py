@@ -23,7 +23,7 @@ from .baselines import (
     bfs_query,
     build_matrix,
 )
-from .graph import DiGraph, GraphFormatError, _digraph
+from .graph import DiGraph, _digraph
 from .index import (
     IndexParams,
     ObservationStats,
@@ -155,32 +155,6 @@ def build_oracle(
 
 # ---------------------------------------------------------------------------
 # query files
-
-
-def load_query_file(path: str) -> list[tuple[int, int, bool | None]]:
-    """Lines 's t' with an optional expected bit; '#' starts a comment."""
-    out: list[tuple[int, int, bool | None]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 's t [expected]', got {line!r}"
-                )
-            try:
-                s, t = int(parts[0]), int(parts[1])
-                exp = None
-                if len(parts) == 3:
-                    if parts[2] not in ("0", "1"):
-                        raise ValueError
-                    exp = parts[2] == "1"
-            except ValueError:
-                raise GraphFormatError(f"{path}:{lineno}: bad token") from None
-            out.append((s, t, exp))
-    return out
 
 
 def save_query_set(

@@ -10,8 +10,8 @@ import pytest
 
 from reachidx import cli
 from reachidx.cli import build_parser, main
-from reachidx.graph import parse_edge_list
-from reachidx.index import IndexParams
+from reachidx.graph import load_graph, parse_edge_list, scc_condense
+from reachidx.index import IndexParams, deserialize_index, query
 
 from conftest import PINNED_EDGE_LIST
 
@@ -653,6 +653,117 @@ def test_closed_stdout_is_not_an_input_error(pinned):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
     assert "error:" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# query answers every pair in bulk, as query() answers it alone
+
+
+def scalar_rows(graph: str, idx: str, pairs: str) -> list[str]:
+    """The output rows of `reachidx query` as the library gives them one pair
+    at a time: 0:B3 for distinct ids of one SCC, else query() on the SCCs.
+    The pairs file is read line by line and must be well formed."""
+    res = load_graph(graph)
+    cond = scc_condense(res.graph)
+    with open(idx, "rb") as f:
+        ix = deserialize_index(f.read(), cond.dag)
+    scc = dict(zip(res.original_ids, cond.scc_of))
+    rows, seen = [], {}
+    with open(pairs, encoding="utf-8") as f:
+        for line in f:
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            s, t = int(parts[0]), int(parts[1])
+            cs, ct = scc[s], scc[t]
+            if cs == ct and s != t:
+                rows.append(f"{s}\t{t}\t1\t0:B3\t0")
+                continue
+            if (cs, ct) not in seen:
+                o = query(ix, cs, ct)
+                seen[cs, ct] = f"{int(o.answer)}\t{o.answered_by}\t{o.work}"
+            rows.append(f"{s}\t{t}\t{seen[cs, ct]}")
+    return rows
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """gen-graph's G(3000, 12000), built with the default parameters, and
+    2000 random pairs with expected bits: enough for fallbacks."""
+    d = tmp_path_factory.mktemp("generated")
+    g, idx, pairs = str(d / "g.txt"), str(d / "g.ridx"), str(d / "q.txt")
+    assert main(["gen-graph", "--n", "3000", "--m", "12000", "--seed", "0", "--out", g]) == 0
+    assert main(["gen-queries", "--graph", g, "--kind", "random", "--count", "2000",
+                 "--seed", "1", "--out", pairs]) == 0
+    assert main(["build", "--graph", g, "--out-index", idx]) == 0
+    return g, idx, pairs
+
+
+def test_query_answers_the_pinned_fixture_as_per_pair_query(pinned):
+    g, idx, pairs, run = pinned
+    code, out, _err = run(["query", "--graph", g, "--index", idx, "--pairs", pairs], parses=0)
+    assert code == 0 and out.splitlines() == scalar_rows(g, idx, pairs)
+
+
+def test_query_answers_random_pairs_as_per_pair_query(generated, monkeypatch, capsys):
+    g, idx, pairs = generated
+    run = Run(monkeypatch, capsys)
+    code, out, err = run(["query", "--graph", g, "--index", idx, "--pairs", pairs], parses=0)
+    assert code == 0 and out.splitlines() == scalar_rows(g, idx, pairs)
+    fallbacks = out.count("\tfallback:pbibfs\t")
+    assert fallbacks > 0 and f"queries=2000 fallbacks={fallbacks} " in err
+
+
+def test_query_answers_a_file_of_many_chunks_as_per_pair_query(
+    generated, tmp_path, monkeypatch, capsys
+):
+    g, idx, pairs = generated
+    with open(pairs, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    # comments, blank lines, pairs with and without their expected bit, and
+    # s == t, in a block repeated past the end of the first chunk
+    block = ["# a comment", "", "   # an indented comment", "\t"]
+    for i, line in enumerate(lines):
+        s, t, bit = line.split()
+        block.append(f"{s} {t}" if i % 2 else f"  {s}\t{t}  {bit} ")
+        if i % 50 == 0:
+            block.append(f"{s} {s} 1")
+    reps = cli.QUERY_CHUNK // len(lines) + 2
+    s, t, bit = lines[0].split()
+    text = "\n".join(block * reps) + f"\n{s} {t} {1 - int(bit)}\n"  # one wrong bit, last
+    many = write(tmp_path / "many.txt", text)
+    run = Run(monkeypatch, capsys)
+    code, out, err = run(["query", "--graph", g, "--index", idx, "--pairs", many], parses=0)
+    rows = out.splitlines()
+    assert len(rows) > cli.QUERY_CHUNK and rows == scalar_rows(g, idx, many)
+    assert code == 1
+    assert err.count("answered ") == 1
+    assert f"({s}, {t}): answered {bit}, expected {1 - int(bit)}" in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_stops_early_ends_query_with_status_1(generated, tmp_path, unbuffered):
+    """As `reachidx query ... | head -1` on ~400 kB of rows, more than a pipe
+    holds, with stdout buffered or written through (PYTHONUNBUFFERED)."""
+    g, idx, pairs = generated
+    with open(pairs, encoding="utf-8") as f:
+        many = write(tmp_path / "many.txt", f.read() * 10)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "reachidx.cli", "query", "--graph", g, "--index", idx,
+         "--pairs", many],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().count(b"\t") == 4
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "error:" not in err
 
 
 def test_module_entry_point_help():

@@ -25,6 +25,7 @@ from reachidx.graph import (
     parse_edge_list,
     parse_gra,
     parse_graph,
+    _csr_graph,
     _hook_and_compress,
     level_fold,
     scc_condense,
@@ -118,6 +119,36 @@ def test_reverse_swaps_adjacency(g):
     r = g.reverse()
     assert rows(r) == rows(g)[::-1]
     assert (r.n, r.m) == (g.n, g.m)
+
+
+def transposed_rows(n: int, edges: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """In-offsets and in-targets of the edges, by appending each source to
+    its target's row in edge order."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[v].append(u)
+    return [0, *np.cumsum([len(r) for r in rows], dtype=np.int64).tolist()], [
+        u for r in rows for u in r
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,m",
+    [(0, 0), (1, 0), (3000, 12000), (1 << 16, 4000), ((1 << 16) + 1, 0), ((1 << 17) + 5, 6000)],
+)
+def test_csr_graph_in_rows_are_the_transposition(n, m):
+    """One radix pass for n <= 2^16, two above: the in-rows are the edges
+    transposed in (source, target) order, each row's sources ascending."""
+    rng = np.random.default_rng(n + m)
+    keys = np.unique(rng.integers(0, n * n, size=m)) if n else np.zeros(0, np.int64)
+    keys = keys[keys // max(n, 1) != keys % max(n, 1)]  # no self-loops
+    if n > 1 << 16:  # targets that share their low 16 bits, and the top id
+        keys = np.unique(np.r_[keys, [5 * n + 7, 5 * n + 7 + (1 << 16), 9 * n + n - 1]])
+    u, v = keys // max(n, 1), keys % max(n, 1)
+    g = _csr_graph(np.r_[0, np.cumsum(np.bincount(u, minlength=n))], v)
+    in_off, in_tg = transposed_rows(n, list(zip(u.tolist(), v.tolist())))
+    assert (g.n, g.m) == (n, len(keys))
+    assert g.in_off.tolist() == in_off and g.in_tg.tolist() == in_tg
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from reachidx.index import (
     observation_table,
     payload_bytes_per_vertex,
     query,
+    query_batch,
     serialize_index,
     try_observations,
 )
@@ -936,6 +937,36 @@ def test_observation_stats_equals_per_pair_reference(g, params, seed, data):
     pairs = data.draw(st.lists(st.tuples(*[st.integers(0, g.n - 1)] * 2), max_size=60))
     got = observation_stats(ix, [s for s, _ in pairs], [t for _, t in pairs])
     assert got == reference_stats(ix, pairs)
+
+
+def assert_batch_is_per_pair_query(ix, S, T):
+    answer, tags, work = query_batch(ix, S, T)
+    assert answer.dtype == bool and work.dtype == np.int64
+    outcomes = [query(ix, s, t) for s, t in zip(S, T)]
+    assert list(zip(answer.tolist(), tags, work.tolist())) == [
+        (o.answer, o.answered_by, o.work) for o in outcomes
+    ]
+
+
+@settings(max_examples=40)
+@given(dags(max_n=10), TABLE_PARAMS, st.integers(0, 2**16), st.data())
+def test_query_batch_is_per_pair_query(g, params, seed, data):
+    ix = build_index(g, params, seed=seed)
+    pairs = data.draw(st.lists(st.tuples(*[st.integers(0, g.n - 1)] * 2), max_size=60))
+    assert_batch_is_per_pair_query(ix, [s for s, _ in pairs], [t for _, t in pairs])
+
+
+def test_query_batch_is_per_pair_query_with_fallbacks():
+    g = gen_random_dag(2000, 8000, seed=0)
+    ix = build_index(g, seed=0)
+    rng = np.random.default_rng(2)
+    S, T = rng.integers(0, g.n, 3000), rng.integers(0, g.n, 3000)
+    S[:50] = T[:50]
+    assert_batch_is_per_pair_query(ix, S, T)
+    assert_batch_is_per_pair_query(ix, [], [])
+    assert "fallback:pbibfs" in query_batch(ix, S, T)[1]
+    with pytest.raises(IndexError, match="vertex id 2000 out of range"):
+        query_batch(ix, [0, 1], [1, 2000])
 
 
 def test_table_with_two_word_masks():

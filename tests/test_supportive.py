@@ -362,6 +362,15 @@ def test_mask_rows_refuses_a_wide_mask_that_does_not_fit():
             mask_rows([0, bad], 9)
 
 
+@pytest.mark.parametrize("w", [1, 2, 8, 9, 16])
+def test_mask_rows_refuses_a_negative_mask(w):
+    """In rows of one word or less as in wider ones: a ValueError, not numpy's
+    OverflowError, though the largest mask fits."""
+    for masks in ([0, -1], [-(1 << 70), 3]):
+        with pytest.raises(ValueError, match=f"fit in {w} bytes"):
+            mask_rows(masks, w)
+
+
 # ---------------------------------------------------------------------------
 # observations
 

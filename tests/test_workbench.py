@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from reachidx import workbench
 from reachidx.baselines import DEFAULT_MATRIX_CAP, CapacityError, build_matrix, matrix_query
-from reachidx.graph import DiGraph, GraphFormatError, graph_checksum
+from reachidx.graph import DiGraph, GraphFormatError, graph_checksum, load_pairs
 from reachidx.index import (
     HEADER,
     IndexParams,
@@ -28,7 +30,6 @@ from reachidx.workbench import (
     build_oracle,
     gen_queries,
     gen_random_dag,
-    load_query_file,
     save_query_set,
     stats_report,
 )
@@ -201,12 +202,21 @@ def test_build_oracle_matrix_and_bfs_paths_agree():
 # query files
 
 
+def pair_rows(path):
+    """load_pairs' arrays as (s, t, expected) rows, None for no expected bit."""
+    S, T, expected = load_pairs(path)
+    return [
+        (s, t, None if e < 0 else e == 1)
+        for s, t, e in zip(S.tolist(), T.tolist(), expected.tolist())
+    ]
+
+
 def test_query_file_roundtrip(tmp_path):
     qs = QuerySet([(0, 2), (1, 0)], "random", 0, expected=[True, None])
     path = tmp_path / "q.txt"
     with open(path, "w") as f:
         save_query_set(qs, f)
-    assert load_query_file(str(path)) == [(0, 2, True), (1, 0, None)]
+    assert pair_rows(str(path)) == [(0, 2, True), (1, 0, None)]
 
 
 def test_query_file_original_id_translation(tmp_path):
@@ -220,11 +230,63 @@ def test_query_file_original_id_translation(tmp_path):
 def test_query_file_comments_and_errors(tmp_path):
     path = tmp_path / "q.txt"
     path.write_text("# heading\n\n3 4\n4 3 1\n")
-    assert load_query_file(str(path)) == [(3, 4, None), (4, 3, True)]
+    assert pair_rows(str(path)) == [(3, 4, None), (4, 3, True)]
     for bad in ("1 2 3 4\n", "1 2 2\n", "x y\n"):
         path.write_text(bad)
         with pytest.raises(GraphFormatError, match="q.txt:1"):
-            load_query_file(str(path))
+            load_pairs(str(path))
+
+
+def _reference_query_file(path):
+    """Line-by-line reading of a query file, as before the file was read at
+    once: (s, t, expected) rows or the error message."""
+    out = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, raw in enumerate(f, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                return f"{path}:{lineno}: expected 's t [expected]', got {line!r}"
+            try:
+                s, t = int(parts[0]), int(parts[1])
+                exp = None
+                if len(parts) == 3:
+                    if parts[2] not in ("0", "1"):
+                        raise ValueError
+                    exp = parts[2] == "1"
+            except ValueError:
+                return f"{path}:{lineno}: bad token"
+            out.append((s, t, exp))
+    return out
+
+
+_PAIR_IDS = st.sampled_from(
+    ["0", "7", "-3", "+12", "0012", "1_000", "\u0663", str(2**70), str(-(2**63)), "99999999999999999999"]
+)
+_PAIR_LINES = st.one_of(
+    st.tuples(_PAIR_IDS, _PAIR_IDS, st.sampled_from(["", "0", "1"])).map(" ".join),
+    st.sampled_from(
+        ["", "   ", "\t", "# c", "  #1 2 3", "#", "% 1 2", "5", "1 2 1 0", "1 x", "1.5 2", "- 1",
+         "1 2 2", "1 2 01", "1 2 x", "1 2 1.0", "1 2 +1", "1\u00a02", "1\u30002 1", "1 2\r"]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PAIR_LINES, max_size=20), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_query_file_reads_as_the_line_by_line_reference(lines, newline):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "q.txt")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(newline.join(lines))
+        expected = _reference_query_file(path)
+        try:
+            got = pair_rows(path)
+        except GraphFormatError as e:
+            got = str(e)
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------
