@@ -15,8 +15,11 @@ parsed it; deleting one is always safe.
 translates every original id to its SCC with one search of the sorted ids,
 so an unknown id fails the command before any answer is printed.  It then
 answers QUERY_CHUNK pairs at a time with index.query_batch, which gives
-each pair the outcome query() gives it, and writes each chunk's rows as
-one string, cut into WRITE_PIECE pieces.
+each pair the outcome query() gives it (with a spare CPU, half of a
+chunk's fallbacks run in a forked worker), and writes each chunk's rows
+as one string, cut into WRITE_PIECE pieces.  A chunk costs no per-call
+conversion of the support masks: the table reads them as the rows the
+index file held.
 """
 
 from __future__ import annotations
@@ -319,8 +322,10 @@ def _open_index(args: argparse.Namespace) -> tuple[ReachIndex, np.ndarray, np.nd
 # distinct originals in one SCC: mutually reachable, no index needed
 SAME_SCC = "0:B3"
 # pairs that query answers with one query_batch call, so that the
-# observation table stays a few MB whatever the file's length; each call
-# also converts all n support masks to rows (~5 ms at n = 2^16)
+# observation table stays a few MB whatever the file's length.  A call
+# reads the support masks as the index's rows, without converting all n
+# of them, so its cost beyond its own pairs is at most one fork for its
+# fallbacks.
 QUERY_CHUNK = 1 << 16
 # characters of a chunk's rows per stdout write.  A stdout that writes
 # through (PYTHONUNBUFFERED, -u) drops the rest of a short write unseen, as

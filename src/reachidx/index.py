@@ -4,13 +4,19 @@ and binary serialization.
 Every build stage (weak components, levels, each extended ordering, the
 supports) draws from its own substream of the seed, so the stages are
 independent.  The levels come first, since the orderings' Max and the
-support masks are both folded along them (graph.level_fold).  build_index
-then overlaps the rest when the process may run on more than one CPU: one
-forked worker computes orderings 1..t-1 while the caller computes the
-rest, and hands back each ordering's columns through a pipe as raw uint32
-cells.  The index bytes are the same as those of the inline
-build, which small graphs, single-CPU processes, processes with other
-Python threads and platforms without fork use.
+support masks are both folded along them (graph.level_fold).
+
+A process that may run on more than one CPU splits its two largest jobs
+with one forked worker (_Worker, which runs any job and hands back its
+bytes through a pipe; _forks says when).  build_index's worker computes
+orderings 1..t-1 while the caller computes the rest, and sends each
+ordering's columns as raw uint32 cells.  query_batch and
+observation_stats give every other undecided pair to a worker, which
+sends PBIBFS's (answer, work) for each as two int64 cells.  The results
+are the same as those of the inline path, which small jobs, single-CPU
+processes, processes with other Python threads and platforms without
+fork take, and so is any exception raised; the worker never outlives the
+call.
 
 A query runs through seven constant-time tests (equality, levels, positive
 support, first ordering, negative supports, remaining orderings, then weak
@@ -40,9 +46,10 @@ each with a guard bit above it, oriented so that a reachable pair (a, b)
 has u(a) <= u(b) in every field u; the guard bits of g + key(b) - key(a)
 are then all set exactly when no field refutes the pair, so one addition,
 one & and one compare test them all at once.  The keys are built with
-numpy on an index's first fallback, not at build or load (~30-50 ms, ~5 MB,
-about 72 bytes a vertex, for 2^16 vertices at the default parameters), and
-kept on the ReachIndex.  The levels stay out of the key: the decided
+numpy on an index's first fallback, or just before a fallback worker is
+forked, so that it inherits them; not at build or load (~15 ms, ~5 MB,
+about 72 bytes a vertex, for 2^16 vertices at the default parameters).
+They are kept on the ReachIndex.  The levels stay out of the key: the decided
 queries read the same level columns, and with the fallbacks no longer
 reading them those queries slowed by ~30%.  A vertex the negatives leave
 goes through the positive observations (S1, T1 and T3) in a per-side
@@ -57,15 +64,19 @@ as given: the forked worker writes them to its pipe as they are.  The
 file (format version 3) holds them the same way, each column contiguous
 after the header, so serialization joins their bytes and loading copies
 each column out of one slice without creating an int per cell.  The
-support masks stay lists of Python ints: k may exceed 64, and one int per
-vertex keeps S1-S3 a single `&` for any k.  A payload CRC32 in the header
-rejects a damaged file before any of it is read.
+support masks are kept in two forms (see SupportSet): as the file's rows
+of (k + 7) // 8 bytes, which serialization writes as they are and
+observation_table and the packed keys read as numpy rows, and as one
+Python int per vertex, derived from the rows, for the scalar path: k may
+exceed 64, and an int keeps S1-S3 a single `&` for any k.  A payload
+CRC32 in the header rejects a damaged file before any of it is read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import random
 import signal
@@ -91,13 +102,7 @@ from .graph import (
     topological_levels,
     weak_components,
 )
-from .supportive import (
-    SupportSet,
-    mask_rows,
-    masks_from_rows,
-    pick_supports,
-    select_candidates,
-)
+from .supportive import SupportSet, pick_supports, select_candidates
 from .toporder import (
     BACKWARD,
     FORWARD,
@@ -183,7 +188,7 @@ class ReachIndex:
     """A built or loaded index.  It holds the stages' objects as they are
     given: the integer columns of wcc, levels and orderings are array('I')
     (see the module docstring).  keys is the search's packed keys, built on
-    the index's first fallback."""
+    the index's first fallback or before a fallback worker is forked."""
 
     graph: DiGraph
     wcc: array
@@ -226,10 +231,11 @@ def build_index(
     streams = [(FORWARD, _substream(seed, "fwd", j)) for j in range((t + 1) // 2)]
     streams += [(BACKWARD, _substream(seed, "bwd", j)) for j in range(t // 2)]
     levels = topological_levels(dag)  # raises on a cycle before any fork
+    theirs = streams[1:]
     worker = None
     try:
-        if _forks(dag, t):
-            worker = _Worker.fork(dag, levels, streams[1:])
+        if theirs and _forks(dag.n + dag.m, _FORK_MIN_SIZE):
+            worker = _Worker.fork(partial(_ordering_columns, dag, levels, theirs))
         wcc = weak_components(dag)
         here = streams if worker is None else streams[:1]
         orderings = [_ordering(dag, levels, *stream) for stream in here]
@@ -237,10 +243,11 @@ def build_index(
         pool = select_candidates(dag, levels, params.k, params.p, params.h, crng)
         supports = pick_supports(pool, dag, params.k, levels)
         if worker is not None:
-            delivered = worker.collect(dag.n)
-            if delivered is None:  # the worker failed: its orderings here
-                delivered = [_ordering(dag, levels, *stream) for stream in streams[1:]]
-            orderings += delivered
+            data = worker.collect(4 * dag.n * 3 * len(theirs))
+            if data is None:  # the worker failed: its orderings here
+                orderings += [_ordering(dag, levels, *stream) for stream in theirs]
+            else:
+                orderings += _orderings_from(data, dag.n, theirs)
     finally:
         if worker is not None:
             worker.stop()
@@ -256,6 +263,31 @@ def _ordering(dag: DiGraph, levels: LevelAssignment, flavor: str, seed: int) -> 
     return extended_topsort_backward(dag, rng, seed, levels)
 
 
+def _ordering_columns(dag: DiGraph, levels: LevelAssignment, streams) -> list[array]:
+    """The build worker's job: the pos, High and Max columns of
+    _ordering(dag, levels, *stream) for each stream, in order."""
+    columns = []
+    for stream in streams:
+        order = _ordering(dag, levels, *stream)
+        columns += [order.pos, order.hi, order.mx]
+    return columns
+
+
+def _orderings_from(data: bytes, n: int, streams) -> list[ExtTopOrder]:
+    """The orderings whose columns _ordering_columns gave, read back from
+    their raw cells."""
+    cells, size = memoryview(data), 4 * n
+    columns = []
+    for j in range(3 * len(streams)):
+        col = array("I")
+        col.frombytes(cells[j * size : (j + 1) * size])
+        columns.append(col)
+    return [
+        ExtTopOrder(*columns[3 * j : 3 * j + 3], flavor=flavor, seed=seed)
+        for j, (flavor, seed) in enumerate(streams)
+    ]
+
+
 def _cpus() -> int:
     """How many CPUs this process may run on."""
     try:
@@ -268,43 +300,46 @@ def _cpus() -> int:
 # it takes over: at n = 1024, m = 4n the two break even (15 ms; 2 CPUs),
 # and a forked build of a 64-vertex graph took 4-8 ms against 2 ms inline.
 _FORK_MIN_SIZE = 8192
+# Below this many undecided pairs a fork costs more than the half of the
+# fallbacks it takes over.  On 2 CPUs (min of 7), 256 of them took 5.0,
+# 2.4 and 5.9 ms inline against 6.4, 3.2 and 7.4 ms forked on a 65511-vertex
+# condensation, G(2^12, 2^14) and G(2^16, 2^18), and 512 took 10.3, 4.8 and
+# 10.6 ms against 9.5, 4.4 and 10.1 ms: fork, pipe and reap cost ~2-3 ms.
+_FALLBACK_FORK_MIN = 512
 
 
-def _forks(dag: DiGraph, t: int) -> bool:
-    """Whether a build of t orderings forks a worker for orderings 1..t-1:
-    with a spare CPU, but not for a small graph, without fork, or while
-    other Python threads run (a forked child holds only the forking thread,
-    so a lock another thread held at the fork would never be released
-    there).  One worker only: on G(2^16, 2^18) with t = 4 (2 CPUs) the
-    caller's stages after the fork (components, ordering 0, the supports)
-    took ~145 ms against ~160 ms for the worker's orderings 1..3, so a
-    second worker could save at most ~15 ms, and it would need a third
-    CPU."""
-    small = t <= 1 or dag.n + dag.m < _FORK_MIN_SIZE
-    if small or not hasattr(os, "fork") or threading.active_count() > 1:
+def _forks(size: int, min_size: int) -> bool:
+    """Whether a job of this size forks a _Worker: with a spare CPU, but not
+    below its caller's min_size, without fork, or while other Python threads
+    run (a forked child holds only the forking thread, so a lock another
+    thread held at the fork would never be released there).  One worker
+    only: on G(2^16, 2^18) with t = 4 (2 CPUs) the build's stages after the
+    fork (components, ordering 0, the supports) took ~145 ms against ~160
+    ms for the worker's orderings 1..3, so a second worker could save at
+    most ~15 ms, and it would need a third CPU."""
+    if size < min_size or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     return _cpus() > 1
 
 
 class _Worker:
-    """A forked process that computes some orderings of one build.
+    """A forked process that runs one job and hands back its bytes.
 
-    It writes each ordering's pos, High and Max columns to a pipe,
-    in order, as n raw uint32 cells each (the array('I') layout a
-    ReachIndex holds), then leaves through os._exit: exit status 0 once
-    everything is written, 1 on any exception.  It never returns into the
-    caller's code, runs no exit handlers and prints nothing.
+    The job returns a list of buffers once all its work is done; only then
+    does the worker write them to a pipe, in order, since the caller reads
+    only after its own share and a full pipe would block.  It leaves
+    through os._exit: exit status 0 once everything is written, 1 on any
+    exception.  It never returns into the caller's code, runs no exit
+    handlers and prints nothing.
     """
 
-    def __init__(self, pid: int, reader, streams) -> None:
+    def __init__(self, pid: int, reader) -> None:
         self.pid = pid
         self.reader = reader
-        self.streams = streams
 
     @classmethod
-    def fork(cls, dag: DiGraph, levels: LevelAssignment, streams) -> _Worker | None:
-        """A worker computing _ordering(dag, levels, *stream) for each
-        stream; None if the process could not be forked."""
+    def fork(cls, job: Callable[[], list]) -> _Worker | None:
+        """A worker running job; None if the process could not be forked."""
         r, w = os.pipe()
         try:
             with warnings.catch_warnings():
@@ -324,40 +359,24 @@ class _Worker:
             code = 1
             try:
                 os.close(r)
-                # every ordering first, then the writes: the parent reads
-                # only after its own stages, and a full pipe would block
-                columns = []
-                for stream in streams:
-                    order = _ordering(dag, levels, *stream)
-                    columns += [order.pos, order.hi, order.mx]
+                buffers = job()
                 with open(w, "wb") as out:
-                    for col in columns:
-                        out.write(col)
+                    for buf in buffers:
+                        out.write(buf)
                 code = 0
             finally:
                 os._exit(code)
         os.close(w)
-        return cls(pid, open(r, "rb"), streams)
+        return cls(pid, open(r, "rb"))
 
-    def collect(self, n: int) -> list[ExtTopOrder] | None:
-        """The worker's orderings, read straight into array('I') columns,
-        then the worker reaped.  None when it delivered short or exited
-        nonzero."""
-        columns = [array("I") for _ in range(3 * len(self.streams))]
-        try:
-            for col in columns:
-                col.fromfile(self.reader, n)
-        except EOFError:  # the worker delivered short
-            columns = None
+    def collect(self, size: int) -> bytes | None:
+        """The size bytes the job wrote, then the worker reaped.  None when
+        it delivered short or exited nonzero."""
+        data = self.reader.read(size)
         self.reader.close()
         status = _reap(self.pid)
         self.pid = 0
-        if columns is None or status != 0:
-            return None
-        return [
-            ExtTopOrder(*columns[3 * j : 3 * j + 3], flavor=flavor, seed=seed)
-            for j, (flavor, seed) in enumerate(self.streams)
-        ]
+        return data if len(data) == size and status == 0 else None
 
     def stop(self) -> None:
         """Close the read end; unless reaped already, kill the worker, which
@@ -477,8 +496,10 @@ def observation_table(
         check_ids(len(ix.wcc), int(min(S.min(), T.min())), int(max(S.max(), T.max())))
     u32 = partial(np.frombuffer, dtype=np.uint32)
     ne, lv, ss = S != T, ix.levels, ix.supports
-    w = 8 * max(1, -(-ss.k // 64))  # whole uint64 words, at least one
-    fm, bm = (mask_rows(m, w).view("<u8") for m in (ss.fwd_mask, ss.bwd_mask))
+    # each mask row in the widest unsigned cells that tile it, one uint16 at
+    # k = 16: S1-S3 for 20000 pairs took 0.22 ms so and 1.6 ms on byte cells
+    cell = f"<u{math.gcd(ss.mask_bytes or 1, 8)}"
+    fm, bm = (ss.rows(rows).view(cell) for rows in (ss.fwd_rows, ss.bwd_rows))
     # four rows per ordering, over its (source, target) pairs A, B: B4, then
     # the T tests where pos(a) < pos(b)
     orderings = []
@@ -563,14 +584,16 @@ def _pack_keys(ix: ReachIndex) -> PackedKeys:
         width = (int(values.max(initial=0)).bit_length() + 8) // 8  # room for the guard bit
         parts.append(values.astype("<u8").view(np.uint8).reshape(n, 8)[:, :width].copy())
         guard += bytes(width - 1) + b"\x80"
-    for m, flip in ((ss.fwd_mask, 0), (ss.bwd_mask, 1)):
-        bits = np.unpackbits(mask_rows(m, ss.mask_bytes), axis=1, bitorder="little") ^ flip
+    for rows, flip in ((ss.fwd_rows, 0), (ss.bwd_rows, 1)):
+        bits = np.unpackbits(ss.rows(rows), axis=1, bitorder="little") ^ flip
         spread = np.zeros((n, 2 * bits.shape[1]), dtype=np.uint8)
         spread[:, ::2] = bits  # bit i of the mask to bit 2i, its guard at 2i + 1
         parts.append(np.packbits(spread, axis=1, bitorder="little"))
         guard += b"\xaa" * (bits.shape[1] // 4)
     data, size, from_bytes = np.hstack(parts).tobytes(), len(guard), int.from_bytes
-    keys = [from_bytes(data[i : i + size], "little") for i in range(0, len(data), size)]
+    # one bytes object per key from struct, not a slice per key: 6.1 against
+    # 8.8 ms at n = 65511 (map over chained 1-tuples took 7.9)
+    keys = [from_bytes(key, "little") for (key,) in struct.iter_unpack(f"{size}s", data)]
     return PackedKeys(keys, from_bytes(guard, "little"))
 
 
@@ -708,7 +731,8 @@ def query_batch(
     """query(ix, S[i], T[i]) for every i, in bulk: (answer, answered_by,
     work), with answer a bool array, answered_by a list of tags and work an
     int64 array.  A pair's outcome is that of its first true row in one
-    observation_table call, else PBIBFS's.  Raises as observation_table."""
+    observation_table call, else PBIBFS's (see _decide for the fork).
+    Raises as observation_table."""
     rows = observation_table(ix, S, T)
     _held, first, answer, work = _decide(ix, S, T, rows)
     tags = [tag for tag, _, _ in rows] + [PBIBFS.tag]
@@ -721,7 +745,13 @@ def _decide(
     """(held, first, answer, work) of the pairs (S[i], T[i]) from their
     observation_table rows: held[r, i] says row r holds for pair i, first[i]
     is its first true row (len(rows) when none holds), and the undecided
-    pairs get PBIBFS's answer and work."""
+    pairs get PBIBFS's answer and work.
+
+    With enough undecided pairs (see _forks), one forked _Worker answers
+    every other one while this process answers the rest; the packed keys
+    are built before the fork, so the worker inherits them.  If the worker
+    fails to deliver, its pairs are answered here.  The outcomes are the
+    same either way, and the worker does not outlive the call."""
     held = np.array([mask for _, _, mask in rows]).reshape(len(rows), len(S))
     decided = held.any(axis=0)
     first = np.where(decided, held.argmax(axis=0), len(rows))
@@ -729,9 +759,33 @@ def _decide(
     work = np.zeros(len(S), dtype=np.int64)
     undecided = np.flatnonzero(~decided)
     S, T = np.asarray(S)[undecided].tolist(), np.asarray(T)[undecided].tolist()
-    for i, s, t in zip(undecided.tolist(), S, T):
-        answer[i], work[i] = PBIBFS.run(ix, s, t)
+    found = np.empty((len(S), 2), dtype=np.int64)
+    worker = None
+    try:
+        if _forks(len(S), _FALLBACK_FORK_MIN):
+            if ix.keys is None:
+                ix.keys = _pack_keys(ix)
+            worker = _Worker.fork(lambda: [_fallbacks(ix, S[1::2], T[1::2])])
+        step = 1 if worker is None else 2
+        found[::step] = _fallbacks(ix, S[::step], T[::step])
+        if worker is not None:
+            data = worker.collect(found[1::2].nbytes)
+            if data is None:  # the worker failed: its pairs here
+                found[1::2] = _fallbacks(ix, S[1::2], T[1::2])
+            else:
+                found[1::2] = np.frombuffer(data, np.int64).reshape(-1, 2)
+    finally:
+        if worker is not None:
+            worker.stop()
+    answer[undecided], work[undecided] = found[:, 0], found[:, 1]
     return held, first, answer, work
+
+
+def _fallbacks(ix: ReachIndex, S: list[int], T: list[int]) -> np.ndarray:
+    """PBIBFS's (answer, work) for each pair (S[i], T[i]), as the rows of a
+    (len(S), 2) int64 array: the fallback worker's job."""
+    found = [PBIBFS.run(ix, s, t) for s, t in zip(S, T)]
+    return np.array(found, dtype=np.int64).reshape(len(S), 2)
 
 
 def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> ObservationStats:
@@ -782,7 +836,7 @@ def serialize_index(ix: ReachIndex) -> bytes:
         columns += [order.pos, order.hi, order.mx]
     # a view, not a copy, where the host is little-endian
     payload = [np.frombuffer(col, np.uint32).astype("<u4", copy=False) for col in columns]
-    payload += [mask_rows(m, (ss.k + 7) // 8).tobytes() for m in (ss.fwd_mask, ss.bwd_mask)]
+    payload += [ss.fwd_rows, ss.bwd_rows]
     checksum = graph_checksum(ix.graph)
     head = HEADER.pack(MAGIC, VERSION, len(ix.orderings), ss.k, ix.graph.n, checksum, 0)
     crc = _payload_crc(head, payload)
@@ -839,5 +893,6 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
             if owners.size == 0:
                 break
             supports.append(int(owners[0]))
-    support_set = SupportSet(supports, masks_from_rows(fwd_rows), masks_from_rows(bwd_rows), k)
+    # copies, so that the index does not keep the file's buffer alive
+    support_set = SupportSet(supports, fwd_rows.tobytes(), bwd_rows.tobytes(), k, n)
     return ReachIndex(dag, wcc, levels, orderings, support_set)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -34,16 +34,41 @@ class CandidatePool:
     tags: list[str]  # parallel to candidates
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupportSet:
+    """The chosen supports and every vertex's two masks, in two forms.
+
+    fwd_rows and bwd_rows hold the masks as the index file does: n rows of
+    mask_bytes little-endian bytes, vertex by vertex, which the bulk paths
+    read as numpy rows (see rows).  fwd_mask and bwd_mask hold the same
+    masks as one Python int per vertex for the scalar path, where any k
+    keeps S1-S3 a single `&`; they are derived from the rows here, so the
+    two forms cannot disagree.
+    """
+
     supports: list[int]  # in selection order; slot i of the masks
-    fwd_mask: list[int]  # bit i of fwd_mask[w]: supports[i] reaches w
-    bwd_mask: list[int]  # bit i of bwd_mask[w]: w reaches supports[i]
+    fwd_rows: bytes  # bit i of vertex w's row: supports[i] reaches w
+    bwd_rows: bytes  # bit i of vertex w's row: w reaches supports[i]
     k: int  # requested support count; len(supports) may be smaller
+    n: int  # vertices, one row each
+    # Made with the rows, not on first use: a cached_property here slowed
+    # the scalar path's reads of them (perfbench small-mixed p50 +5%).
+    fwd_mask: list[int] = field(init=False, repr=False, compare=False)
+    bwd_mask: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # rows raises ValueError unless the rows hold n * mask_bytes bytes
+        object.__setattr__(self, "fwd_mask", masks_from_rows(self.rows(self.fwd_rows)))
+        object.__setattr__(self, "bwd_mask", masks_from_rows(self.rows(self.bwd_rows)))
 
     @property
     def mask_bytes(self) -> int:
         return (self.k + 7) // 8
+
+    def rows(self, data: bytes) -> np.ndarray:
+        """data, fwd_rows or bwd_rows, as a read-only (n, mask_bytes) uint8
+        array over its bytes."""
+        return np.frombuffer(data, np.uint8).reshape(self.n, self.mask_bytes)
 
 
 def select_candidates(
@@ -152,9 +177,10 @@ def pick_supports(
     must be dag's topological_levels: they order the mask propagation."""
     n = dag.n
     k = max(k, 0)
+    width = (k + 7) // 8
     if k == 0 or not pool.candidates:
-        zeros = [0] * n
-        return SupportSet([], zeros, list(zeros), k)
+        zeros = bytes(n * width)
+        return SupportSet([], zeros, zeros, k, n)
     cands = pool.candidates
     fwd_levels, bwd_levels = (np.frombuffer(lv, np.uint32) for lv in (levels.fwd, levels.bwd))
     fwd_M = _mask_matrix(dag.in_off, dag.in_tg, fwd_levels, cands)
@@ -166,11 +192,10 @@ def pick_supports(
         key=lambda j: (-int(sizes_f[j]) * int(sizes_b[j]), cands[j]),
     )
     chosen = ranked[: min(k, len(cands))]
-    width = (k + 7) // 8
     return SupportSet(
         supports=[cands[j] for j in chosen],
-        fwd_mask=masks_from_rows(_take_columns(fwd_M, chosen, width)),
-        bwd_mask=masks_from_rows(_take_columns(bwd_M, chosen, width)),
+        fwd_rows=_take_columns(fwd_M, chosen, width).tobytes(),
+        bwd_rows=_take_columns(bwd_M, chosen, width).tobytes(),
         k=k,
+        n=n,
     )
-

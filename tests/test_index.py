@@ -299,20 +299,76 @@ def test_cyclic_input_raises_the_inline_error_and_leaves_no_child(monkeypatch, f
     assert errors[1:] == errors[:-1] and forks == []
 
 
+def random_pairs(n: int, count: int, seed: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, n, count), rng.integers(0, n, count)
+
+
+def fallback_case() -> tuple[ReachIndex, np.ndarray, np.ndarray]:
+    """An index and 8200 pairs that all fall back, so that a forked query
+    forks: the worker's half writes 8200 int64 cells, more than a 64 KB
+    pipe holds.  The graph is too small for its build to fork."""
+    ix = build_index(gen_random_dag(1500, 6000, seed=0), seed=0)
+    S, T = random_pairs(ix.graph.n, 6000)
+    held = np.array([mask for _, _, mask in observation_table(ix, S, T)]).any(axis=0)
+    return ix, np.resize(S[~held], 8200), np.resize(T[~held], 8200)
+
+
+def batch_outcomes(monkeypatch, cpus: int, ix: ReachIndex, S, T) -> tuple:
+    monkeypatch.setattr(index_mod, "_cpus", lambda: cpus)
+    answer, tags, work = query_batch(ix, S, T)
+    return answer.tolist(), tags, work.tolist()
+
+
+@dataclasses.dataclass(frozen=True)
+class Job:
+    """One of the two jobs a forked _Worker runs: target, the index function
+    the job calls in the worker; run(monkeypatch, cpus), the call that
+    forks it, with a result to compare; shorten, a result of target one
+    cell short; and calls_here, target's calls in the parent when the
+    worker fails."""
+
+    target: str
+    run: object
+    shorten: object
+    calls_here: int
+
+
+JOBS = {
+    "build": Job(
+        "_ordering",
+        lambda mp, cpus: build_bytes(mp, cpus, several_components(), IndexParams(t=4, k=16, p=2)),
+        lambda o: dataclasses.replace(o, **{c: getattr(o, c)[:-1] for c in ("pos", "hi", "mx")}),
+        4,  # ordering 0, then the failed three
+    ),
+    "fallbacks": Job(
+        "_fallbacks",
+        lambda mp, cpus: batch_outcomes(mp, cpus, *fallback_case()),
+        lambda found: found.reshape(-1)[:-1],
+        2,  # its own half, then the failed one
+    ),
+}
+FAILURES = ["raises", "exits-early", "short-columns", "exits-1-after-writing"]
+
+
 @pytest.mark.parametrize(
-    "failure", ["raises", "exits-early", "short-columns", "exits-1-after-writing"]
+    "job, failure",
+    [(job, failure) for job in JOBS for failure in FAILURES],
+    # the build's ids are the ones from before the worker took a second job
+    ids=[failure if job == "build" else f"{job}-{failure}" for job in JOBS for failure in FAILURES],
 )
-def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, failure):
+def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, job, failure):
     """A worker that raises (exit status 1), exits 0 before writing, writes
-    every column one cell short, or writes everything and exits 1: the
-    parent computes its orderings."""
-    g, params = several_components(), IndexParams(t=4, k=16, p=2)
-    inline = build_bytes(monkeypatch, 1, g, params)
+    one cell short, or writes everything and exits 1: the parent does the
+    worker's share, and the result is the inline one (the index bytes of a
+    build, query_batch's outcomes of the fallbacks)."""
+    job = JOBS[job]
+    inline = job.run(monkeypatch, 1)
     parent = os.getpid()
-    ordering, exit_ = index_mod._ordering, os._exit
+    real, exit_ = getattr(index_mod, job.target), os._exit
     in_parent = []
 
-    def worker_ordering(*args):
+    def in_worker(*args):
         if os.getpid() == parent:
             in_parent.append(args)
         elif failure == "raises":
@@ -320,33 +376,98 @@ def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, failure):
         elif failure == "exits-early":
             exit_(0)
         elif failure == "short-columns":
-            o = ordering(*args)
-            short = {c: getattr(o, c)[:-1] for c in ("pos", "hi", "mx")}
-            return dataclasses.replace(o, **short)
-        return ordering(*args)
+            return job.shorten(real(*args))
+        return real(*args)
 
     def worker_exit(code):
         exit_(1 if failure == "exits-1-after-writing" else code)
 
-    monkeypatch.setattr(index_mod, "_ordering", worker_ordering)
+    monkeypatch.setattr(index_mod, job.target, in_worker)
     monkeypatch.setattr(os, "_exit", worker_exit)
-    assert build_bytes(monkeypatch, 2, g, params) == inline
-    assert len(forks) == 1 and len(in_parent) == params.t  # ordering 0, then the failed three
+    assert job.run(monkeypatch, 2) == inline
+    assert len(forks) == 1 and len(in_parent) == job.calls_here
     assert_no_child_left()
 
 
-def test_parent_failure_kills_a_worker_blocked_on_its_pipe(monkeypatch, forks):
-    """The worker's 36 n bytes fill the pipe long before the parent, which
-    fails in pick_supports, would read them."""
-    g = gen_random_dag(3000, 6000, seed=0)
+@pytest.mark.parametrize(
+    "job, step", [("build", "pick_supports"), ("fallbacks", "_fallbacks")], ids=["build", "fallbacks"]
+)
+def test_parent_failure_kills_a_worker_blocked_on_its_pipe(monkeypatch, forks, job, step):
+    """The parent raises KeyboardInterrupt in its own share (pick_supports,
+    or its half of the fallbacks) only once the worker's job is done, and
+    what the job returned (36 n bytes of orderings, 8200 int64 cells of
+    fallback outcomes) fills the pipe long before the parent would read
+    it."""
+    parent = os.getpid()
+    done_r, done_w = os.pipe()
+    real_fork, real_step = index_mod._Worker.fork, getattr(index_mod, step)
+
+    def fork(job):
+        def signalling():
+            buffers = job()
+            os.write(done_w, b".")
+            return buffers
+
+        return real_fork(signalling)
 
     def failing(*args):
+        if os.getpid() != parent:
+            return real_step(*args)
+        os.read(done_r, 1)  # the worker is about to write
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(index_mod, "pick_supports", failing)
-    with pytest.raises(KeyboardInterrupt):
-        build_bytes(monkeypatch, 2, g, IndexParams(t=4, k=16, p=2))
+    monkeypatch.setattr(index_mod._Worker, "fork", fork)
+    monkeypatch.setattr(index_mod, step, failing)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            JOBS[job].run(monkeypatch, 2)
+    finally:
+        os.close(done_r)
+        os.close(done_w)
     assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("k", [0, 16, 130])
+def test_forked_and_inline_fallbacks_give_the_same_outcomes(monkeypatch, forks, k):
+    """query_batch and observation_stats answer half their fallbacks in a
+    forked worker with a spare CPU: the same answers, tags, work and stats
+    as inline."""
+    ix = build_index(gen_random_dag(2000, 8000, seed=0), IndexParams(k=k), seed=0)
+    S, T = random_pairs(ix.graph.n, 6000)
+    S[:50] = T[:50]
+    results = []
+    for cpus in (1, 2, 8):  # one worker however many CPUs are spare
+        del forks[:]
+        outcomes = batch_outcomes(monkeypatch, cpus, ix, S, T)
+        results.append((outcomes, observation_stats(ix, S, T)))
+        assert len(forks) == (2 if cpus > 1 else 0)
+        assert_no_child_left()
+    assert results[1] == results[0] == results[2]
+    assert outcomes[1].count(PBIBFS.tag) >= index_mod._FALLBACK_FORK_MIN
+
+
+def test_fallbacks_stay_inline_below_the_cutoff_and_beside_other_threads(monkeypatch, forks):
+    ix, S, T = fallback_case()
+    cut = index_mod._FALLBACK_FORK_MIN
+    below = batch_outcomes(monkeypatch, 2, ix, S[: cut - 1], T[: cut - 1])
+    assert forks == []
+    assert below == batch_outcomes(monkeypatch, 1, ix, S[: cut - 1], T[: cut - 1])
+    inline = batch_outcomes(monkeypatch, 1, ix, S[:cut], T[:cut])
+    assert batch_outcomes(monkeypatch, 2, ix, S[:cut], T[:cut]) == inline
+    assert len(forks) == 1
+    del forks[:]
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert batch_outcomes(monkeypatch, 2, ix, S[:cut], T[:cut]) == inline
+        stats = observation_stats(ix, S[:cut], T[:cut])
+    finally:
+        stop.set()
+        other.join()
+    assert forks == []
+    assert stats.fallbacks == cut
     assert_no_child_left()
 
 
@@ -478,9 +599,14 @@ def first_rows(rows) -> list[tuple[bool, str] | tuple[None, None]]:
     return first
 
 
-# ANY_PARAMS, plus two-word masks at k=70
+# ANY_PARAMS, plus wider masks: k = 32, 64 and 128 give rows the table reads
+# as one uint32, one uint64 and two uint64 cells, k = 70 rows of 9 byte cells
 TABLE_PARAMS = ANY_PARAMS | st.builds(
-    IndexParams, t=st.integers(0, 5), k=st.just(70), p=st.integers(1, 3), h=st.integers(1, 4)
+    IndexParams,
+    t=st.integers(0, 5),
+    k=st.sampled_from([32, 64, 70, 128]),
+    p=st.integers(1, 3),
+    h=st.integers(1, 4),
 )
 
 
@@ -1063,6 +1189,25 @@ def test_roundtrip_degenerate_shapes():
     ix = build_index(g, IndexParams(t=3, k=70), seed=0)
     assert len(ix.supports.supports) == 70  # bits in the second 64-bit word
     roundtrip_equal(ix, g)
+
+
+@pytest.mark.parametrize("k", [0, 16, 130])
+def test_support_rows_and_ints_agree(k):
+    """A built and a loaded index hold each direction's masks as rows of
+    mask_bytes bytes and as ints, one per vertex, with the same values; the
+    loaded rows are bytes of their own, not views of the file."""
+    g = gen_random_dag(300, 1200, seed=0)
+    built = build_index(g, IndexParams(t=2, k=k), seed=0)
+    blob = serialize_index(built)
+    loaded = deserialize_index(blob, g)
+    for ss in (built.supports, loaded.supports):
+        w = ss.mask_bytes
+        for rows, ints in ((ss.fwd_rows, ss.fwd_mask), (ss.bwd_rows, ss.bwd_mask)):
+            assert type(rows) is bytes and len(rows) == g.n * w and len(ints) == g.n
+            assert [int.from_bytes(rows[v * w : (v + 1) * w], "little") for v in range(g.n)] == ints
+            assert any(ints) == (k > 0)
+    assert loaded.supports == built.supports
+    assert blob.endswith(built.supports.fwd_rows + built.supports.bwd_rows)
 
 
 @pytest.mark.parametrize(

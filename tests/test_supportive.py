@@ -14,6 +14,7 @@ from reachidx.supportive import (
     TAG_CENTRAL,
     TAG_FILL,
     TAG_SLIM,
+    SupportSet,
     _column_counts,
     _mask_matrix,
     mask_rows,
@@ -179,6 +180,20 @@ def test_supports_k_zero():
     ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=0, levels=topological_levels(g))
     assert ss.supports == [] and ss.k == 0 and ss.mask_bytes == 0
     assert ss.fwd_mask == [0, 0, 0, 0]
+
+
+def test_support_set_refuses_rows_of_the_wrong_size():
+    """The int masks are derived from the rows, which must hold n rows of
+    mask_bytes bytes each."""
+    ss = SupportSet([0], b"\x01\x03\x00", b"\x01\x00\x00", k=2, n=3)
+    assert (ss.fwd_mask, ss.bwd_mask) == ([1, 3, 0], [1, 0, 0])
+    assert SupportSet([], b"", b"", k=0, n=3).fwd_mask == [0, 0, 0]
+    with pytest.raises(ValueError, match=r"size 2 into shape \(3,1\)"):
+        SupportSet([0], b"\x01\x03\x00", b"\x01\x00", k=2, n=3)
+    with pytest.raises(ValueError, match=r"size 6 into shape \(3,1\)"):
+        SupportSet([0], bytes(6), bytes(3), k=8, n=3)
+    with pytest.raises(ValueError, match=r"size 1 into shape \(3,0\)"):
+        SupportSet([], b"\x00", b"", k=0, n=3)
 
 
 @settings(max_examples=60)
