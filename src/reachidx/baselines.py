@@ -23,6 +23,16 @@ class CapacityError(ValueError):
 
 DEFAULT_MATRIX_CAP = 4 * 1024**3  # bytes; n*n bits must fit
 
+# The workbench's query kinds, benchmarked algorithms and sampling error,
+# defined here, beside the oracle they rest on, so that the command line
+# can offer and report them without loading the workbench.
+QUERY_KINDS = ("positive", "negative", "random", "mixed")
+ALGORITHM_NAMES = ("matrix", "bfs", "index+pbibfs")
+
+
+class InfeasibleError(RuntimeError):
+    """Rejection sampling exhausted its budget (no pair of the asked kind)."""
+
 
 @dataclass
 class ReachMatrix:

@@ -20,6 +20,10 @@ chunk's fallbacks run in a forked worker), and writes each chunk's rows
 as one string, cut into WRITE_PIECE pieces.  A chunk costs no per-call
 conversion of the support masks: the table reads them as the rows the
 index file held.
+
+Only gen-graph, gen-queries, bench and stats use the workbench, and each
+imports it when it runs, so `build` and `query` start without it (and
+without the statistics module it loads).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .baselines import DEFAULT_MATRIX_CAP
+from .baselines import ALGORITHM_NAMES, DEFAULT_MATRIX_CAP, QUERY_KINDS, InfeasibleError
 from .graph import (
     DiGraph,
     GraphFormatError,
@@ -59,18 +63,6 @@ from .index import (
     observation_stats,
     query_batch,
     serialize_index,
-)
-from .workbench import (
-    ALGORITHM_NAMES,
-    QUERY_KINDS,
-    InfeasibleError,
-    QuerySet,
-    bench,
-    build_oracle,
-    gen_queries,
-    gen_random_dag,
-    save_query_set,
-    stats_report,
 )
 
 
@@ -223,6 +215,8 @@ def _sound_condensation(
 
 
 def _cmd_gen_graph(args: argparse.Namespace) -> int:
+    from .workbench import gen_random_dag
+
     g = gen_random_dag(args.n, args.m, args.seed)
     with open(args.out, "w", encoding="utf-8") as f:
         if args.format == "gra":
@@ -234,6 +228,8 @@ def _cmd_gen_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_queries(args: argparse.Namespace) -> int:
+    from .workbench import build_oracle, gen_queries, save_query_set
+
     res = _load(args.graph, args.format)
     oracle = build_oracle(res.graph, args.matrix_cap)
     qs = gen_queries(res.graph, args.kind, args.count, args.seed, oracle)
@@ -369,6 +365,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .workbench import QuerySet, bench
+
     dag, ids, scc_of = _load_condensed(args.graph, args.format)
     query_sets = []
     for path in args.queries:
@@ -388,6 +386,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from .workbench import stats_report
+
     # stats rows hold no work or fallback tag: only the count of undecided pairs
     ix, ids, scc_of = _open_index(args)
     files = [(path, _read_pairs(path, ids, scc_of)) for path in args.queries]

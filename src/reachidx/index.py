@@ -26,11 +26,15 @@ answer, mask) row per observation, in that order, over numpy views of the
 columns.  query_batch answers many pairs from one table, each by its first
 true row or else by the fallback, as query answers it alone, and
 observation_stats counts first hits and overlap from the same decision.
-try_observations is a separate scalar pass over the same tests for one
-pair, which the tests pin to the table's first true row.  Each
-ordering test is written once, for a pair (source, target) in the
-ordering's own graph: the pair (s, t) in a forward ordering, (t, s) in a
-backward one, which is an ordering of the reverse graph (see toporder).
+One pair at a time, query and try_observations run the same tests as one
+scalar pass bound to the index (_bind_observations): a closure over every
+column they read, made on the index's first query or try_observations
+call (~5 us at t = 4) and kept on the ReachIndex, which returns the
+shared outcome of the first decisive test; the tests pin it to the
+table's first true row.  Each ordering test is written once, for a pair
+(source, target) in the ordering's own graph: the pair (s, t) in a
+forward ordering, (t, s) in a backward one, which is an ordering of the
+reverse graph (see toporder).
 
 Undecided queries go to the one fallback, PBIBFS, a pruned bidirectional
 BFS (PLAIN_BFS, the forward BFS baseline, stays as a reference search for
@@ -108,7 +112,6 @@ from .toporder import (
     FORWARD,
     _T_TAGS,
     ExtTopOrder,
-    answer_T,
     extended_topsort,
     extended_topsort_backward,
     start_sequence,
@@ -188,17 +191,30 @@ class ReachIndex:
     """A built or loaded index.  It holds the stages' objects as they are
     given: the integer columns of wcc, levels and orderings are array('I')
     (see the module docstring).  keys is the search's packed keys, built on
-    the index's first fallback or before a fallback worker is forked."""
+    the index's first fallback or before a fallback worker is forked, and
+    observe the bound observation pass (_bind_observations), built on its
+    first query or try_observations call.  Both read the columns as they
+    were then: derive a changed index with dataclasses.replace.  params and
+    seed are what build_index was given; the file keeps neither, so they
+    are left out of ==, as keys and observe are."""
 
     graph: DiGraph
     wcc: array
     levels: LevelAssignment
     orderings: list[ExtTopOrder]
     supports: SupportSet
-    params: IndexParams | None = None
-    seed: int | None = None
-    # not an init field, so that dataclasses.replace starts without stale keys
+    params: IndexParams | None = field(default=None, compare=False)
+    seed: int | None = field(default=None, compare=False)
+    # not init fields, so that dataclasses.replace starts without stale ones
     keys: PackedKeys | None = field(default=None, init=False, repr=False, compare=False)
+    observe: Callable[[int, int], QueryOutcome | None] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        """The fields but observe, a closure that cannot be pickled and is
+        rebuilt on first use."""
+        return {**self.__dict__, "observe": None}
 
 
 def _substream(seed: int, tag: str, i: int = 0) -> int:
@@ -398,13 +414,13 @@ def _reap(pid: int) -> int:
         return 0
 
 
-# answer_T's observation -> its answer, and its tag in the first ordering (4)
-# or a later one (6)
+# each ordering observation -> its answer, and its tag in the first ordering
+# (4) or a later one (6)
 _T_ANSWER = {"B4": False, "T1": True, "T2": False, "T3": True, "T4": True, "T5": False, "T6": True}
 _TAG4 = {obs: "4:" + obs for obs in _T_ANSWER}
 _TAG6 = {obs: "6:" + obs for obs in _T_ANSWER}
-# every tag try_observations returns -> the one outcome query() returns for
-# it, so that an observation answer allocates nothing
+# every observation tag -> the one outcome the bound pass returns for it, so
+# that an observation answer allocates nothing
 _OUTCOMES = {
     tag: QueryOutcome(ans, tag)
     for tag, ans in [
@@ -422,59 +438,119 @@ _OUTCOMES = {
 }
 
 
+def _bind_observations(ix: ReachIndex) -> Callable[[int, int], QueryOutcome | None]:
+    """Tests 1-7 as one closure over ix's columns, read once here: the
+    returned observe(s, t) gives the shared outcome of the first row of
+    observation_table true for (s, t), or None when none is.
+
+    Each ordering's flavor is fixed here: its tests read the pair (s, t)
+    in a forward ordering and (t, s) in a backward one.  The first
+    ordering (test 4) is inlined; t = 0 has none.  The masks are Python
+    ints for any k, so S1-S3 stay one `&` each, and with k = 0 they are
+    all zero and never fire.  observe raises IndexError when s or t is not
+    a vertex id in [0, n); it reads no adjacency.
+    """
+    n, wcc = len(ix.wcc), ix.wcc  # a label column: the observations never read the graph
+    lf, lb = ix.levels.fwd, ix.levels.bwd
+    fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
+    EQ, B5, B6, S1, S2, S3, B2, C = (
+        _OUTCOMES[tag] for tag in ("1:EQ", "2:B5", "2:B6", "3:S1", "5:S2", "5:S3", "7:B2", "7:C")
+    )
+    # per ordering: swapped (a backward one tests (t, s)), its columns, and
+    # the outcomes of B4 and its three T tests under its tag
+    orderings = [
+        (o.flavor == BACKWARD, o.pos, o.hi, o.mx,
+         *(_OUTCOMES[(_TAG6 if j else _TAG4)[obs]] for obs in ("B4", *_T_TAGS[o.flavor])))
+        for j, o in enumerate(ix.orderings)
+    ]
+    first = bool(orderings)
+    swap0, pos0, hi0, mx0, b4, ta, tb, tc = orderings[0] if first else (None,) * 8
+    rest = orderings[1:]
+    # C, containment: the source reaches the target only if Max(target) <=
+    # Max(source), in every ordering (the source is t in a backward one)
+    mx_fwd = [o.mx for o in ix.orderings if o.flavor == FORWARD]
+    mx_bwd = [o.mx for o in ix.orderings if o.flavor == BACKWARD]
+
+    def observe(s: int, t: int) -> QueryOutcome | None:
+        if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
+            check_ids(n, s, t)
+        if s == t:
+            return EQ
+        # Test 2: levels.  <= rather than < is sound for s != t: a path forces
+        # a strictly larger forward level and strictly smaller backward level.
+        if lf[t] <= lf[s]:
+            return B5
+        if lb[s] <= lb[t]:
+            return B6
+        if bm[s] & fm[t]:
+            return S1
+        if first:
+            if swap0:
+                a, b = t, s
+            else:
+                a, b = s, t
+            pb = pos0[b]
+            if pb < pos0[a]:
+                return b4
+            if pb <= hi0[a]:
+                return ta
+            m = mx0[a]
+            if pb > m:
+                return tb
+            if pb == m:
+                return tc
+        if fm[s] & ~fm[t]:
+            return S2
+        if bm[t] & ~bm[s]:
+            return S3
+        for swap, pos, hi, mx, o4, oa, ob, oc in rest:
+            if swap:
+                a, b = t, s
+            else:
+                a, b = s, t
+            pb = pos[b]
+            if pb < pos[a]:
+                return o4
+            if pb <= hi[a]:
+                return oa
+            m = mx[a]
+            if pb > m:
+                return ob
+            if pb == m:
+                return oc
+        if wcc[s] != wcc[t]:
+            return B2
+        for mx in mx_fwd:
+            if mx[t] > mx[s]:
+                return C
+        for mx in mx_bwd:
+            if mx[s] > mx[t]:
+                return C
+        return None
+
+    return observe
+
+
 def try_observations(
     ix: ReachIndex, s: int, t: int, stats: ObservationStats | None = None
 ) -> tuple[bool | None, str | None]:
     """Tests 1-7 in order: the first row of observation_table true for (s, t).
 
     Returns (answer, 'test:observation'); (None, None) when undecided.
-    O(t + k) time, no adjacency access.  Given stats, also counts the first
-    hit in stats.first_hit.  Raises IndexError when s or t is not a vertex
-    id in [0, n).
+    O(t + k) time, no adjacency access: the index's bound pass (see
+    _bind_observations), which query runs too.  Given stats, also counts
+    the first hit in stats.first_hit.  Raises IndexError when s or t is not
+    a vertex id in [0, n).
     """
+    observe = ix.observe
+    if observe is None:
+        observe = ix.observe = _bind_observations(ix)
+    out = observe(s, t)
+    if out is None:
+        return None, None
     if stats is not None:
-        ans, tag = try_observations(ix, s, t)
-        if tag is not None:
-            stats.first_hit[tag] += 1
-        return ans, tag
-    n = len(ix.wcc)  # a label column: the observations never read the graph
-    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
-        check_ids(n, s, t)
-    if s == t:
-        return True, "1:EQ"
-    # Test 2: levels.  <= rather than < is sound for s != t: a path forces a
-    # strictly larger forward level and strictly smaller backward level.
-    levels = ix.levels
-    if levels.fwd[t] <= levels.fwd[s]:
-        return False, "2:B5"
-    if levels.bwd[s] <= levels.bwd[t]:
-        return False, "2:B6"
-    fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
-    if bm[s] & fm[t]:
-        return True, "3:S1"
-    orderings = ix.orderings
-    if orderings:
-        ans, obs = answer_T(orderings[0], s, t)
-        if ans is not None:
-            return ans, _TAG4[obs]
-    if fm[s] & ~fm[t]:
-        return False, "5:S2"
-    if bm[t] & ~bm[s]:
-        return False, "5:S3"
-    for order in orderings[1:]:
-        ans, obs = answer_T(order, s, t)
-        if ans is not None:
-            return ans, _TAG6[obs]
-    if ix.wcc[s] != ix.wcc[t]:
-        return False, "7:B2"
-    # C, containment: the source reaches the target only if Max(target) <=
-    # Max(source); the pair is (t, s) in a backward ordering
-    for order in orderings:
-        a, b = (s, t) if order.flavor == FORWARD else (t, s)
-        mx = order.mx
-        if mx[b] > mx[a]:
-            return False, "7:C"
-    return None, None
+        stats.first_hit[out.answered_by] += 1
+    return out.answer, out.answered_by
 
 
 def observation_table(
@@ -718,9 +794,12 @@ def query(ix: ReachIndex, s: int, t: int) -> QueryOutcome:
     answer is a new outcome that carries the search's work.
     Raises IndexError when s or t is not a vertex id in [0, n).
     """
-    ans, tag = try_observations(ix, s, t)
-    if ans is not None:
-        return _OUTCOMES[tag]
+    observe = ix.observe
+    if observe is None:
+        observe = ix.observe = _bind_observations(ix)
+    out = observe(s, t)
+    if out is not None:
+        return out
     ans, work = PBIBFS.run(ix, s, t)
     return QueryOutcome(ans, PBIBFS.tag, work)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -53,7 +53,7 @@ class ExtTopOrder:
     hi: array  # High, in the ordering's own graph
     mx: array  # Max, in the ordering's own graph
     flavor: str  # FORWARD: of the DAG; BACKWARD: of its reverse
-    seed: int | None = None
+    seed: int | None = field(default=None, compare=False)  # not in the index file
 
 
 def _keyed_order(groups: np.ndarray, rng: random.Random) -> np.ndarray:

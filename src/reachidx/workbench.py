@@ -18,8 +18,11 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .baselines import (
+    ALGORITHM_NAMES,
     DEFAULT_MATRIX_CAP,
+    QUERY_KINDS,
     CapacityError,
+    InfeasibleError,
     bfs_query,
     build_matrix,
 )
@@ -34,13 +37,6 @@ from .index import (
     query,
     serialize_index,
 )
-
-QUERY_KINDS = ("positive", "negative", "random", "mixed")
-
-
-class InfeasibleError(RuntimeError):
-    """Rejection sampling exhausted its budget (no pair of the asked kind)."""
-
 
 class AnswerMismatchError(RuntimeError):
     """A benchmarked algorithm disagreed with an expected query bit."""
@@ -171,9 +167,6 @@ def save_query_set(
 
 # ---------------------------------------------------------------------------
 # benchmarking
-
-
-ALGORITHM_NAMES = ("matrix", "bfs", "index+pbibfs")
 
 
 @dataclass

@@ -287,6 +287,32 @@ def test_gen_queries_without_enough_pairs_is_an_error(tmp_path):
     assert not out.exists()
 
 
+IMPORT_CHECK = """
+import sys
+import reachidx.cli
+# build and query never load the workbench, nor what only it imports
+assert "reachidx.workbench" not in sys.modules
+assert not {"statistics", "fractions", "decimal"} & set(sys.modules)
+import reachidx
+from importlib import import_module
+names = {}
+exec("from reachidx import *", names)
+assert len(set(reachidx.__all__)) == len(reachidx.__all__) == 53
+for module, exported in reachidx._EXPORTS.items():
+    for name in exported:  # each the object its module defines
+        assert names[name] is getattr(import_module("reachidx." + module), name), name
+assert "reachidx.workbench" in sys.modules
+"""
+
+
+def test_cli_starts_without_the_workbench():
+    """In a fresh process: importing the command line leaves the workbench
+    out, and a star import of the package, which resolves its names on
+    first access, still binds every one of them."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # the condensation bundle written by build and read by query and stats
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
+import pickle
 import random
 import re
 import threading
@@ -539,8 +541,11 @@ def test_observations_never_touch_adjacency():
     blind = dataclasses.replace(ix, graph=None)
     for s in range(4):
         for t in range(4):
-            ans, _ = try_observations(blind, s, t)
+            ans, tag = try_observations(blind, s, t)
             assert ans == matrix_query(build_matrix(diamond()), s, t) or ans is None
+            if tag is not None:  # query answers it through the bound pass alone
+                assert query(blind, s, t) is _OUTCOMES[tag]
+    assert blind.observe is not None
     S, T = all_pairs(4)
     assert first_rows(observation_table(blind, S, T)) == first_rows(observation_table(ix, S, T))
 
@@ -621,6 +626,70 @@ def test_table_matches_try_observations_and_is_sound(g, params, seed):
     for tag, ans, mask in rows:
         for i in np.flatnonzero(mask).tolist():
             assert ans == matrix_query(mx, S[i], T[i]), (S[i], T[i], tag)
+
+
+# a graph big enough for more than 64 supports, so that k = 130 gives masks
+# wider than one machine word
+WIDE_DAGS = st.builds(gen_random_dag, st.just(150), st.just(450), st.integers(0, 2**8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dags(max_n=12) | WIDE_DAGS,
+    st.sampled_from([0, 1, 4]),
+    st.sampled_from([0, 16, 130]),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+def test_query_gives_the_shared_outcome_of_the_first_true_row(g, t, k, seed, flip):
+    """A decided query returns the one shared outcome of its pair's first
+    table row, from the bound pass; flip reverses the orderings, so that
+    the first one is backward (t = 4)."""
+    ix = build_index(g, IndexParams(t=t, k=k, p=2, h=3), seed=seed)
+    if flip:
+        ix = dataclasses.replace(ix, orderings=ix.orderings[::-1])
+    S, T = all_pairs(g.n)
+    for (_, tag), s, v in zip(first_rows(observation_table(ix, S, T)), S, T):
+        out = query(ix, s, v)
+        if tag is None:
+            assert out.answered_by == PBIBFS.tag
+        else:
+            assert out is _OUTCOMES[tag]
+
+
+def test_the_pass_is_bound_on_first_use():
+    g = gen_random_dag(64, 160, 0)
+    ix = build_index(g, SMALL, seed=0)
+    loaded = deserialize_index(serialize_index(ix), g)
+    assert ix.observe is None and loaded.observe is None
+    try_observations(ix, 0, 1)
+    observe = ix.observe
+    assert observe is not None
+    query(ix, 1, 0)
+    assert ix.observe is observe  # bound once per index
+    query(loaded, 0, 1)
+    assert loaded.observe is not None and loaded.observe is not observe
+    flipped = dataclasses.replace(ix, orderings=ix.orderings[::-1])
+    assert flipped.observe is None  # binds its own orderings on first use
+    S, T = all_pairs(g.n)
+    tags = [query(flipped, s, t).answered_by for s, t in zip(S, T)]
+    assert "4:T5" in tags and "4:T2" not in tags  # its first ordering is backward
+
+
+@pytest.mark.parametrize("clone", [lambda ix: pickle.loads(pickle.dumps(ix)), copy.deepcopy])
+def test_a_queried_index_survives_pickle_and_deepcopy(clone):
+    """The bound pass, a closure, is left out of the copy's state and bound
+    again on its first query; the packed keys are copied."""
+    g = gen_random_dag(64, 160, 0)
+    ix = build_index(g, SMALL, seed=0)
+    pairs = list(zip(*all_pairs(g.n)))
+    expected = [query(ix, s, t) for s, t in pairs]
+    assert ix.observe is not None and ix.keys is not None
+    twin = clone(ix)
+    assert twin.observe is None and twin.keys == ix.keys
+    assert dataclasses.replace(twin, graph=ix.graph) == ix  # graphs compare by identity
+    assert [query(twin, s, t) for s, t in pairs] == expected
+    assert ix.observe is not None  # the original keeps its pass
 
 
 @settings(max_examples=80)
@@ -915,9 +984,12 @@ def test_query_decided_has_zero_work():
 
 @pytest.mark.parametrize("s,t,bad", [(-1, 5, -1), (5, 50, 50), (50, 50, 50), (-3, -3, -3)])
 def test_query_rejects_out_of_range_ids(s, t, bad):
+    """The same text from the pass's first call, which binds it, and later."""
     ix = build_index(DiGraph.from_edges(50, [(i, i + 1) for i in range(49)]), SMALL, seed=0)
-    with pytest.raises(IndexError, match=rf"vertex id {bad} .*n=50"):
-        query(ix, s, t)
+    for _ in range(2):
+        with pytest.raises(IndexError, match=rf"^vertex id {bad} out of range for n=50$"):
+            query(ix, s, t)
+    assert ix.observe is not None
 
 
 @pytest.mark.parametrize("s,t,bad", [(-4, -1, -4), (-1, 0, -1), (0, 4, 4), (2, -5, -5)])
@@ -1318,6 +1390,22 @@ def test_deserialize_rejects_out_of_range_columns(default_blob_200, column, name
         deserialize_index(resign(bad), g)
     bad[at : at + 4] = (199).to_bytes(4, "little")
     deserialize_index(resign(bad), g)  # n - 1 is in range
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dags(max_n=12),
+    st.integers(0, 5),
+    st.sampled_from([0, 1, 9, 70]),
+    st.integers(0, 2**16),
+)
+def test_loaded_index_equals_the_built_one(g, t, k, seed):
+    """== skips what the file does not hold: the build's params and seeds."""
+    built = build_index(g, IndexParams(t=t, k=k, p=2, h=3), seed=seed)
+    loaded = deserialize_index(serialize_index(built), g)
+    assert loaded == built
+    assert loaded.params is None and loaded.seed is None
+    assert all(o.seed is None for o in loaded.orderings)
 
 
 @settings(max_examples=40, deadline=None)
