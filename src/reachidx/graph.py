@@ -81,6 +81,15 @@ class DiGraph:
         g.checksum = None
         return g
 
+    def __eq__(self, other: object) -> bool:
+        """Equal graphs have equal out-rows (the in-rows follow from them);
+        the cached checksum takes no part.  A DiGraph is thus unhashable."""
+        if not isinstance(other, DiGraph):
+            return NotImplemented
+        return (self.n, self.m, self.out_off, self.out_tg) == (
+            other.n, other.m, other.out_off, other.out_tg
+        )
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"DiGraph(n={self.n}, m={self.m})"
 
@@ -218,10 +227,17 @@ class ParseResult:
     dropped_duplicates: int = 0
 
 
-# Code points that str.split() and str.strip() treat as whitespace; none
-# lies above U+3000.  The last slot stands for every code point above that.
+# The code points that str.split() and str.strip() treat as whitespace,
+# those for which chr(c).isspace() holds (a test pins the list to that
+# set); none lies above U+3000.  The table's last slot stands for every
+# code point above that.
+_WHITESPACE = [
+    0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20,
+    0x85, 0xA0, 0x1680, 0x2000, 0x2001, 0x2002, 0x2003, 0x2004, 0x2005, 0x2006,
+    0x2007, 0x2008, 0x2009, 0x200A, 0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+]
 _WS_TABLE = np.zeros(0x3002, dtype=bool)
-_WS_TABLE[[c for c in range(0x3001) if chr(c).isspace()]] = True
+_WS_TABLE[_WHITESPACE] = True
 _MAX_DIGITS = 18  # any 18-digit decimal fits an int64
 
 
@@ -731,15 +747,21 @@ def level_fold(
 
     Vertices are taken in (level, id) order with their predecessor rows
     concatenated, so the predecessors of one vertex are one run, which one
-    ufunc.reduceat folds for a whole level.  Long runs of narrow levels go
-    through _fold_run's loop instead (see _FOLD_NARROW), so a long path
-    costs O(n + m) in a few numpy calls, not one numpy step per level."""
+    ufunc.reduceat folds for a whole level.  That order is a stable argsort
+    of the levels as uint16 whenever the top level is below 2^16, which
+    numpy runs as one counting sort (0.22 against 1.57 ms for the uint32
+    timsort on the 2^16 heights of G(2^16, 2^18), min of 15, a 2-core
+    Xeon, numpy 2.4), and of uint32 levels on deeper graphs.  Long runs
+    of narrow levels go through _fold_run's loop instead (see
+    _FOLD_NARROW), so a long path costs O(n + m) in a few numpy calls, not
+    one numpy step per level."""
     if ufunc not in (np.maximum, np.bitwise_or):
         raise ValueError(f"level_fold folds with np.maximum or np.bitwise_or, not {ufunc}")
     top = int(level.max(initial=0))
     if top == 0:
         return rows
-    dst = np.argsort(level, kind="stable")  # (level, id) order
+    # (level, id) order
+    dst = np.argsort(level.astype(np.uint16 if top < 1 << 16 else np.uint32), kind="stable")
     bounds = np.searchsorted(level[dst], np.arange(1, top + 2))
     dst = dst[bounds[0]:]  # level-0 vertices have no predecessors
     bounds = bounds - bounds[0]

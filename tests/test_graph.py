@@ -3,7 +3,9 @@ from __future__ import annotations
 import gc
 import io
 import os
+import pickle
 import random
+import sys
 import tempfile
 import zlib
 
@@ -37,12 +39,14 @@ from reachidx.graph import (
 from reachidx.workbench import gen_random_dag
 
 from conftest import (
+    FOLD_REGIMES,
     PINNED_EDGE_LIST,
     brute_reach_sets,
     dags,
     diamond,
     digraphs,
     edge_pairs,
+    fold_regime,
     path_graph,
     predecessors,
     ref_kahn_levels,
@@ -119,6 +123,22 @@ def test_reverse_swaps_adjacency(g):
     r = g.reverse()
     assert rows(r) == rows(g)[::-1]
     assert (r.n, r.m) == (g.n, g.m)
+
+
+def test_graphs_compare_by_their_rows():
+    g = diamond()
+    same = DiGraph.from_edges(4, [(2, 3), (1, 3), (0, 2), (0, 1)])
+    assert g == same and g is not same
+    graph_checksum(g)  # a cached checksum takes no part
+    assert g == same and pickle.loads(pickle.dumps(g)) == g
+    assert g.reverse() == DiGraph.from_edges(4, [(v, u) for u, v in edge_pairs(g)])
+    assert g != DiGraph.from_edges(5, edge_pairs(g))  # one more vertex
+    assert g != DiGraph.from_edges(4, edge_pairs(g)[:-1])  # one edge fewer
+    assert g != DiGraph.from_edges(4, [(0, 1), (0, 3), (1, 3), (2, 3)])  # the same offsets
+    assert g != DiGraph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)])  # the same targets
+    assert g != edge_pairs(g)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(g)
 
 
 def transposed_rows(n: int, edges: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
@@ -325,6 +345,14 @@ def test_parse_edge_list_matches_line_by_line_reference(lines, newline):
             f.write("".join(ln + newline for ln in lines))
         with open(path, encoding="utf-8") as f:  # a lone '\r' ends a line here
             assert _outcome(load_graph, path) == _reference_outcome(f)
+
+
+def test_whitespace_list_is_what_isspace_says():
+    """The tokenizer's literal list is every code point str.split() breaks
+    on, none above U+3000, so the table's catch-all last slot is False."""
+    spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert graph_mod._WHITESPACE == spaces
+    assert np.flatnonzero(graph_mod._WS_TABLE).tolist() == spaces
 
 
 def test_parse_edge_list_accepts_what_int_accepts():
@@ -615,6 +643,30 @@ def test_level_fold_refuses_a_ufunc_its_loop_cannot_mirror():
     level = np.arange(3, dtype=np.uint32)
     with pytest.raises(ValueError, match="np.maximum or np.bitwise_or"):
         level_fold(g.in_off, g.in_tg, level, np.ones(3, np.uint32), np.add)
+
+
+@pytest.mark.parametrize("regime", sorted(FOLD_REGIMES))
+def test_level_fold_past_16_bit_levels_matches_a_brute_force_fold(regime):
+    """A path of 2^16 + 2 vertices has levels up to 2^16 + 1, which uint16
+    would wrap: the fold takes its (level, id) order from uint32 levels.
+    On a path, the Max fold along the out-rows is a suffix maximum and the
+    mask fold along the in-rows a prefix OR."""
+    n = 2**16 + 2
+    g = path_graph(n)
+    lv = topological_levels(g)
+    fwd, bwd = np.frombuffer(lv.fwd, np.uint32), np.frombuffer(lv.bwd, np.uint32)
+    assert fwd.max() == bwd.max() == n - 1 >= 2**16
+    rng = np.random.default_rng(5)
+    vals = rng.integers(0, 2**32, n, dtype=np.uint32)
+    words = np.zeros((n, 2), dtype="<u8")
+    cands = rng.choice(n, 100, replace=False)
+    j = np.arange(100)
+    words[cands, j >> 6] = np.left_shift(np.uint64(1), (j & 63).astype(np.uint64))
+    with fold_regime(regime):
+        mx = level_fold(g.out_off, g.out_tg, bwd, vals.copy(), np.maximum)
+        masks = level_fold(g.in_off, g.in_tg, fwd, words.copy(), np.bitwise_or)
+    assert (mx == np.maximum.accumulate(vals[::-1])[::-1]).all()
+    assert (masks == np.bitwise_or.accumulate(words, axis=0)).all()
 
 
 def test_component_rounds_within_log2_on_long_shapes():

@@ -15,9 +15,11 @@ from reachidx.toporder import (
     answer_T,
     extended_topsort,
     extended_topsort_backward,
+    _keyed_order,
     ordering_analysis,
     start_sequence,
 )
+from reachidx.workbench import gen_random_dag
 
 from conftest import (
     FOLD_REGIMES,
@@ -158,6 +160,40 @@ def test_start_sequence_is_keyed_sources_first():
     assert start_sequence(pairs, NoShuffle()) == list(range(0, 60, 2)) + list(range(1, 60, 2))
 
 
+# keys that tie, that tie in one 16-bit digit only, and that order
+# differently by their low digit than by the whole key
+DIGIT_KEYS = [0, 1, 0xFFFF, 0x10000, 0x10001, 0x1FFFF, 0xFFFF0000, 0xFFFF0001, 2**32 - 1]
+
+
+def keyed_reference(g: DiGraph, rng) -> list[int]:
+    """start_sequence as one stable argsort of (has an in-edge, key) words."""
+    has_in = np.diff(np.frombuffer(g.in_off, np.uint32)) > 0
+    return _keyed_order(has_in.astype(np.int64), rng).tolist()
+
+
+@settings(max_examples=150)
+@given(dags(max_n=16), st.data())
+def test_start_sequence_is_the_keyed_order(g, data):
+    """The two 16-bit counting sorts and the partition give the permutation
+    of one stable argsort of (has an in-edge, key), ties and all."""
+    kind = data.draw(st.sampled_from(["seed", "digits", "none"]))
+    if kind == "seed":
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        a, b = random.Random(seed), random.Random(seed)
+    elif kind == "digits":
+        keys = data.draw(st.lists(st.sampled_from(DIGIT_KEYS), min_size=g.n, max_size=g.n))
+        a, b = Keys(keys), Keys(keys)
+    else:
+        a, b = NoShuffle(), NoShuffle()
+    assert start_sequence(g, a) == keyed_reference(g, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_start_sequence_is_the_keyed_order_on_a_large_graph(seed):
+    g = gen_random_dag(5000, 20000, seed)
+    assert start_sequence(g, random.Random(seed)) == keyed_reference(g, random.Random(seed))
+
+
 def test_each_draw_takes_one_key_per_vertex_then_per_edge():
     g = two_edges()
     rng = Keys([0] * 4, [0] * 2, [0] * 4, [0] * 2)
@@ -272,6 +308,28 @@ def test_start_sequence_sources_first(g, seed):
     assert sorted(seq) == list(range(g.n))
     n_sources = sum(1 for v in range(g.n) if not predecessors(g, v))
     assert all(not predecessors(g, v) for v in seq[:n_sources])
+
+
+def test_the_guard_pass_places_what_the_start_order_leaves_out():
+    # no start order: the guard pass roots a DFS at 0, then at 2
+    o = extended_topsort(two_edges(), [], NoShuffle())
+    assert (list(o.pos), list(o.hi), list(o.mx)) == ([2, 3, 0, 1], [3, 3, 1, 1], [3, 3, 1, 1])
+    # a start order of one sink: 3 is placed last, the rest by the guard pass
+    o = extended_topsort(two_edges(), [3], NoShuffle())
+    assert list(o.pos) == [1, 2, 0, 3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags(max_n=14), st.data(), st.integers(0, 2**32 - 1))
+def test_a_partial_start_order_still_places_every_vertex(g, data, seed):
+    """Roots the start order leaves out are taken in id order by the guard
+    pass, as the reference's DFS over start_order + range(n) takes them."""
+    start = data.draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n))
+    rng = random.Random(seed)
+    o = extended_topsort(g, start, rng)
+    assert sorted(o.pos) == list(range(g.n))
+    ref = reference_extended_topsort(g, start, random.Random(seed))
+    assert (o.pos.tolist(), o.hi.tolist(), o.mx.tolist()) == ref
 
 
 # ---------------------------------------------------------------------------
