@@ -30,8 +30,8 @@ _EXPORTS = {
     ),
     "supportive": ("CandidatePool", "SupportSet", "pick_supports", "select_candidates"),
     "toporder": (
-        "AnalysisReport", "ExtTopOrder", "answer_T", "extended_topsort",
-        "extended_topsort_backward", "ordering_analysis",
+        "AnalysisReport", "ExtTopOrder", "extended_topsort", "extended_topsort_backward",
+        "ordering_analysis", "ordering_rows",
     ),
     "workbench": (
         "AnswerMismatchError", "BenchReport", "QuerySet", "bench", "build_oracle", "gen_queries",

@@ -91,11 +91,16 @@ def _load_condensed(path: str, fmt: str | None) -> tuple[DiGraph, np.ndarray, np
     and the SCC of each."""
     res = _load(path, fmt)
     cond = scc_condense(res.graph)
+    return cond.dag, _id_array(res.original_ids), np.array(cond.scc_of, dtype=np.uint32)
+
+
+def _id_array(original_ids: list[int]) -> np.ndarray:
+    """The original ids as <i8, or as Python ints (dtype object) when one is
+    beyond 64 bits: those compare as ints, and no bundle can hold them."""
     try:
-        ids = np.array(res.original_ids, dtype=np.int64)
-    except OverflowError:  # ids beyond 64 bits compare as Python ints
-        ids = np.array(res.original_ids, dtype=object)
-    return cond.dag, ids, np.array(cond.scc_of, dtype=np.uint32)
+        return np.array(original_ids, dtype="<i8")
+    except OverflowError:
+        return np.array(original_ids, dtype=object)
 
 
 def _read_pairs(
@@ -197,12 +202,15 @@ def _sound_condensation(
     original_ids: np.ndarray, scc_of: np.ndarray, off: np.ndarray, tg: np.ndarray
 ) -> bool:
     """Whether a bundle's arrays hold what `build` writes, in O(n + m): the
-    ids strictly increasing, every SCC id below c, and CSR rows of a simple
-    graph on c vertices (offsets rising from 0 to m, each row strictly
-    increasing, in range and free of its own vertex).  A CRC only tells an
-    intact file from a damaged one, not sound contents from unsound."""
+    ids strictly increasing, every SCC id below c and the SCC of some
+    original vertex, and CSR rows of a simple graph on c vertices (offsets
+    rising from 0 to m, each row strictly increasing, in range and free of
+    its own vertex).  A CRC only tells an intact file from a damaged one,
+    not sound contents from unsound."""
     c, m = len(off) - 1, len(tg)
     if (original_ids[1:] <= original_ids[:-1]).any() or (scc_of >= c).any():
+        return False
+    if not np.bincount(scc_of, minlength=c).all():  # an SCC of no vertex
         return False
     degrees = np.diff(off)
     if off[0] != 0 or off[-1] != m or (degrees < 0).any():
@@ -279,18 +287,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
         cond = scc_condense(res.graph)
         dag = cond.dag
         n_input = res.graph.n
-        try:
-            original_ids = np.array(res.original_ids, dtype="<i8")
-        except OverflowError:
-            original_ids = None  # ids beyond 64 bits: no bundle, query re-parses
+        original_ids = _id_array(res.original_ids)
         scc_of = np.array(cond.scc_of, dtype="<u4")
         dropped = (res.dropped_self_loops, res.dropped_duplicates)
         del res, cond  # the input graph would only raise the peak memory of the build
         data = serialize_index(build_index(dag, args.params, args.seed))
         out.write(data)
-        if original_ids is not None:
+        if original_ids.dtype != object:
             _write_bundle(out_bundle, digest, original_ids, scc_of, dag, dropped)
-    if original_ids is None:  # drop the empty bundle the block renamed into place
+    if original_ids.dtype == object:  # no bundle, query re-parses: drop the empty one
         os.remove(bundle)
     print(
         f"indexed {dag.n} SCC(s) of {n_input} vertices: "

@@ -31,10 +31,11 @@ scalar pass bound to the index (_bind_observations): a closure over every
 column they read, made on the index's first query or try_observations
 call (~5 us at t = 4) and kept on the ReachIndex, which returns the
 shared outcome of the first decisive test; the tests pin it to the
-table's first true row.  Each ordering test is written once, for a pair
-(source, target) in the ordering's own graph: the pair (s, t) in a
-forward ordering, (t, s) in a backward one, which is an ordering of the
-reverse graph (see toporder).
+table's first true row.  Each ordering test reads a pair (source, target)
+in the ordering's own graph: (s, t) in a forward ordering, (t, s) in a
+backward one, an ordering of the reverse graph.  The table takes each
+ordering's rows from toporder.ordering_rows; the scalar pass, the packed
+keys and the endpoint test write them out by hand, pinned to the table.
 
 Undecided queries go to the one fallback, PBIBFS, a pruned bidirectional
 BFS (PLAIN_BFS, the forward BFS baseline, stays as a reference search for
@@ -110,10 +111,12 @@ from .supportive import SupportSet, pick_supports, select_candidates
 from .toporder import (
     BACKWARD,
     FORWARD,
+    _T_ANSWERS,
     _T_TAGS,
     ExtTopOrder,
     extended_topsort,
     extended_topsort_backward,
+    ordering_rows,
     start_sequence,
 )
 
@@ -414,11 +417,8 @@ def _reap(pid: int) -> int:
         return 0
 
 
-# each ordering observation -> its answer, and its tag in the first ordering
-# (4) or a later one (6)
-_T_ANSWER = {"B4": False, "T1": True, "T2": False, "T3": True, "T4": True, "T5": False, "T6": True}
-_TAG4 = {obs: "4:" + obs for obs in _T_ANSWER}
-_TAG6 = {obs: "6:" + obs for obs in _T_ANSWER}
+# B4 and every T test of either flavor, each with the answer it proves
+_T_ROWS = [(obs, ans) for tags in _T_TAGS.values() for obs, ans in zip(tags, _T_ANSWERS)]
 # every observation tag -> the one outcome the bound pass returns for it, so
 # that an observation answer allocates nothing
 _OUTCOMES = {
@@ -428,10 +428,10 @@ _OUTCOMES = {
         ("2:B5", False),
         ("2:B6", False),
         ("3:S1", True),
-        *((_TAG4[obs], ans) for obs, ans in _T_ANSWER.items()),
+        *((f"4:{obs}", ans) for obs, ans in _T_ROWS),
         ("5:S2", False),
         ("5:S3", False),
-        *((_TAG6[obs], ans) for obs, ans in _T_ANSWER.items()),
+        *((f"6:{obs}", ans) for obs, ans in _T_ROWS),
         ("7:B2", False),
         ("7:C", False),
     ]
@@ -460,7 +460,7 @@ def _bind_observations(ix: ReachIndex) -> Callable[[int, int], QueryOutcome | No
     # the outcomes of B4 and its three T tests under its tag
     orderings = [
         (o.flavor == BACKWARD, o.pos, o.hi, o.mx,
-         *(_OUTCOMES[(_TAG6 if j else _TAG4)[obs]] for obs in ("B4", *_T_TAGS[o.flavor])))
+         *(_OUTCOMES[f"{6 if j else 4}:{obs}"] for obs in _T_TAGS[o.flavor]))
         for j, o in enumerate(ix.orderings)
     ]
     first = bool(orderings)
@@ -576,20 +576,15 @@ def observation_table(
     # k = 16: S1-S3 for 20000 pairs took 0.22 ms so and 1.6 ms on byte cells
     cell = f"<u{math.gcd(ss.mask_bytes or 1, 8)}"
     fm, bm = (ss.rows(rows).view(cell) for rows in (ss.fwd_rows, ss.bwd_rows))
-    # four rows per ordering, over its (source, target) pairs A, B: B4, then
-    # the T tests where pos(a) < pos(b)
+    # each ordering's four rows over its (source, target) pairs A, B
     orderings = []
     contained = np.zeros(len(S), dtype=bool)  # C over all orderings
     for j, o in enumerate(ix.orderings):
         A, B = (S, T) if o.flavor == FORWARD else (T, S)
-        pos, hi, mx = u32(o.pos), u32(o.hi), u32(o.mx)
-        pa, pb, ma = pos[A], pos[B], mx[A]
-        contained |= mx[B] > ma
-        after = pa < pb
-        masks = [pb < pa, after & (pb <= hi[A]), after & (pb > ma), after & (pb == ma)]
-        tag = _TAG6 if j else _TAG4
-        for obs, mask in zip(("B4", *_T_TAGS[o.flavor]), masks):
-            orderings.append((tag[obs], _T_ANSWER[obs], mask))
+        mx = u32(o.mx)
+        contained |= mx[B] > mx[A]
+        test = 6 if j else 4
+        orderings += [(f"{test}:{obs}", ans, mask) for obs, ans, mask in ordering_rows(o, A, B)]
     return [  # of the rows below, only B5, B6 and S1 could hold for s == t unmasked
         ("1:EQ", True, ~ne),
         ("2:B5", False, ne & (u32(lv.fwd)[T] <= u32(lv.fwd)[S])),

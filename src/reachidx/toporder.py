@@ -15,8 +15,10 @@ same DFS run on the reverse graph and kept in that graph's coordinates:
 there v reaches the vertices that reach v in the DAG.  A query (s, t) is
 therefore answered by the forward tests on (s, t) in a forward ordering and
 on (t, s) in a backward one: reachable when the target's position falls
-inside the source's certified range [pos, High] or on its Max, unreachable
-when it falls beyond Max or behind the source in the ordering.
+inside the source's certified range [pos, High] or on its Max (T1, T3),
+unreachable when it falls beyond Max (T2) or behind the source (B4).
+ordering_rows writes these tests once (T4-T6 name T1-T3 on a backward
+ordering), for index.observation_table and ordering_analysis.
 
 Max also certifies containment (GRAIL, Yildirim, Chaoji & Zaki, VLDB 2010):
 if s reaches t, then t reaches nothing s does not, so Max(t) <= Max(s) in
@@ -192,32 +194,30 @@ def _extended_order(
     return ExtTopOrder(pos, array("I", hi), _uint_array(mx), flavor, seed)
 
 
-# answer_T's tags for T1-T3, by flavor: T4-T6 name them on a backward ordering
-_T_TAGS = {FORWARD: ("T1", "T2", "T3"), BACKWARD: ("T4", "T5", "T6")}
+# B4 and an ordering's three T tests, in test order, by flavor (T4-T6 are
+# T1-T3 on a backward ordering), and the answer each proves
+_T_TAGS = {FORWARD: ("B4", "T1", "T2", "T3"), BACKWARD: ("B4", "T4", "T5", "T6")}
+_T_ANSWERS = (False, True, False, True)
 
 
-def answer_T(order: ExtTopOrder, s: int, t: int) -> tuple[bool | None, str | None]:
-    """Ordering observations for the non-trivial query (s, t), applied in
-    the fixed order B4, T1, T2, T3 (forward) or B4, T4, T5, T6 (backward).
-    A backward ordering runs the same tests on (t, s): t reaches s in the
-    reverse graph.
+def ordering_rows(
+    order: ExtTopOrder, A: np.ndarray, B: np.ndarray
+) -> list[tuple[str, bool, np.ndarray]]:
+    """B4 and the ordering's three T tests as (observation, answer, mask)
+    rows in test order, where mask[i] says the row proves answer for the
+    pair (A[i], B[i]) of integer ids in the ordering's own graph: (s, t) in
+    a forward ordering, (t, s) in a backward one.
 
-    Returns (answer, observation); answer None means undecided.
+    B4 refutes the pairs the ordering inverts; the T tests read the rest:
+    T1 when pos(b) is inside a's certified range, T2 beyond Max(a), T3 on
+    it.  B4 and T2 each exclude every other row, T1 and T3 both hold where
+    pos(b) = High(a) = Max(a), and no row holds for a == b.
     """
-    if order.flavor == BACKWARD:
-        s, t = t, s
-    ps = order.pos[s]
-    pt = order.pos[t]
-    if pt < ps:
-        return False, "B4"
-    if pt <= order.hi[s]:
-        return True, _T_TAGS[order.flavor][0]
-    mxs = order.mx[s]
-    if pt > mxs:
-        return False, _T_TAGS[order.flavor][1]
-    if pt == mxs:
-        return True, _T_TAGS[order.flavor][2]
-    return None, None
+    pos, hi, mx = (np.frombuffer(col, np.uint32) for col in (order.pos, order.hi, order.mx))
+    pa, pb, ma = pos[A], pos[B], mx[A]
+    after = pa < pb
+    masks = (pb < pa, after & (pb <= hi[A]), after & (pb > ma), after & (pb == ma))
+    return list(zip(_T_TAGS[order.flavor], _T_ANSWERS, masks))
 
 
 @dataclass
@@ -239,20 +239,19 @@ class AnalysisReport:
 
 
 def ordering_analysis(order: ExtTopOrder, oracle: ReachMatrix) -> AnalysisReport:
+    """The rows' counts over all ordered pairs, unswapped for either flavor:
+    the set of all pairs is its own swap, and no row holds for s == t."""
     n = oracle.n
     pos_total = oracle.count_positive()
     neg_total = n * (n - 1) - pos_total
-    neg_witnessed = 0
-    pos_answered = 0
-    for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            ans, obs = answer_T(order, s, t)
-            if obs == "B4":
-                neg_witnessed += 1
-            elif ans is True:
-                pos_answered += 1
+    neg_witnessed = pos_answered = 0
+    ids = np.arange(n)
+    step = max(1, (1 << 18) // max(n, 1))  # sources per pass: up to 2^18 pairs
+    for lo in range(0, n, step):
+        A = np.repeat(ids[lo:lo + step], n)
+        b4, t1, _t2, t3 = (mask for *_, mask in ordering_rows(order, A, np.resize(ids, len(A))))
+        neg_witnessed += int(b4.sum())
+        pos_answered += int((t1 | t3).sum())
     return AnalysisReport(
         n=n,
         neg_witnessed=neg_witnessed,

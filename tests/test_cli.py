@@ -451,6 +451,7 @@ def test_bad_bundle_is_never_read(pinned, tmp_path):
     for where, dtype, cells in [
         (tg, "<u4", [c]),  # a target out of range
         (scc, "<u4", [c]),  # an SCC id out of range
+        (scc, "<u4", [2]),  # -3 moved from SCC 3, its own, to 2: SCC 3 left empty
         (off, "<u4", [1, 1]),  # offsets not starting at 0
         (off + 12, "<u4", [0]),  # offsets decreasing
         (off + 4 * c, "<u4", [m - 1]),  # offsets not ending at m

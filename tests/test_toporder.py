@@ -7,16 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reachidx.baselines import build_matrix, matrix_query
+from reachidx.baselines import build_matrix
 from reachidx.graph import AcyclicityError, DiGraph, topological_levels
 from reachidx.toporder import (
     BACKWARD,
     FORWARD,
-    answer_T,
     extended_topsort,
     extended_topsort_backward,
     _keyed_order,
     ordering_analysis,
+    ordering_rows,
     start_sequence,
 )
 from reachidx.workbench import gen_random_dag
@@ -104,25 +104,41 @@ def test_backward_cycle_raises_before_drawing():
 # observation tags, each exercised on a frozen ordering
 
 
-def test_answer_tags_forward():
+def rows_for(o, a, b) -> list[tuple[str, bool]]:
+    """The (observation, answer) of each row of ordering_rows that holds for
+    the one pair (a, b) of the ordering's own graph, in test order."""
+    return [(obs, ans) for obs, ans, mask in ordering_rows(o, np.array([a]), np.array([b])) if mask[0]]
+
+
+def first_row(o, a, b) -> tuple[bool | None, str | None]:
+    """(answer, observation) of the first row that holds, as a query takes
+    it; (None, None) when none does."""
+    return next(((ans, obs) for obs, ans in rows_for(o, a, b)), (None, None))
+
+
+def test_row_tags_forward():
     o = extended_topsort(diamond(), [0], NoShuffle())
-    assert answer_T(o, 1, 2) == (False, "B4")  # pos inverted
-    assert answer_T(o, 0, 3) == (True, "T1")  # inside certified range
-    assert answer_T(o, 2, 3) == (True, "T3")  # lands exactly on Max
-    assert answer_T(o, 2, 1) == (None, None)  # genuinely undecided
+    assert first_row(o, 1, 2) == (False, "B4")  # pos inverted
+    assert first_row(o, 0, 3) == (True, "T1")  # inside certified range
+    assert first_row(o, 2, 3) == (True, "T3")  # lands exactly on Max
+    assert first_row(o, 2, 1) == (None, None)  # genuinely undecided
     o2 = extended_topsort(two_edges(), [0, 2], NoShuffle())
-    assert answer_T(o2, 2, 1) == (False, "T2")  # beyond Max
+    assert first_row(o2, 2, 1) == (False, "T2")  # beyond Max
+    # T1 and T3 both hold where pos(b) = High(a) = Max(a)
+    assert (o.pos[3], o.hi[0], o.mx[0]) == (3, 3, 3)
+    assert rows_for(o, 0, 3) == [("T1", True), ("T3", True)]
 
 
-def test_answer_tags_backward():
+def test_row_tags_backward():
+    """The backward rows read (t, s), the pair in the reverse graph."""
     o = extended_topsort_backward(diamond(), NoShuffle())
-    assert answer_T(o, 0, 3) == (True, "T4")  # inside certified range
-    assert answer_T(o, 0, 2) == (True, "T6")  # sits exactly on Min
-    assert answer_T(o, 2, 1) == (False, "B4")
-    assert answer_T(o, 1, 2) == (None, None)
+    assert first_row(o, 3, 0) == (True, "T4")  # inside certified range
+    assert first_row(o, 2, 0) == (True, "T6")  # sits exactly on Min
+    assert first_row(o, 1, 2) == (False, "B4")
+    assert first_row(o, 2, 1) == (None, None)
     edges = DiGraph.from_edges(4, [(0, 1), (2, 3)])
     o2 = extended_topsort_backward(edges, NoShuffle())
-    assert answer_T(o2, 0, 3) == (False, "T5")  # before Min
+    assert first_row(o2, 3, 0) == (False, "T5")  # before Min
 
 
 class Keys:
@@ -274,22 +290,26 @@ def test_low_range_certified_and_min_exact(g, seed):
 
 @settings(max_examples=60)
 @given(dags(max_n=12), st.integers(0, 2**32 - 1), st.booleans())
-def test_answer_is_sound(g, seed, backward):
+def test_rows_are_sound_and_decide_at_most_one_answer(g, seed, backward):
+    """Over every ordered pair (s, t), the rows read (s, t) forward and
+    (t, s) backward; each row that holds gives the oracle's answer, B4 and
+    T2 hold alone, and no row holds for s == t."""
     rng = random.Random(seed)
     if backward:
         o = extended_topsort_backward(g, rng)
     else:
         o = extended_topsort(g, start_sequence(g, rng), rng)
-    mx = build_matrix(g)
-    for s in range(g.n):
-        for t in range(g.n):
-            if s == t:
-                continue
-            ans, obs = answer_T(o, s, t)
-            if ans is None:
-                assert obs is None
-            else:
-                assert ans == matrix_query(mx, s, t), (s, t, obs)
+    S, T = np.divmod(np.arange(g.n * g.n), g.n)
+    rows = ordering_rows(o, T, S) if backward else ordering_rows(o, S, T)
+    assert [obs for obs, _ans, _mask in rows] == (
+        ["B4", "T4", "T5", "T6"] if backward else ["B4", "T1", "T2", "T3"]
+    )
+    reach = build_matrix(g).to_dense()[S, T]
+    for _obs, ans, mask in rows:
+        assert (reach[mask] == ans).all()
+    b4, p1, t2, p3 = (mask for *_, mask in rows)
+    assert (b4.astype(int) + t2 + (p1 | p3) <= 1).all()
+    assert not (b4 | p1 | t2 | p3)[S == T].any()
 
 
 @given(dags(max_n=14), st.integers(0, 2**32 - 1))
@@ -365,6 +385,34 @@ def test_analysis_negative_count_is_half_the_pairs(g, seed):
     assert rep.neg_witnessed == g.n * (g.n - 1) // 2
     assert rep.neg_total + rep.pos_total == g.n * (g.n - 1)
     assert rep.pos_answered <= rep.pos_total
+
+
+def reference_analysis_counts(o) -> tuple[int, int]:
+    """(pairs B4 refutes, pairs T1 or T3 proves) over every ordered pair of
+    distinct vertices, by the tests in order, one pair at a time."""
+    pos, hi, mx = list(o.pos), list(o.hi), list(o.mx)
+    b4 = positive = 0
+    for a in range(len(pos)):
+        for b in range(len(pos)):
+            if pos[b] < pos[a]:
+                b4 += 1
+            elif a != b and (pos[b] <= hi[a] or pos[b] == mx[a]):
+                positive += 1
+    return b4, positive
+
+
+@settings(max_examples=40)
+@given(dags(max_n=12), st.integers(0, 2**32 - 1), st.booleans())
+@example(gen_random_dag(600, 1500, 3), 7, False)  # 2^18 pairs a pass: two passes
+@example(gen_random_dag(600, 1500, 3), 7, True)
+def test_analysis_counts_match_the_per_pair_tests(g, seed, backward):
+    rng = random.Random(seed)
+    if backward:
+        o = extended_topsort_backward(g, rng)
+    else:
+        o = extended_topsort(g, start_sequence(g, rng), rng)
+    rep = ordering_analysis(o, build_matrix(g))
+    assert (rep.neg_witnessed, rep.pos_answered) == reference_analysis_counts(o)
 
 
 # ---------------------------------------------------------------------------
