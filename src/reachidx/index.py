@@ -21,21 +21,22 @@ call.
 A query runs through seven constant-time tests (equality, levels, positive
 support, first ordering, negative supports, remaining orderings, then weak
 components and Max containment over all orderings); the first decisive
-one answers.  observation_table is their definition: one (test:tag,
-answer, mask) row per observation, in that order, over numpy views of the
-columns.  query_batch answers many pairs from one table, each by its first
-true row or else by the fallback, as query answers it alone, and
-observation_stats counts first hits and overlap from the same decision.
-One pair at a time, query and try_observations run the same tests as one
-scalar pass bound to the index (_bind_observations): a closure over every
-column they read, made on the index's first query or try_observations
-call (~5 us at t = 4) and kept on the ReachIndex, which returns the
-shared outcome of the first decisive test; the tests pin it to the
-table's first true row.  Each ordering test reads a pair (source, target)
-in the ordering's own graph: (s, t) in a forward ordering, (t, s) in a
-backward one, an ordering of the reverse graph.  The table takes each
-ordering's rows from toporder.ordering_rows; the scalar pass, the packed
-keys and the endpoint test write them out by hand, pinned to the table.
+one answers.  Each observation is written once, as a row of the
+observation spec (_SPEC), and three things are derived from it: the shared
+outcomes (_OUTCOMES); observation_table, which evaluates every row with
+numpy over many pairs; and the scalar pass, which query and
+try_observations run one pair at a time.  query_batch answers many pairs
+from one table, each by its first true row or else by the fallback, as
+query answers it alone, and observation_stats counts first hits and
+overlap from the same decision.  The scalar pass is straight-line source
+generated from the rows, compiled once per tuple of ordering flavors and
+bound to an index on its first query or try_observations call as a
+function whose globals hold the index's columns: no closure cells to copy
+per call, and nothing compiled at bind time (~2.6 us at t = 4).  It took
+~250 ns per decided query of G(2^16, 2^18) against ~295 ns for the
+hand-written closure it replaced (in process, a 2-core Xeon; see
+BENCH_34.json for the benchmark).  The packed keys and the endpoint test
+write the observations out by hand, pinned to the table by the tests.
 
 Undecided queries go to the one fallback, PBIBFS, a pruned bidirectional
 BFS (PLAIN_BFS, the forward BFS baseline, stays as a reference search for
@@ -80,8 +81,12 @@ CRC32 in the header rejects a damaged file before any of it is read.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import itertools
+import linecache
 import math
+import operator
 import os
 import random
 import signal
@@ -93,6 +98,7 @@ from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
+from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,14 +115,17 @@ from .graph import (
 )
 from .supportive import SupportSet, pick_supports, select_candidates
 from .toporder import (
+    AFTER,
     BACKWARD,
+    COMPARISONS,
     FORWARD,
-    _T_ANSWERS,
-    _T_TAGS,
+    ORDERING_BLOCK,
     ExtTopOrder,
+    comparison_mask,
     extended_topsort,
     extended_topsort_backward,
-    ordering_rows,
+    gatherer,
+    observation_name,
     start_sequence,
 )
 
@@ -195,11 +204,12 @@ class ReachIndex:
     given: the integer columns of wcc, levels and orderings are array('I')
     (see the module docstring).  keys is the search's packed keys, built on
     the index's first fallback or before a fallback worker is forked, and
-    observe the bound observation pass (_bind_observations), built on its
-    first query or try_observations call.  Both read the columns as they
-    were then: derive a changed index with dataclasses.replace.  params and
-    seed are what build_index was given; the file keeps neither, so they
-    are left out of ==, as keys and observe are."""
+    observe the scalar pass, the generated code for the orderings' flavors
+    bound to these columns (_bind_observations) on the first query or
+    try_observations call.  Both read the columns as they were then:
+    derive a changed index with dataclasses.replace.  params and seed are
+    what build_index was given; the file keeps neither, so they are left
+    out of ==, as keys and observe are."""
 
     graph: DiGraph
     wcc: array
@@ -215,8 +225,8 @@ class ReachIndex:
     )
 
     def __getstate__(self) -> dict:
-        """The fields but observe, a closure that cannot be pickled and is
-        rebuilt on first use."""
+        """The fields but observe: pickle cannot name a function made from
+        generated code, and a copy binds its own on first use."""
         return {**self.__dict__, "observe": None}
 
 
@@ -417,118 +427,193 @@ def _reap(pid: int) -> int:
         return 0
 
 
-# B4 and every T test of either flavor, each with the answer it proves
-_T_ROWS = [(obs, ans) for tags in _T_TAGS.values() for obs, ans in zip(tags, _T_ANSWERS)]
-# every observation tag -> the one outcome the bound pass returns for it, so
-# that an observation answer allocates nothing
-_OUTCOMES = {
-    tag: QueryOutcome(ans, tag)
-    for tag, ans in [
-        ("1:EQ", True),
-        ("2:B5", False),
-        ("2:B6", False),
-        ("3:S1", True),
-        *((f"4:{obs}", ans) for obs, ans in _T_ROWS),
-        ("5:S2", False),
-        ("5:S3", False),
-        *((f"6:{obs}", ans) for obs, ans in _T_ROWS),
-        ("7:B2", False),
-        ("7:C", False),
-    ]
+# ---------------------------------------------------------------------------
+# the observation spec and the scalar pass generated from it
+
+# Every observation once, as rows (tag, answer, source column, comparison,
+# target column, guard) in test order.  A row proves answer for the pair
+# (s, t) where source[s] <comparison> target[t] holds (toporder.COMPARISONS)
+# and its guard, a comparison of the same form or None, does too; the
+# column None reads the id itself, so 1:EQ is s == t.  The guards keep each
+# row sound without the rows before it.  Rows over ordering columns (tests
+# 4 and 6, toporder.ORDERING_BLOCK, and 7:C) read the pair (a, b) of one
+# ordering's own graph: (s, t) in a forward ordering, (t, s) in a backward
+# one.  Tests 4 and 6 repeat their block for each ordering _PER_ORDERING
+# gives them; 7:C holds where its comparison does in any ordering.
+_NE = (None, "!=", None)
+_SPEC = (
+    ("1:EQ", True, None, "==", None, None),
+    # levels: >= and <= rather than > and < are sound for s != t, as a path
+    # forces a strictly larger forward and a strictly smaller backward level
+    ("2:B5", False, "lf", ">=", "lf", _NE),
+    ("2:B6", False, "lb", "<=", "lb", _NE),
+    # supports: one s reaches that reaches t; one that reaches s but not t;
+    # one that t reaches but s does not
+    ("3:S1", True, "bm", "&", "fm", _NE),
+    *((f"4:{obs}", *rest) for obs, *rest in ORDERING_BLOCK),
+    ("5:S2", False, "fm", "&~", "fm", None),
+    ("5:S3", False, "bm", "~&", "bm", None),
+    *((f"6:{obs}", *rest) for obs, *rest in ORDERING_BLOCK),
+    ("7:B2", False, "wcc", "!=", "wcc", None),
+    # containment: the source reaches the target only if Max(target) <=
+    # Max(source), in every ordering (see toporder)
+    ("7:C", False, "mx", "<", "mx", None),
+)
+_ORDERING_COLUMNS = ("pos", "hi", "mx")
+# the orderings whose blocks tests 4 and 6 read: the first, then each later one
+_PER_ORDERING = {"4": slice(0, 1), "6": slice(1, None)}
+# each guard, with the comparisons (over the ends s, t or an ordering's a,
+# b) whose failure implies it: pos is one-to-one, so where s != t and
+# pos(a) > pos(b) fails, pos(a) < pos(b) holds
+_IMPLIED_BY = {
+    _NE: [(None, "==", None, "s", "t")],
+    AFTER: [(None, "==", None, "s", "t"), ("pos", ">", "pos", "a", "b")],
 }
 
 
-def _bind_observations(ix: ReachIndex) -> Callable[[int, int], QueryOutcome | None]:
-    """Tests 1-7 as one closure over ix's columns, read once here: the
-    returned observe(s, t) gives the shared outcome of the first row of
-    observation_table true for (s, t), or None when none is.
+@functools.cache
+def _spec_rows(flavors: tuple[str, ...]) -> list[tuple[str, bool, list[tuple]]]:
+    """The spec for an index whose orderings have these flavors, in test
+    order: (tag, answer, terms) rows, each true where any of its terms is.
+    A term is (comparison, guard, witnesses): the comparison (source, op,
+    target, a, b) between the ends 's' and 't', the guard (source, op,
+    target) between the same ends or None, and the comparisons whose
+    failure implies the guard.  Ordering j's columns are pos{j}, hi{j} and
+    mx{j}.  Cached per flavor tuple."""
+    rows = []
+    for test, block in itertools.groupby(_SPEC, key=lambda row: row[0].partition(":")[0]):
+        if test in _PER_ORDERING:
+            block = list(block)
+            for j in range(len(flavors))[_PER_ORDERING[test]]:
+                rows += [
+                    (f"{test}:{observation_name(tag.partition(':')[2], flavors[j])}", ans,
+                     [_term(src, op, tgt, guard, j, flavors[j])])
+                    for tag, ans, src, op, tgt, guard in block
+                ]
+            continue
+        for tag, ans, src, op, tgt, guard in block:
+            if src in _ORDERING_COLUMNS:  # 7:C, over every ordering
+                terms = [_term(src, op, tgt, guard, j, f) for j, f in enumerate(flavors)]
+            else:
+                terms = [_term(src, op, tgt, guard, None, FORWARD)]
+            rows.append((tag, ans, terms))
+    return rows
 
-    Each ordering's flavor is fixed here: its tests read the pair (s, t)
-    in a forward ordering and (t, s) in a backward one.  The first
-    ordering (test 4) is inlined; t = 0 has none.  The masks are Python
-    ints for any k, so S1-S3 stay one `&` each, and with k = 0 they are
-    all zero and never fire.  observe raises IndexError when s or t is not
-    a vertex id in [0, n); it reads no adjacency.
-    """
-    n, wcc = len(ix.wcc), ix.wcc  # a label column: the observations never read the graph
-    lf, lb = ix.levels.fwd, ix.levels.bwd
-    fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
-    EQ, B5, B6, S1, S2, S3, B2, C = (
-        _OUTCOMES[tag] for tag in ("1:EQ", "2:B5", "2:B6", "3:S1", "5:S2", "5:S3", "7:B2", "7:C")
+
+def _term(src, op: str, tgt, guard, j: int | None, flavor: str) -> tuple:
+    """One term of _spec_rows: a comparison over ordering j's columns (or
+    none), read over (s, t), or (t, s) where flavor is BACKWARD."""
+    a, b = ("t", "s") if flavor == BACKWARD else ("s", "t")
+    ends = {"a": a, "b": b, "s": "s", "t": "t"}
+
+    def column(name):
+        return f"{name}{j}" if name in _ORDERING_COLUMNS else name
+
+    cond = (column(src), op, column(tgt), a, b)
+    if guard is None:
+        return cond, None, []
+    witnesses = [(column(x), o, column(y), ends[u], ends[v]) for x, o, y, u, v in _IMPLIED_BY[guard]]
+    return cond, (column(guard[0]), guard[1], column(guard[2])), witnesses
+
+
+def _global_name(tag: str) -> str:
+    """The name the generated pass reads the shared outcome of tag under."""
+    return "out_" + tag.replace(":", "_")
+
+
+# every observation tag -> the one outcome the pass returns for it, so that
+# an observation answer allocates nothing
+_OUTCOMES = {
+    tag: QueryOutcome(ans, tag)
+    for flavor in (FORWARD, BACKWARD)
+    for tag, ans, _terms in _spec_rows((flavor, flavor))
+}
+_OUTCOME_GLOBALS = {_global_name(tag): out for tag, out in _OUTCOMES.items()}
+
+
+def _pass_source(flavors: tuple[str, ...]) -> str:
+    """The scalar pass for these flavors as Python source: def observe(s,
+    t), straight-line, with one `if` per term of _spec_rows that returns
+    the row's shared outcome.  A guard whose witnesses have all failed
+    before it is dropped, and a column read at one end more than once is
+    read once into a local, where it is first needed."""
+    tests, failed = [], set()
+    for tag, _ans, terms in _spec_rows(flavors):
+        for cond, guard, witnesses in terms:
+            if guard is None or failed.issuperset(witnesses):
+                tests.append(([cond], tag))
+                failed.add(cond)
+            else:
+                tests.append(([(*guard, *cond[3:]), cond], tag))
+    reads = Counter(
+        read for parts, _ in tests for x, _op, y, a, b in parts for read in ((x, a), (y, b))
     )
-    # per ordering: swapped (a backward one tests (t, s)), its columns, and
-    # the outcomes of B4 and its three T tests under its tag
-    orderings = [
-        (o.flavor == BACKWARD, o.pos, o.hi, o.mx,
-         *(_OUTCOMES[f"{6 if j else 4}:{obs}"] for obs in _T_TAGS[o.flavor]))
-        for j, o in enumerate(ix.orderings)
+    lines = [
+        "def observe(s, t):",
+        "    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path",
+        "        check_ids(n, s, t)",
     ]
-    first = bool(orderings)
-    swap0, pos0, hi0, mx0, b4, ta, tb, tc = orderings[0] if first else (None,) * 8
-    rest = orderings[1:]
-    # C, containment: the source reaches the target only if Max(target) <=
-    # Max(source), in every ordering (the source is t in a backward one)
-    mx_fwd = [o.mx for o in ix.orderings if o.flavor == FORWARD]
-    mx_bwd = [o.mx for o in ix.orderings if o.flavor == BACKWARD]
+    kept = set()
 
-    def observe(s: int, t: int) -> QueryOutcome | None:
-        if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
-            check_ids(n, s, t)
-        if s == t:
-            return EQ
-        # Test 2: levels.  <= rather than < is sound for s != t: a path forces
-        # a strictly larger forward level and strictly smaller backward level.
-        if lf[t] <= lf[s]:
-            return B5
-        if lb[s] <= lb[t]:
-            return B6
-        if bm[s] & fm[t]:
-            return S1
-        if first:
-            if swap0:
-                a, b = t, s
-            else:
-                a, b = s, t
-            pb = pos0[b]
-            if pb < pos0[a]:
-                return b4
-            if pb <= hi0[a]:
-                return ta
-            m = mx0[a]
-            if pb > m:
-                return tb
-            if pb == m:
-                return tc
-        if fm[s] & ~fm[t]:
-            return S2
-        if bm[t] & ~bm[s]:
-            return S3
-        for swap, pos, hi, mx, o4, oa, ob, oc in rest:
-            if swap:
-                a, b = t, s
-            else:
-                a, b = s, t
-            pb = pos[b]
-            if pb < pos[a]:
-                return o4
-            if pb <= hi[a]:
-                return oa
-            m = mx[a]
-            if pb > m:
-                return ob
-            if pb == m:
-                return oc
-        if wcc[s] != wcc[t]:
-            return B2
-        for mx in mx_fwd:
-            if mx[t] > mx[s]:
-                return C
-        for mx in mx_bwd:
-            if mx[s] > mx[t]:
-                return C
-        return None
+    def value(name, end):
+        if name is None:
+            return end
+        if reads[name, end] == 1:
+            return f"{name}[{end}]"
+        if (name, end) not in kept:
+            kept.add((name, end))
+            lines.append(f"    {name}_{end} = {name}[{end}]")
+        return f"{name}_{end}"
 
-    return observe
+    for parts, tag in tests:
+        exprs = [COMPARISONS[op].format(x=value(x, a), y=value(y, b)) for x, op, y, a, b in parts]
+        lines.append(f"    if {' and '.join(f'({e})' if len(parts) > 1 else e for e in exprs)}:")
+        lines.append(f"        return {_global_name(tag)}")
+    lines.append("    return None")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _pass_code(flavors: tuple[str, ...]) -> CodeType:
+    """_pass_source compiled, once per flavor tuple.  The source goes into
+    linecache under a filename that names the flavors, so that tracebacks
+    and inspect.getsource show the generated lines."""
+    source = _pass_source(flavors)
+    filename = f"<reachidx observe ({', '.join(flavors)})>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    module = compile(source, filename, "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _bind_observations(ix: ReachIndex) -> Callable[[int, int], QueryOutcome | None]:
+    """Tests 1-7 as ix's scalar pass: observe(s, t) gives the shared
+    outcome of the first row of observation_table true for (s, t), or None
+    when none is.
+
+    The pass's code is shared by every index with ix's ordering flavors
+    (_pass_code); binding it makes a function whose globals hold ix's
+    columns, read once here, and the shared outcomes, so a call copies no
+    closure cells.  The masks are Python ints for any k, so S1-S3 stay one
+    `&` each, and with k = 0 they are all zero and never fire.  observe
+    raises IndexError when s or t is not a vertex id in [0, n); it reads no
+    adjacency.
+    """
+    ss = ix.supports
+    namespace = {
+        "__name__": __name__,
+        "n": len(ix.wcc),  # a label column: the observations never read the graph
+        "check_ids": check_ids,
+        "lf": ix.levels.fwd,
+        "lb": ix.levels.bwd,
+        "fm": ss.fwd_mask,
+        "bm": ss.bwd_mask,
+        "wcc": ix.wcc,
+        **_OUTCOME_GLOBALS,
+    }
+    for j, o in enumerate(ix.orderings):
+        namespace[f"pos{j}"], namespace[f"hi{j}"], namespace[f"mx{j}"] = o.pos, o.hi, o.mx
+    code = _pass_code(tuple(o.flavor for o in ix.orderings))
+    return FunctionType(code, namespace)
 
 
 def try_observations(
@@ -563,40 +648,45 @@ def observation_table(
     try_observations answers, and a pair with no true row is undecided.  Every
     row but EQ excludes s == t.  Reads numpy views of the columns, never the
     adjacency.  Raises ValueError unless S and T are 1-D of equal length,
-    and IndexError when an id is not in [0, n).
+    TypeError when an id is not an integer and IndexError when one is not
+    in [0, n), as query does.
     """
-    S, T = np.asarray(S, dtype=np.int64), np.asarray(T, dtype=np.int64)
-    if S.ndim != 1 or S.shape != T.shape:
-        raise ValueError(f"S and T must be 1-D of equal length, got shapes {S.shape} and {T.shape}")
-    if S.size:  # names the smallest id if negative, else the largest if >= n
-        check_ids(len(ix.wcc), int(min(S.min(), T.min())), int(max(S.max(), T.max())))
+    S, T = _id_arrays(len(ix.wcc), S, T)
     u32 = partial(np.frombuffer, dtype=np.uint32)
-    ne, lv, ss = S != T, ix.levels, ix.supports
+    lv, ss = ix.levels, ix.supports
     # each mask row in the widest unsigned cells that tile it, one uint16 at
     # k = 16: S1-S3 for 20000 pairs took 0.22 ms so and 1.6 ms on byte cells
     cell = f"<u{math.gcd(ss.mask_bytes or 1, 8)}"
     fm, bm = (ss.rows(rows).view(cell) for rows in (ss.fwd_rows, ss.bwd_rows))
-    # each ordering's four rows over its (source, target) pairs A, B
-    orderings = []
-    contained = np.zeros(len(S), dtype=bool)  # C over all orderings
+    columns = {"lf": u32(lv.fwd), "lb": u32(lv.bwd), "fm": fm, "bm": bm, "wcc": u32(ix.wcc)}
     for j, o in enumerate(ix.orderings):
-        A, B = (S, T) if o.flavor == FORWARD else (T, S)
-        mx = u32(o.mx)
-        contained |= mx[B] > mx[A]
-        test = 6 if j else 4
-        orderings += [(f"{test}:{obs}", ans, mask) for obs, ans, mask in ordering_rows(o, A, B)]
-    return [  # of the rows below, only B5, B6 and S1 could hold for s == t unmasked
-        ("1:EQ", True, ~ne),
-        ("2:B5", False, ne & (u32(lv.fwd)[T] <= u32(lv.fwd)[S])),
-        ("2:B6", False, ne & (u32(lv.bwd)[S] <= u32(lv.bwd)[T])),
-        ("3:S1", True, ne & (bm[S] & fm[T]).any(axis=1)),
-        *orderings[:4],
-        ("5:S2", False, (fm[S] & ~fm[T]).any(axis=1)),
-        ("5:S3", False, (bm[T] & ~bm[S]).any(axis=1)),
-        *orderings[4:],
-        ("7:B2", False, u32(ix.wcc)[S] != u32(ix.wcc)[T]),
-        ("7:C", False, contained),
-    ]
+        columns.update({f"{name}{j}": u32(getattr(o, name)) for name in _ORDERING_COLUMNS})
+    read = gatherer(columns, {"s": S, "t": T})
+    table = []
+    for tag, ans, terms in _spec_rows(tuple(o.flavor for o in ix.orderings)):
+        masks = [comparison_mask(read, *cond, guard) for cond, guard, _witnesses in terms]
+        table.append((tag, ans, reduce(np.logical_or, masks) if masks else np.zeros(len(S), bool)))
+    return table
+
+
+def _id_arrays(n: int, S: Sequence[int], T: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """S and T as int64 arrays of vertex ids.  Raises ValueError unless
+    both are 1-D of one length; then, as query does for one pair, TypeError
+    for an id that is not an integer and IndexError for one outside [0, n),
+    named by its given value: the smallest if negative, else the largest."""
+    S, T = np.asarray(S), np.asarray(T)
+    if S.ndim != 1 or S.shape != T.shape:
+        raise ValueError(f"S and T must be 1-D of equal length, got shapes {S.shape} and {T.shape}")
+    if not S.size:
+        return S.astype(np.int64), T.astype(np.int64)  # [] is float64
+    # exact ints whatever the dtype, uint64 or Python ints past int64 too;
+    # operator.index refuses floats, which int64 would truncate
+    S, T = (
+        ids if ids.dtype.kind in "biu" else np.array([operator.index(x) for x in ids.tolist()], object)
+        for ids in (S, T)
+    )
+    check_ids(n, min(int(S.min()), int(T.min())), max(int(S.max()), int(T.max())))
+    return S.astype(np.int64, copy=False), T.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -832,7 +922,7 @@ def _decide(
     answer = np.array([ans for _, ans, _ in rows] + [False])[first]
     work = np.zeros(len(S), dtype=np.int64)
     undecided = np.flatnonzero(~decided)
-    S, T = np.asarray(S)[undecided].tolist(), np.asarray(T)[undecided].tolist()
+    S, T = (np.asarray(ids, np.int64)[undecided].tolist() for ids in (S, T))
     found = np.empty((len(S), 2), dtype=np.int64)
     worker = None
     try:

@@ -17,8 +17,9 @@ therefore answered by the forward tests on (s, t) in a forward ordering and
 on (t, s) in a backward one: reachable when the target's position falls
 inside the source's certified range [pos, High] or on its Max (T1, T3),
 unreachable when it falls beyond Max (T2) or behind the source (B4).
-ordering_rows writes these tests once (T4-T6 name T1-T3 on a backward
-ordering), for index.observation_table and ordering_analysis.
+ORDERING_BLOCK writes these tests once (T4-T6 name T1-T3 on a backward
+ordering), as the ordering block of index's observation spec;
+ordering_rows reads it for ordering_analysis.
 
 Max also certifies containment (GRAIL, Yildirim, Chaoji & Zaki, VLDB 2010):
 if s reaches t, then t reaches nothing s does not, so Max(t) <= Max(s) in
@@ -38,6 +39,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -194,30 +196,85 @@ def _extended_order(
     return ExtTopOrder(pos, array("I", hi), _uint_array(mx), flavor, seed)
 
 
-# B4 and an ordering's three T tests, in test order, by flavor (T4-T6 are
-# T1-T3 on a backward ordering), and the answer each proves
-_T_TAGS = {FORWARD: ("B4", "T1", "T2", "T3"), BACKWARD: ("B4", "T4", "T5", "T6")}
-_T_ANSWERS = (False, True, False, True)
+# The observations of one ordering, in test order: the ordering block of
+# the observation spec (index._SPEC).  A row (observation, answer, source
+# column, comparison, target column, guard) proves answer for a pair (a, b)
+# of the ordering's own graph, (s, t) in a forward ordering and (t, s) in a
+# backward one, where source[a] <comparison> target[b] holds and its guard,
+# a comparison of the same form or None, does too.  B4 refutes the pairs
+# the ordering inverts; the T tests read the rest, so that each stays sound
+# on its own: T1 when pos(b) is inside a's certified range, T2 beyond
+# Max(a), T3 on it.  T4-T6 name T1-T3 on a backward ordering.
+AFTER = ("pos", "<", "pos")
+ORDERING_BLOCK = (
+    ("B4", False, "pos", ">", "pos", None),
+    ("T1", True, "hi", ">=", "pos", AFTER),
+    ("T2", False, "mx", "<", "pos", AFTER),
+    ("T3", True, "mx", "==", "pos", AFTER),
+)
+_BACKWARD_NAMES = {"T1": "T4", "T2": "T5", "T3": "T6"}
+
+# Every comparison a spec row may make, as a Python expression in x, the
+# source column's value at one end, and y, the target column's at the
+# other: ints in index's scalar pass, numpy arrays in the table.  The last
+# three read support masks, as Python ints or as rows of cells, and hold
+# where the result has a bit set.
+COMPARISONS = {
+    **{op: f"{{x}} {op} {{y}}" for op in ("==", "!=", "<", "<=", ">", ">=", "&")},
+    "&~": "{x} & ~{y}",
+    "~&": "~{x} & {y}",
+}
+_COMPARE = {op: eval(f"lambda x, y: {expr.format(x='x', y='y')}") for op, expr in COMPARISONS.items()}
+
+
+def observation_name(obs: str, flavor: str) -> str:
+    """The name of ordering observation obs on an ordering of this flavor."""
+    return _BACKWARD_NAMES.get(obs, obs) if flavor == BACKWARD else obs
+
+
+def gatherer(columns: dict[str, np.ndarray], ends: dict[str, np.ndarray]) -> Callable:
+    """read(column, end): the named numpy column at the ids of one end, in
+    ends, gathered on the first read and kept; the column None reads the
+    ids themselves."""
+    got: dict[tuple, np.ndarray] = {}
+
+    def read(name: str | None, end: str) -> np.ndarray:
+        if (name, end) not in got:
+            ids = ends[end]
+            got[name, end] = ids if name is None else columns[name][ids]
+        return got[name, end]
+
+    return read
+
+
+def comparison_mask(read: Callable, src, op: str, tgt, a: str, b: str, guard=None) -> np.ndarray:
+    """Where source[a] <op> target[b] holds, and the guard too, for every
+    pair of the ends a and b, reading columns through read (gatherer)."""
+    held = _COMPARE[op](read(src, a), read(tgt, b))
+    if held.ndim > 1:  # rows of mask cells: a bit set anywhere
+        held = held.any(axis=1)
+    if guard is not None:
+        held &= comparison_mask(read, *guard, a, b)
+    return held
 
 
 def ordering_rows(
     order: ExtTopOrder, A: np.ndarray, B: np.ndarray
 ) -> list[tuple[str, bool, np.ndarray]]:
-    """B4 and the ordering's three T tests as (observation, answer, mask)
-    rows in test order, where mask[i] says the row proves answer for the
-    pair (A[i], B[i]) of integer ids in the ordering's own graph: (s, t) in
-    a forward ordering, (t, s) in a backward one.
+    """The ordering block as (observation, answer, mask) rows in test
+    order, where mask[i] says the row proves answer for the pair (A[i],
+    B[i]) of integer ids in the ordering's own graph: (s, t) in a forward
+    ordering, (t, s) in a backward one.
 
-    B4 refutes the pairs the ordering inverts; the T tests read the rest:
-    T1 when pos(b) is inside a's certified range, T2 beyond Max(a), T3 on
-    it.  B4 and T2 each exclude every other row, T1 and T3 both hold where
+    B4 and T2 each exclude every other row, T1 and T3 both hold where
     pos(b) = High(a) = Max(a), and no row holds for a == b.
     """
-    pos, hi, mx = (np.frombuffer(col, np.uint32) for col in (order.pos, order.hi, order.mx))
-    pa, pb, ma = pos[A], pos[B], mx[A]
-    after = pa < pb
-    masks = (pb < pa, after & (pb <= hi[A]), after & (pb > ma), after & (pb == ma))
-    return list(zip(_T_TAGS[order.flavor], _T_ANSWERS, masks))
+    columns = {name: np.frombuffer(getattr(order, name), np.uint32) for name in ("pos", "hi", "mx")}
+    read = gatherer(columns, {"a": A, "b": B})
+    return [
+        (observation_name(obs, order.flavor), ans, comparison_mask(read, src, op, tgt, "a", "b", guard))
+        for obs, ans, src, op, tgt, guard in ORDERING_BLOCK
+    ]
 
 
 @dataclass

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import os
 import pickle
 import random
 import re
 import threading
+import traceback
 import warnings
 import zlib
 from array import array
@@ -676,6 +678,36 @@ def test_the_pass_is_bound_on_first_use():
     assert "4:T5" in tags and "4:T2" not in tags  # its first ordering is backward
 
 
+def test_the_pass_is_compiled_once_per_flavor_tuple():
+    """Every index with the same ordering flavors binds one shared code
+    object to its own columns, as globals: no closure, so a call copies no
+    cells."""
+    ix = build_index(gen_random_dag(64, 160, 0), SMALL, seed=0)
+    other = build_index(gen_random_dag(90, 200, 1), SMALL, seed=7)
+    query(ix, 0, 1)
+    query(other, 0, 1)
+    assert ix.observe.__closure__ is None
+    assert ix.observe.__code__ is other.observe.__code__
+    assert ix.observe.__globals__["pos0"] is ix.orderings[0].pos
+    assert other.observe.__globals__["pos0"] is other.orderings[0].pos
+    flipped = dataclasses.replace(ix, orderings=ix.orderings[::-1])
+    query(flipped, 0, 1)
+    assert flipped.observe.__code__ is not ix.observe.__code__
+
+
+def test_the_generated_pass_shows_its_lines():
+    """The generated source is in linecache under a filename naming the
+    flavors, so inspect and tracebacks show it."""
+    ix = build_index(gen_random_dag(64, 160, 0), SMALL, seed=0)
+    query(ix, 0, 1)
+    assert ix.observe.__code__.co_filename == "<reachidx observe (forward, backward)>"
+    source = inspect.getsource(ix.observe)
+    assert source.startswith("def observe(s, t):\n") and "return out_4_B4" in source
+    with pytest.raises(TypeError) as raised:  # a float id gets past the range check
+        query(ix, 1.5, 0)
+    assert "if lf[s] >= lf[t]:" in "".join(traceback.format_exception(raised.value))
+
+
 @pytest.mark.parametrize("clone", [lambda ix: pickle.loads(pickle.dumps(ix)), copy.deepcopy])
 def test_a_queried_index_survives_pickle_and_deepcopy(clone):
     """The bound pass, a closure, is left out of the copy's state and bound
@@ -982,7 +1014,11 @@ def test_query_decided_has_zero_work():
     assert out.work == 0
 
 
-@pytest.mark.parametrize("s,t,bad", [(-1, 5, -1), (5, 50, 50), (50, 50, 50), (-3, -3, -3)])
+@pytest.mark.parametrize(
+    "s,t,bad",
+    [(-1, 5, -1), (5, 50, 50), (50, 50, 50), (-3, -3, -3), (2**70, 0, 2**70),
+     (0, np.uint64(2**63), 2**63)],
+)
 def test_query_rejects_out_of_range_ids(s, t, bad):
     """The same text from the pass's first call, which binds it, and later."""
     ix = build_index(DiGraph.from_edges(50, [(i, i + 1) for i in range(49)]), SMALL, seed=0)
@@ -992,7 +1028,9 @@ def test_query_rejects_out_of_range_ids(s, t, bad):
     assert ix.observe is not None
 
 
-@pytest.mark.parametrize("s,t,bad", [(-4, -1, -4), (-1, 0, -1), (0, 4, 4), (2, -5, -5)])
+@pytest.mark.parametrize(
+    "s,t,bad", [(-4, -1, -4), (-1, 0, -1), (0, 4, 4), (2, -5, -5), (2**70, 1, 2**70)]
+)
 def test_try_observations_rejects_out_of_range_ids(s, t, bad):
     """Negative ids used to read the columns from their ends: (-4, -1)
     answered (True, '3:S1') and (-1, 0) answered (False, '2:B5')."""
@@ -1187,10 +1225,29 @@ def test_table_with_two_word_masks():
 
 
 def test_observation_stats_rejects_out_of_range_ids():
+    """The bulk path refuses ids as query does: out of range by the value
+    given, and not integers with TypeError.  observation_table used to read
+    [1.9] as [1] and ['3'] as [3], report uint64 2**63 as a negative id and
+    raise OverflowError for 2**70."""
     ix = build_index(DiGraph.from_edges(50, [(i, i + 1) for i in range(49)]), SMALL, seed=0)
-    for S, T, bad in [([0, -1], [1, 2], -1), ([0, 1], [2, -4], -4), ([0, 3], [1, 50], 50)]:
-        with pytest.raises(IndexError, match=rf"vertex id {bad} .*n=50"):
-            observation_stats(ix, S, T)
+    out_of_range = [
+        ([0, -1], [1, 2], -1),
+        ([0, 1], [2, -4], -4),
+        ([0, 3], [1, 50], 50),
+        ([0, 2**70], [1, 2], 2**70),
+        (np.array([2**63, 3], np.uint64), [1, 2], 2**63),
+    ]
+    not_integers = [(np.array([1.9]), [0]), (["3"], [0]), ([0, 1], [2, 0.5])]
+    for bulk in (observation_table, query_batch, observation_stats):
+        for S, T, bad in out_of_range:
+            with pytest.raises(IndexError, match=rf"^vertex id {bad} out of range for n=50$"):
+                bulk(ix, S, T)
+        for S, T in not_integers:
+            with pytest.raises(TypeError):
+                bulk(ix, S, T)
+    for s, t in [(1.9, 0), ("3", 0)]:
+        with pytest.raises(TypeError):
+            query(ix, s, t)
 
 
 def test_observation_stats_rejects_mismatched_shapes():
