@@ -9,6 +9,7 @@ and check the index's fallback against.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -102,6 +103,7 @@ def bfs_search(g: DiGraph, s: int, t: int) -> tuple[bool, int]:
     """
     check_ids(g.n, s, t)
     if s == t:
+        operator.index(s), operator.index(t)  # refuses a float id, as the search does
         return True, 0
     seen = bytearray(g.n)
     seen[s] = 1

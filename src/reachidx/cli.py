@@ -47,8 +47,8 @@ from .graph import (
     ParseResult,
     _csr_graph,
     graph_format,
-    load_graph,
     load_pairs,
+    parse_graph_bytes,
     scc_condense,
     write_edge_list,
     write_gra,
@@ -77,30 +77,31 @@ def _warn_dropped(path: str, self_loops: int, duplicates: int) -> None:
         _warn(f"{path}: dropped {duplicates} duplicate edge(s)")
 
 
-def _load(path: str, fmt: str | None) -> ParseResult:
+def _read(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _load(path: str, fmt: str | None, data: bytes) -> ParseResult:
+    """The graph file at path, whose bytes are data, parsed.  Its original
+    ids are int64, or Python ints (dtype object) when one is beyond 64
+    bits: those compare as ints, and no bundle can hold them."""
     try:
-        res = load_graph(path, fmt)
+        res = parse_graph_bytes(data, graph_format(path, fmt))
     except GraphFormatError as e:  # say which input file is at fault
         raise GraphFormatError(f"{path}: {e}") from None
     _warn_dropped(path, res.dropped_self_loops, res.dropped_duplicates)
     return res
 
 
-def _load_condensed(path: str, fmt: str | None) -> tuple[DiGraph, np.ndarray, np.ndarray]:
-    """The condensed DAG of the graph at path, its original ids ascending,
-    and the SCC of each."""
-    res = _load(path, fmt)
+def _load_condensed(
+    path: str, fmt: str | None, data: bytes
+) -> tuple[DiGraph, np.ndarray, np.ndarray]:
+    """The condensed DAG of the graph file at path, whose bytes are data,
+    its original ids ascending, and the SCC of each."""
+    res = _load(path, fmt, data)
     cond = scc_condense(res.graph)
-    return cond.dag, _id_array(res.original_ids), np.array(cond.scc_of, dtype=np.uint32)
-
-
-def _id_array(original_ids: list[int]) -> np.ndarray:
-    """The original ids as <i8, or as Python ints (dtype object) when one is
-    beyond 64 bits: those compare as ints, and no bundle can hold them."""
-    try:
-        return np.array(original_ids, dtype="<i8")
-    except OverflowError:
-        return np.array(original_ids, dtype=object)
+    return cond.dag, res.ids, np.array(cond.scc_of, dtype=np.uint32)
 
 
 def _read_pairs(
@@ -139,10 +140,10 @@ BUNDLE_VERSION = 1
 BUNDLE_HEADER = struct.Struct("<4sI32s5Q")
 
 
-def _source_digest(path: str, fmt: str) -> bytes:
+def _source_digest(data: bytes, fmt: str) -> bytes:
+    """The digest of a graph file's bytes, data, read in format fmt."""
     h = hashlib.blake2b(fmt.encode() + b"\n", digest_size=32)
-    with open(path, "rb") as f:
-        h.update(f.read())
+    h.update(data)
     return h.digest()
 
 
@@ -160,7 +161,8 @@ def _write_bundle(
         BUNDLE_MAGIC, BUNDLE_VERSION, digest, len(original_ids), dag.n, dag.m, *dropped
     )
     body = b"".join(
-        [header, original_ids.tobytes(), scc_of.tobytes(), offsets.tobytes(), targets.tobytes()]
+        [header, original_ids.astype("<i8", copy=False).tobytes(), scc_of.tobytes(),
+         offsets.tobytes(), targets.tobytes()]
     )
     f.write(body)
     f.write(struct.pack("<I", zlib.crc32(body)))
@@ -238,7 +240,7 @@ def _cmd_gen_graph(args: argparse.Namespace) -> int:
 def _cmd_gen_queries(args: argparse.Namespace) -> int:
     from .workbench import build_oracle, gen_queries, save_query_set
 
-    res = _load(args.graph, args.format)
+    res = _load(args.graph, args.format, _read(args.graph))
     oracle = build_oracle(res.graph, args.matrix_cap)
     qs = gen_queries(res.graph, args.kind, args.count, args.seed, oracle)
     with open(args.out, "w", encoding="utf-8") as f:
@@ -282,15 +284,17 @@ def _cmd_build(args: argparse.Namespace) -> int:
             raise OSError(f"{path} is the graph file: the build would overwrite its input")
     # an unwritable path fails here, before the graph is read
     with _replacing(args.out_index) as out, _replacing(bundle) as out_bundle:
-        digest = _source_digest(args.graph, fmt)
-        res = _load(args.graph, fmt)
+        source = _read(args.graph)
+        digest = _source_digest(source, fmt)
+        res = _load(args.graph, fmt, source)
         cond = scc_condense(res.graph)
         dag = cond.dag
         n_input = res.graph.n
-        original_ids = _id_array(res.original_ids)
+        original_ids = res.ids
         scc_of = np.array(cond.scc_of, dtype="<u4")
         dropped = (res.dropped_self_loops, res.dropped_duplicates)
-        del res, cond  # the input graph would only raise the peak memory of the build
+        # the file's bytes and the input graph would only raise the peak memory of the build
+        del source, res, cond
         data = serialize_index(build_index(dag, args.params, args.seed))
         out.write(data)
         if original_ids.dtype != object:
@@ -309,12 +313,14 @@ def _open_index(args: argparse.Namespace) -> tuple[ReachIndex, np.ndarray, np.nd
     graph file, and the index; return the index, the original vertex ids
     ascending and the SCC of each."""
     fmt = graph_format(args.graph, args.format)
-    bundle = _read_bundle(args.index + BUNDLE_SUFFIX, _source_digest(args.graph, fmt))
+    source = _read(args.graph)
+    bundle = _read_bundle(args.index + BUNDLE_SUFFIX, _source_digest(source, fmt))
     if bundle is None:
-        dag, ids, scc_of = _load_condensed(args.graph, fmt)
+        dag, ids, scc_of = _load_condensed(args.graph, fmt, source)
     else:
         dag, ids, scc_of, dropped = bundle
         _warn_dropped(args.graph, *dropped)
+    del source
     with open(args.index, "rb") as f:
         ix = deserialize_index(f.read(), dag)
     return ix, ids, scc_of
@@ -372,7 +378,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .workbench import QuerySet, bench
 
-    dag, ids, scc_of = _load_condensed(args.graph, args.format)
+    dag, ids, scc_of = _load_condensed(args.graph, args.format, _read(args.graph))
     query_sets = []
     for path in args.queries:
         _S, _T, CS, CT, exp = _read_pairs(path, ids, scc_of)

@@ -22,15 +22,29 @@ Python loop.  `level_fold` pushes per-vertex rows down those levels, up to
 their top one, in the same two regimes (one numpy step per wide level, a
 loop over long runs of narrow ones): the support masks and each ordering's
 Max are such folds.  Its loop shares the mask codec with the index.
+
+An edge list or query file is read as bytes, once, and tokenized whole on
+numpy arrays (`_tokenize`); the result is what str.split() gives for each
+line of the file as text mode reads it.  Plain bytes, ASCII with no '\\r'
+and no control byte but whitespace, are their own text: a token is a run
+of bytes above 32.  Any other file (non-ASCII, a UTF-8 BOM, '\\r' line
+ends, other control bytes) is decoded first and its whitespace looked up
+in a table of what str.split() splits on.  An edge list of plain bytes
+whose every token is an optional sign and up to 18 digits, with no comment
+line, has its ids read by one np.fromstring call; any other has them read
+digit column by digit column, and by int() where those cannot.  The ids
+stay in the sorted array np.unique gives (`ParseResult.ids`).
 """
 
 from __future__ import annotations
 
+import io
 import operator
 import zlib
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import IO, Iterable
 
@@ -218,13 +232,28 @@ def graph_checksum(g: DiGraph) -> int:
 # parsing
 
 
-@dataclass
+@dataclass(eq=False)
 class ParseResult:
+    """A parsed graph: the graph on dense ids 0..n-1, the original id of
+    each in ids, and what parsing dropped.
+
+    ids is ascending, int64, or Python ints (dtype object) when some id
+    needs more than 64 bits.  original_ids and id_map give the same ids as
+    a list (dense id -> original id) and as a dict (original id -> dense
+    id), each built on its first read: an index build reads neither."""
+
     graph: DiGraph
-    original_ids: list[int]  # dense id -> original id
-    id_map: dict[int, int]  # original id -> dense id
+    ids: np.ndarray
     dropped_self_loops: int = 0
     dropped_duplicates: int = 0
+
+    @cached_property
+    def original_ids(self) -> list[int]:
+        return self.ids.tolist()
+
+    @cached_property
+    def id_map(self) -> dict[int, int]:
+        return dict(zip(self.original_ids, range(len(self.ids))))
 
 
 # The code points that str.split() and str.strip() treat as whitespace,
@@ -257,76 +286,135 @@ def parse_edge_list(lines: Iterable[str]) -> ParseResult:
 class _Tokens:
     """The tokens of a text, line by line, as str.split() returns them."""
 
-    text: str
+    text: str | bytes  # bytes when they are plain (see _tokenize)
     codes: np.ndarray  # per code point; those above U+3000 read as U+3001
     line_starts: np.ndarray  # per line: offset of its first code point
     starts: np.ndarray  # per token: offset of its first code point
     ends: np.ndarray  # per token: offset past its last code point
-    line: np.ndarray  # per token: its line, ascending
     counts: np.ndarray  # per line: its tokens
+
+    @cached_property
+    def line(self) -> np.ndarray:
+        """Per token: its line, ascending."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
 
     def line_text(self, i: int) -> str:
         """Line i, stripped."""
         ls = self.line_starts
-        return self.text[ls[i] : ls[i + 1] if i + 1 < len(ls) else len(self.text)].strip()
+        text = self.text[ls[i] : ls[i + 1] if i + 1 < len(ls) else len(self.text)]
+        return (text.decode("ascii") if isinstance(text, bytes) else text).strip()
 
 
-def _tokenize(text: str, comments: str, line_starts: np.ndarray | None = None) -> _Tokens:
-    """The tokens of text, split into lines at '\\n' unless line_starts gives
-    the offset of each line.  A line whose first token starts with a
-    character of comments is a comment and holds none.  The whole text is
-    tokenized at once on an array of its code points."""
+def _codes(source: str | bytes) -> tuple[str | bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """(text, codes, word, newlines) of source, a text or the bytes of a
+    file: its text as open(path, encoding="utf-8") reads it, an array of
+    its codes, which of them are token codes, and where the '\\n' are (see
+    _tokenize for the two paths).  A decoded text is encoded as latin-1 or
+    else as UTF-32, its code points above U+3000 read as U+3001."""
+    if isinstance(source, bytes):
+        codes = np.frombuffer(source, np.uint8)
+        low = np.flatnonzero(codes < 28)  # in plain bytes '\t', '\n', '\v' and '\f'
+        if codes.max(initial=0) < 128 and (codes[low] - np.uint8(9) < 4).all():
+            return source, codes, codes > 32, low[codes[low] == 10]
+        source = source.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
-        codes = np.frombuffer(text.encode("latin-1"), np.uint8)
+        codes = np.frombuffer(source.encode("latin-1"), np.uint8)
     except UnicodeEncodeError:
-        codes = np.minimum(np.frombuffer(text.encode("utf-32-le"), np.uint32), 0x3001)
+        codes = np.minimum(np.frombuffer(source.encode("utf-32-le"), np.uint32), 0x3001)
+    return source, codes, ~_WS_TABLE[codes], np.flatnonzero(codes == 10)
+
+
+def _tokenize(
+    source: str | bytes, comments: str, line_starts: np.ndarray | None = None
+) -> _Tokens:
+    """The tokens of source, a text or the bytes of a file, split into
+    lines at '\\n' unless line_starts gives the offset of each line.  A
+    line whose first token starts with a character of comments is a
+    comment and holds none.
+
+    The whole text is tokenized at once on an array of its codes (_codes).
+    Bytes take the byte path when they are plain: ASCII with no '\\r' and
+    no control byte that is not whitespace (0-8, 14-27).  They then decode
+    to themselves, so the array is the bytes as they are, and a token byte
+    is one above 32.  Other bytes (non-ASCII, a UTF-8 BOM, '\\r', those
+    control bytes) and any text take the decode path: bytes are decoded,
+    '\\r\\n' and a lone '\\r' read as '\\n', and a token code is one the
+    whitespace table does not hold.  On either path tokens start and end
+    where the token mask changes, found in one pass, and each line's first
+    token is found by one search of the token starts."""
+    text, codes, word, newlines = _codes(source)
     if line_starts is None:
-        line_starts = np.r_[0, np.flatnonzero(codes == 10) + 1]
-    word = ~_WS_TABLE[codes]
-    starts = np.flatnonzero(word & np.r_[True, ~word[:-1]])
-    ends = np.flatnonzero(word & np.r_[~word[1:], True]) + 1
+        line_starts = np.r_[0, newlines + 1]
+    bounds = np.flatnonzero(np.diff(word, prepend=False, append=False))
     del word
-    line = np.searchsorted(line_starts, starts, side="right") - 1
-    opener = np.isin(codes[starts], [ord(c) for c in comments])
-    opener[1:] &= line[1:] != line[:-1]  # only a line's first token opens a comment
-    comment = np.zeros(len(line_starts), dtype=bool)
-    comment[line[opener]] = True
-    keep = ~comment[line]
-    starts, ends, line = starts[keep], ends[keep], line[keep]
-    counts = np.bincount(line, minlength=len(line_starts))
-    return _Tokens(text, codes, line_starts, starts, ends, line, counts)
+    starts, ends = bounds[0::2], bounds[1::2]
+    first = np.searchsorted(starts, line_starts)  # per line: its first token
+    counts = np.diff(first, append=len(starts))
+    held = np.flatnonzero(counts)
+    comment = held[np.isin(codes[starts[first[held]]], [ord(c) for c in comments])]
+    if len(comment):
+        keep = np.ones(len(line_starts), dtype=bool)
+        keep[comment] = False
+        keep = np.repeat(keep, counts)
+        starts, ends = starts[keep], ends[keep]
+        counts[comment] = 0
+    return _Tokens(text, codes, line_starts, starts, ends, counts)
 
 
-def _parse_edge_text(text: str, line_starts: np.ndarray | None = None) -> ParseResult:
-    """Edge-list text, split into lines at '\\n' unless line_starts gives the
-    offset of each line (see _tokenize)."""
-    tk = _tokenize(text, "#%", line_starts)
+def _parse_edge_text(source: str | bytes, line_starts: np.ndarray | None = None) -> ParseResult:
+    """An edge list, a text or the bytes of a file, split into lines at
+    '\\n' unless line_starts gives the offset of each line (see _tokenize)."""
+    tk = _tokenize(source, "#%", line_starts)
     bad = (tk.counts != 0) & (tk.counts != 2)
     first_bad = int(bad.argmax()) if bad.any() else len(bad)
-    # the lines before the first malformed one may still hold a bad id,
-    # which the line-by-line reading order reports first
-    before = tk.line < first_bad
-    vals, i = _parse_ids(text, tk.codes, tk.starts[before], tk.ends[before])
-    if i < len(vals):
-        raise GraphFormatError(f"line {tk.line[i] + 1}: non-integer vertex id")
-    if first_bad < len(bad):
-        raise GraphFormatError(f"line {first_bad + 1}: expected 'u v', got {tk.line_text(first_bad)!r}")
-    del tk, before
-    uniq, dense = np.unique(vals, return_inverse=True)
-    original_ids = uniq.tolist()
-    id_map = dict(zip(original_ids, range(len(original_ids))))
+    vals = _plain_ids(tk) if first_bad == len(bad) else None
+    if vals is None:
+        # the lines before the first malformed one may still hold a bad id,
+        # which the line-by-line reading order reports first
+        before = int(np.searchsorted(tk.line, first_bad))
+        vals, i = _parse_ids(tk.text, tk.codes, tk.starts[:before], tk.ends[:before])
+        if i < len(vals):
+            raise GraphFormatError(f"line {tk.line[i] + 1}: non-integer vertex id")
+        if first_bad < len(bad):
+            got = tk.line_text(first_bad)
+            raise GraphFormatError(f"line {first_bad + 1}: expected 'u v', got {got!r}")
+    del tk
+    ids, dense = np.unique(vals, return_inverse=True)
     dense = dense.reshape(-1)
-    return _finish_parse(len(original_ids), dense[0::2], dense[1::2], original_ids, id_map)
+    return _finish_parse(ids, dense[0::2], dense[1::2])
+
+
+def _plain_ids(tk: _Tokens) -> np.ndarray | None:
+    """The int64 ids of every token of tk, read at once by np.fromstring,
+    when its text is plain bytes (see _tokenize) whose every token is an
+    optional sign and 1 to 18 digits, with no comment line and no byte
+    28-31 (whitespace that fromstring does not skip); else None."""
+    codes, starts = tk.codes, tk.starts
+    if not isinstance(tk.text, bytes) or not len(starts):
+        return None
+    sign = np.isin(codes[starts], (ord("+"), ord("-")))
+    n_digits = tk.ends - starts - sign
+    if n_digits.min() < 1 or n_digits.max() > _MAX_DIGITS:
+        return None
+    # each byte above 32 is a digit or a token's sign: a comment's '#' or
+    # '%', any other byte or a sign inside a token fails this
+    digits = np.count_nonzero(codes - np.uint8(ord("0")) < 10)
+    if digits + np.count_nonzero(sign) != np.count_nonzero(codes > 32):
+        return None
+    if np.count_nonzero(codes - np.uint8(28) < 4):
+        return None
+    return np.fromstring(tk.text, np.int64, sep=" ")
 
 
 def _parse_ids(
-    text: str, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    text: str | bytes, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """(vals, i): vals[j] is int() of the token text[starts[j]:ends[j]], for
     each j before i, the first token int() refuses (len(starts) when none
     does).  Tokens of an optional sign and up to 18 ASCII digits are
     converted digit column by digit column; int() converts the rest one by
-    one.  vals holds objects when some id needs more than 64 bits."""
+    one (it reads plain bytes as their text).  vals holds objects when some
+    id needs more than 64 bits."""
     sign = np.isin(codes[starts], (ord("+"), ord("-")))
     first = starts + sign
     n_digits = ends - first
@@ -360,7 +448,7 @@ def load_pairs(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     character is '#' are skipped.  S and T hold objects when some id needs
     more than 64 bits.  Raises GraphFormatError for the first line that is
     not a pair, as a line-by-line reading meets it."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "rb") as f:
         tk = _tokenize(f.read(), "#")
     n_lines, counts, line = len(tk.counts), tk.counts, tk.line
     shape_bad = (counts != 0) & (counts != 2) & (counts != 3)
@@ -456,23 +544,19 @@ def parse_gra(lines: Iterable[str]) -> ParseResult:
         raise GraphFormatError(f"expected {n} adjacency lines, found {len(seen)}")
     u = np.repeat(np.array(sources, dtype=np.int64), degrees)
     v = np.array(targets, dtype=np.int64)
-    return _finish_parse(n, u, v, list(range(n)), {i: i for i in range(n)})
+    return _finish_parse(np.arange(n), u, v)
 
 
-def _finish_parse(
-    n: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    original_ids: list[int],
-    id_map: dict[int, int],
-) -> ParseResult:
-    """Drop self-loops and repeated edges from the dense edges (u[i], v[i]),
-    counting both, and build the graph."""
+def _finish_parse(ids: np.ndarray, u: np.ndarray, v: np.ndarray) -> ParseResult:
+    """Drop self-loops and repeated edges from the dense edges (u[i], v[i])
+    between the vertices of the original ids, counting both, and build the
+    graph."""
+    n = len(ids)
     loop = u == v
     keys = u[~loop] * n + v[~loop]
     kept = _sorted_unique(keys)
     g = _keyed_graph(n, kept)
-    return ParseResult(g, original_ids, id_map, int(loop.sum()), len(keys) - len(kept))
+    return ParseResult(g, ids, int(loop.sum()), len(keys) - len(kept))
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -497,11 +581,17 @@ def graph_format(path: str, fmt: str | None = None) -> str:
 
 def load_graph(path: str, fmt: str | None = None) -> ParseResult:
     """Parse a graph file; the format is sniffed from the suffix unless given."""
-    fmt = graph_format(path, fmt)
-    with open(path, "r", encoding="utf-8") as f:
-        if fmt == "edge-list":
-            return _parse_edge_text(f.read())
-        return parse_graph(f, fmt)
+    with open(path, "rb") as f:
+        return parse_graph_bytes(f.read(), graph_format(path, fmt))
+
+
+def parse_graph_bytes(data: bytes, fmt: str) -> ParseResult:
+    """The graph file whose bytes are data, in format fmt, read as UTF-8
+    text with universal newlines.  An edge list is read at once (see
+    _tokenize), a gra file line by line."""
+    if fmt == "edge-list":
+        return _parse_edge_text(data)
+    return parse_graph(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), fmt)
 
 
 def write_edge_list(g: DiGraph, f: IO[str]) -> None:

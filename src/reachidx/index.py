@@ -568,6 +568,8 @@ def _pass_source(flavors: tuple[str, ...]) -> str:
     for parts, tag in tests:
         exprs = [COMPARISONS[op].format(x=value(x, a), y=value(y, b)) for x, op, y, a, b in parts]
         lines.append(f"    if {' and '.join(f'({e})' if len(parts) > 1 else e for e in exprs)}:")
+        if tag == "1:EQ":  # reads no column, which would refuse a float id
+            lines.append("        index(s), index(t)")
         lines.append(f"        return {_global_name(tag)}")
     lines.append("    return None")
     return "\n".join(lines) + "\n"
@@ -603,6 +605,7 @@ def _bind_observations(ix: ReachIndex) -> Callable[[int, int], QueryOutcome | No
         "__name__": __name__,
         "n": len(ix.wcc),  # a label column: the observations never read the graph
         "check_ids": check_ids,
+        "index": operator.index,
         "lf": ix.levels.fwd,
         "lb": ix.levels.bwd,
         "fm": ss.fwd_mask,
@@ -824,6 +827,7 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
         check_ids(n, s, t)
     if s == t:
+        operator.index(s), operator.index(t)  # refuses a float id, as the columns do
         return True, 0
     lf, lb = ix.levels.fwd, ix.levels.bwd
     fq: deque[int] = deque((s,))

@@ -325,13 +325,13 @@ class Run:
     def __init__(self, monkeypatch, capsys):
         self.capsys = capsys
         self.parses = 0
-        load_graph = cli.load_graph
+        parse = cli.parse_graph_bytes
 
         def counting(*args):
             self.parses += 1
-            return load_graph(*args)
+            return parse(*args)
 
-        monkeypatch.setattr(cli, "load_graph", counting)
+        monkeypatch.setattr(cli, "parse_graph_bytes", counting)
 
     def __call__(self, argv: list[str], parses: int) -> tuple[int, str, str]:
         before = self.parses

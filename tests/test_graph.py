@@ -292,7 +292,8 @@ def _reference_edge_list(lines):
 
 
 _IDS = st.sampled_from([-(2**40), -7, -1, 0, 1, 2, 9, 10, 99, 12345, 2**31, 2**40 + 3])
-_MALFORMED = ["5", "1 2 3", "1 2 # note", "a 1", "1 x", "1.5 2", "0x10 1", "- 1"]
+_MALFORMED = ["5", "1 2 3", "1 2 # note", "a 1", "1 x", "1.5 2", "0x10 1", "- 1", "1 2-3",
+              "1\x012 3"]
 
 
 @st.composite
@@ -305,7 +306,8 @@ def edge_list_texts(draw):
             lines.append(draw(st.sampled_from(["# c", "%c 1 2", "  # 1 2 3", "\t%"])))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
-        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        # '\x1c' is whitespace to str.split() only, '\u00a0' and '\u3000' are not ASCII
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t ", "\x1c", "\u00a0", " \u3000"]))
         lead = draw(st.sampled_from(["", " ", "\t"]))
         trail = draw(st.sampled_from(["", " ", "\t", "\r"]))
         lines.append(f"{lead}{u}{sep}{v}{trail}")
@@ -334,17 +336,43 @@ def _reference_outcome(lines):
 
 
 @settings(max_examples=150, deadline=None)
-@given(edge_list_texts(), st.sampled_from(["\n", "\r\n"]))
-def test_parse_edge_list_matches_line_by_line_reference(lines, newline):
+@given(edge_list_texts(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+def test_parse_edge_list_matches_line_by_line_reference(lines, newline, bom):
+    """As lines, and as a file: plain ASCII is read as bytes, and a file
+    with '\\r', a control byte, non-ASCII text or a UTF-8 BOM is decoded."""
     expected = _reference_outcome(lines)
     assert _outcome(parse_edge_list, lines) == expected
     assert _outcome(parse_edge_list, [ln + "\n" for ln in lines]) == expected
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "g.txt")
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write("".join(ln + newline for ln in lines))
+            f.write("\ufeff" * bom + "".join(ln + newline for ln in lines))
         with open(path, encoding="utf-8") as f:  # a lone '\r' ends a line here
             assert _outcome(load_graph, path) == _reference_outcome(f)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0012 -0\n +7\t8 \n\n3\x0b4\x0c\n",  # np.fromstring reads these ids
+        "+5 -0_7\n1_000 3\n",  # underscores: only int() reads them
+        f"{2**70} 5\n{-(2**63)} 5\n999999999999999999 1\n",  # past 18 digits
+        "# c\n1 2\n% 3 4\n2 3\n",  # comment lines
+        "1\x1c2\n2\x1f3\n",  # whitespace that np.fromstring does not skip
+        "1 2-3\n",
+        "1 +-2\n",
+        "5 -\n",
+        "1 2\n3\n",
+        "",
+        " \n\t\n",
+    ],
+)
+def test_plain_edge_list_file_reads_as_the_reference(tmp_path, text):
+    """Plain ASCII files: those np.fromstring reads at once, and each kind
+    that the digit-column loop reads instead."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    assert _outcome(load_graph, str(path)) == _reference_outcome(text.split("\n"))
 
 
 def test_whitespace_list_is_what_isspace_says():

@@ -710,8 +710,9 @@ def test_the_generated_pass_shows_its_lines():
 
 @pytest.mark.parametrize("clone", [lambda ix: pickle.loads(pickle.dumps(ix)), copy.deepcopy])
 def test_a_queried_index_survives_pickle_and_deepcopy(clone):
-    """The bound pass, a closure, is left out of the copy's state and bound
-    again on its first query; the packed keys are copied."""
+    """The bound pass, a function whose globals hold the index's columns,
+    is left out of the copy's state and bound again on its first query; the
+    packed keys are copied."""
     g = gen_random_dag(64, 160, 0)
     ix = build_index(g, SMALL, seed=0)
     pairs = list(zip(*all_pairs(g.n)))
@@ -1228,7 +1229,9 @@ def test_observation_stats_rejects_out_of_range_ids():
     """The bulk path refuses ids as query does: out of range by the value
     given, and not integers with TypeError.  observation_table used to read
     [1.9] as [1] and ['3'] as [3], report uint64 2**63 as a negative id and
-    raise OverflowError for 2**70."""
+    raise OverflowError for 2**70.  A float id equal to an int one reads no
+    column when s == t: query, try_observations and both resolvers used to
+    answer (2.0, 2.0) reachable."""
     ix = build_index(DiGraph.from_edges(50, [(i, i + 1) for i in range(49)]), SMALL, seed=0)
     out_of_range = [
         ([0, -1], [1, 2], -1),
@@ -1237,7 +1240,7 @@ def test_observation_stats_rejects_out_of_range_ids():
         ([0, 2**70], [1, 2], 2**70),
         (np.array([2**63, 3], np.uint64), [1, 2], 2**63),
     ]
-    not_integers = [(np.array([1.9]), [0]), (["3"], [0]), ([0, 1], [2, 0.5])]
+    not_integers = [(np.array([1.9]), [0]), (["3"], [0]), ([0, 1], [2, 0.5]), ([2.0], [2.0])]
     for bulk in (observation_table, query_batch, observation_stats):
         for S, T, bad in out_of_range:
             with pytest.raises(IndexError, match=rf"^vertex id {bad} out of range for n=50$"):
@@ -1245,9 +1248,10 @@ def test_observation_stats_rejects_out_of_range_ids():
         for S, T in not_integers:
             with pytest.raises(TypeError):
                 bulk(ix, S, T)
-    for s, t in [(1.9, 0), ("3", 0)]:
-        with pytest.raises(TypeError):
-            query(ix, s, t)
+    for scalar in (query, try_observations, PBIBFS.run, PLAIN_BFS.run):
+        for s, t in [(1.9, 0), ("3", 0), (2.0, 2.0), (2, 2.0)]:
+            with pytest.raises(TypeError):
+                scalar(ix, s, t)
 
 
 def test_observation_stats_rejects_mismatched_shapes():
