@@ -48,7 +48,7 @@ from .graph import (
     _csr_graph,
     graph_format,
     load_pairs,
-    parse_graph_bytes,
+    parse_graph,
     scc_condense,
     write_edge_list,
     write_gra,
@@ -87,7 +87,7 @@ def _load(path: str, fmt: str | None, data: bytes) -> ParseResult:
     ids are int64, or Python ints (dtype object) when one is beyond 64
     bits: those compare as ints, and no bundle can hold them."""
     try:
-        res = parse_graph_bytes(data, graph_format(path, fmt))
+        res = parse_graph(data, graph_format(path, fmt))
     except GraphFormatError as e:  # say which input file is at fault
         raise GraphFormatError(f"{path}: {e}") from None
     _warn_dropped(path, res.dropped_self_loops, res.dropped_duplicates)

@@ -23,22 +23,16 @@ their top one, in the same two regimes (one numpy step per wide level, a
 loop over long runs of narrow ones): the support masks and each ordering's
 Max are such folds.  Its loop shares the mask codec with the index.
 
-An edge list or query file is read as bytes, once, and tokenized whole on
-numpy arrays (`_tokenize`); the result is what str.split() gives for each
-line of the file as text mode reads it.  Plain bytes, ASCII with no '\\r'
-and no control byte but whitespace, are their own text: a token is a run
-of bytes above 32.  Any other file (non-ASCII, a UTF-8 BOM, '\\r' line
-ends, other control bytes) is decoded first and its whitespace looked up
-in a table of what str.split() splits on.  An edge list of plain bytes
-whose every token is an optional sign and up to 18 digits, with no comment
-line, has its ids read by one np.fromstring call; any other has them read
-digit column by digit column, and by int() where those cannot.  The ids
-stay in the sorted array np.unique gives (`ParseResult.ids`).
+Every input file, an edge list, a gra file or a query file, is read as
+bytes, once, and tokenized whole on numpy arrays (`_tokenize`) into what
+str.split() gives for each line of the file as text mode reads it.  Ids
+are read from the tokens by `_parse_ids`, or for a plain edge list by one
+np.fromstring call (`_plain_ids`).  The ids of an edge list stay in the
+sorted array np.unique gives (`ParseResult.ids`).
 """
 
 from __future__ import annotations
 
-import io
 import operator
 import zlib
 from array import array
@@ -270,18 +264,6 @@ _WS_TABLE[_WHITESPACE] = True
 _MAX_DIGITS = 18  # any 18-digit decimal fits an int64
 
 
-def parse_edge_list(lines: Iterable[str]) -> ParseResult:
-    """One edge per line as two whitespace-separated integer ids.
-
-    Blank lines and lines whose first non-blank character is '#' or '%' are
-    skipped.  An id is any string int() accepts: optional sign, decimal
-    digits, underscores between digits, no size limit."""
-    lines = list(lines)
-    lens = np.fromiter(map(len, lines), np.int64, len(lines))
-    starts = np.r_[0, np.cumsum(lens + 1)[:-1]]
-    return _parse_edge_text("\n".join(lines), starts)
-
-
 @dataclass
 class _Tokens:
     """The tokens of a text, line by line, as str.split() returns them."""
@@ -305,46 +287,40 @@ class _Tokens:
         return (text.decode("ascii") if isinstance(text, bytes) else text).strip()
 
 
-def _codes(source: str | bytes) -> tuple[str | bytes, np.ndarray, np.ndarray, np.ndarray]:
-    """(text, codes, word, newlines) of source, a text or the bytes of a
-    file: its text as open(path, encoding="utf-8") reads it, an array of
-    its codes, which of them are token codes, and where the '\\n' are (see
-    _tokenize for the two paths).  A decoded text is encoded as latin-1 or
-    else as UTF-32, its code points above U+3000 read as U+3001."""
-    if isinstance(source, bytes):
-        codes = np.frombuffer(source, np.uint8)
-        low = np.flatnonzero(codes < 28)  # in plain bytes '\t', '\n', '\v' and '\f'
-        if codes.max(initial=0) < 128 and (codes[low] - np.uint8(9) < 4).all():
-            return source, codes, codes > 32, low[codes[low] == 10]
-        source = source.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+def _codes(data: bytes) -> tuple[str | bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """(text, codes, word, newlines) of a file's bytes: its text (see
+    _tokenize), an array of its codes (those above U+3000 read as U+3001),
+    which of them are token codes, and where the '\\n' are.  Bytes that are
+    not UTF-8 are a GraphFormatError naming the line of the first bad one."""
+    codes = np.frombuffer(data, np.uint8)
+    low = np.flatnonzero(codes < 28)  # in plain bytes '\t', '\n', '\v' and '\f'
+    if codes.max(initial=0) < 128 and (codes[low] - np.uint8(9) < 4).all():
+        return data, codes, codes > 32, low[codes[low] == 10]
     try:
-        codes = np.frombuffer(source.encode("latin-1"), np.uint8)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data[: e.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise GraphFormatError(f"line {line}: not UTF-8 (byte 0x{data[e.start]:02x})") from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        codes = np.frombuffer(text.encode("latin-1"), np.uint8)
     except UnicodeEncodeError:
-        codes = np.minimum(np.frombuffer(source.encode("utf-32-le"), np.uint32), 0x3001)
-    return source, codes, ~_WS_TABLE[codes], np.flatnonzero(codes == 10)
+        codes = np.minimum(np.frombuffer(text.encode("utf-32-le"), np.uint32), 0x3001)
+    return text, codes, ~_WS_TABLE[codes], np.flatnonzero(codes == 10)
 
 
-def _tokenize(
-    source: str | bytes, comments: str, line_starts: np.ndarray | None = None
-) -> _Tokens:
-    """The tokens of source, a text or the bytes of a file, split into
-    lines at '\\n' unless line_starts gives the offset of each line.  A
-    line whose first token starts with a character of comments is a
-    comment and holds none.
+def _tokenize(data: bytes, comments: str) -> _Tokens:
+    """The tokens of a file's bytes, split into lines at '\\n'; a line whose
+    first token starts with a character of comments holds none.
 
-    The whole text is tokenized at once on an array of its codes (_codes).
-    Bytes take the byte path when they are plain: ASCII with no '\\r' and
-    no control byte that is not whitespace (0-8, 14-27).  They then decode
-    to themselves, so the array is the bytes as they are, and a token byte
-    is one above 32.  Other bytes (non-ASCII, a UTF-8 BOM, '\\r', those
-    control bytes) and any text take the decode path: bytes are decoded,
-    '\\r\\n' and a lone '\\r' read as '\\n', and a token code is one the
-    whitespace table does not hold.  On either path tokens start and end
-    where the token mask changes, found in one pass, and each line's first
-    token is found by one search of the token starts."""
-    text, codes, word, newlines = _codes(source)
-    if line_starts is None:
-        line_starts = np.r_[0, newlines + 1]
+    Plain bytes (ASCII with no '\\r' and no control byte 0-8 or 14-27) are
+    their own text, and a token byte is one above 32.  Other bytes are
+    decoded as open(path, encoding="utf-8") reads them, '\\r\\n' and a lone
+    '\\r' as '\\n', and a token code is one the whitespace table does not
+    hold.  Tokens start and end where the token mask changes, found in one
+    pass, and each line's first token by one search of the token starts."""
+    text, codes, word, newlines = _codes(data)
+    line_starts = np.r_[0, newlines + 1]
     bounds = np.flatnonzero(np.diff(word, prepend=False, append=False))
     del word
     starts, ends = bounds[0::2], bounds[1::2]
@@ -361,10 +337,9 @@ def _tokenize(
     return _Tokens(text, codes, line_starts, starts, ends, counts)
 
 
-def _parse_edge_text(source: str | bytes, line_starts: np.ndarray | None = None) -> ParseResult:
-    """An edge list, a text or the bytes of a file, split into lines at
-    '\\n' unless line_starts gives the offset of each line (see _tokenize)."""
-    tk = _tokenize(source, "#%", line_starts)
+def _parse_edge_text(data: bytes) -> ParseResult:
+    """An edge list (see parse_graph) from its file's bytes."""
+    tk = _tokenize(data, "#%")
     bad = (tk.counts != 0) & (tk.counts != 2)
     first_bad = int(bad.argmax()) if bad.any() else len(bad)
     vals = _plain_ids(tk) if first_bad == len(bad) else None
@@ -439,6 +414,104 @@ def _parse_ids(
     return vals, len(starts)
 
 
+def _gra_edges(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ids, u, v) of a gra file: its vertices 0..n-1 and its edges (u[i],
+    v[i]).  Each line is cut at its first ':' into head and neighbours.  The
+    checks run on arrays, and the first line failing one gives the error a
+    line-by-line reading meets first."""
+    tk = _tokenize(data, "#%")
+    held = np.flatnonzero(tk.counts)  # lines that are neither blank nor comments
+    if not len(held):
+        raise GraphFormatError("empty gra file")
+    at = int(not tk.line_text(held[0]).lstrip("-").isdigit())  # past a header, e.g. a tool name
+    if at == len(held):
+        raise GraphFormatError("gra file ends before vertex count")
+    count = tk.line_text(held[at])
+    try:
+        n = int(count)
+    except ValueError:
+        raise GraphFormatError(f"line {held[at] + 1}: bad vertex count {count!r}") from None
+    if n < 0:
+        raise GraphFormatError(f"line {held[at] + 1}: negative vertex count")
+
+    lines = held[at + 1 :]  # the adjacency lines: "per line" below
+    text, codes, starts, ends = tk.text, tk.codes, tk.starts, tk.ends
+    t0 = int(tk.counts[: held[at] + 1].sum())
+    last = t0 + np.cumsum(tk.counts[lines]) - 1  # per line: its last token
+    first = last - tk.counts[lines] + 1
+    # per line: its first ':' (cut) and its token (ct), or its end and last token
+    colons = np.flatnonzero(codes == ord(":"))
+    tok = np.searchsorted(starts, colons, "right") - 1
+    inside = (tok >= t0) & (colons < ends[tok])  # not in a comment line or above the lines
+    colons, tok = colons[inside], tok[inside]
+    line, where = np.unique(np.searchsorted(first, tok, "right") - 1, return_index=True)
+    cut, ct = ends[last], last.copy()
+    cut[line], ct[line] = colons[where], tok[where]
+    has_colon = cut < ends[last]
+    split = starts[ct] < cut  # the head ends in the token holding the ':'
+    hs = np.where(split, starts[ct], starts[ct - 1])  # per line: its head's bounds
+    he = np.where(split, cut, ends[ct - 1])
+    head_ok = has_colon & (ct - first + split == 1)
+    seps = np.flatnonzero((codes >= 28) & (codes <= 31))
+    if len(seps):  # int() strips no U+001C..U+001F from a head's end
+        head_ok &= np.searchsorted(seps, hs) == np.searchsorted(seps, cut)
+    tail = np.where(ct == last, cut + 1, starts[last])  # per line: its last piece
+    closed = has_colon & (ends[last] - tail == 1) & (codes.take(tail, mode="clip") == ord("#"))
+    shape = head_ok & closed
+    f = len(lines) if shape.all() else int(shape.argmin())  # the first of the wrong shape
+
+    # the heads up to line f, and the neighbours of the lines before it: the
+    # tokens from the ':' one, read from past the ':', up to the last ('#')
+    nh = f + (f < len(lines) and bool(head_ok[f]))
+    hv, ih = _parse_ids(text, codes, hs[:nh], he[:nh])
+    end = first[f] if f < len(lines) else len(starts)
+    ns, ne = starts[:end].copy(), ends[:end]
+    ns[ct[:f]] = cut[:f] + 1
+    mark = np.zeros(end, np.int8)
+    mark[ct[:f]] = 1
+    mark[last[:f]] -= 1
+    nbr = np.cumsum(mark, dtype=np.int8).view(bool) & (ne > ns)
+    ns, ne = ns[nbr], ne[nbr]
+    nv, i = _parse_ids(text, codes, ns, ne)
+    deg = last - ct - ((ct < last) & (ends[ct] <= cut + 1))  # per line: its neighbours
+
+    bad_head = _bad_ids(hv, ih, n)  # or read on an earlier line
+    order = np.argsort(hv[:ih], kind="stable")
+    bad_head[order[1:][hv[order[1:]] == hv[order[:-1]]]] = True
+    bad_nbr = _bad_ids(nv, i, n)
+    k = int(bad_nbr.argmax()) if bad_nbr.any() else None
+    e = min(f, int(bad_head.argmax()) if bad_head.any() else f,
+            f if k is None else int(np.searchsorted(starts[first], ns[k], "right") - 1))
+    if e < len(lines):  # the checks of line e in their line-by-line order
+        head, _, rest = tk.line_text(lines[e]).partition(":")
+        if not has_colon[e]:
+            why = "expected 'i: ... #'"
+        elif not head_ok[e] or e == ih:
+            why = f"bad vertex id {head!r}"
+        elif bad_head[e]:  # a repeated head passed the range check on its first line
+            why = (f"duplicate adjacency line for {hv[e]}" if hv[e] in hv[:e]
+                   else f"vertex {hv[e]} inconsistent with declared count {n}")
+        elif not closed[e]:
+            why = "adjacency not terminated by '#'"
+        elif k == i:
+            why = f"bad neighbor id {rest.split()[k - deg[:e].sum()]!r}"
+        else:
+            why = f"neighbor {nv[k]} inconsistent with declared count {n}"
+        raise GraphFormatError(f"line {lines[e] + 1}: {why}")
+    if len(lines) != n:
+        raise GraphFormatError(f"expected {n} adjacency lines, found {len(lines)}")
+    return np.arange(n), np.repeat(hv.astype(np.int64), deg), nv.astype(np.int64)
+
+
+def _bad_ids(vals: np.ndarray, i: int, n: int) -> np.ndarray:
+    """Per id of vals, as _parse_ids gives them: whether it is outside
+    0..n-1, for those before i; vals[i] is refused, those after it unread."""
+    top = n - 1 if vals.dtype == object else min(n - 1, 2**63 - 1)
+    bad = np.arange(len(vals)) == i
+    bad[:i] = (vals[:i] < 0) | (vals[:i] > top)
+    return bad
+
+
 def load_pairs(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The query file at path, read at once, as (S, T, expected): the pair
     (S[i], T[i]) and its expected bit, 1 or 0, or -1 when it has none.
@@ -448,8 +521,11 @@ def load_pairs(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     character is '#' are skipped.  S and T hold objects when some id needs
     more than 64 bits.  Raises GraphFormatError for the first line that is
     not a pair, as a line-by-line reading meets it."""
-    with open(path, "rb") as f:
-        tk = _tokenize(f.read(), "#")
+    try:
+        with open(path, "rb") as f:
+            tk = _tokenize(f.read(), "#")
+    except GraphFormatError as e:  # not UTF-8: 'line N: ...' as 'path:N: ...'
+        raise GraphFormatError(f"{path}:{str(e).removeprefix('line ')}") from None
     n_lines, counts, line = len(tk.counts), tk.counts, tk.line
     shape_bad = (counts != 0) & (counts != 2) & (counts != 3)
     col = np.arange(len(line)) - (np.cumsum(counts) - counts)[line]  # place in its line
@@ -473,80 +549,6 @@ def load_pairs(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return vals[0::2], vals[1::2], expected
 
 
-def _clean_lines(lines: Iterable[str]) -> Iterable[tuple[int, str]]:
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        yield lineno, line
-
-
-def parse_gra(lines: Iterable[str]) -> ParseResult:
-    """Adjacency format: vertex count first, then one 'i: j1 j2 ... #' line per vertex.
-
-    An optional literal header line before the count is tolerated and skipped.
-    """
-    it = iter(_clean_lines(lines))
-    try:
-        lineno, line = next(it)
-    except StopIteration:
-        raise GraphFormatError("empty gra file") from None
-    if not line.lstrip("-").isdigit():
-        # tolerated header line, e.g. a tool name
-        try:
-            lineno, line = next(it)
-        except StopIteration:
-            raise GraphFormatError("gra file ends before vertex count") from None
-    try:
-        n = int(line)
-    except ValueError:
-        raise GraphFormatError(f"line {lineno}: bad vertex count {line!r}") from None
-    if n < 0:
-        raise GraphFormatError(f"line {lineno}: negative vertex count")
-
-    seen: set[int] = set()  # grows with the lines read, not with n
-    sources: list[int] = []
-    degrees: list[int] = []
-    targets: list[int] = []
-    for lineno, line in it:
-        head, sep, rest = line.partition(":")
-        if not sep:
-            raise GraphFormatError(f"line {lineno}: expected 'i: ... #'")
-        try:
-            u = int(head)
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: bad vertex id {head!r}") from None
-        if not 0 <= u < n:
-            raise GraphFormatError(
-                f"line {lineno}: vertex {u} inconsistent with declared count {n}"
-            )
-        if u in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate adjacency line for {u}")
-        seen.add(u)
-        parts = rest.split()
-        if not parts or parts[-1] != "#":
-            raise GraphFormatError(f"line {lineno}: adjacency not terminated by '#'")
-        for tok in parts[:-1]:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: bad neighbor id {tok!r}"
-                ) from None
-            if not 0 <= v < n:
-                raise GraphFormatError(
-                    f"line {lineno}: neighbor {v} inconsistent with declared count {n}"
-                )
-            targets.append(v)
-        sources.append(u)
-        degrees.append(len(parts) - 1)
-    if len(seen) != n:
-        raise GraphFormatError(f"expected {n} adjacency lines, found {len(seen)}")
-    u = np.repeat(np.array(sources, dtype=np.int64), degrees)
-    v = np.array(targets, dtype=np.int64)
-    return _finish_parse(np.arange(n), u, v)
-
-
 def _finish_parse(ids: np.ndarray, u: np.ndarray, v: np.ndarray) -> ParseResult:
     """Drop self-loops and repeated edges from the dense edges (u[i], v[i])
     between the vertices of the original ids, counting both, and build the
@@ -564,11 +566,17 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.r_[True, a[1:] != a[:-1]]] if len(a) else a
 
 
-def parse_graph(lines: Iterable[str], fmt: str) -> ParseResult:
+def parse_graph(data: bytes | str, fmt: str) -> ParseResult:
+    """The graph in data, a file's bytes or its text (read as the file
+    holding it), in format fmt, "edge-list" or "gra" (README.md, "File
+    formats").  Raises GraphFormatError at the first line that breaks the
+    format, ValueError for an unknown fmt."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     if fmt == "edge-list":
-        return parse_edge_list(lines)
+        return _parse_edge_text(data)
     if fmt == "gra":
-        return parse_gra(lines)
+        return _finish_parse(*_gra_edges(data))
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
@@ -582,16 +590,7 @@ def graph_format(path: str, fmt: str | None = None) -> str:
 def load_graph(path: str, fmt: str | None = None) -> ParseResult:
     """Parse a graph file; the format is sniffed from the suffix unless given."""
     with open(path, "rb") as f:
-        return parse_graph_bytes(f.read(), graph_format(path, fmt))
-
-
-def parse_graph_bytes(data: bytes, fmt: str) -> ParseResult:
-    """The graph file whose bytes are data, in format fmt, read as UTF-8
-    text with universal newlines.  An edge list is read at once (see
-    _tokenize), a gra file line by line."""
-    if fmt == "edge-list":
-        return _parse_edge_text(data)
-    return parse_graph(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), fmt)
+        return parse_graph(f.read(), graph_format(path, fmt))
 
 
 def write_edge_list(g: DiGraph, f: IO[str]) -> None:

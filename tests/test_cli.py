@@ -10,7 +10,7 @@ import pytest
 
 from reachidx import cli
 from reachidx.cli import build_parser, main
-from reachidx.graph import load_graph, parse_edge_list, scc_condense
+from reachidx.graph import load_graph, parse_graph, scc_condense
 from reachidx.index import IndexParams, deserialize_index, query
 
 from conftest import PINNED_EDGE_LIST
@@ -29,7 +29,7 @@ def test_gen_graph_edge_list(tmp_path, capsys):
     assert main(["gen-graph", "--n", "12", "--m", "20", "--seed", "3",
                  "--out", str(out)]) == 0
     assert "wrote edge-list graph n=12 m=20" in capsys.readouterr().out
-    res = parse_edge_list(out.read_text().splitlines())
+    res = parse_graph(out.read_text(), "edge-list")
     assert res.graph.m == 20
 
 
@@ -325,13 +325,13 @@ class Run:
     def __init__(self, monkeypatch, capsys):
         self.capsys = capsys
         self.parses = 0
-        parse = cli.parse_graph_bytes
+        parse = cli.parse_graph
 
         def counting(*args):
             self.parses += 1
             return parse(*args)
 
-        monkeypatch.setattr(cli, "parse_graph_bytes", counting)
+        monkeypatch.setattr(cli, "parse_graph", counting)
 
     def __call__(self, argv: list[str], parses: int) -> tuple[int, str, str]:
         before = self.parses
@@ -615,6 +615,24 @@ def test_graph_errors_name_the_graph_file(pinned, tmp_path):
             main([*argv, "--format", "gra"])
         assert e.value.code == f"error: {g}: line 4: bad vertex count '10 70'"
     assert not (tmp_path / "x.ridx").exists()  # a failed build leaves no index
+
+
+def test_input_file_that_is_not_utf8_is_one_error_line(pinned, tmp_path):
+    g, idx, _pairs, _run = pinned
+    for name, text in [("bad.txt", b"0 1\n1 \xff\n"), ("bad.gra", b"2\n0: \xff1 #\n1: #\n")]:
+        bad = str(tmp_path / name)
+        with open(bad, "wb") as f:
+            f.write(text)
+        with pytest.raises(SystemExit) as e:
+            main(["build", "--graph", bad, "--out-index", str(tmp_path / "x.ridx")])
+        assert e.value.code == f"error: {bad}: line 2: not UTF-8 (byte 0xff)"
+    bad = str(tmp_path / "q.txt")
+    with open(bad, "wb") as f:
+        f.write(b"-3 7\n\r7 \xff8\n")
+    with pytest.raises(SystemExit) as e:
+        main(["query", "--graph", g, "--index", idx, "--pairs", bad])
+    assert e.value.code == f"error: {bad}:3: not UTF-8 (byte 0xff)"
+    assert not (tmp_path / "x.ridx").exists()
 
 
 def test_build_refuses_to_write_over_its_graph(tmp_path, capsys, monkeypatch):

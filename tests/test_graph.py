@@ -24,8 +24,6 @@ from reachidx.graph import (
     GraphFormatError,
     graph_checksum,
     load_graph,
-    parse_edge_list,
-    parse_gra,
     parse_graph,
     _csr_graph,
     _hook_and_compress,
@@ -176,30 +174,30 @@ def test_csr_graph_in_rows_are_the_transposition(n, m):
 
 
 def test_parse_edge_list_dense():
-    res = parse_edge_list(io.StringIO("0 1\n1 2\n"))
+    res = parse_graph("0 1\n1 2\n", "edge-list")
     assert res.graph.n == 3 and res.graph.m == 2
     assert res.original_ids == [0, 1, 2]
 
 
 def test_parse_edge_list_comments_and_blank_lines():
-    res = parse_edge_list(["# header", "% other comment", "", "0 1", "1 2"])
+    res = parse_graph("# header\n% other comment\n\n0 1\n1 2", "edge-list")
     assert res.graph.m == 2
 
 
 def test_parse_edge_list_drops_self_loop_with_count():
-    res = parse_edge_list(["0 0"])
+    res = parse_graph("0 0", "edge-list")
     assert res.graph.n == 1 and res.graph.m == 0
     assert res.dropped_self_loops == 1
 
 
 def test_parse_edge_list_drops_duplicates_with_count():
-    res = parse_edge_list(["0 1", "0 1", "1 2"])
+    res = parse_graph("0 1\n0 1\n1 2", "edge-list")
     assert res.graph.m == 2
     assert res.dropped_duplicates == 1
 
 
 def test_parse_edge_list_sparse_ids_remap():
-    res = parse_edge_list(["10 30", "30 20"])
+    res = parse_graph("10 30\n30 20", "edge-list")
     assert res.graph.n == 3
     assert res.original_ids == [10, 20, 30]
     assert res.id_map == {10: 0, 20: 1, 30: 2}
@@ -209,48 +207,49 @@ def test_parse_edge_list_sparse_ids_remap():
 
 def test_parse_edge_list_malformed_line_reports_lineno():
     with pytest.raises(GraphFormatError, match="line 2"):
-        parse_edge_list(["0 1", "0 1 2"])
+        parse_graph("0 1\n0 1 2", "edge-list")
     with pytest.raises(GraphFormatError, match="non-integer"):
-        parse_edge_list(["a b"])
+        parse_graph("a b", "edge-list")
 
 
 def test_parse_gra_example():
-    res = parse_gra(io.StringIO("3\n0: 1 2 #\n1: #\n2: #\n"))
+    res = parse_graph("3\n0: 1 2 #\n1: #\n2: #\n", "gra")
     assert res.graph.n == 3 and res.graph.m == 2
     assert successors(res.graph, 0) == [1, 2]
     assert res.original_ids == [0, 1, 2]
 
 
 def test_parse_gra_tolerates_header_line():
-    res = parse_gra(["graph_for_testing", "2", "0: 1 #", "1: #"])
+    res = parse_graph("graph_for_testing\n2\n0: 1 #\n1: #", "gra")
     assert res.graph.n == 2 and res.graph.m == 1
 
 
 def test_parse_gra_inconsistent_count_is_error():
     with pytest.raises(GraphFormatError, match="inconsistent"):
-        parse_gra(["2", "0: 5 #", "1: #"])
+        parse_graph("2\n0: 5 #\n1: #", "gra")
     with pytest.raises(GraphFormatError, match="adjacency lines"):
-        parse_gra(["3", "0: #", "1: #"])
+        parse_graph("3\n0: #\n1: #", "gra")
 
 
 def test_parse_gra_requires_terminator():
     with pytest.raises(GraphFormatError, match="terminated"):
-        parse_gra(["1", "0: 1 2"])
+        parse_graph("1\n0: 1 2", "gra")
 
 
 def test_parse_gra_huge_declared_count_is_format_error():
-    # the seen-id table grows with the lines read, not with the declared n
-    n = 10**12
-    with pytest.raises(GraphFormatError, match=f"expected {n} adjacency lines, found 0"):
-        parse_gra([str(n)])
-    with pytest.raises(GraphFormatError, match="found 1$"):
-        parse_gra([str(n), "0: 1 #"])
+    # nothing is sized by the declared n before the line count matches it:
+    # an array of 10**12 cells fails to allocate, one of 10**30 to exist
+    for n in (10**12, 10**30):
+        with pytest.raises(GraphFormatError, match=f"^expected {n} adjacency lines, found 0$"):
+            parse_graph(str(n), "gra")
+        with pytest.raises(GraphFormatError, match=f"^expected {n} adjacency lines, found 1$"):
+            parse_graph(f"{n}\n0: 1 #", "gra")
 
 
 def test_parse_graph_dispatch_and_unknown_format():
-    assert parse_graph(["0 1"], "edge-list").graph.m == 1
+    assert parse_graph("0 1", "edge-list").graph.m == 1
     with pytest.raises(ValueError):
-        parse_graph(["0 1"], "tsv")
+        parse_graph("0 1", "tsv")
 
 
 @given(dags(max_n=10))
@@ -260,10 +259,10 @@ def test_write_parse_roundtrip_both_formats(g):
     # isolated vertices vanish from an edge list; compare via gra instead
     buf2 = io.StringIO()
     write_gra(g, buf2)
-    res = parse_gra(io.StringIO(buf2.getvalue()))
+    res = parse_graph(buf2.getvalue(), "gra")
     assert rows(res.graph)[0] == rows(g)[0]
     if g.m:
-        res2 = parse_edge_list(io.StringIO(buf.getvalue()))
+        res2 = parse_graph(buf.getvalue(), "edge-list")
         assert edge_pairs(res2.graph) == sorted(
             (res2.id_map[u], res2.id_map[v]) for u, v in edge_pairs(g)
         )
@@ -318,9 +317,9 @@ def edge_list_texts(draw):
     return lines
 
 
-def _outcome(parse, lines):
+def _outcome(parse, *args):
     try:
-        res = parse(lines)
+        res = parse(*args)
     except GraphFormatError as e:
         return "error", str(e)
     assert res.id_map == {x: i for i, x in enumerate(res.original_ids)}
@@ -328,9 +327,9 @@ def _outcome(parse, lines):
             res.dropped_self_loops, res.dropped_duplicates)
 
 
-def _reference_outcome(lines):
+def _reference_outcome(lines, reference=_reference_edge_list):
     try:
-        return _reference_edge_list(lines)
+        return reference(lines)
     except GraphFormatError as e:
         return "error", str(e)
 
@@ -338,11 +337,8 @@ def _reference_outcome(lines):
 @settings(max_examples=150, deadline=None)
 @given(edge_list_texts(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
 def test_parse_edge_list_matches_line_by_line_reference(lines, newline, bom):
-    """As lines, and as a file: plain ASCII is read as bytes, and a file
-    with '\\r', a control byte, non-ASCII text or a UTF-8 BOM is decoded."""
-    expected = _reference_outcome(lines)
-    assert _outcome(parse_edge_list, lines) == expected
-    assert _outcome(parse_edge_list, [ln + "\n" for ln in lines]) == expected
+    """As a file: plain ASCII is read as bytes, and a file with '\\r', a
+    control byte, non-ASCII text or a UTF-8 BOM is decoded."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "g.txt")
         with open(path, "w", encoding="utf-8", newline="") as f:
@@ -375,6 +371,147 @@ def test_plain_edge_list_file_reads_as_the_reference(tmp_path, text):
     assert _outcome(load_graph, str(path)) == _reference_outcome(text.split("\n"))
 
 
+def _reference_gra(lines):
+    """Line-by-line reading of a gra file, as graph.parse_gra read it before
+    gra files went through the tokenizer: (original ids, dense edges kept,
+    self-loops dropped, duplicates dropped)."""
+    numbered = ((i, raw.strip()) for i, raw in enumerate(lines, 1))
+    it = ((i, line) for i, line in numbered if line and line[0] not in "#%")
+    try:
+        lineno, line = next(it)
+    except StopIteration:
+        raise GraphFormatError("empty gra file") from None
+    if not line.lstrip("-").isdigit():
+        # tolerated header line, e.g. a tool name
+        try:
+            lineno, line = next(it)
+        except StopIteration:
+            raise GraphFormatError("gra file ends before vertex count") from None
+    try:
+        n = int(line)
+    except ValueError:
+        raise GraphFormatError(f"line {lineno}: bad vertex count {line!r}") from None
+    if n < 0:
+        raise GraphFormatError(f"line {lineno}: negative vertex count")
+    seen = set()
+    edges = []
+    for lineno, line in it:
+        head, sep, rest = line.partition(":")
+        if not sep:
+            raise GraphFormatError(f"line {lineno}: expected 'i: ... #'")
+        try:
+            u = int(head)
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: bad vertex id {head!r}") from None
+        if not 0 <= u < n:
+            raise GraphFormatError(
+                f"line {lineno}: vertex {u} inconsistent with declared count {n}"
+            )
+        if u in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate adjacency line for {u}")
+        seen.add(u)
+        parts = rest.split()
+        if not parts or parts[-1] != "#":
+            raise GraphFormatError(f"line {lineno}: adjacency not terminated by '#'")
+        for tok in parts[:-1]:
+            try:
+                v = int(tok)
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad neighbor id {tok!r}") from None
+            if not 0 <= v < n:
+                raise GraphFormatError(
+                    f"line {lineno}: neighbor {v} inconsistent with declared count {n}"
+                )
+            edges.append((u, v))
+    if len(seen) != n:
+        raise GraphFormatError(f"expected {n} adjacency lines, found {len(seen)}")
+    loops = sum(u == v for u, v in edges)
+    kept = sorted({e for e in edges if e[0] != e[1]})
+    return list(range(n)), kept, loops, len(edges) - loops - len(kept)
+
+
+# lines that break a rule, or keep one in an odd way: a ':' cut before
+# comments are found would make ':#' a comment; int() reads '٣' and '0_0',
+# not '²' or a head that ends in '\x1c'
+_GRA_ODD = [":#", "0 1: #", "0: 1:2 #", "0: 1 # 2 #", "0: 1#", "0 1 #", "0: 1 2", "٣: #",
+            "0_0: #", "0\x1c: #", "0\u3000: 1 #", "0: 9 #", "0: -1 #", "-1: #", "9: #",
+            "0: x #", "0: 9 x #", "0: x 9 #", "#", "% 0: #", "x", "0:"]
+
+
+@st.composite
+def gra_texts(draw):
+    """gra lines in assorted layouts: an optional header, a count, one line
+    per vertex in any order, some lines missing or repeated, comments,
+    blank lines and up to two odd lines anywhere."""
+    n = draw(st.integers(0, 6))
+    lines = [draw(st.sampled_from(["graph_for_testing", "my graph", "- 3", "0: 1 #"]))
+             ] if draw(st.integers(0, 3)) == 0 else []
+    lines.append(draw(st.sampled_from([str(n)] * 20 + [f" {n}\t", "-3", "- 3", "²", "1_0"])))
+    heads = draw(st.permutations(range(n)))
+    if heads and draw(st.integers(0, 3)) == 0:
+        heads.insert(draw(st.integers(0, len(heads))), draw(st.sampled_from(heads)))
+    if heads and draw(st.integers(0, 4)) == 0:
+        heads.pop(draw(st.integers(0, len(heads) - 1)))
+    seen = set()
+    for u in heads:
+        kind = draw(st.sampled_from(["adj", "adj", "adj", "comment", "blank"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# c", "%c 1: #", "  # 0: 1 #", "\t%", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        # now and then a neighbour out of range, or one int() refuses, or both
+        extra = [[], [n], [n, "x"]][draw(st.sampled_from([0, 0, 0, 0, 1, 2]))]
+        nbrs = draw(st.lists(st.sampled_from([*range(n), *extra] or [0]), max_size=4))
+        # '\x1c' is whitespace to str.split() only, '\u00a0' and '\u3000' are not ASCII
+        sep = draw(st.sampled_from([" ", "\t", "  ", "\x1c", "\u00a0", " \u3000"]))
+        colon = draw(st.sampled_from([": ", ":", " : ", " :", ":\x1c", "\u00a0: "]))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        trail = draw(st.sampled_from(["", " ", "\t"]))
+        body = "".join(f"{v}{sep}" for v in nbrs)
+        # a repeated head, also on a line that breaks a later check
+        end = draw(st.sampled_from(["#", "", "1#", "x #"])) if u in seen else "#"
+        seen.add(u)
+        lines.append(f"{lead}{u}{colon}{body}{end}{trail}")
+    for odd in draw(st.lists(st.sampled_from(_GRA_ODD), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), odd)
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(gra_texts(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
+def test_parse_gra_matches_line_by_line_reference(lines, newline, bom):
+    """As the text given, and as a file: plain ASCII is read as bytes, and a
+    file with '\\r', non-ASCII text or a UTF-8 BOM is decoded."""
+    text = "\n".join(lines)
+    expected = _reference_outcome(lines, _reference_gra)
+    assert _outcome(parse_graph, text, "gra") == expected
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.gra")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write("\ufeff" * bom + "".join(ln + newline for ln in lines))
+        with open(path, encoding="utf-8") as f:  # a lone '\r' ends a line here
+            assert _outcome(load_graph, path) == _reference_outcome(f, _reference_gra)
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "gra"])
+def test_graph_file_that_is_not_utf8_is_format_error(tmp_path, fmt):
+    """A byte that is not UTF-8 names its line, counted with '\\r\\n', a lone
+    '\\r' and '\\n' each ending one."""
+    path = tmp_path / "g.txt"
+    first = "1\r\n" if fmt == "gra" else "0 1\r\n"
+    path.write_bytes(f"{first}\r0 \xe9".encode() + b" \xff: #\n")
+    with pytest.raises(GraphFormatError, match=r"^line 3: not UTF-8 \(byte 0xff\)$"):
+        load_graph(str(path), fmt)
+
+
+def test_pairs_file_that_is_not_utf8_is_format_error(tmp_path):
+    path = tmp_path / "q.txt"
+    path.write_bytes(b"0 1\n1 \xff\n")
+    with pytest.raises(GraphFormatError) as e:
+        graph_mod.load_pairs(str(path))
+    assert str(e.value) == f"{path}:2: not UTF-8 (byte 0xff)"
+
+
 def test_whitespace_list_is_what_isspace_says():
     """The tokenizer's literal list is every code point str.split() breaks
     on, none above U+3000, so the table's catch-all last slot is False."""
@@ -384,7 +521,7 @@ def test_whitespace_list_is_what_isspace_says():
 
 
 def test_parse_edge_list_accepts_what_int_accepts():
-    res = parse_edge_list(["+5 -0_7", "1_000 ٣", str(2**70) + " 5"])
+    res = parse_graph(f"+5 -0_7\n1_000 ٣\n{2**70} 5", "edge-list")
     assert res.original_ids == [-7, 3, 5, 1000, 2**70]
     assert edge_pairs(res.graph) == [(2, 0), (3, 1), (4, 2)]
 
@@ -433,7 +570,7 @@ def test_checksum_computed_on_first_call():
 def test_stored_checksum_pinned_values():
     empty = DiGraph.from_edges(0, [])
     g = gen_random_dag(300, 1200, seed=0)
-    cond = scc_condense(parse_edge_list(PINNED_EDGE_LIST.splitlines()).graph).dag
+    cond = scc_condense(parse_graph(PINNED_EDGE_LIST, "edge-list").graph).dag
     for h in (empty, g, cond):
         assert graph_checksum(h) == list_walk_checksum(h)
         assert graph_checksum(h.reverse()) == list_walk_checksum(h.reverse())
@@ -486,7 +623,7 @@ def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     the condensation was recorded before the array-based ingestion, the CRC
     once format version 3 kept backward orderings in the reverse graph's
     coordinates."""
-    res = parse_edge_list(PINNED_EDGE_LIST.splitlines())
+    res = parse_graph(PINNED_EDGE_LIST, "edge-list")
     assert res.original_ids == [-3, 7, 8, 10, 12, 40, 55, 70, 90, 1000]
     assert (res.dropped_self_loops, res.dropped_duplicates) == (1, 1)
     cond = scc_condense(res.graph)
