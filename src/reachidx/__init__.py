@@ -5,9 +5,10 @@ randomized extended topological orderings, supportive-vertex bitmasks) that
 answers most reachability queries in constant time; the rest go to a pruned
 bidirectional BFS.  Ships exact baselines, generators, and a benchmark CLI.
 
-The names below are imported from their modules on first access (PEP 562),
-so that `import reachidx.cli` loads only what a command uses: `reachidx
-build` and `reachidx query` never load the workbench.
+The names below are imported from the modules that define them on first
+access (PEP 562), so that `import reachidx.cli` loads only what a command
+uses: `reachidx build` and `reachidx query` never load the workbench, and
+`reachidx query` over a valid bundle loads none of the build stages.
 """
 
 from importlib import import_module
@@ -17,10 +18,13 @@ _EXPORTS = {
         "CapacityError", "InfeasibleError", "ReachMatrix", "bfs_query", "build_matrix",
         "matrix_query", "reachability_rho",
     ),
+    "core": (
+        "DiGraph", "ExtTopOrder", "GraphFormatError", "LevelAssignment", "SupportSet",
+        "graph_checksum",
+    ),
     "graph": (
-        "AcyclicityError", "CondensationMap", "DiGraph", "GraphFormatError", "LevelAssignment",
-        "ParseResult", "graph_checksum", "load_graph", "parse_graph", "scc_condense",
-        "topological_levels", "weak_components",
+        "AcyclicityError", "CondensationMap", "ParseResult", "load_graph", "parse_graph",
+        "scc_condense", "topological_levels", "weak_components",
     ),
     "index": (
         "PBIBFS", "PLAIN_BFS", "IndexFormatError", "IndexParams", "ObservationStats",
@@ -28,10 +32,10 @@ _EXPORTS = {
         "observation_stats", "observation_table", "query", "query_batch", "serialize_index",
         "try_observations",
     ),
-    "supportive": ("CandidatePool", "SupportSet", "pick_supports", "select_candidates"),
+    "supportive": ("CandidatePool", "pick_supports", "select_candidates"),
     "toporder": (
-        "AnalysisReport", "ExtTopOrder", "extended_topsort", "extended_topsort_backward",
-        "ordering_analysis", "ordering_rows",
+        "AnalysisReport", "extended_topsort", "extended_topsort_backward", "ordering_analysis",
+        "ordering_rows",
     ),
     "workbench": (
         "AnswerMismatchError", "BenchReport", "QuerySet", "bench", "build_oracle", "gen_queries",

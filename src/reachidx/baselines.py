@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import DiGraph, check_ids
+from .core import DiGraph, check_ids
 
 
 class CapacityError(ValueError):

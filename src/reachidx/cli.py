@@ -21,9 +21,15 @@ as one string, cut into WRITE_PIECE pieces.  A chunk costs no per-call
 conversion of the support masks: the table reads them as the rows the
 index file held.
 
-Only gen-graph, gen-queries, bench and stats use the workbench, and each
-imports it when it runs, so `build` and `query` start without it (and
-without the statistics module it loads).
+Each command loads the modules it runs.  Importing this one loads core
+(the graph, the pairs reader and the index's columns), baselines and
+index.  The parser and `scc_condense` are imported from graph where a
+graph is parsed: by `build`, and by `query` and `stats` when the bundle is
+missing or stale.  `build_index` imports the build stages (graph,
+toporder, supportive) when it runs.  So `query` over a valid bundle
+compiles no build stage.  Only gen-graph, gen-queries, bench and stats
+use the workbench, and each imports it when it runs, so `build` and
+`query` start without it (and without the statistics module it loads).
 """
 
 from __future__ import annotations
@@ -36,23 +42,12 @@ import os
 import struct
 import sys
 import zlib
-from typing import IO, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .baselines import ALGORITHM_NAMES, DEFAULT_MATRIX_CAP, QUERY_KINDS, InfeasibleError
-from .graph import (
-    DiGraph,
-    GraphFormatError,
-    ParseResult,
-    _csr_graph,
-    graph_format,
-    load_pairs,
-    parse_graph,
-    scc_condense,
-    write_edge_list,
-    write_gra,
-)
+from .core import DiGraph, GraphFormatError, _csr_graph, graph_format, load_pairs
 from .index import (
     PBIBFS,
     IndexFormatError,
@@ -64,6 +59,9 @@ from .index import (
     query_batch,
     serialize_index,
 )
+
+if TYPE_CHECKING:
+    from .graph import ParseResult
 
 
 def _warn(msg: str) -> None:
@@ -86,6 +84,8 @@ def _load(path: str, fmt: str | None, data: bytes) -> ParseResult:
     """The graph file at path, whose bytes are data, parsed.  Its original
     ids are int64, or Python ints (dtype object) when one is beyond 64
     bits: those compare as ints, and no bundle can hold them."""
+    from .graph import parse_graph
+
     try:
         res = parse_graph(data, graph_format(path, fmt))
     except GraphFormatError as e:  # say which input file is at fault
@@ -99,6 +99,8 @@ def _load_condensed(
 ) -> tuple[DiGraph, np.ndarray, np.ndarray]:
     """The condensed DAG of the graph file at path, whose bytes are data,
     its original ids ascending, and the SCC of each."""
+    from .graph import scc_condense
+
     res = _load(path, fmt, data)
     cond = scc_condense(res.graph)
     return cond.dag, res.ids, np.array(cond.scc_of, dtype=np.uint32)
@@ -225,6 +227,7 @@ def _sound_condensation(
 
 
 def _cmd_gen_graph(args: argparse.Namespace) -> int:
+    from .graph import write_edge_list, write_gra
     from .workbench import gen_random_dag
 
     g = gen_random_dag(args.n, args.m, args.seed)
@@ -277,6 +280,8 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .graph import scc_condense
+
     fmt = graph_format(args.graph, args.format)
     bundle = args.out_index + BUNDLE_SUFFIX
     for path in (args.out_index, bundle):

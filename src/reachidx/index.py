@@ -4,7 +4,11 @@ and binary serialization.
 Every build stage (weak components, levels, each extended ordering, the
 supports) draws from its own substream of the seed, so the stages are
 independent.  The levels come first, since the orderings' Max and the
-support masks are both folded along them (graph.level_fold).
+support masks are both folded along them (graph.level_fold).  The stages
+live in graph, toporder and supportive, which build_index imports when it
+runs; the rest of this module reads only core and baselines.  So a
+process that loads and queries an index, as `reachidx query` over a valid
+bundle does, compiles no build stage.
 
 A process that may run on more than one CPU splits its two largest jobs
 with one forked worker (_Worker, which runs any job and hands back its
@@ -104,29 +108,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import bfs_search
-from .graph import (
-    DiGraph,
-    LevelAssignment,
-    _uint_array,
-    check_ids,
-    graph_checksum,
-    topological_levels,
-    weak_components,
-)
-from .supportive import SupportSet, pick_supports, select_candidates
-from .toporder import (
+from .core import (
     AFTER,
     BACKWARD,
     COMPARISONS,
     FORWARD,
     ORDERING_BLOCK,
+    DiGraph,
     ExtTopOrder,
+    LevelAssignment,
+    SupportSet,
+    _uint_array,
+    check_ids,
     comparison_mask,
-    extended_topsort,
-    extended_topsort_backward,
     gatherer,
+    graph_checksum,
     observation_name,
-    start_sequence,
 )
 
 
@@ -254,6 +251,12 @@ def build_index(
     any exception raised are the same either way, and the worker does not
     outlive the call.
     """
+    # the stages, loaded by the first build and before any fork, so that the
+    # worker's orderings find toporder loaded
+    from . import toporder
+    from .graph import topological_levels, weak_components
+    from .supportive import pick_supports, select_candidates
+
     if params is None:
         params = IndexParams()
     t = params.t
@@ -286,6 +289,8 @@ def build_index(
 def _ordering(dag: DiGraph, levels: LevelAssignment, flavor: str, seed: int) -> ExtTopOrder:
     """One extended ordering of build_index, drawn from random.Random(seed);
     levels are dag's topological_levels."""
+    from .toporder import extended_topsort, extended_topsort_backward, start_sequence
+
     rng = random.Random(seed)
     if flavor == FORWARD:
         return extended_topsort(dag, start_sequence(dag, rng), rng, seed, levels)
@@ -432,11 +437,11 @@ def _reap(pid: int) -> int:
 
 # Every observation once, as rows (tag, answer, source column, comparison,
 # target column, guard) in test order.  A row proves answer for the pair
-# (s, t) where source[s] <comparison> target[t] holds (toporder.COMPARISONS)
+# (s, t) where source[s] <comparison> target[t] holds (core.COMPARISONS)
 # and its guard, a comparison of the same form or None, does too; the
 # column None reads the id itself, so 1:EQ is s == t.  The guards keep each
 # row sound without the rows before it.  Rows over ordering columns (tests
-# 4 and 6, toporder.ORDERING_BLOCK, and 7:C) read the pair (a, b) of one
+# 4 and 6, core.ORDERING_BLOCK, and 7:C) read the pair (a, b) of one
 # ordering's own graph: (s, t) in a forward ordering, (t, s) in a backward
 # one.  Tests 4 and 6 repeat their block for each ordering _PER_ORDERING
 # gives them; 7:C holds where its comparison does in any ordering.

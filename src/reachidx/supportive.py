@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-# mask_rows and masks_from_rows, the mask codec, live beside level_fold, which
-# also uses them; they are re-exported here, where the masks are made.
-from .graph import DiGraph, LevelAssignment, level_fold, mask_rows, masks_from_rows
+# SupportSet, which every loaded index holds, and the mask codec are the
+# query side (see core); they are re-exported here, where the masks are made
+from .core import DiGraph, LevelAssignment, SupportSet, mask_rows, masks_from_rows
+from .graph import level_fold
 
 TAG_SLIM = "slim-level"
 TAG_CENTRAL = "random-central"
@@ -32,43 +33,6 @@ TAG_FILL = "random-fill"
 class CandidatePool:
     candidates: list[int]
     tags: list[str]  # parallel to candidates
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """The chosen supports and every vertex's two masks, in two forms.
-
-    fwd_rows and bwd_rows hold the masks as the index file does: n rows of
-    mask_bytes little-endian bytes, vertex by vertex, which the bulk paths
-    read as numpy rows (see rows).  fwd_mask and bwd_mask hold the same
-    masks as one Python int per vertex for the scalar path, where any k
-    keeps S1-S3 a single `&`; they are derived from the rows here, so the
-    two forms cannot disagree.
-    """
-
-    supports: list[int]  # in selection order; slot i of the masks
-    fwd_rows: bytes  # bit i of vertex w's row: supports[i] reaches w
-    bwd_rows: bytes  # bit i of vertex w's row: w reaches supports[i]
-    k: int  # requested support count; len(supports) may be smaller
-    n: int  # vertices, one row each
-    # Made with the rows, not on first use: a cached_property here slowed
-    # the scalar path's reads of them (perfbench small-mixed p50 +5%).
-    fwd_mask: list[int] = field(init=False, repr=False, compare=False)
-    bwd_mask: list[int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # rows raises ValueError unless the rows hold n * mask_bytes bytes
-        object.__setattr__(self, "fwd_mask", masks_from_rows(self.rows(self.fwd_rows)))
-        object.__setattr__(self, "bwd_mask", masks_from_rows(self.rows(self.bwd_rows)))
-
-    @property
-    def mask_bytes(self) -> int:
-        return (self.k + 7) // 8
-
-    def rows(self, data: bytes) -> np.ndarray:
-        """data, fwd_rows or bwd_rows, as a read-only (n, mask_bytes) uint8
-        array over its bytes."""
-        return np.frombuffer(data, np.uint8).reshape(self.n, self.mask_bytes)
 
 
 def select_candidates(

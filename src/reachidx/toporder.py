@@ -19,7 +19,10 @@ inside the source's certified range [pos, High] or on its Max (T1, T3),
 unreachable when it falls beyond Max (T2) or behind the source (B4).
 ORDERING_BLOCK writes these tests once (T4-T6 name T1-T3 on a backward
 ordering), as the ordering block of index's observation spec;
-ordering_rows reads it for ordering_analysis.
+ordering_rows reads it for ordering_analysis.  The ordering's columns
+(ExtTopOrder) and that block are read by every query, so they live in
+core with the rest of the query side; this module holds the DFS that
+builds an ordering and the analysis of one.
 
 Max also certifies containment (GRAIL, Yildirim, Chaoji & Zaki, VLDB 2010):
 if s reaches t, then t reaches nothing s does not, so Max(t) <= Max(s) in
@@ -38,25 +41,27 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baselines import ReachMatrix
-from .graph import DiGraph, LevelAssignment, _kahn_levels, _uint_array, level_fold
-
-FORWARD = "forward"
-BACKWARD = "backward"
-
-
-@dataclass
-class ExtTopOrder:
-    pos: array
-    hi: array  # High, in the ordering's own graph
-    mx: array  # Max, in the ordering's own graph
-    flavor: str  # FORWARD: of the DAG; BACKWARD: of its reverse
-    seed: int | None = field(default=None, compare=False)  # not in the index file
+# the query side (see core); the names no stage here reads are re-exported
+from .core import (
+    AFTER,
+    BACKWARD,
+    COMPARISONS,
+    FORWARD,
+    ORDERING_BLOCK,
+    DiGraph,
+    ExtTopOrder,
+    LevelAssignment,
+    _uint_array,
+    comparison_mask,
+    gatherer,
+    observation_name,
+)
+from .graph import _kahn_levels, level_fold
 
 
 def _keyed_order(groups: np.ndarray, rng: random.Random) -> np.ndarray:
@@ -194,68 +199,6 @@ def _extended_order(
     h = np.frombuffer(height, np.uint32)
     mx = level_fold(g.out_off, g.out_tg, h, np.array(pos, np.uint32), np.maximum)
     return ExtTopOrder(pos, array("I", hi), _uint_array(mx), flavor, seed)
-
-
-# The observations of one ordering, in test order: the ordering block of
-# the observation spec (index._SPEC).  A row (observation, answer, source
-# column, comparison, target column, guard) proves answer for a pair (a, b)
-# of the ordering's own graph, (s, t) in a forward ordering and (t, s) in a
-# backward one, where source[a] <comparison> target[b] holds and its guard,
-# a comparison of the same form or None, does too.  B4 refutes the pairs
-# the ordering inverts; the T tests read the rest, so that each stays sound
-# on its own: T1 when pos(b) is inside a's certified range, T2 beyond
-# Max(a), T3 on it.  T4-T6 name T1-T3 on a backward ordering.
-AFTER = ("pos", "<", "pos")
-ORDERING_BLOCK = (
-    ("B4", False, "pos", ">", "pos", None),
-    ("T1", True, "hi", ">=", "pos", AFTER),
-    ("T2", False, "mx", "<", "pos", AFTER),
-    ("T3", True, "mx", "==", "pos", AFTER),
-)
-_BACKWARD_NAMES = {"T1": "T4", "T2": "T5", "T3": "T6"}
-
-# Every comparison a spec row may make, as a Python expression in x, the
-# source column's value at one end, and y, the target column's at the
-# other: ints in index's scalar pass, numpy arrays in the table.  The last
-# three read support masks, as Python ints or as rows of cells, and hold
-# where the result has a bit set.
-COMPARISONS = {
-    **{op: f"{{x}} {op} {{y}}" for op in ("==", "!=", "<", "<=", ">", ">=", "&")},
-    "&~": "{x} & ~{y}",
-    "~&": "~{x} & {y}",
-}
-_COMPARE = {op: eval(f"lambda x, y: {expr.format(x='x', y='y')}") for op, expr in COMPARISONS.items()}
-
-
-def observation_name(obs: str, flavor: str) -> str:
-    """The name of ordering observation obs on an ordering of this flavor."""
-    return _BACKWARD_NAMES.get(obs, obs) if flavor == BACKWARD else obs
-
-
-def gatherer(columns: dict[str, np.ndarray], ends: dict[str, np.ndarray]) -> Callable:
-    """read(column, end): the named numpy column at the ids of one end, in
-    ends, gathered on the first read and kept; the column None reads the
-    ids themselves."""
-    got: dict[tuple, np.ndarray] = {}
-
-    def read(name: str | None, end: str) -> np.ndarray:
-        if (name, end) not in got:
-            ids = ends[end]
-            got[name, end] = ids if name is None else columns[name][ids]
-        return got[name, end]
-
-    return read
-
-
-def comparison_mask(read: Callable, src, op: str, tgt, a: str, b: str, guard=None) -> np.ndarray:
-    """Where source[a] <op> target[b] holds, and the guard too, for every
-    pair of the ends a and b, reading columns through read (gatherer)."""
-    held = _COMPARE[op](read(src, a), read(tgt, b))
-    if held.ndim > 1:  # rows of mask cells: a bit set anywhere
-        held = held.any(axis=1)
-    if guard is not None:
-        held &= comparison_mask(read, *guard, a, b)
-    return held
 
 
 def ordering_rows(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
+import reachidx.graph as graph_mod
 from reachidx import cli
 from reachidx.cli import build_parser, main
 from reachidx.graph import load_graph, parse_graph, scc_condense
@@ -287,12 +289,19 @@ def test_gen_queries_without_enough_pairs_is_an_error(tmp_path):
     assert not out.exists()
 
 
-IMPORT_CHECK = """
+# the modules of the build stages, which `reachidx query` over a valid bundle never loads
+STAGES = """
 import sys
+STAGES = {"reachidx.graph", "reachidx.supportive", "reachidx.toporder"}
+"""
+
+IMPORT_CHECK = STAGES + """
 import reachidx.cli
 # build and query never load the workbench, nor what only it imports
 assert "reachidx.workbench" not in sys.modules
 assert not {"statistics", "fractions", "decimal"} & set(sys.modules)
+# the command line loads the build stages only when a command runs them
+assert not STAGES & sys.modules.keys()
 import reachidx
 from importlib import import_module
 names = {}
@@ -307,10 +316,37 @@ assert "reachidx.workbench" in sys.modules
 
 def test_cli_starts_without_the_workbench():
     """In a fresh process: importing the command line leaves the workbench
-    out, and a star import of the package, which resolves its names on
-    first access, still binds every one of them."""
+    and the build stages out, and a star import of the package, which
+    resolves its names on first access, still binds every one of them."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_CHECK], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+QUERY_CHECK = STAGES + """
+import json
+from reachidx import cli
+query, build = json.loads(sys.argv[1])
+assert cli.main(query) == 0
+assert not STAGES & sys.modules.keys(), "a query loaded a build stage"
+assert cli.main(build) == 0
+assert STAGES <= sys.modules.keys()
+"""
+
+
+def test_query_over_a_bundle_loads_no_build_stage(pinned, tmp_path):
+    """In a fresh process: `reachidx query` over a valid bundle leaves the
+    build stages unloaded, and a build in the same process then imports
+    them where it runs them and writes the same index bytes."""
+    g, idx, pairs, _run = pinned
+    again = str(tmp_path / "again.ridx")
+    argv = [["query", "--graph", g, "--index", idx, "--pairs", pairs],
+            ["build", "--graph", g, "--out-index", again]]
+    proc = subprocess.run([sys.executable, "-c", QUERY_CHECK, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 101  # 100 answers, then the build's line
+    with open(idx, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +361,14 @@ class Run:
     def __init__(self, monkeypatch, capsys):
         self.capsys = capsys
         self.parses = 0
-        parse = cli.parse_graph
+        parse = graph_mod.parse_graph
 
         def counting(*args):
             self.parses += 1
             return parse(*args)
 
-        monkeypatch.setattr(cli, "parse_graph", counting)
+        # cli imports the parser where it parses, from its module
+        monkeypatch.setattr(graph_mod, "parse_graph", counting)
 
     def __call__(self, argv: list[str], parses: int) -> tuple[int, str, str]:
         before = self.parses
@@ -421,6 +458,25 @@ def test_bundle_of_gra_input(tmp_path, monkeypatch, capsys):
     expected = run(argv, parses=0)
     os.remove(idx + ".cond")
     assert run(argv, parses=1) == expected
+
+
+def test_a_utf8_bom_is_skipped_by_every_reader(pinned, tmp_path):
+    """A UTF-8 byte order mark before the edges or the pairs changes
+    nothing: the same index bytes and the same answers."""
+    g, idx, pairs, run = pinned
+    bom = b"\xef\xbb\xbf"
+    bom_g, bom_pairs = tmp_path / "bom.txt", tmp_path / "bomq.txt"
+    with open(g, "rb") as f:
+        bom_g.write_bytes(bom + f.read())
+    with open(pairs, "rb") as f:
+        bom_pairs.write_bytes(bom + f.read())
+    bom_idx = str(tmp_path / "bom.ridx")
+    assert run(["build", "--graph", str(bom_g), "--out-index", bom_idx], parses=1)[0] == 0
+    with open(idx, "rb") as a, open(bom_idx, "rb") as b:
+        assert a.read() == b.read()
+    answers = [run(["query", "--graph", g, "--index", idx, "--pairs", p], parses=0)
+               for p in (pairs, str(bom_pairs))]
+    assert answers[0][0] == 0 and answers[1] == answers[0]
 
 
 def test_bad_bundle_is_never_read(pinned, tmp_path):

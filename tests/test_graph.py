@@ -338,12 +338,13 @@ def _reference_outcome(lines, reference=_reference_edge_list):
 @given(edge_list_texts(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
 def test_parse_edge_list_matches_line_by_line_reference(lines, newline, bom):
     """As a file: plain ASCII is read as bytes, and a file with '\\r', a
-    control byte, non-ASCII text or a UTF-8 BOM is decoded."""
+    control byte or non-ASCII text is decoded; a leading UTF-8 BOM is
+    skipped either way."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "g.txt")
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write("\ufeff" * bom + "".join(ln + newline for ln in lines))
-        with open(path, encoding="utf-8") as f:  # a lone '\r' ends a line here
+        with open(path, encoding="utf-8-sig") as f:  # a lone '\r' ends a line here
             assert _outcome(load_graph, path) == _reference_outcome(f)
 
 
@@ -481,7 +482,8 @@ def gra_texts(draw):
 @given(gra_texts(), st.sampled_from(["\n", "\r\n", "\r"]), st.booleans())
 def test_parse_gra_matches_line_by_line_reference(lines, newline, bom):
     """As the text given, and as a file: plain ASCII is read as bytes, and a
-    file with '\\r', non-ASCII text or a UTF-8 BOM is decoded."""
+    file with '\\r' or non-ASCII text is decoded; a leading UTF-8 BOM is
+    skipped either way."""
     text = "\n".join(lines)
     expected = _reference_outcome(lines, _reference_gra)
     assert _outcome(parse_graph, text, "gra") == expected
@@ -489,7 +491,7 @@ def test_parse_gra_matches_line_by_line_reference(lines, newline, bom):
         path = os.path.join(d, "g.gra")
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write("\ufeff" * bom + "".join(ln + newline for ln in lines))
-        with open(path, encoding="utf-8") as f:  # a lone '\r' ends a line here
+        with open(path, encoding="utf-8-sig") as f:  # a lone '\r' ends a line here
             assert _outcome(load_graph, path) == _reference_outcome(f, _reference_gra)
 
 

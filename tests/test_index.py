@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachidx.index as index_mod
+import reachidx.supportive as supportive_mod
 from reachidx.baselines import build_matrix, matrix_query
 from reachidx.graph import (
     AcyclicityError,
@@ -394,17 +395,19 @@ def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, job, failure):
 
 
 @pytest.mark.parametrize(
-    "job, step", [("build", "pick_supports"), ("fallbacks", "_fallbacks")], ids=["build", "fallbacks"]
+    "job, module, step",
+    [("build", supportive_mod, "pick_supports"), ("fallbacks", index_mod, "_fallbacks")],
+    ids=["build", "fallbacks"],
 )
-def test_parent_failure_kills_a_worker_blocked_on_its_pipe(monkeypatch, forks, job, step):
+def test_parent_failure_kills_a_worker_blocked_on_its_pipe(monkeypatch, forks, job, module, step):
     """The parent raises KeyboardInterrupt in its own share (pick_supports,
     or its half of the fallbacks) only once the worker's job is done, and
     what the job returned (36 n bytes of orderings, 8200 int64 cells of
     fallback outcomes) fills the pipe long before the parent would read
-    it."""
+    it.  build_index imports pick_supports from its module when it runs."""
     parent = os.getpid()
     done_r, done_w = os.pipe()
-    real_fork, real_step = index_mod._Worker.fork, getattr(index_mod, step)
+    real_fork, real_step = index_mod._Worker.fork, getattr(module, step)
 
     def fork(job):
         def signalling():
@@ -421,7 +424,7 @@ def test_parent_failure_kills_a_worker_blocked_on_its_pipe(monkeypatch, forks, j
         raise KeyboardInterrupt
 
     monkeypatch.setattr(index_mod._Worker, "fork", fork)
-    monkeypatch.setattr(index_mod, step, failing)
+    monkeypatch.setattr(module, step, failing)
     try:
         with pytest.raises(KeyboardInterrupt):
             JOBS[job].run(monkeypatch, 2)
