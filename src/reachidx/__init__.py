@@ -14,10 +14,7 @@ uses: `reachidx build` and `reachidx query` never load the workbench, and
 from importlib import import_module
 
 _EXPORTS = {
-    "baselines": (
-        "CapacityError", "InfeasibleError", "ReachMatrix", "bfs_query", "build_matrix",
-        "matrix_query", "reachability_rho",
-    ),
+    "baselines": ("CapacityError", "InfeasibleError", "ReachMatrix", "bfs_query", "build_matrix"),
     "core": (
         "DiGraph", "ExtTopOrder", "GraphFormatError", "LevelAssignment", "SupportSet",
         "graph_checksum",
@@ -33,10 +30,7 @@ _EXPORTS = {
         "try_observations",
     ),
     "supportive": ("CandidatePool", "pick_supports", "select_candidates"),
-    "toporder": (
-        "AnalysisReport", "extended_topsort", "extended_topsort_backward", "ordering_analysis",
-        "ordering_rows",
-    ),
+    "toporder": ("extended_topsort", "extended_topsort_backward"),
     "workbench": (
         "AnswerMismatchError", "BenchReport", "QuerySet", "bench", "build_oracle", "gen_queries",
         "gen_random_dag", "stats_report",

@@ -47,11 +47,12 @@ class ReachMatrix:
     rows: list[int]
 
     def query(self, s: int, t: int) -> bool:
+        """Whether s reaches t.  Raises IndexError when s or t is not a
+        vertex id in [0, n), as the index's query does."""
+        n = self.n
+        if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path
+            check_ids(n, s, t)
         return (self.rows[s] >> t) & 1 == 1
-
-    def count_positive(self) -> int:
-        """Number of reachable ordered pairs (s, t) with s != t."""
-        return sum(row.bit_count() for row in self.rows) - self.n
 
     def to_dense(self) -> np.ndarray:
         width = (self.n + 7) // 8
@@ -92,10 +93,6 @@ def build_matrix(g: DiGraph, cap_bytes: int = DEFAULT_MATRIX_CAP) -> ReachMatrix
     return ReachMatrix(n, rows)
 
 
-def matrix_query(mx: ReachMatrix, s: int, t: int) -> bool:
-    return mx.query(s, t)
-
-
 def bfs_search(g: DiGraph, s: int, t: int) -> tuple[bool, int]:
     """Memoryless forward BFS: (answer, vertices expanded).
 
@@ -126,9 +123,3 @@ def bfs_query(g: DiGraph, s: int, t: int) -> bool:
     """Memoryless forward BFS; the no-preprocessing baseline."""
     return bfs_search(g, s, t)[0]
 
-
-def reachability_rho(mx: ReachMatrix) -> float:
-    """Fraction of reachable ordered pairs (s, t), s != t.  At most 1/2 on DAGs."""
-    if mx.n < 2:
-        raise ValueError("rho is undefined for graphs with fewer than 2 vertices")
-    return mx.count_positive() / (mx.n * (mx.n - 1))

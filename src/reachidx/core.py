@@ -2,16 +2,15 @@
 
 `reachidx query` over a valid bundle rebuilds the condensed graph from its
 rows (`_csr_graph`), checks it against the index (`graph_checksum`), reads
-the pairs file (`load_pairs`), holds the index's columns (`LevelAssignment`,
-`ExtTopOrder`, `SupportSet`) and evaluates the ordering block of the
-observation spec (`ORDERING_BLOCK`, `COMPARISONS`, `gatherer`,
-`comparison_mask`).  All of that is here, and the build stages are not: the
-parsers, Tarjan's condensation, the components, levels and folds stay in
-graph, the ordering DFS in toporder and the support selection in
-supportive.  Those three modules re-export the names defined here, and a
-command loads them only when it builds an index or parses a graph, so a
-query never compiles them (a process without bytecode compiles every
-module it imports, whether it runs its code or not).
+the pairs file (`load_pairs`) and holds the index's columns
+(`LevelAssignment`, `ExtTopOrder`, `SupportSet`).  All of that is here, and
+the build stages are not: the parsers, Tarjan's condensation, the
+components, levels and folds stay in graph, the ordering DFS in toporder
+and the support selection in supportive.  A command loads those three
+modules only when it builds an index or parses a graph, so a query never
+compiles them (a process without bytecode compiles every module it
+imports, whether it runs its code or not).  The observation spec that
+reads the columns, and its one evaluator, live in index.
 
 A graph is one layout: compressed sparse rows (CSR) in each direction, an
 offsets array of n + 1 cells and a targets array of m cells, all four
@@ -36,7 +35,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -489,65 +488,3 @@ class ExtTopOrder:
     mx: array  # Max, in the ordering's own graph
     flavor: str  # FORWARD: of the DAG; BACKWARD: of its reverse
     seed: int | None = field(default=None, compare=False)  # not in the index file
-
-
-# The observations of one ordering, in test order: the ordering block of
-# the observation spec (index._SPEC).  A row (observation, answer, source
-# column, comparison, target column, guard) proves answer for a pair (a, b)
-# of the ordering's own graph, (s, t) in a forward ordering and (t, s) in a
-# backward one, where source[a] <comparison> target[b] holds and its guard,
-# a comparison of the same form or None, does too.  B4 refutes the pairs
-# the ordering inverts; the T tests read the rest, so that each stays sound
-# on its own: T1 when pos(b) is inside a's certified range, T2 beyond
-# Max(a), T3 on it.  T4-T6 name T1-T3 on a backward ordering.
-AFTER = ("pos", "<", "pos")
-ORDERING_BLOCK = (
-    ("B4", False, "pos", ">", "pos", None),
-    ("T1", True, "hi", ">=", "pos", AFTER),
-    ("T2", False, "mx", "<", "pos", AFTER),
-    ("T3", True, "mx", "==", "pos", AFTER),
-)
-_BACKWARD_NAMES = {"T1": "T4", "T2": "T5", "T3": "T6"}
-
-# Every comparison a spec row may make, as a Python expression in x, the
-# source column's value at one end, and y, the target column's at the
-# other: ints in index's scalar pass, numpy arrays in the table.  The last
-# three read support masks, as Python ints or as rows of cells, and hold
-# where the result has a bit set.
-COMPARISONS = {
-    **{op: f"{{x}} {op} {{y}}" for op in ("==", "!=", "<", "<=", ">", ">=", "&")},
-    "&~": "{x} & ~{y}",
-    "~&": "~{x} & {y}",
-}
-_COMPARE = {op: eval(f"lambda x, y: {expr.format(x='x', y='y')}") for op, expr in COMPARISONS.items()}
-
-
-def observation_name(obs: str, flavor: str) -> str:
-    """The name of ordering observation obs on an ordering of this flavor."""
-    return _BACKWARD_NAMES.get(obs, obs) if flavor == BACKWARD else obs
-
-
-def gatherer(columns: dict[str, np.ndarray], ends: dict[str, np.ndarray]) -> Callable:
-    """read(column, end): the named numpy column at the ids of one end, in
-    ends, gathered on the first read and kept; the column None reads the
-    ids themselves."""
-    got: dict[tuple, np.ndarray] = {}
-
-    def read(name: str | None, end: str) -> np.ndarray:
-        if (name, end) not in got:
-            ids = ends[end]
-            got[name, end] = ids if name is None else columns[name][ids]
-        return got[name, end]
-
-    return read
-
-
-def comparison_mask(read: Callable, src, op: str, tgt, a: str, b: str, guard=None) -> np.ndarray:
-    """Where source[a] <op> target[b] holds, and the guard too, for every
-    pair of the ends a and b, reading columns through read (gatherer)."""
-    held = _COMPARE[op](read(src, a), read(tgt, b))
-    if held.ndim > 1:  # rows of mask cells: a bit set anywhere
-        held = held.any(axis=1)
-    if guard is not None:
-        held &= comparison_mask(read, *guard, a, b)
-    return held

@@ -4,7 +4,7 @@ the level fold.
 
 The graph itself, its checksum, the byte tokenizer, the pairs reader and
 the mask codec live in core, which `reachidx query` imports without this
-module; they are re-exported here.  Vertices are dense integers 0..n-1.
+module.  Vertices are dense integers 0..n-1.
 All containers are immutable by convention after construction and safe
 for concurrent readers.
 
@@ -36,25 +36,18 @@ from typing import IO
 
 import numpy as np
 
-# the query side (see core); the names no stage here reads are re-exported
 from .core import (
     _MAX_DIGITS,
-    _WHITESPACE,
-    _WS_TABLE,
     DiGraph,
     GraphFormatError,
     LevelAssignment,
     _csr_graph,
-    _digraph,
     _offsets,
     _parse_ids,
     _tokenize,
     _Tokens,
     _uint_array,
-    check_ids,
-    graph_checksum,
     graph_format,
-    load_pairs,
     mask_rows,
     masks_from_rows,
 )

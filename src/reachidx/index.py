@@ -29,10 +29,13 @@ one answers.  Each observation is written once, as a row of the
 observation spec (_SPEC), and three things are derived from it: the shared
 outcomes (_OUTCOMES); observation_table, which evaluates every row with
 numpy over many pairs; and the scalar pass, which query and
-try_observations run one pair at a time.  query_batch answers many pairs
-from one table, each by its first true row or else by the fallback, as
-query answers it alone, and observation_stats counts first hits and
-overlap from the same decision.  The scalar pass is straight-line source
+try_observations run one pair at a time.  The whole spec lives here, the
+ordering block (ORDERING_BLOCK) and the comparisons its rows make
+(COMPARISONS) included, and observation_table is its one evaluator: no
+other module reads it.  query_batch answers many pairs from one table,
+each by its first true row or else by the fallback, as query answers it
+alone, and observation_stats counts first hits and overlap from the same
+decision.  The scalar pass is straight-line source
 generated from the rows, compiled once per tuple of ordering flavors and
 bound to an index on its first query or try_observations call as a
 function whose globals hold the index's columns: no closure cells to copy
@@ -109,21 +112,15 @@ import numpy as np
 
 from .baselines import bfs_search
 from .core import (
-    AFTER,
     BACKWARD,
-    COMPARISONS,
     FORWARD,
-    ORDERING_BLOCK,
     DiGraph,
     ExtTopOrder,
     LevelAssignment,
     SupportSet,
     _uint_array,
     check_ids,
-    comparison_mask,
-    gatherer,
     graph_checksum,
-    observation_name,
 )
 
 
@@ -433,18 +430,51 @@ def _reap(pid: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the observation spec and the scalar pass generated from it
+# the observation spec, its evaluator and the scalar pass generated from it
 
 # Every observation once, as rows (tag, answer, source column, comparison,
 # target column, guard) in test order.  A row proves answer for the pair
-# (s, t) where source[s] <comparison> target[t] holds (core.COMPARISONS)
-# and its guard, a comparison of the same form or None, does too; the
-# column None reads the id itself, so 1:EQ is s == t.  The guards keep each
-# row sound without the rows before it.  Rows over ordering columns (tests
-# 4 and 6, core.ORDERING_BLOCK, and 7:C) read the pair (a, b) of one
-# ordering's own graph: (s, t) in a forward ordering, (t, s) in a backward
-# one.  Tests 4 and 6 repeat their block for each ordering _PER_ORDERING
-# gives them; 7:C holds where its comparison does in any ordering.
+# (s, t) where source[s] <comparison> target[t] holds (COMPARISONS) and its
+# guard, a comparison of the same form or None, does too; the column None
+# reads the id itself, so 1:EQ is s == t.  The guards keep each row sound
+# without the rows before it.  Rows over ordering columns (tests 4 and 6,
+# ORDERING_BLOCK, and 7:C) read the pair (a, b) of one ordering's own
+# graph: (s, t) in a forward ordering, (t, s) in a backward one.  Tests 4
+# and 6 repeat their block for each ordering _PER_ORDERING gives them; 7:C
+# holds where its comparison does in any ordering.
+
+# Every comparison a spec row may make, as a Python expression in x, the
+# source column's value at one end, and y, the target column's at the
+# other: ints in the scalar pass, numpy arrays in observation_table.  The
+# last three read support masks, as Python ints or as rows of cells, and
+# hold where the result has a bit set.
+COMPARISONS = {
+    **{op: f"{{x}} {op} {{y}}" for op in ("==", "!=", "<", "<=", ">", ">=", "&")},
+    "&~": "{x} & ~{y}",
+    "~&": "~{x} & {y}",
+}
+_COMPARE = {op: eval(f"lambda x, y: {expr.format(x='x', y='y')}") for op, expr in COMPARISONS.items()}
+
+# The ordering block: the observations of one ordering, in test order.  B4
+# refutes the pairs the ordering inverts; the T tests read the rest, so
+# that each stays sound on its own: T1 when pos(b) is inside a's certified
+# range, T2 beyond Max(a), T3 on it.  T4-T6 name T1-T3 on a backward
+# ordering.
+AFTER = ("pos", "<", "pos")
+ORDERING_BLOCK = (
+    ("B4", False, "pos", ">", "pos", None),
+    ("T1", True, "hi", ">=", "pos", AFTER),
+    ("T2", False, "mx", "<", "pos", AFTER),
+    ("T3", True, "mx", "==", "pos", AFTER),
+)
+_BACKWARD_NAMES = {"T1": "T4", "T2": "T5", "T3": "T6"}
+
+
+def observation_name(obs: str, flavor: str) -> str:
+    """The name of ordering observation obs on an ordering of this flavor."""
+    return _BACKWARD_NAMES.get(obs, obs) if flavor == BACKWARD else obs
+
+
 _NE = (None, "!=", None)
 _SPEC = (
     ("1:EQ", True, None, "==", None, None),
@@ -644,6 +674,32 @@ def try_observations(
     if stats is not None:
         stats.first_hit[out.answered_by] += 1
     return out.answer, out.answered_by
+
+
+def gatherer(columns: dict[str, np.ndarray], ends: dict[str, np.ndarray]) -> Callable:
+    """read(column, end): the named numpy column at the ids of one end, in
+    ends, gathered on the first read and kept; the column None reads the
+    ids themselves."""
+    got: dict[tuple, np.ndarray] = {}
+
+    def read(name: str | None, end: str) -> np.ndarray:
+        if (name, end) not in got:
+            ids = ends[end]
+            got[name, end] = ids if name is None else columns[name][ids]
+        return got[name, end]
+
+    return read
+
+
+def comparison_mask(read: Callable, src, op: str, tgt, a: str, b: str, guard=None) -> np.ndarray:
+    """Where source[a] <op> target[b] holds, and the guard too, for every
+    pair of the ends a and b, reading columns through read (gatherer)."""
+    held = _COMPARE[op](read(src, a), read(tgt, b))
+    if held.ndim > 1:  # rows of mask cells: a bit set anywhere
+        held = held.any(axis=1)
+    if guard is not None:
+        held &= comparison_mask(read, *guard, a, b)
+    return held
 
 
 def observation_table(

@@ -19,9 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-# SupportSet, which every loaded index holds, and the mask codec are the
-# query side (see core); they are re-exported here, where the masks are made
-from .core import DiGraph, LevelAssignment, SupportSet, mask_rows, masks_from_rows
+from .core import DiGraph, LevelAssignment, SupportSet
 from .graph import level_fold
 
 TAG_SLIM = "slim-level"

@@ -17,12 +17,10 @@ therefore answered by the forward tests on (s, t) in a forward ordering and
 on (t, s) in a backward one: reachable when the target's position falls
 inside the source's certified range [pos, High] or on its Max (T1, T3),
 unreachable when it falls beyond Max (T2) or behind the source (B4).
-ORDERING_BLOCK writes these tests once (T4-T6 name T1-T3 on a backward
-ordering), as the ordering block of index's observation spec;
-ordering_rows reads it for ordering_analysis.  The ordering's columns
-(ExtTopOrder) and that block are read by every query, so they live in
-core with the rest of the query side; this module holds the DFS that
-builds an ordering and the analysis of one.
+These tests are written once, as the ordering block of index's
+observation spec, which index alone evaluates; the ordering's columns
+(ExtTopOrder) live in core with the rest of the query side.  This module
+holds only the DFS that builds an ordering.
 
 Max also certifies containment (GRAIL, Yildirim, Chaoji & Zaki, VLDB 2010):
 if s reaches t, then t reaches nothing s does not, so Max(t) <= Max(s) in
@@ -41,26 +39,10 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import ReachMatrix
-# the query side (see core); the names no stage here reads are re-exported
-from .core import (
-    AFTER,
-    BACKWARD,
-    COMPARISONS,
-    FORWARD,
-    ORDERING_BLOCK,
-    DiGraph,
-    ExtTopOrder,
-    LevelAssignment,
-    _uint_array,
-    comparison_mask,
-    gatherer,
-    observation_name,
-)
+from .core import BACKWARD, FORWARD, DiGraph, ExtTopOrder, LevelAssignment, _uint_array, check_ids
 from .graph import _kahn_levels, level_fold
 
 
@@ -139,7 +121,13 @@ def extended_topsort(
     Non-recursive to avoid Python's recursion limit.  The columns are
     lists while the DFS fills them (a Python loop reads a list faster) and
     are returned as array('I').
+
+    Raises IndexError when start_order holds an id outside [0, n), naming
+    the smallest if it is negative, else the largest.  Its least and
+    greatest ids are checked before the DFS, whose roots then need none.
     """
+    if start_order:
+        check_ids(dag.n, min(start_order), max(start_order))
     height = _kahn_levels(dag.reverse()) if levels is None else levels.bwd
     return _extended_order(dag, start_order, rng, height, FORWARD, seed)
 
@@ -200,64 +188,3 @@ def _extended_order(
     mx = level_fold(g.out_off, g.out_tg, h, np.array(pos, np.uint32), np.maximum)
     return ExtTopOrder(pos, array("I", hi), _uint_array(mx), flavor, seed)
 
-
-def ordering_rows(
-    order: ExtTopOrder, A: np.ndarray, B: np.ndarray
-) -> list[tuple[str, bool, np.ndarray]]:
-    """The ordering block as (observation, answer, mask) rows in test
-    order, where mask[i] says the row proves answer for the pair (A[i],
-    B[i]) of integer ids in the ordering's own graph: (s, t) in a forward
-    ordering, (t, s) in a backward one.
-
-    B4 and T2 each exclude every other row, T1 and T3 both hold where
-    pos(b) = High(a) = Max(a), and no row holds for a == b.
-    """
-    columns = {name: np.frombuffer(getattr(order, name), np.uint32) for name in ("pos", "hi", "mx")}
-    read = gatherer(columns, {"a": A, "b": B})
-    return [
-        (observation_name(obs, order.flavor), ans, comparison_mask(read, src, op, tgt, "a", "b", guard))
-        for obs, ans, src, op, tgt, guard in ORDERING_BLOCK
-    ]
-
-
-@dataclass
-class AnalysisReport:
-    """Per-ordering witness counts against an exact oracle.
-
-    neg_witnessed is always n(n-1)/2: an ordering certifies non-reachability
-    for exactly the pairs it inverts, and those are half of all ordered
-    pairs.  Ratios are None when their denominator is zero.
-    """
-
-    n: int
-    neg_witnessed: int
-    pos_answered: int
-    neg_total: int
-    pos_total: int
-    rho_neg: float | None
-    rho_pos: float | None
-
-
-def ordering_analysis(order: ExtTopOrder, oracle: ReachMatrix) -> AnalysisReport:
-    """The rows' counts over all ordered pairs, unswapped for either flavor:
-    the set of all pairs is its own swap, and no row holds for s == t."""
-    n = oracle.n
-    pos_total = oracle.count_positive()
-    neg_total = n * (n - 1) - pos_total
-    neg_witnessed = pos_answered = 0
-    ids = np.arange(n)
-    step = max(1, (1 << 18) // max(n, 1))  # sources per pass: up to 2^18 pairs
-    for lo in range(0, n, step):
-        A = np.repeat(ids[lo:lo + step], n)
-        b4, t1, _t2, t3 = (mask for *_, mask in ordering_rows(order, A, np.resize(ids, len(A))))
-        neg_witnessed += int(b4.sum())
-        pos_answered += int((t1 | t3).sum())
-    return AnalysisReport(
-        n=n,
-        neg_witnessed=neg_witnessed,
-        pos_answered=pos_answered,
-        neg_total=neg_total,
-        pos_total=pos_total,
-        rho_neg=neg_witnessed / neg_total if neg_total else None,
-        rho_pos=pos_answered / pos_total if pos_total else None,
-    )

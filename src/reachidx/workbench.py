@@ -26,7 +26,7 @@ from .baselines import (
     bfs_query,
     build_matrix,
 )
-from .graph import DiGraph, _digraph
+from .core import DiGraph, _digraph
 from .index import (
     IndexParams,
     ObservationStats,

@@ -17,19 +17,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from reachidx.baselines import bfs_query, build_matrix, reachability_rho
+from reachidx.baselines import bfs_query, build_matrix
+from reachidx.core import FORWARD
 from reachidx.index import (
     HEADER,
     PBIBFS,
     _substream,
     build_index,
     deserialize_index,
+    observation_table,
     payload_bytes_per_vertex,
     query,
     serialize_index,
     try_observations,
 )
-from reachidx.toporder import FORWARD, ordering_analysis
 from reachidx.workbench import gen_queries, gen_random_dag
 
 MASTER_SEED = 2026
@@ -201,22 +202,36 @@ def test_observation_soundness(corpus_sweep):
 
 
 def test_ordering_negative_witness_count(corpus, corpus_indexes):
+    """Each ordering's B4 row, over all ordered pairs, refutes exactly the
+    half that the ordering inverts."""
     with criterion("ordering-negative-witnesses") as info:
         orderings = 0
-        for (g, mx), ixs in zip(corpus["graphs"], corpus_indexes):
+        for (g, _mx), ixs in zip(corpus["graphs"], corpus_indexes):
             half = g.n * (g.n - 1) // 2
+            S, T = np.divmod(np.arange(g.n * g.n), g.n)
             for ix in ixs:
-                for order in ix.orderings:
-                    assert ordering_analysis(order, mx).neg_witnessed == half
+                table = observation_table(ix, S, T)
+                rows = [(tag, mask) for tag, _ans, mask in table if tag.endswith(":B4")]
+                # one row per ordering, in order: the first in test 4, the rest in 6
+                assert [tag for tag, _ in rows] == ["4:B4"] + ["6:B4"] * (len(ix.orderings) - 1)
+                for _tag, mask in rows:
+                    assert int(mask.sum()) == half
                     orderings += 1
         info["detail"] = f"({orderings} orderings, each exactly n(n-1)/2)"
+
+
+def reachability(mx) -> float:
+    """rho, the share of ordered pairs (s, t), s != t, where s reaches t,
+    from the matrix rows, whose diagonal bits are all set."""
+    n = mx.n
+    return (sum(r.bit_count() for r in mx.rows) - n) / (n * (n - 1))
 
 
 def test_reachability_bound_and_forced_order(corpus, corpus_indexes):
     with criterion("reachability-bound") as info:
         saturated = 0
         for (g, mx), ixs in zip(corpus["graphs"], corpus_indexes):
-            rho = reachability_rho(mx)
+            rho = reachability(mx)
             assert rho <= 0.5
             if rho == 0.5:
                 # reachability 1/2 forces a unique topological order, so
@@ -226,7 +241,7 @@ def test_reachability_bound_and_forced_order(corpus, corpus_indexes):
                     for a, b in zip(ixs[0].orderings, other.orderings):
                         assert a.pos == b.pos
         g4 = gen_random_dag(4, 6, seed=0)  # complete DAG pins the edge case
-        assert reachability_rho(build_matrix(g4)) == 0.5
+        assert reachability(build_matrix(g4)) == 0.5
         for a, b in zip(
             build_index(g4, seed=0).orderings, build_index(g4, seed=1).orderings
         ):

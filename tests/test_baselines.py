@@ -9,8 +9,6 @@ from reachidx.baselines import (
     ReachMatrix,
     bfs_query,
     build_matrix,
-    matrix_query,
-    reachability_rho,
 )
 from reachidx.graph import DiGraph
 
@@ -19,28 +17,24 @@ from conftest import brute_reach_sets, dags, diamond, path_graph
 
 def test_matrix_diamond_queries():
     mx = build_matrix(diamond())
-    assert matrix_query(mx, 0, 3)
-    assert matrix_query(mx, 0, 1) and matrix_query(mx, 0, 2)
-    assert not matrix_query(mx, 1, 2)
-    assert not matrix_query(mx, 3, 0)
-    assert matrix_query(mx, 2, 2)  # reflexive
+    assert mx.query(0, 3)
+    assert mx.query(0, 1) and mx.query(0, 2)
+    assert not mx.query(1, 2)
+    assert not mx.query(3, 0)
+    assert mx.query(2, 2)  # reflexive
 
 
-def test_matrix_count_positive_excludes_diagonal():
-    assert build_matrix(diamond()).count_positive() == 5
-    assert build_matrix(path_graph(4)).count_positive() == 6
-    assert build_matrix(DiGraph.from_edges(3, [])).count_positive() == 0
-
-
-def test_rho_frozen_values():
-    assert reachability_rho(build_matrix(diamond())) == pytest.approx(5 / 12)
-    assert reachability_rho(build_matrix(path_graph(4))) == pytest.approx(0.5)
-    assert reachability_rho(build_matrix(DiGraph.from_edges(2, []))) == 0.0
-
-
-def test_rho_rejects_single_vertex():
-    with pytest.raises(ValueError):
-        reachability_rho(build_matrix(DiGraph.from_edges(1, [])))
+def test_matrix_refuses_ids_out_of_range():
+    """An id outside [0, n) is an IndexError naming it, as bfs_query and the
+    index's query raise, never the answer of a wrapped or shifted row."""
+    g = DiGraph.from_edges(3, [(2, 0)])
+    mx = build_matrix(g)
+    for s, t, bad in ((-1, 0, -1), (0, 3, 3), (0, -1, -1), (3, 3, 3)):
+        with pytest.raises(IndexError, match=f"^vertex id {bad} out of range for n=3$"):
+            mx.query(s, t)
+        with pytest.raises(IndexError):
+            bfs_query(g, s, t)
+    assert mx.query(2, 0) and not mx.query(0, 2)
 
 
 def test_capacity_cap_enforced():
@@ -57,7 +51,7 @@ def test_to_dense_matches_query():
     assert d.shape == (4, 4)
     for s in range(4):
         for t in range(4):
-            assert d[s, t] == matrix_query(mx, s, t)
+            assert d[s, t] == mx.query(s, t)
 
 
 @given(dags(max_n=14))
@@ -66,7 +60,7 @@ def test_matrix_matches_brute_closure(g):
     mx = build_matrix(g)
     for s in range(g.n):
         for t in range(g.n):
-            assert matrix_query(mx, s, t) == (t in reach[s] or s == t)
+            assert mx.query(s, t) == (t in reach[s] or s == t)
 
 
 @given(dags(max_n=14))
@@ -74,21 +68,7 @@ def test_bfs_matches_matrix(g):
     mx = build_matrix(g)
     for s in range(g.n):
         for t in range(g.n):
-            assert bfs_query(g, s, t) == matrix_query(mx, s, t)
-
-
-@given(dags(max_n=14, min_n=2))
-def test_rho_at_most_half_on_dags(g):
-    assert reachability_rho(build_matrix(g)) <= 0.5 + 1e-12
-
-
-@given(dags(max_n=12))
-def test_count_positive_definition(g):
-    mx = build_matrix(g)
-    total = sum(
-        1 for s in range(g.n) for t in range(g.n) if s != t and matrix_query(mx, s, t)
-    )
-    assert mx.count_positive() == total
+            assert bfs_query(g, s, t) == mx.query(s, t)
 
 
 def test_reach_matrix_direct_construction():

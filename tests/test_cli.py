@@ -306,7 +306,7 @@ import reachidx
 from importlib import import_module
 names = {}
 exec("from reachidx import *", names)
-assert len(set(reachidx.__all__)) == len(reachidx.__all__) == 53
+assert len(set(reachidx.__all__)) == len(reachidx.__all__) == 48
 for module, exported in reachidx._EXPORTS.items():
     for name in exported:  # each the object its module defines
         assert names[name] is getattr(import_module("reachidx." + module), name), name

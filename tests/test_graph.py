@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 
 import reachidx.graph as graph_mod
 from reachidx.cli import main
+from reachidx.core import _WHITESPACE, _WS_TABLE, graph_checksum, load_pairs
 from reachidx.graph import (
     AcyclicityError,
     DiGraph,
     GraphFormatError,
-    graph_checksum,
     load_graph,
     parse_graph,
     _csr_graph,
@@ -510,7 +510,7 @@ def test_pairs_file_that_is_not_utf8_is_format_error(tmp_path):
     path = tmp_path / "q.txt"
     path.write_bytes(b"0 1\n1 \xff\n")
     with pytest.raises(GraphFormatError) as e:
-        graph_mod.load_pairs(str(path))
+        load_pairs(str(path))
     assert str(e.value) == f"{path}:2: not UTF-8 (byte 0xff)"
 
 
@@ -518,8 +518,8 @@ def test_whitespace_list_is_what_isspace_says():
     """The tokenizer's literal list is every code point str.split() breaks
     on, none above U+3000, so the table's catch-all last slot is False."""
     spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
-    assert graph_mod._WHITESPACE == spaces
-    assert np.flatnonzero(graph_mod._WS_TABLE).tolist() == spaces
+    assert _WHITESPACE == spaces
+    assert np.flatnonzero(_WS_TABLE).tolist() == spaces
 
 
 def test_parse_edge_list_accepts_what_int_accepts():

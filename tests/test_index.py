@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 import reachidx.index as index_mod
 import reachidx.supportive as supportive_mod
-from reachidx.baselines import build_matrix, matrix_query
+from reachidx.baselines import build_matrix
+from reachidx.core import graph_checksum
 from reachidx.graph import (
     AcyclicityError,
     DiGraph,
-    graph_checksum,
     topological_levels,
     weak_components,
 )
@@ -528,7 +528,7 @@ def test_observation_tag_cases(n, edges, params, seed, s, t, ans, tag):
     g = DiGraph.from_edges(n, edges)
     ix = build_index(g, params, seed=seed)
     assert try_observations(ix, s, t) == (ans, tag)
-    assert matrix_query(build_matrix(g), s, t) == ans
+    assert build_matrix(g).query(s, t) == ans
 
 
 def test_observation_undecided_goes_to_fallback():
@@ -547,7 +547,7 @@ def test_observations_never_touch_adjacency():
     for s in range(4):
         for t in range(4):
             ans, tag = try_observations(blind, s, t)
-            assert ans == matrix_query(build_matrix(diamond()), s, t) or ans is None
+            assert ans == build_matrix(diamond()).query(s, t) or ans is None
             if tag is not None:  # query answers it through the bound pass alone
                 assert query(blind, s, t) is _OUTCOMES[tag]
     assert blind.observe is not None
@@ -570,7 +570,7 @@ def test_observations_sound_on_all_pairs(g, seed):
             if ans is None:
                 assert tag is None
             else:
-                assert ans == matrix_query(mx, s, t), (s, t, tag)
+                assert ans == mx.query(s, t), (s, t, tag)
 
 
 @settings(max_examples=50)
@@ -587,7 +587,7 @@ def test_collected_observations_have_correct_sign(g, seed):
             s, t = S[i], T[i]
             if s == t:
                 assert obs == "EQ", (s, t, tag)
-            assert ans == matrix_query(mx, s, t), (s, t, tag)
+            assert ans == mx.query(s, t), (s, t, tag)
     # the decisive first hit must be among the observations that hold
     for i, (s, t) in enumerate(zip(S, T)):
         ans, tag = try_observations(ix, s, t)
@@ -630,7 +630,7 @@ def test_table_matches_try_observations_and_is_sound(g, params, seed):
     assert first_rows(rows) == [try_observations(ix, s, t) for s, t in zip(S, T)]
     for tag, ans, mask in rows:
         for i in np.flatnonzero(mask).tolist():
-            assert ans == matrix_query(mx, S[i], T[i]), (S[i], T[i], tag)
+            assert ans == mx.query(S[i], T[i]), (S[i], T[i], tag)
 
 
 # a graph big enough for more than 64 supports, so that k = 130 gives masks
@@ -754,7 +754,7 @@ def test_resolvers_are_exact(g, params, seed):
     mx = build_matrix(g)
     for s in range(g.n):
         for t in range(g.n):
-            truth = matrix_query(mx, s, t)
+            truth = mx.query(s, t)
             for r in (PBIBFS, PLAIN_BFS):
                 ans, work = r.run(ix, s, t)
                 assert ans == truth, (r.name, s, t)
@@ -829,7 +829,7 @@ def test_search_on_key_edge_cases(graph, params):
     for _ in range(300):
         s, t = rng.randrange(g.n), rng.randrange(g.n)
         assert PBIBFS.run(ix, s, t) == reference_search(ix, s, t), (s, t)
-        assert query(ix, s, t).answer == matrix_query(mx, s, t), (s, t)
+        assert query(ix, s, t).answer == mx.query(s, t), (s, t)
 
 
 def test_keys_are_built_on_the_first_fallback():
@@ -979,7 +979,7 @@ def test_fallback_work_frozen(resolver):
     for s in range(g.n):
         for t in range(g.n):
             ans = FALLBACK_REACH[s][t] == "1"
-            assert ans == matrix_query(mx, s, t)
+            assert ans == mx.query(s, t)
             assert resolver.run(ix, s, t) == (ans, FALLBACK_WORK[resolver.name][s][t]), (s, t)
 
 
@@ -1105,7 +1105,7 @@ def test_stats_conservation(g, seed):
     for s in range(g.n):
         for t in range(g.n):
             out = query(ix, s, t)
-            assert out.answer == matrix_query(mx, s, t)
+            assert out.answer == mx.query(s, t)
             pos += out.answer
     assert stats.queries == g.n * g.n
     assert sum(stats.first_hit.values()) + stats.fallbacks == stats.queries

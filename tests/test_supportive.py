@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachidx.baselines import build_matrix, matrix_query
+from reachidx.baselines import build_matrix
+from reachidx.core import mask_rows, masks_from_rows
 from reachidx.graph import DiGraph, topological_levels, weak_components
 from reachidx.index import ReachIndex, observation_table
 from reachidx.supportive import (
@@ -17,8 +18,6 @@ from reachidx.supportive import (
     SupportSet,
     _column_counts,
     _mask_matrix,
-    mask_rows,
-    masks_from_rows,
     pick_supports,
     select_candidates,
 )
@@ -426,7 +425,7 @@ def test_answer_is_sound(g, seed):
         for t in range(g.n):
             if s == t:
                 continue
-            truth = matrix_query(mx, s, t)
+            truth = mx.query(s, t)
             s1, neg = support_verdicts(g, ss, s, t)
             if s1:
                 assert truth, (s, t, "S1")

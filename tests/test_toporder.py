@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -9,14 +10,13 @@ from hypothesis import strategies as st
 
 from reachidx.baselines import build_matrix
 from reachidx.graph import AcyclicityError, DiGraph, topological_levels
+from reachidx.index import IndexParams, build_index, observation_table
 from reachidx.toporder import (
     BACKWARD,
     FORWARD,
     extended_topsort,
     extended_topsort_backward,
     _keyed_order,
-    ordering_analysis,
-    ordering_rows,
     start_sequence,
 )
 from reachidx.workbench import gen_random_dag
@@ -104,41 +104,54 @@ def test_backward_cycle_raises_before_drawing():
 # observation tags, each exercised on a frozen ordering
 
 
-def rows_for(o, a, b) -> list[tuple[str, bool]]:
-    """The (observation, answer) of each row of ordering_rows that holds for
+def ordering_block(g: DiGraph, o, A, B) -> list[tuple[str, bool, np.ndarray]]:
+    """o's block of observation_table, on an index of g whose one ordering
+    is o, as (observation, answer, mask) rows in test order, where mask[i]
+    says the row proves answer for the pair (A[i], B[i]) of the ordering's
+    own graph: (s, t) of g for a forward ordering, (t, s) for a backward one."""
+    ix = dataclasses.replace(build_index(g, IndexParams(t=1, k=0)), orderings=[o])
+    S, T = (B, A) if o.flavor == BACKWARD else (A, B)
+    return [(tag[2:], ans, mask) for tag, ans, mask in observation_table(ix, S, T) if tag[0] == "4"]
+
+
+def rows_for(g: DiGraph, o, a, b) -> list[tuple[str, bool]]:
+    """The (observation, answer) of each row of o's block that holds for
     the one pair (a, b) of the ordering's own graph, in test order."""
-    return [(obs, ans) for obs, ans, mask in ordering_rows(o, np.array([a]), np.array([b])) if mask[0]]
+    return [(obs, ans) for obs, ans, mask in ordering_block(g, o, [a], [b]) if mask[0]]
 
 
-def first_row(o, a, b) -> tuple[bool | None, str | None]:
+def first_row(g: DiGraph, o, a, b) -> tuple[bool | None, str | None]:
     """(answer, observation) of the first row that holds, as a query takes
     it; (None, None) when none does."""
-    return next(((ans, obs) for obs, ans in rows_for(o, a, b)), (None, None))
+    return next(((ans, obs) for obs, ans in rows_for(g, o, a, b)), (None, None))
 
 
 def test_row_tags_forward():
-    o = extended_topsort(diamond(), [0], NoShuffle())
-    assert first_row(o, 1, 2) == (False, "B4")  # pos inverted
-    assert first_row(o, 0, 3) == (True, "T1")  # inside certified range
-    assert first_row(o, 2, 3) == (True, "T3")  # lands exactly on Max
-    assert first_row(o, 2, 1) == (None, None)  # genuinely undecided
-    o2 = extended_topsort(two_edges(), [0, 2], NoShuffle())
-    assert first_row(o2, 2, 1) == (False, "T2")  # beyond Max
+    g = diamond()
+    o = extended_topsort(g, [0], NoShuffle())
+    assert first_row(g, o, 1, 2) == (False, "B4")  # pos inverted
+    assert first_row(g, o, 0, 3) == (True, "T1")  # inside certified range
+    assert first_row(g, o, 2, 3) == (True, "T3")  # lands exactly on Max
+    assert first_row(g, o, 2, 1) == (None, None)  # genuinely undecided
+    g2 = two_edges()
+    o2 = extended_topsort(g2, [0, 2], NoShuffle())
+    assert first_row(g2, o2, 2, 1) == (False, "T2")  # beyond Max
     # T1 and T3 both hold where pos(b) = High(a) = Max(a)
     assert (o.pos[3], o.hi[0], o.mx[0]) == (3, 3, 3)
-    assert rows_for(o, 0, 3) == [("T1", True), ("T3", True)]
+    assert rows_for(g, o, 0, 3) == [("T1", True), ("T3", True)]
 
 
 def test_row_tags_backward():
     """The backward rows read (t, s), the pair in the reverse graph."""
-    o = extended_topsort_backward(diamond(), NoShuffle())
-    assert first_row(o, 3, 0) == (True, "T4")  # inside certified range
-    assert first_row(o, 2, 0) == (True, "T6")  # sits exactly on Min
-    assert first_row(o, 1, 2) == (False, "B4")
-    assert first_row(o, 2, 1) == (None, None)
-    edges = DiGraph.from_edges(4, [(0, 1), (2, 3)])
-    o2 = extended_topsort_backward(edges, NoShuffle())
-    assert first_row(o2, 3, 0) == (False, "T5")  # before Min
+    g = diamond()
+    o = extended_topsort_backward(g, NoShuffle())
+    assert first_row(g, o, 3, 0) == (True, "T4")  # inside certified range
+    assert first_row(g, o, 2, 0) == (True, "T6")  # sits exactly on Min
+    assert first_row(g, o, 1, 2) == (False, "B4")
+    assert first_row(g, o, 2, 1) == (None, None)
+    g2 = two_edges()
+    o2 = extended_topsort_backward(g2, NoShuffle())
+    assert first_row(g2, o2, 3, 0) == (False, "T5")  # before Min
 
 
 class Keys:
@@ -300,7 +313,7 @@ def test_rows_are_sound_and_decide_at_most_one_answer(g, seed, backward):
     else:
         o = extended_topsort(g, start_sequence(g, rng), rng)
     S, T = np.divmod(np.arange(g.n * g.n), g.n)
-    rows = ordering_rows(o, T, S) if backward else ordering_rows(o, S, T)
+    rows = ordering_block(g, o, T, S) if backward else ordering_block(g, o, S, T)
     assert [obs for obs, _ans, _mask in rows] == (
         ["B4", "T4", "T5", "T6"] if backward else ["B4", "T1", "T2", "T3"]
     )
@@ -330,6 +343,21 @@ def test_start_sequence_sources_first(g, seed):
     assert all(not predecessors(g, v) for v in seq[:n_sources])
 
 
+def test_a_start_id_out_of_range_is_refused_before_the_dfs():
+    """A negative id used to read hi[-1], vertex n-1's, and built an ordering
+    that broke the edge 1 -> 0; an id >= n failed in the DFS.  Every id is
+    checked first, the smallest named if negative, else the largest, and
+    nothing is drawn from the rng."""
+    g = DiGraph.from_edges(2, [(1, 0)])
+    for start, bad in (([-1], -1), ([2], 2), ([0, 5, -3], -3), ([1, 0, 2], 2)):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(IndexError, match=f"^vertex id {bad} out of range for n=2$"):
+            extended_topsort(g, start, rng)
+        assert rng.getstate() == state
+    assert list(extended_topsort(g, [0, 1], random.Random(0)).pos) == [1, 0]
+
+
 def test_the_guard_pass_places_what_the_start_order_leaves_out():
     # no start order: the guard pass roots a DFS at 0, then at 2
     o = extended_topsort(two_edges(), [], NoShuffle())
@@ -353,38 +381,48 @@ def test_a_partial_start_order_still_places_every_vertex(g, data, seed):
 
 
 # ---------------------------------------------------------------------------
-# per-ordering witness analysis
+# per-ordering witness counts
+
+
+def block_counts(g: DiGraph, o) -> tuple[int, int]:
+    """(pairs B4 refutes, pairs T1 or T3 proves) over every ordered pair,
+    from o's block (T4 and T6 name T1 and T3 on a backward ordering)."""
+    A, B = np.divmod(np.arange(g.n * g.n), g.n)
+    b4, t1, _t2, t3 = (mask for *_, mask in ordering_block(g, o, A, B))
+    return int(b4.sum()), int((t1 | t3).sum())
+
+
+def reachable_pairs(g: DiGraph) -> int:
+    """Ordered pairs (s, t), s != t, where s reaches t: the matrix rows'
+    bits but their diagonal ones."""
+    return sum(row.bit_count() for row in build_matrix(g).rows) - g.n
 
 
 def test_analysis_path_fully_witnessed():
     """Either flavor of ordering of a path witnesses every pair."""
     g = path_graph(4)
+    assert reachable_pairs(g) == 6
     for o in (extended_topsort(g, [0], NoShuffle()), extended_topsort_backward(g, NoShuffle())):
-        rep = ordering_analysis(o, build_matrix(g))
-        assert rep.neg_witnessed == 6 and rep.neg_total == 6
-        assert rep.pos_answered == 6 and rep.pos_total == 6
-        assert rep.rho_neg == 1.0 and rep.rho_pos == 1.0
+        assert block_counts(g, o) == reference_analysis_counts(o) == (6, 6)
 
 
 def test_analysis_edgeless():
     g = DiGraph.from_edges(3, [])
     o = extended_topsort(g, [0, 1, 2], NoShuffle())
-    rep = ordering_analysis(o, build_matrix(g))
-    assert rep.neg_witnessed == 3 and rep.neg_total == 6
-    assert rep.rho_neg == 0.5
-    assert rep.pos_total == 0 and rep.rho_pos is None
+    assert reachable_pairs(g) == 0
+    assert block_counts(g, o) == reference_analysis_counts(o) == (3, 0)
 
 
 @settings(max_examples=50)
 @given(dags(max_n=12, min_n=2), st.integers(0, 2**32 - 1))
 def test_analysis_negative_count_is_half_the_pairs(g, seed):
+    """B4 refutes half of the ordered pairs, and T1 or T3 proves at most
+    the reachable ones."""
     rng = random.Random(seed)
     o = extended_topsort(g, start_sequence(g, rng), rng)
-    mx = build_matrix(g)
-    rep = ordering_analysis(o, mx)
-    assert rep.neg_witnessed == g.n * (g.n - 1) // 2
-    assert rep.neg_total + rep.pos_total == g.n * (g.n - 1)
-    assert rep.pos_answered <= rep.pos_total
+    neg, pos = block_counts(g, o)
+    assert neg == g.n * (g.n - 1) // 2
+    assert pos <= reachable_pairs(g)
 
 
 def reference_analysis_counts(o) -> tuple[int, int]:
@@ -403,16 +441,13 @@ def reference_analysis_counts(o) -> tuple[int, int]:
 
 @settings(max_examples=40)
 @given(dags(max_n=12), st.integers(0, 2**32 - 1), st.booleans())
-@example(gen_random_dag(600, 1500, 3), 7, False)  # 2^18 pairs a pass: two passes
-@example(gen_random_dag(600, 1500, 3), 7, True)
 def test_analysis_counts_match_the_per_pair_tests(g, seed, backward):
     rng = random.Random(seed)
     if backward:
         o = extended_topsort_backward(g, rng)
     else:
         o = extended_topsort(g, start_sequence(g, rng), rng)
-    rep = ordering_analysis(o, build_matrix(g))
-    assert (rep.neg_witnessed, rep.pos_answered) == reference_analysis_counts(o)
+    assert block_counts(g, o) == reference_analysis_counts(o)
 
 
 # ---------------------------------------------------------------------------

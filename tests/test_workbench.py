@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachidx import workbench
-from reachidx.baselines import DEFAULT_MATRIX_CAP, CapacityError, build_matrix, matrix_query
-from reachidx.graph import DiGraph, GraphFormatError, graph_checksum, load_pairs
+from reachidx.baselines import DEFAULT_MATRIX_CAP, CapacityError, build_matrix
+from reachidx.core import DiGraph, GraphFormatError, graph_checksum, load_pairs
 from reachidx.index import (
     HEADER,
     IndexParams,
@@ -182,7 +182,7 @@ def test_gen_queries_respects_kind(g, seed):
         return  # graph has no pair of one kind; nothing to check
     for (s, t), exp in zip(qs.pairs, qs.expected):
         assert s != t
-        assert matrix_query(mx, s, t) == exp
+        assert mx.query(s, t) == exp
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_built_algorithms_agree_with_matrix():
         built = build_named(name, g, 3)
         for s in range(g.n):
             for t in range(g.n):
-                assert built.answer(s, t) == matrix_query(mx, s, t), name
+                assert built.answer(s, t) == mx.query(s, t), name
 
 
 def test_built_algorithm_metadata():
