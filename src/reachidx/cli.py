@@ -247,7 +247,7 @@ def _cmd_gen_queries(args: argparse.Namespace) -> int:
     oracle = build_oracle(res.graph, args.matrix_cap)
     qs = gen_queries(res.graph, args.kind, args.count, args.seed, oracle)
     with open(args.out, "w", encoding="utf-8") as f:
-        save_query_set(qs, f, res.original_ids)
+        save_query_set(qs, f, res.ids)
     print(f"wrote {len(qs.pairs)} {args.kind} queries to {args.out}")
     return 0
 

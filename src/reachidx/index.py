@@ -26,24 +26,21 @@ A query runs through seven constant-time tests (equality, levels, positive
 support, first ordering, negative supports, remaining orderings, then weak
 components and Max containment over all orderings); the first decisive
 one answers.  Each observation is written once, as a row of the
-observation spec (_SPEC), and three things are derived from it: the shared
-outcomes (_OUTCOMES); observation_table, which evaluates every row with
-numpy over many pairs; and the scalar pass, which query and
-try_observations run one pair at a time.  The whole spec lives here, the
-ordering block (ORDERING_BLOCK) and the comparisons its rows make
-(COMPARISONS) included, and observation_table is its one evaluator: no
-other module reads it.  query_batch answers many pairs from one table,
-each by its first true row or else by the fallback, as query answers it
-alone, and observation_stats counts first hits and overlap from the same
-decision.  The scalar pass is straight-line source
-generated from the rows, compiled once per tuple of ordering flavors and
-bound to an index on its first query or try_observations call as a
-function whose globals hold the index's columns: no closure cells to copy
-per call, and nothing compiled at bind time (~2.6 us at t = 4).  It took
-~250 ns per decided query of G(2^16, 2^18) against ~295 ns for the
-hand-written closure it replaced (in process, a 2-core Xeon; see
-BENCH_34.json for the benchmark).  The packed keys and the endpoint test
-write the observations out by hand, pinned to the table by the tests.
+observation spec (_SPEC), and all that tests one is derived from it: the
+shared outcomes (_OUTCOMES); observation_table, which evaluates every row
+with numpy over many pairs; the scalar pass, which query and
+try_observations run one pair at a time; and the search's packed keys and
+testers.  The whole spec lives here, the ordering block (ORDERING_BLOCK)
+and the comparisons its rows make (COMPARISONS) included: no other module
+reads it.  query_batch answers many pairs from one table, each by its
+first true row or else by the fallback, as query answers it alone, and
+observation_stats counts first hits and overlap from the same decision.
+The scalar pass and the testers are straight-line source generated from
+the rows, compiled once per tuple of ordering flavors and bound to an
+index on first use as functions whose globals hold its columns: no
+closure cells to copy per call, and nothing compiled at bind time.  The
+pass took ~250 ns per decided query of G(2^16, 2^18) against ~295 ns for
+the hand-written closure it replaced (in process, a 2-core Xeon).
 
 Undecided queries go to the one fallback, PBIBFS, a pruned bidirectional
 BFS (PLAIN_BFS, the forward BFS baseline, stays as a reference search for
@@ -54,10 +51,10 @@ search's fixed endpoint with the same observations, so a decisive negative
 prunes that vertex.  The search checks the negatives inline: the level
 window, then every other negative observation (S2, S3, B4 and containment
 per ordering, which subsumes T2, and B2) in one comparison of packed keys.
-Each vertex's key is one Python int holding one field per observation,
-each with a guard bit above it, oriented so that a reachable pair (a, b)
-has u(a) <= u(b) in every field u; the guard bits of g + key(b) - key(a)
-are then all set exactly when no field refutes the pair, so one addition,
+Each vertex's key is one Python int holding fields per observation, each
+with a guard bit above it, oriented so that a reachable pair (a, b) has
+u(a) <= u(b) in every field u; the guard bits of g + key(b) - key(a) are
+then all set exactly when no field refutes the pair, so one addition,
 one & and one compare test them all at once.  The keys are built with
 numpy on an index's first fallback, or just before a fallback worker is
 forked, so that it inherits them; not at build or load (~15 ms, ~5 MB,
@@ -66,7 +63,7 @@ They are kept on the ReachIndex.  The levels stay out of the key: the decided
 queries read the same level columns, and with the fallbacks no longer
 reading them those queries slowed by ~30%.  A vertex the negatives leave
 goes through the positive observations (S1, T1 and T3) in a per-side
-endpoint test, built on that side's first pop.
+tester, made on that side's first pop.
 
 In memory, every per-vertex integer column (weak component, both levels,
 and each ordering's pos, High and Max) is an array('I'): n
@@ -96,7 +93,6 @@ import math
 import operator
 import os
 import random
-import signal
 import struct
 import threading
 import warnings
@@ -137,6 +133,8 @@ class IndexParams:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
+            if not hasattr(value, "__index__"):  # int, bool and numpy integers have it
+                raise TypeError(f"index parameter {name} must be an integer, got {value!r}")
             if value < 0:
                 raise ValueError(f"index parameter {name} must be >= 0, got {value}")
             if value > 0xFFFF and name in ("t", "k"):  # 16 bits each in the file header
@@ -198,12 +196,12 @@ class ReachIndex:
     given: the integer columns of wcc, levels and orderings are array('I')
     (see the module docstring).  keys is the search's packed keys, built on
     the index's first fallback or before a fallback worker is forked, and
-    observe the scalar pass, the generated code for the orderings' flavors
-    bound to these columns (_bind_observations) on the first query or
-    try_observations call.  Both read the columns as they were then:
-    derive a changed index with dataclasses.replace.  params and seed are
-    what build_index was given; the file keeps neither, so they are left
-    out of ==, as keys and observe are."""
+    observe and testers the generated code for the orderings' flavors bound
+    to these columns (_bind_observations) on first use.  All read the
+    columns as they were then: derive a changed index with
+    dataclasses.replace.  params and seed are what build_index was given;
+    the file keeps neither, so they are left out of ==, as keys, observe
+    and testers are."""
 
     graph: DiGraph
     wcc: array
@@ -217,11 +215,12 @@ class ReachIndex:
     observe: Callable[[int, int], QueryOutcome | None] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    testers: list[Callable] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
-        """The fields but observe: pickle cannot name a function made from
-        generated code, and a copy binds its own on first use."""
-        return {**self.__dict__, "observe": None}
+        """The fields but the bound functions: pickle cannot name a function
+        made from generated code, and a copy binds its own on first use."""
+        return {**self.__dict__, "observe": None, "testers": None}
 
 
 def _substream(seed: int, tag: str, i: int = 0) -> int:
@@ -412,6 +411,7 @@ class _Worker:
     def stop(self) -> None:
         """Close the read end; unless reaped already, kill the worker, which
         may still be computing or blocked on the full pipe, and reap it."""
+        import signal  # here: a process that forks no worker need not load it
         self.reader.close()
         if self.pid:
             with contextlib.suppress(ProcessLookupError):
@@ -500,10 +500,8 @@ _PER_ORDERING = {"4": slice(0, 1), "6": slice(1, None)}
 # each guard, with the comparisons (over the ends s, t or an ordering's a,
 # b) whose failure implies it: pos is one-to-one, so where s != t and
 # pos(a) > pos(b) fails, pos(a) < pos(b) holds
-_IMPLIED_BY = {
-    _NE: [(None, "==", None, "s", "t")],
-    AFTER: [(None, "==", None, "s", "t"), ("pos", ">", "pos", "a", "b")],
-}
+_EQ = (None, "==", None, "s", "t")
+_IMPLIED_BY = {_NE: [_EQ], AFTER: [_EQ, ("pos", ">", "pos", "a", "b")]}
 
 
 @functools.cache
@@ -566,14 +564,47 @@ _OUTCOMES = {
 _OUTCOME_GLOBALS = {_global_name(tag): out for tag, out in _OUTCOMES.items()}
 
 
+def _key_terms(rows: list[tuple[str, bool, list[tuple]]]) -> list[tuple]:
+    """The comparisons of rows that the search's packed keys test: every
+    term of a negative row that has no guard (B4 and C per ordering, S2, S3
+    and B2), in order."""
+    return [cond for _tag, ans, terms in rows if not ans for cond, guard, _w in terms if guard is None]
+
+
 def _pass_source(flavors: tuple[str, ...]) -> str:
-    """The scalar pass for these flavors as Python source: def observe(s,
-    t), straight-line, with one `if` per term of _spec_rows that returns
-    the row's shared outcome.  A guard whose witnesses have all failed
-    before it is dropped, and a column read at one end more than once is
-    read once into a local, where it is first needed."""
-    tests, failed = [], set()
-    for tag, _ans, terms in _spec_rows(flavors):
+    """The scalar pass and the search's tester makers for these flavors,
+    as Python source.  def observe(s, t) returns the shared outcome of the
+    first term of _spec_rows that holds.  towards(t) and away(s) read the
+    fixed end's columns once and return test(s) and test(t): True where a
+    positive term but EQ holds for (s, t), else None.  A tester sees only
+    vertices other than its end that the packed keys leave, so EQ and every
+    term of _key_terms have failed there, and the guards they imply go."""
+    rows = _spec_rows(flavors)
+    _held, body = _tests_source(rows, set(), "    ", None, _global_name)
+    lines = [
+        "def observe(s, t):",
+        "    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path",
+        "        check_ids(n, s, t)",
+        *body,
+        "    return None",
+    ]
+    positive = [row for row in rows if row[1] and row[0] != "1:EQ"]
+    for maker, fixed, free in (("towards", "t", "s"), ("away", "s", "t")):
+        held, body = _tests_source(positive, {_EQ, *_key_terms(rows)}, "        ", fixed, lambda tag: "True")
+        lines += [f"def {maker}({fixed}):", *(f"    {x}_{fixed} = {x}[{fixed}]" for x, _end in held)]
+        lines += [f"    def test({free}):", *body, "        return None", "    return test"]
+    return "\n".join(lines) + "\n"
+
+
+def _tests_source(rows, failed: set, indent: str, fixed: str | None, returns: Callable) -> tuple:
+    """(held, lines): straight-line source with one `if` per term of rows,
+    in order, each returning returns(tag).  A guard whose witnesses have all
+    failed, in failed or before it, is dropped.  The columns read at the
+    end fixed are read from locals, which held names for the caller to
+    make; one read at another end more than once is read once into a
+    local, where it is first needed."""
+    tests = []
+    for tag, _ans, terms in rows:
         for cond, guard, witnesses in terms:
             if guard is None or failed.issuperset(witnesses):
                 tests.append(([cond], tag))
@@ -583,52 +614,57 @@ def _pass_source(flavors: tuple[str, ...]) -> str:
     reads = Counter(
         read for parts, _ in tests for x, _op, y, a, b in parts for read in ((x, a), (y, b))
     )
-    lines = [
-        "def observe(s, t):",
-        "    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path",
-        "        check_ids(n, s, t)",
-    ]
-    kept = set()
+    held = [read for read in reads if read[1] == fixed]
+    lines, kept = [], set(held)
 
     def value(name, end):
         if name is None:
             return end
-        if reads[name, end] == 1:
-            return f"{name}[{end}]"
         if (name, end) not in kept:
+            if reads[name, end] == 1:
+                return f"{name}[{end}]"
             kept.add((name, end))
-            lines.append(f"    {name}_{end} = {name}[{end}]")
+            lines.append(f"{indent}{name}_{end} = {name}[{end}]")
         return f"{name}_{end}"
 
     for parts, tag in tests:
         exprs = [COMPARISONS[op].format(x=value(x, a), y=value(y, b)) for x, op, y, a, b in parts]
-        lines.append(f"    if {' and '.join(f'({e})' if len(parts) > 1 else e for e in exprs)}:")
+        lines.append(f"{indent}if {' and '.join(f'({e})' if len(parts) > 1 else e for e in exprs)}:")
         if tag == "1:EQ":  # reads no column, which would refuse a float id
-            lines.append("        index(s), index(t)")
-        lines.append(f"        return {_global_name(tag)}")
-    lines.append("    return None")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{indent}    index(s), index(t)")
+        lines.append(f"{indent}    return {returns(tag)}")
+    return held, lines
 
 
 @functools.cache
-def _pass_code(flavors: tuple[str, ...]) -> CodeType:
-    """_pass_source compiled, once per flavor tuple.  The source goes into
-    linecache under a filename that names the flavors, so that tracebacks
-    and inspect.getsource show the generated lines."""
+def _pass_code(flavors: tuple[str, ...]) -> tuple[CodeType, ...]:
+    """_pass_source compiled, once per flavor tuple: the code of observe,
+    towards and away.  The source goes into linecache under a filename that
+    names the flavors, so that tracebacks and inspect.getsource show the
+    generated lines."""
     source = _pass_source(flavors)
     filename = f"<reachidx observe ({', '.join(flavors)})>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     module = compile(source, filename, "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
+    return tuple(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _columns(ix: ReachIndex) -> dict[str, array]:
+    """ix's uint32 label columns by their names in the spec."""
+    columns = {"lf": ix.levels.fwd, "lb": ix.levels.bwd, "wcc": ix.wcc}
+    for j, o in enumerate(ix.orderings):
+        columns.update({f"{name}{j}": getattr(o, name) for name in _ORDERING_COLUMNS})
+    return columns
 
 
 def _bind_observations(ix: ReachIndex) -> Callable[[int, int], QueryOutcome | None]:
-    """Tests 1-7 as ix's scalar pass: observe(s, t) gives the shared
-    outcome of the first row of observation_table true for (s, t), or None
-    when none is.
+    """Binds ix.observe and ix.testers (see _pass_source) and returns
+    observe: tests 1-7 as ix's scalar pass, where observe(s, t) gives the
+    shared outcome of the first row of observation_table true for (s, t),
+    or None when none is.
 
-    The pass's code is shared by every index with ix's ordering flavors
-    (_pass_code); binding it makes a function whose globals hold ix's
+    The code is shared by every index with ix's ordering flavors
+    (_pass_code); binding it makes functions whose globals hold ix's
     columns, read once here, and the shared outcomes, so a call copies no
     closure cells.  The masks are Python ints for any k, so S1-S3 stay one
     `&` each, and with k = 0 they are all zero and never fire.  observe
@@ -641,17 +677,14 @@ def _bind_observations(ix: ReachIndex) -> Callable[[int, int], QueryOutcome | No
         "n": len(ix.wcc),  # a label column: the observations never read the graph
         "check_ids": check_ids,
         "index": operator.index,
-        "lf": ix.levels.fwd,
-        "lb": ix.levels.bwd,
+        **_columns(ix),
         "fm": ss.fwd_mask,
         "bm": ss.bwd_mask,
-        "wcc": ix.wcc,
         **_OUTCOME_GLOBALS,
     }
-    for j, o in enumerate(ix.orderings):
-        namespace[f"pos{j}"], namespace[f"hi{j}"], namespace[f"mx{j}"] = o.pos, o.hi, o.mx
     code = _pass_code(tuple(o.flavor for o in ix.orderings))
-    return FunctionType(code, namespace)
+    ix.observe, *ix.testers = (FunctionType(c, namespace) for c in code)
+    return ix.observe
 
 
 def try_observations(
@@ -667,7 +700,7 @@ def try_observations(
     """
     observe = ix.observe
     if observe is None:
-        observe = ix.observe = _bind_observations(ix)
+        observe = _bind_observations(ix)
     out = observe(s, t)
     if out is None:
         return None, None
@@ -716,15 +749,12 @@ def observation_table(
     in [0, n), as query does.
     """
     S, T = _id_arrays(len(ix.wcc), S, T)
-    u32 = partial(np.frombuffer, dtype=np.uint32)
-    lv, ss = ix.levels, ix.supports
+    ss = ix.supports
+    columns = {name: np.frombuffer(col, np.uint32) for name, col in _columns(ix).items()}
     # each mask row in the widest unsigned cells that tile it, one uint16 at
     # k = 16: S1-S3 for 20000 pairs took 0.22 ms so and 1.6 ms on byte cells
     cell = f"<u{math.gcd(ss.mask_bytes or 1, 8)}"
-    fm, bm = (ss.rows(rows).view(cell) for rows in (ss.fwd_rows, ss.bwd_rows))
-    columns = {"lf": u32(lv.fwd), "lb": u32(lv.bwd), "fm": fm, "bm": bm, "wcc": u32(ix.wcc)}
-    for j, o in enumerate(ix.orderings):
-        columns.update({f"{name}{j}": u32(getattr(o, name)) for name in _ORDERING_COLUMNS})
+    columns["fm"], columns["bm"] = (ss.rows(rows).view(cell) for rows in (ss.fwd_rows, ss.bwd_rows))
     read = gatherer(columns, {"s": S, "t": T})
     table = []
     for tag, ans, terms in _spec_rows(tuple(o.flavor for o in ix.orderings)):
@@ -770,102 +800,64 @@ class Resolver:
         object.__setattr__(self, "tag", "fallback:" + self.name)
 
 
-def _pack_keys(ix: ReachIndex) -> PackedKeys:
-    """The negative observations of the search but the levels, as one key
-    per vertex.
+# each comparison of _key_terms as the fields that test it: whether each
+# reverses the term's one column (to top - column, or a complemented mask
+# bit) where the term reads (s, t); a term that reads (t, s) reverses each
+_KEY_FIELDS = {">": (False,), "<": (True,), "!=": (False, True), "&~": (False,), "~&": (True,)}
 
-    Each observation becomes fields u with u(a) <= u(b) whenever a reaches
-    b: wcc and W - wcc (B2), per ordering pos and N - Max, or N - pos and
-    Max for a backward one (B4, C), and one 2-bit field per support bit of
-    the forward masks and of the complemented backward masks (S2, S3).  The
-    other fields take whole bytes.  The top bit of each field is its guard
-    bit, g has every guard bit set and the values stay below them: then each
-    field of g + keys[b] - keys[a] holds 2^w + u(b) - u(a), with w the
-    guard's place in it, which lies in [1, 2^(w+1)) and so borrows nothing
-    from its neighbour, and the guard bit stays set exactly when u does not
-    refute (a, b).  So one addition, one & and one compare test every
-    observation at once (Lamport, "Multiple byte processing with full-word
-    instructions", CACM 1975).
+
+def _pack_keys(ix: ReachIndex) -> PackedKeys:
+    """The unguarded negative observations (_key_terms), as one key per
+    vertex.  The guarded ones are left out: the search tests B5 and B6 in
+    its level window, and C implies T2 and T5, as pos <= Max.
+
+    Each term becomes the fields _KEY_FIELDS gives, u with u(a) <= u(b)
+    whenever a reaches b: an integer column, or top - column with top its
+    largest value, in whole bytes, and one 2-bit field per bit of a mask.
+    The top bit of each field is its guard bit, g has every guard bit set
+    and the values stay below them: then each field of g + keys[b] -
+    keys[a] holds 2^w + u(b) - u(a), with w the guard's place in it, which
+    lies in [1, 2^(w+1)) and so borrows nothing from its neighbour, and the
+    guard bit stays set exactly when u does not refute (a, b).  So one
+    addition, one & and one compare test every observation at once
+    (Lamport, "Multiple byte processing with full-word instructions", CACM
+    1975).
     """
     n, ss = len(ix.wcc), ix.supports
-
-    def col(a: array) -> np.ndarray:
-        return np.frombuffer(a, dtype=np.uint32).astype(np.int64)
+    columns = {**_columns(ix), "fm": ss.fwd_rows, "bm": ss.bwd_rows}
 
     def fields():  # one at a time, so that only one int64 column is alive
-        wcc = col(ix.wcc)
-        yield wcc
-        yield wcc.max(initial=0) - wcc
-        for o in ix.orderings:
-            if o.flavor == FORWARD:
-                yield col(o.pos)
-                yield n - 1 - col(o.mx)
-            else:
-                yield n - 1 - col(o.pos)
-                yield col(o.mx)
+        for src, op, _tgt, a, _b in _key_terms(_spec_rows(tuple(o.flavor for o in ix.orderings))):
+            for flip in _KEY_FIELDS[op]:
+                flip ^= a == "t"
+                if src in ("fm", "bm"):
+                    bits = np.unpackbits(ss.rows(columns[src]), axis=1, bitorder="little") ^ flip
+                    spread = np.zeros((n, 2 * bits.shape[1]), dtype=np.uint8)
+                    spread[:, ::2] = bits  # bit i of the mask to bit 2i, its guard at 2i + 1
+                    yield np.packbits(spread, axis=1, bitorder="little"), b"\xaa" * (bits.shape[1] // 4)
+                    continue
+                values = np.frombuffer(columns[src], dtype=np.uint32).astype(np.int64)
+                if flip:
+                    values = values.max(initial=0) - values
+                width = (int(values.max(initial=0)).bit_length() + 8) // 8  # room for the guard bit
+                cells = values.astype("<u8").view(np.uint8).reshape(n, 8)[:, :width].copy()
+                yield cells, bytes(width - 1) + b"\x80"
 
-    parts, guard = [], bytearray()
-    for values in fields():
-        width = (int(values.max(initial=0)).bit_length() + 8) // 8  # room for the guard bit
-        parts.append(values.astype("<u8").view(np.uint8).reshape(n, 8)[:, :width].copy())
-        guard += bytes(width - 1) + b"\x80"
-    for rows, flip in ((ss.fwd_rows, 0), (ss.bwd_rows, 1)):
-        bits = np.unpackbits(ss.rows(rows), axis=1, bitorder="little") ^ flip
-        spread = np.zeros((n, 2 * bits.shape[1]), dtype=np.uint8)
-        spread[:, ::2] = bits  # bit i of the mask to bit 2i, its guard at 2i + 1
-        parts.append(np.packbits(spread, axis=1, bitorder="little"))
-        guard += b"\xaa" * (bits.shape[1] // 4)
-    data, size, from_bytes = np.hstack(parts).tobytes(), len(guard), int.from_bytes
+    parts, guards = zip(*fields())
+    data, guard, from_bytes = np.hstack(parts).tobytes(), b"".join(guards), int.from_bytes
     # one bytes object per key from struct, not a slice per key: 6.1 against
     # 8.8 ms at n = 65511 (map over chained 1-tuples took 7.9)
-    keys = [from_bytes(key, "little") for (key,) in struct.iter_unpack(f"{size}s", data)]
+    keys = [from_bytes(key, "little") for (key,) in struct.iter_unpack(f"{len(guard)}s", data)]
     return PackedKeys(keys, from_bytes(guard, "little"))
 
 
-def _endpoint_test(ix: ReachIndex, x: int, towards: bool) -> Callable[[int], bool | None]:
-    """The positive observations bound to the fixed endpoint x of one search
-    side, for a v != x that no negative observation refutes (the search
-    checks that first, with the level window and the packed keys).
-
-    For such v, towards=True gives test(v) == try_observations(ix, v, x)[0]
-    (forward side, x = t) and towards=False gives
-    test(v) == try_observations(ix, x, v)[0] (backward side, x = s): True
-    when S1, T1 or T3 of some ordering proves the pair, else None.  x's masks
-    and ordering indices are read once.
-
-    The tests are written for the forward side.  The backward side swaps the
-    two mask lists, which gives it S1 of (x, v).  An ordering whose own graph
-    has the pair (v, x) (a forward one on the forward side, a backward one on
-    the backward side) is an own ordering: v's High and Max are read per
-    call.  The others hold (x, v) and are fixed orderings: their tests
-    reduce to pos(v) in [pos(x), High(x)] or on Max(x), and pos(v) >= pos(x)
-    holds already, as B4 does not refute the pair.
-    """
-    fm, bm = ix.supports.fwd_mask, ix.supports.bwd_mask
-    if not towards:
-        fm, bm = bm, fm
-    fmx = fm[x]
-    own: list[tuple[array, array, int]] = []
-    fixed: list[tuple[array, int, int]] = []
-    for o in ix.orderings:
-        if (o.flavor == FORWARD) == towards:
-            own.append((o.hi, o.mx, o.pos[x]))
-        else:
-            fixed.append((o.pos, o.hi[x], o.mx[x]))
-
-    def test(v: int) -> bool | None:
-        if bm[v] & fmx:  # S1
-            return True
-        for hi, mx, px in own:  # T1, T3
-            if px <= hi[v] or px == mx[v]:
-                return True
-        for pos, b, m in fixed:  # T1, T3
-            p = pos[v]
-            if p <= b or p == m:
-                return True
-        return None
-
-    return test
+def _search_parts(ix: ReachIndex) -> tuple[PackedKeys, Callable, Callable]:
+    """ix's packed keys and tester makers, made on first use."""
+    if ix.keys is None:
+        ix.keys = _pack_keys(ix)
+    if ix.testers is None:
+        _bind_observations(ix)
+    return ix.keys, *ix.testers
 
 
 def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
@@ -879,8 +871,8 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     decisive positive answers the whole query, a decisive negative prunes v.
     The negative observations run inline: the level window (B5, B6), then
     one comparison of packed keys for the rest.  The positive ones run in the
-    side's _endpoint_test, built on that side's first pop.  The index's keys
-    are built on its first search with s != t.
+    side's tester, made on that side's first pop.  The index's keys and
+    tester makers are made on its first search with s != t.
     Raises IndexError when s or t is not a vertex id in [0, n).
     """
     g = ix.graph
@@ -900,21 +892,19 @@ def _bidirectional_search(ix: ReachIndex, s: int, t: int) -> tuple[bool, int]:
     # one form a[v] >= ax or b[v] <= bx (B5, B6), the key bound (c, want) and
     # the positive test; built on first pop
     fwd = bwd = None
-    if ix.keys is None:
-        ix.keys = _pack_keys(ix)
-    pk = ix.keys
+    pk, towards, away = _search_parts(ix)
     keys, guard = pk.keys, pk.guard
     work = 0
     while fq and bq:
         if len(fq) <= len(bq):
             if fwd is None:
                 fwd = (fq, g.out_off, g.out_tg, lf, lf[t], lb, lb[t],
-                       *pk.bound(t, True), _endpoint_test(ix, t, True))
+                       *pk.bound(t, True), towards(t))
             q, off, tg, a, ax, b, bx, c, want, test = fwd
         else:
             if bwd is None:
                 bwd = (bq, g.in_off, g.in_tg, lb, lb[s], lf, lf[s],
-                       *pk.bound(s, False), _endpoint_test(ix, s, False))
+                       *pk.bound(s, False), away(s))
             q, off, tg, a, ax, b, bx, c, want, test = bwd
         u = q.popleft()
         work += 1
@@ -946,7 +936,7 @@ def query(ix: ReachIndex, s: int, t: int) -> QueryOutcome:
     """
     observe = ix.observe
     if observe is None:
-        observe = ix.observe = _bind_observations(ix)
+        observe = _bind_observations(ix)
     out = observe(s, t)
     if out is not None:
         return out
@@ -978,7 +968,8 @@ def _decide(
 
     With enough undecided pairs (see _forks), one forked _Worker answers
     every other one while this process answers the rest; the packed keys
-    are built before the fork, so the worker inherits them.  If the worker
+    and tester makers are made before the fork, so the worker inherits
+    them.  If the worker
     fails to deliver, its pairs are answered here.  The outcomes are the
     same either way, and the worker does not outlive the call."""
     held = np.array([mask for _, _, mask in rows]).reshape(len(rows), len(S))
@@ -992,8 +983,7 @@ def _decide(
     worker = None
     try:
         if _forks(len(S), _FALLBACK_FORK_MIN):
-            if ix.keys is None:
-                ix.keys = _pack_keys(ix)
+            _search_parts(ix)
             worker = _Worker.fork(lambda: [_fallbacks(ix, S[1::2], T[1::2])])
         step = 1 if worker is None else 2
         found[::step] = _fallbacks(ix, S[::step], T[::step])

@@ -156,7 +156,9 @@ def build_oracle(
 def save_query_set(
     qs: QuerySet, f: IO[str], original_ids: Sequence[int] | None = None
 ) -> None:
-    ids = original_ids or range(max((max(p) for p in qs.pairs), default=-1) + 1)
+    ids = original_ids
+    if ids is None:  # not `or`: a numpy array has no truth value
+        ids = range(max((max(p) for p in qs.pairs), default=-1) + 1)
     expected = qs.expected or [None] * len(qs.pairs)
     for (s, t), exp in zip(qs.pairs, expected):
         if exp is None:

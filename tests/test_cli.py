@@ -328,6 +328,7 @@ from reachidx import cli
 query, build = json.loads(sys.argv[1])
 assert cli.main(query) == 0
 assert not STAGES & sys.modules.keys(), "a query loaded a build stage"
+assert "signal" not in sys.modules, "a query that forks no worker loaded signal"
 assert cli.main(build) == 0
 assert STAGES <= sys.modules.keys()
 """
@@ -335,8 +336,9 @@ assert STAGES <= sys.modules.keys()
 
 def test_query_over_a_bundle_loads_no_build_stage(pinned, tmp_path):
     """In a fresh process: `reachidx query` over a valid bundle leaves the
-    build stages unloaded, and a build in the same process then imports
-    them where it runs them and writes the same index bytes."""
+    build stages unloaded, and signal too, which only a worker's kill
+    needs; a build in the same process then imports the stages where it
+    runs them and writes the same index bytes."""
     g, idx, pairs, _run = pinned
     again = str(tmp_path / "again.ridx")
     argv = [["query", "--graph", g, "--index", idx, "--pairs", pairs],

@@ -39,7 +39,6 @@ from reachidx.index import (
     QueryOutcome,
     ReachIndex,
     _OUTCOMES,
-    _endpoint_test,
     _substream,
     build_index,
     deserialize_index,
@@ -122,6 +121,17 @@ def test_index_params_fit_the_header(name):
         IndexParams(**{name: 65536})
     assert getattr(IndexParams(**{name: 65535}), name) == 65535
     IndexParams(p=65536, h=65536)  # the file holds neither
+
+
+@pytest.mark.parametrize(
+    "name,value", [("p", 1.5), ("h", 2.5), ("t", 2.5), ("k", 16.0), ("t", "4"), ("k", None)]
+)
+def test_index_params_reject_non_integers(name, value):
+    """p and h were kept as given, and t and k failed inside build_index
+    or with a comparison TypeError that named no parameter."""
+    with pytest.raises(TypeError, match=f"^index parameter {name} must be an integer, got {value!r}$"):
+        IndexParams(**{name: value})
+    assert getattr(IndexParams(**{name: np.int64(3)}), name) == 3
 
 
 def test_build_odd_t_rounds_forward_up():
@@ -713,15 +723,16 @@ def test_the_generated_pass_shows_its_lines():
 
 @pytest.mark.parametrize("clone", [lambda ix: pickle.loads(pickle.dumps(ix)), copy.deepcopy])
 def test_a_queried_index_survives_pickle_and_deepcopy(clone):
-    """The bound pass, a function whose globals hold the index's columns,
-    is left out of the copy's state and bound again on its first query; the
-    packed keys are copied."""
+    """The bound pass and tester makers, functions whose globals hold the
+    index's columns, are left out of the copy's state and bound again on
+    its first query; the packed keys are copied."""
     g = gen_random_dag(64, 160, 0)
     ix = build_index(g, SMALL, seed=0)
     pairs = list(zip(*all_pairs(g.n)))
     expected = [query(ix, s, t) for s, t in pairs]
     assert ix.observe is not None and ix.keys is not None
     twin = clone(ix)
+    assert ix.testers is not None and twin.testers is None
     assert twin.observe is None and twin.keys == ix.keys
     assert twin == ix and twin.graph is not ix.graph  # graphs compare by their rows
     assert [query(twin, s, t) for s, t in pairs] == expected
@@ -763,20 +774,20 @@ def test_resolvers_are_exact(g, params, seed):
 
 
 def assert_endpoint_tests_match(ix: ReachIndex) -> None:
-    """Each side's negative checks and positive test together equal
+    """Each side's negative checks and generated tester together equal
     try_observations for every v != x: where the level window, (a, b) =
     (levels.fwd, levels.bwd) towards x and (levels.bwd, levels.fwd) from x,
     or the packed key refutes the pair, try_observations answers False, and
-    elsewhere the positive test answers what try_observations does, True or
+    elsewhere the side's tester answers what try_observations does, True or
     None.  v == x sits in the other side's seen set, where the sides meet,
     just as EQ answers it."""
     n = ix.graph.n
     lf, lb = ix.levels.fwd, ix.levels.bwd
-    pk = index_mod._pack_keys(ix)
+    pk, *makers = index_mod._search_parts(ix)
     for x in range(n):
-        for towards, a, b in ((True, lf, lb), (False, lb, lf)):
+        for towards, maker, a, b in ((True, makers[0], lf, lb), (False, makers[1], lb, lf)):
             c, want = pk.bound(x, towards)
-            test = _endpoint_test(ix, x, towards)
+            test = maker(x)
             for v in range(n):
                 if v == x:
                     continue
@@ -983,16 +994,22 @@ def test_fallback_work_frozen(resolver):
             assert resolver.run(ix, s, t) == (ans, FALLBACK_WORK[resolver.name][s][t]), (s, t)
 
 
-def test_endpoint_tests_are_built_lazily(monkeypatch):
+def test_endpoint_tests_are_built_lazily():
+    """Each side's tester is made on that side's first pop, from the makers
+    bound with the index's first search."""
     built = []
-
-    def counting(ix, x, towards):
-        built.append(towards)
-        return _endpoint_test(ix, x, towards)
-
-    monkeypatch.setattr(index_mod, "_endpoint_test", counting)
     g = gen_random_dag(64, 160, 0)
     ix = build_index(g, SMALL, seed=0)
+    index_mod._search_parts(ix)
+
+    def counting(maker, towards):
+        def make(x):
+            built.append(towards)
+            return maker(x)
+
+        return make
+
+    ix.testers = [counting(maker, towards) for maker, towards in zip(ix.testers, (True, False))]
     sink = next(v for v in range(g.n) if not successors(g, v))
     # the forward side pops first; a sink empties its queue on that pop
     assert PBIBFS.run(ix, sink, (sink + 1) % g.n) == (False, 1)

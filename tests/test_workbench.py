@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,6 +226,20 @@ def test_query_file_original_id_translation(tmp_path):
     with open(path, "w") as f:
         save_query_set(qs, f, original_ids=[10, 30])
     assert path.read_text() == "10 30 0\n"
+
+
+def test_query_file_takes_a_parse_results_numpy_ids(tmp_path):
+    """ParseResult.ids is a numpy array, int64 or of Python ints past 64
+    bits, which `original_ids or ...` refused as ambiguous."""
+    qs = QuerySet([(0, 1), (2, 0)], "random", 0, expected=[False, None])
+    path = tmp_path / "q.txt"
+    for ids, text in (
+        (np.array([10, -3, 2**62]), f"10 -3 0\n{2**62} 10\n"),
+        (np.array([10, -3, 2**70], dtype=object), f"10 -3 0\n{2**70} 10\n"),
+    ):
+        with open(path, "w") as f:
+            save_query_set(qs, f, ids)
+        assert path.read_text() == text
 
 
 def test_query_file_comments_and_errors(tmp_path):
