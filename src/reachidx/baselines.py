@@ -96,11 +96,12 @@ def build_matrix(g: DiGraph, cap_bytes: int = DEFAULT_MATRIX_CAP) -> ReachMatrix
 def bfs_search(g: DiGraph, s: int, t: int) -> tuple[bool, int]:
     """Memoryless forward BFS: (answer, vertices expanded).
 
-    Raises IndexError when s or t is not a vertex id in [0, n).
+    Raises IndexError when s or t is not a vertex id in [0, n), and
+    TypeError, as query does, when one in range is not an integer.
     """
     check_ids(g.n, s, t)
+    s, t = operator.index(s), operator.index(t)  # a float t would match v == t
     if s == t:
-        operator.index(s), operator.index(t)  # refuses a float id, as the search does
         return True, 0
     seen = bytearray(g.n)
     seen[s] = 1

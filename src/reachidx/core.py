@@ -442,30 +442,37 @@ def masks_from_rows(rows: np.ndarray) -> list[int]:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """The chosen supports and every vertex's two masks, in two forms.
+    """Every vertex's two support masks, as the index file holds them.
 
-    fwd_rows and bwd_rows hold the masks as the index file does: n rows of
-    mask_bytes little-endian bytes, vertex by vertex, which the bulk paths
-    read as numpy rows (see rows).  fwd_mask and bwd_mask hold the same
-    masks as one Python int per vertex for the scalar path, where any k
-    keeps S1-S3 a single `&`; they are derived from the rows here, so the
-    two forms cannot disagree.
+    fwd_rows and bwd_rows are n rows of mask_bytes little-endian bytes,
+    vertex by vertex, which the bulk paths read as numpy rows (see rows).
+    fwd_mask and bwd_mask are the same masks as one Python int per vertex
+    for the scalar path, where any k keeps S1-S3 a single `&`; each is
+    derived from its rows on first read, so the two forms cannot disagree
+    and a build or load that runs no scalar query never makes them.  The
+    rows determine the supports: bit i's support is the one vertex whose
+    rows both have bit i set.
     """
 
-    supports: list[int]  # in selection order; slot i of the masks
-    fwd_rows: bytes  # bit i of vertex w's row: supports[i] reaches w
-    bwd_rows: bytes  # bit i of vertex w's row: w reaches supports[i]
-    k: int  # requested support count; len(supports) may be smaller
+    fwd_rows: bytes  # bit i of vertex w's row: support i reaches w
+    bwd_rows: bytes  # bit i of vertex w's row: w reaches support i
+    k: int  # requested support count; fewer bits may have a support
     n: int  # vertices, one row each
-    # Made with the rows, not on first use: a cached_property here slowed
-    # the scalar path's reads of them (perfbench small-mixed p50 +5%).
-    fwd_mask: list[int] = field(init=False, repr=False, compare=False)
-    bwd_mask: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # rows raises ValueError unless the rows hold n * mask_bytes bytes
-        object.__setattr__(self, "fwd_mask", masks_from_rows(self.rows(self.fwd_rows)))
-        object.__setattr__(self, "bwd_mask", masks_from_rows(self.rows(self.bwd_rows)))
+        for data in (self.fwd_rows, self.bwd_rows):
+            self.rows(data)  # raises ValueError unless data holds n * mask_bytes bytes
+
+    # On first read, not at construction: the scalar pass reads both lists
+    # once a bind (index._bind_observations), not once a query, so a lazy
+    # attribute costs a query nothing.
+    @cached_property
+    def fwd_mask(self) -> list[int]:
+        return masks_from_rows(self.rows(self.fwd_rows))
+
+    @cached_property
+    def bwd_mask(self) -> list[int]:
+        return masks_from_rows(self.rows(self.bwd_rows))
 
     @property
     def mask_bytes(self) -> int:

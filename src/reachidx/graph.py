@@ -82,9 +82,9 @@ class ParseResult:
     each in ids, and what parsing dropped.
 
     ids is ascending, int64, or Python ints (dtype object) when some id
-    needs more than 64 bits.  original_ids and id_map give the same ids as
-    a list (dense id -> original id) and as a dict (original id -> dense
-    id), each built on its first read: an index build reads neither."""
+    needs more than 64 bits.  id_map gives the same ids as a dict
+    (original id -> dense id), built on its first read: an index build
+    does not read it."""
 
     graph: DiGraph
     ids: np.ndarray
@@ -92,12 +92,8 @@ class ParseResult:
     dropped_duplicates: int = 0
 
     @cached_property
-    def original_ids(self) -> list[int]:
-        return self.ids.tolist()
-
-    @cached_property
     def id_map(self) -> dict[int, int]:
-        return dict(zip(self.original_ids, range(len(self.ids))))
+        return dict(zip(self.ids.tolist(), range(len(self.ids))))
 
 
 def _parse_edge_text(data: bytes) -> ParseResult:

@@ -74,12 +74,14 @@ as given: the forked worker writes them to its pipe as they are.  The
 file (format version 3) holds them the same way, each column contiguous
 after the header, so serialization joins their bytes and loading copies
 each column out of one slice without creating an int per cell.  The
-support masks are kept in two forms (see SupportSet): as the file's rows
-of (k + 7) // 8 bytes, which serialization writes as they are and
-observation_table and the packed keys read as numpy rows, and as one
-Python int per vertex, derived from the rows, for the scalar path: k may
-exceed 64, and an int keeps S1-S3 a single `&` for any k.  A payload
-CRC32 in the header rejects a damaged file before any of it is read.
+support masks are stored once, as the file's rows of (k + 7) // 8 bytes
+(see SupportSet), which serialization writes as they are and
+observation_table and the packed keys read as numpy rows.  The scalar
+pass reads one Python int per vertex instead, derived from the rows when
+it is first bound: k may exceed 64, and an int keeps S1-S3 a single `&`
+for any k.  Loading makes neither the ints nor a list of the supports,
+which the rows determine.  A payload CRC32 in the header rejects a
+damaged file before any of it is read.
 """
 
 from __future__ import annotations
@@ -667,9 +669,9 @@ def _bind_observations(ix: ReachIndex) -> Callable[[int, int], QueryOutcome | No
     (_pass_code); binding it makes functions whose globals hold ix's
     columns, read once here, and the shared outcomes, so a call copies no
     closure cells.  The masks are Python ints for any k, so S1-S3 stay one
-    `&` each, and with k = 0 they are all zero and never fire.  observe
-    raises IndexError when s or t is not a vertex id in [0, n); it reads no
-    adjacency.
+    `&` each (the first bind derives them from the rows), and with k = 0
+    they are all zero and never fire.  observe raises IndexError when s or
+    t is not a vertex id in [0, n); it reads no adjacency.
     """
     ss = ix.supports
     namespace = {
@@ -1099,19 +1101,6 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
         for j in range(t)
     ]
     fwd_rows, bwd_rows = raw[masks_at:].reshape(2, n, (k + 7) // 8)
-    supports: list[int] = []
-    if k:
-        # A support is the unique vertex with its own bit set in both masks:
-        # both directions reachable means same SCC, hence the same vertex.
-        # So at most k rows of fwd & bwd are nonzero; only those are unpacked.
-        both = fwd_rows & bwd_rows
-        rows = np.flatnonzero(both.any(axis=1))
-        bits = np.unpackbits(both[rows], axis=1, bitorder="little")[:, :k]
-        for i in range(k):
-            owners = rows[np.flatnonzero(bits[:, i])]
-            if owners.size == 0:
-                break
-            supports.append(int(owners[0]))
     # copies, so that the index does not keep the file's buffer alive
-    support_set = SupportSet(supports, fwd_rows.tobytes(), bwd_rows.tobytes(), k, n)
+    support_set = SupportSet(fwd_rows.tobytes(), bwd_rows.tobytes(), k, n)
     return ReachIndex(dag, wcc, levels, orderings, support_set)

@@ -135,14 +135,15 @@ def pick_supports(
     levels: LevelAssignment,
 ) -> SupportSet:
     """Keep the top min(k, |pool|) candidates by |R+| * |R-|, smaller vertex id
-    breaking ties, and materialize their per-vertex bit columns.  levels
-    must be dag's topological_levels: they order the mask propagation."""
+    breaking ties, and materialize their per-vertex bit columns: bit i of
+    the masks is the i-th kept.  levels must be dag's topological_levels:
+    they order the mask propagation."""
     n = dag.n
     k = max(k, 0)
     width = (k + 7) // 8
     if k == 0 or not pool.candidates:
         zeros = bytes(n * width)
-        return SupportSet([], zeros, zeros, k, n)
+        return SupportSet(zeros, zeros, k, n)
     cands = pool.candidates
     fwd_levels, bwd_levels = (np.frombuffer(lv, np.uint32) for lv in (levels.fwd, levels.bwd))
     fwd_M = _mask_matrix(dag.in_off, dag.in_tg, fwd_levels, cands)
@@ -155,7 +156,6 @@ def pick_supports(
     )
     chosen = ranked[: min(k, len(cands))]
     return SupportSet(
-        supports=[cands[j] for j in chosen],
         fwd_rows=_take_columns(fwd_M, chosen, width).tobytes(),
         bwd_rows=_take_columns(bwd_M, chosen, width).tobytes(),
         k=k,

@@ -116,6 +116,23 @@ def _bfs_bits(g: DiGraph, v: int) -> int:
     return bits
 
 
+def support_owners(ss) -> list[int]:
+    """The supports a SupportSet's rows name, in bit order: for each bit
+    the one vertex whose rows have it set in both directions (on a DAG only
+    a support both reaches and is reached by itself), up to the first bit
+    that no vertex owns."""
+    both = ss.rows(ss.fwd_rows) & ss.rows(ss.bwd_rows)
+    bits = np.unpackbits(both, axis=1, bitorder="little")
+    owners = []
+    for i in range(ss.k):
+        who = np.flatnonzero(bits[:, i]).tolist()
+        if not who:
+            break
+        (v,) = who  # raises on a bit that two vertices own
+        owners.append(v)
+    return owners
+
+
 def brute_reach_sets(g: DiGraph) -> list[set[int]]:
     """Independent closure oracle: plain DFS from every vertex."""
     out = []

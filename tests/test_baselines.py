@@ -8,9 +8,12 @@ from reachidx.baselines import (
     CapacityError,
     ReachMatrix,
     bfs_query,
+    bfs_search,
     build_matrix,
 )
 from reachidx.graph import DiGraph
+from reachidx.index import PLAIN_BFS, build_index, query
+from reachidx.workbench import build_oracle
 
 from conftest import brute_reach_sets, dags, diamond, path_graph
 
@@ -35,6 +38,26 @@ def test_matrix_refuses_ids_out_of_range():
         with pytest.raises(IndexError):
             bfs_query(g, s, t)
     assert mx.query(2, 0) and not mx.query(0, 2)
+
+
+def test_bfs_refuses_a_float_id_in_range():
+    """A float id in range is a TypeError, as the index's query raises: the
+    search used to compare it with each neighbour and answer (0, 1.0) as
+    reachable and (0, 1.5) as not."""
+    g = path_graph(3)
+    ix = build_index(g)
+    per_pair = build_oracle(g, 0)  # no room for the matrix: per-pair BFS
+    for s, t in ((0, 1.0), (0, 1.5), (1.0, 2), (1.0, 1.0)):
+        for ask in (
+            lambda: bfs_search(g, s, t),
+            lambda: bfs_query(g, s, t),
+            lambda: PLAIN_BFS.run(ix, s, t),
+            lambda: per_pair(s, t),
+            lambda: query(ix, s, t),
+        ):
+            with pytest.raises(TypeError):
+                ask()
+    assert bfs_search(g, np.int64(0), np.int64(2)) == (True, 2)
 
 
 def test_capacity_cap_enforced():

@@ -770,7 +770,7 @@ def scalar_rows(graph: str, idx: str, pairs: str) -> list[str]:
     cond = scc_condense(res.graph)
     with open(idx, "rb") as f:
         ix = deserialize_index(f.read(), cond.dag)
-    scc = dict(zip(res.original_ids, cond.scc_of))
+    scc = dict(zip(res.ids.tolist(), cond.scc_of))
     rows, seen = [], {}
     with open(pairs, encoding="utf-8") as f:
         for line in f:

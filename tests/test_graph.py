@@ -176,7 +176,7 @@ def test_csr_graph_in_rows_are_the_transposition(n, m):
 def test_parse_edge_list_dense():
     res = parse_graph("0 1\n1 2\n", "edge-list")
     assert res.graph.n == 3 and res.graph.m == 2
-    assert res.original_ids == [0, 1, 2]
+    assert res.ids.tolist() == [0, 1, 2]
 
 
 def test_parse_edge_list_comments_and_blank_lines():
@@ -199,7 +199,7 @@ def test_parse_edge_list_drops_duplicates_with_count():
 def test_parse_edge_list_sparse_ids_remap():
     res = parse_graph("10 30\n30 20", "edge-list")
     assert res.graph.n == 3
-    assert res.original_ids == [10, 20, 30]
+    assert res.ids.tolist() == [10, 20, 30]
     assert res.id_map == {10: 0, 20: 1, 30: 2}
     # edges translated through the remap
     assert edge_pairs(res.graph) == [(0, 2), (2, 1)]
@@ -216,7 +216,7 @@ def test_parse_gra_example():
     res = parse_graph("3\n0: 1 2 #\n1: #\n2: #\n", "gra")
     assert res.graph.n == 3 and res.graph.m == 2
     assert successors(res.graph, 0) == [1, 2]
-    assert res.original_ids == [0, 1, 2]
+    assert res.ids.tolist() == [0, 1, 2]
 
 
 def test_parse_gra_tolerates_header_line():
@@ -322,8 +322,8 @@ def _outcome(parse, *args):
         res = parse(*args)
     except GraphFormatError as e:
         return "error", str(e)
-    assert res.id_map == {x: i for i, x in enumerate(res.original_ids)}
-    return (res.original_ids, edge_pairs(res.graph),
+    assert res.id_map == {x: i for i, x in enumerate(res.ids.tolist())}
+    return (res.ids.tolist(), edge_pairs(res.graph),
             res.dropped_self_loops, res.dropped_duplicates)
 
 
@@ -524,7 +524,7 @@ def test_whitespace_list_is_what_isspace_says():
 
 def test_parse_edge_list_accepts_what_int_accepts():
     res = parse_graph(f"+5 -0_7\n1_000 ٣\n{2**70} 5", "edge-list")
-    assert res.original_ids == [-7, 3, 5, 1000, 2**70]
+    assert res.ids.tolist() == [-7, 3, 5, 1000, 2**70]
     assert edge_pairs(res.graph) == [(2, 0), (3, 1), (4, 2)]
 
 
@@ -626,7 +626,7 @@ def test_condensation_numbering_and_index_bytes_frozen(tmp_path, capsys):
     once format version 3 kept backward orderings in the reverse graph's
     coordinates."""
     res = parse_graph(PINNED_EDGE_LIST, "edge-list")
-    assert res.original_ids == [-3, 7, 8, 10, 12, 40, 55, 70, 90, 1000]
+    assert res.ids.tolist() == [-3, 7, 8, 10, 12, 40, 55, 70, 90, 1000]
     assert (res.dropped_self_loops, res.dropped_duplicates) == (1, 1)
     cond = scc_condense(res.graph)
     assert cond.scc_of == [3, 5, 4, 2, 0, 1, 1, 2, 0, 6]

@@ -69,6 +69,7 @@ from conftest import (
     path_graph,
     predecessors,
     successors,
+    support_owners,
 )
 
 SMALL = IndexParams(t=2, k=4, p=2, h=3)
@@ -105,7 +106,7 @@ def test_build_default_params_ordering_flavors():
     ix = build_index(diamond(), seed=0)
     assert ix.params == IndexParams(4, 16, 75, 8)
     assert [o.flavor for o in ix.orderings] == [FORWARD, FORWARD, BACKWARD, BACKWARD]
-    assert len(ix.supports.supports) <= 16
+    assert len(support_owners(ix.supports)) <= 16
 
 
 @pytest.mark.parametrize("name", ["t", "k", "p", "h"])
@@ -915,7 +916,7 @@ def test_search_matches_reference_search(g, params, seed):
 
 def test_positive_observations_prune_the_search_on_a_deep_graph():
     # ~1000 levels of width 4, where most fallbacks are reachable: with S1, T1
-    # and T3 in _endpoint_test the search pops 3.9 vertices per fallback on
+    # and T3 in each side's tester the search pops 3.9 vertices per fallback on
     # these 461 fallbacks, without them 679.  No benchmark workload is this
     # deep, and on the uniform ones these tests cost more than they save.
     g = layered_dag(4096, 4, np.random.default_rng(1))
@@ -1230,7 +1231,7 @@ def test_table_with_two_word_masks():
     """70 supports, so S1-S3 read bits 64.. from the masks' second word."""
     g = gen_random_dag(300, 1200, seed=0)
     ix = build_index(g, IndexParams(t=3, k=70, p=3), seed=0)
-    assert len(ix.supports.supports) == 70
+    assert len(support_owners(ix.supports)) == 70
     rnd = random.Random(1)
     S = [rnd.randrange(300) for _ in range(3000)]
     T = [rnd.randrange(300) for _ in range(3000)]
@@ -1314,7 +1315,7 @@ def roundtrip_equal(ix: ReachIndex, g: DiGraph) -> None:
     assert_uint_columns(loaded)
     assert loaded.wcc == ix.wcc
     assert loaded.levels == ix.levels
-    assert loaded.supports.supports == ix.supports.supports
+    assert support_owners(loaded.supports) == support_owners(ix.supports)
     assert loaded.supports.fwd_mask == ix.supports.fwd_mask
     assert loaded.supports.bwd_mask == ix.supports.bwd_mask
     assert loaded.supports.k == ix.supports.k
@@ -1340,7 +1341,7 @@ def test_roundtrip_degenerate_shapes():
     roundtrip_equal(build_index(g, big_k, seed=0), g)
     g = gen_random_dag(300, 1200, seed=0)
     ix = build_index(g, IndexParams(t=3, k=70), seed=0)
-    assert len(ix.supports.supports) == 70  # bits in the second 64-bit word
+    assert len(support_owners(ix.supports)) == 70  # bits in the second 64-bit word
     roundtrip_equal(ix, g)
 
 
@@ -1361,6 +1362,26 @@ def test_support_rows_and_ints_agree(k):
             assert any(ints) == (k > 0)
     assert loaded.supports == built.supports
     assert blob.endswith(built.supports.fwd_rows + built.supports.bwd_rows)
+
+
+def test_int_masks_are_derived_on_the_first_query():
+    """A build and a load keep the masks as rows only, and so does a
+    query_batch whose pairs all decide: observation_table reads the rows.
+    The first query binds the scalar pass, which derives both int lists
+    from the rows, equal to the built index's."""
+    g = gen_random_dag(300, 1200, seed=0)
+    built = build_index(g, IndexParams(t=2, k=16), seed=0)
+    loaded = deserialize_index(serialize_index(built), g)
+    lazy = ("fwd_mask", "bwd_mask")
+    assert not any(name in ss.__dict__ for ss in (built.supports, loaded.supports) for name in lazy)
+    S, T = np.random.default_rng(5).integers(0, g.n, (2, 2000)).tolist()
+    S, T = zip(*[(s, t) for s, t in zip(S, T) if try_observations(built, s, t)[1]])
+    assert "fallback:pbibfs" not in query_batch(loaded, S, T)[1]
+    assert not any(name in loaded.supports.__dict__ for name in lazy)
+    assert query(loaded, S[0], T[0]) == query(built, S[0], T[0])
+    assert all(name in loaded.supports.__dict__ for name in lazy)
+    assert loaded.supports.fwd_mask == built.supports.fwd_mask
+    assert loaded.supports.bwd_mask == built.supports.bwd_mask
 
 
 @pytest.mark.parametrize(

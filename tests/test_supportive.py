@@ -34,6 +34,7 @@ from conftest import (
     out_star,
     path_graph,
     reach_sets,
+    support_owners,
 )
 
 
@@ -160,7 +161,7 @@ def test_candidate_pool_invariants(g, seed):
 def test_supports_path_prefers_middle():
     g = path_graph(3)
     ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1, levels=topological_levels(g))
-    assert ss.supports == [1]
+    assert support_owners(ss) == [1]
     assert ss.fwd_mask == [0, 1, 1]  # vertex 1 reaches itself and 2
     assert ss.bwd_mask == [1, 1, 0]  # 0 and 1 reach vertex 1
     assert ss.k == 1 and ss.mask_bytes == 1
@@ -169,7 +170,7 @@ def test_supports_path_prefers_middle():
 def test_supports_diamond_tie_breaks_to_smallest_id():
     g = diamond()
     ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=1, levels=topological_levels(g))
-    assert ss.supports == [0]  # every product ties at 4
+    assert support_owners(ss) == [0]  # every product ties at 4
     assert ss.fwd_mask == [1, 1, 1, 1]
     assert ss.bwd_mask == [1, 0, 0, 0]
 
@@ -177,22 +178,22 @@ def test_supports_diamond_tie_breaks_to_smallest_id():
 def test_supports_k_zero():
     g = diamond()
     ss = pick_supports(pool_for(g, k=1, p=4, h=8), g, k=0, levels=topological_levels(g))
-    assert ss.supports == [] and ss.k == 0 and ss.mask_bytes == 0
+    assert support_owners(ss) == [] and ss.k == 0 and ss.mask_bytes == 0
     assert ss.fwd_mask == [0, 0, 0, 0]
 
 
 def test_support_set_refuses_rows_of_the_wrong_size():
     """The int masks are derived from the rows, which must hold n rows of
     mask_bytes bytes each."""
-    ss = SupportSet([0], b"\x01\x03\x00", b"\x01\x00\x00", k=2, n=3)
+    ss = SupportSet(b"\x01\x03\x00", b"\x01\x00\x00", k=2, n=3)
     assert (ss.fwd_mask, ss.bwd_mask) == ([1, 3, 0], [1, 0, 0])
-    assert SupportSet([], b"", b"", k=0, n=3).fwd_mask == [0, 0, 0]
+    assert SupportSet(b"", b"", k=0, n=3).fwd_mask == [0, 0, 0]
     with pytest.raises(ValueError, match=r"size 2 into shape \(3,1\)"):
-        SupportSet([0], b"\x01\x03\x00", b"\x01\x00", k=2, n=3)
+        SupportSet(b"\x01\x03\x00", b"\x01\x00", k=2, n=3)
     with pytest.raises(ValueError, match=r"size 6 into shape \(3,1\)"):
-        SupportSet([0], bytes(6), bytes(3), k=8, n=3)
+        SupportSet(bytes(6), bytes(3), k=8, n=3)
     with pytest.raises(ValueError, match=r"size 1 into shape \(3,0\)"):
-        SupportSet([], b"\x00", b"", k=0, n=3)
+        SupportSet(b"\x00", b"", k=0, n=3)
 
 
 @settings(max_examples=60)
@@ -202,12 +203,13 @@ def test_mask_columns_match_per_vertex_search(g, seed):
     pool = pool_for(g, k=4, p=2, h=3, seed=seed)
     ss = pick_supports(pool, g, k=4, levels=topological_levels(g))
     reach = brute_reach_sets(g)
-    for i, sv in enumerate(ss.supports):
+    supports = support_owners(ss)
+    for i, sv in enumerate(supports):
         for w in range(g.n):
             assert (ss.fwd_mask[w] >> i) & 1 == (w in reach[sv])
             assert (ss.bwd_mask[w] >> i) & 1 == (sv in reach[w])
     # unused high bits stay clear
-    used = (1 << len(ss.supports)) - 1
+    used = (1 << len(supports)) - 1
     assert all(mask & ~used == 0 for mask in ss.fwd_mask + ss.bwd_mask)
 
 
@@ -215,8 +217,9 @@ def test_mask_columns_beyond_one_word():
     """k > 64 chosen supports: bits 64.. land in the masks' second word."""
     g = gen_random_dag(300, 1200, seed=0)
     ss = pick_supports(pool_for(g, k=70, p=3, h=8), g, k=70, levels=topological_levels(g))
-    assert len(ss.supports) == 70
-    for i, sv in enumerate(ss.supports):
+    supports = support_owners(ss)
+    assert len(supports) == 70
+    for i, sv in enumerate(supports):
         fwd, bwd = reach_sets(g, sv)
         assert sum(((m >> i) & 1) << w for w, m in enumerate(ss.fwd_mask)) == fwd
         assert sum(((m >> i) & 1) << w for w, m in enumerate(ss.bwd_mask)) == bwd
@@ -320,7 +323,7 @@ def test_supports_are_top_ranked_by_product(g, seed):
         return (-fwd.bit_count() * bwd.bit_count(), v)
 
     expect = sorted(pool.candidates, key=rank)[: min(3, len(pool.candidates))]
-    assert ss.supports == expect
+    assert support_owners(ss) == expect
 
 
 # ---------------------------------------------------------------------------
