@@ -24,7 +24,7 @@ _EXPORTS = {
         "scc_condense", "topological_levels", "weak_components",
     ),
     "index": (
-        "PBIBFS", "PLAIN_BFS", "IndexFormatError", "IndexParams", "ObservationStats",
+        "PBIBFS", "PLAIN_BFS", "Condensed", "IndexFormatError", "IndexParams", "ObservationStats",
         "QueryOutcome", "ReachIndex", "Resolver", "build_index", "deserialize_index",
         "observation_stats", "observation_table", "query", "query_batch", "serialize_index",
         "try_observations",

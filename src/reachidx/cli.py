@@ -1,9 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: files, warnings and printing.
 
-Inputs may be arbitrary digraphs: every command condenses its input first
-and answers original-vertex queries through the SCC map, so two vertices of
-one strongly connected component are mutually reachable without consulting
-the index (observation B3).
+Inputs may be arbitrary digraphs on arbitrary integer ids.  Every command
+answers them through index.Condensed, the graph's SCC condensation, which
+owns the original ids: it translates each pair to its SCCs, refuses an
+unknown id before any pair is answered, and answers two distinct ids of
+one strongly connected component without the index (observation B3).
 
 `build` also writes the condensation next to the index, as a bundle keyed
 by a digest of the graph file's bytes and format, so that `query` and
@@ -11,25 +12,22 @@ by a digest of the graph file's bytes and format, so that `query` and
 missing, stale or damaged is ignored and the graph is parsed as `build`
 parsed it; deleting one is always safe.
 
-`query` answers its pairs file in bulk.  It reads the whole file first and
-translates every original id to its SCC with one search of the sorted ids,
-so an unknown id fails the command before any answer is printed.  It then
-answers QUERY_CHUNK pairs at a time with index.query_batch, which gives
-each pair the outcome query() gives it (with a spare CPU, half of a
-chunk's fallbacks run in a forked worker), and writes each chunk's rows
-as one string, cut into WRITE_PIECE pieces.  A chunk costs no per-call
-conversion of the support masks: the table reads them as the rows the
-index file held.
+`query` reads the whole pairs file and answers it with Condensed.query,
+QUERY_CHUNK pairs to an index.query_batch call, which gives each pair the
+outcome query() gives it (with a spare CPU, half of a chunk's fallbacks
+run in a forked worker).  It writes each chunk's rows as one string, cut
+into WRITE_PIECE pieces.
 
 Each command loads the modules it runs.  Importing this one loads core
 (the graph, the pairs reader and the index's columns), baselines and
-index.  The parser and `scc_condense` are imported from graph where a
-graph is parsed: by `build`, and by `query` and `stats` when the bundle is
-missing or stale.  `build_index` imports the build stages (graph,
-toporder, supportive) when it runs.  So `query` over a valid bundle
-compiles no build stage.  Only gen-graph, gen-queries, bench and stats
-use the workbench, and each imports it when it runs, so `build` and
-`query` start without it (and without the statistics module it loads).
+index.  The parser, and Tarjan's condensation in Condensed.from_parse, are
+imported from graph where a graph is parsed: by `build`, and by `query`
+and `stats` when the bundle is missing or stale.  `build_index` imports
+the build stages (graph, toporder, supportive) when it runs.  So `query`
+over a valid bundle compiles no build stage.  Only gen-graph, gen-queries,
+bench and stats use the workbench, and each imports it when it runs, so
+`build` and `query` start without it (and without the statistics module
+it loads).
 """
 
 from __future__ import annotations
@@ -37,26 +35,26 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import hashlib
 import os
 import struct
 import sys
 import zlib
+from _blake2 import blake2b  # hashlib's blake2b, without the OpenSSL module hashlib loads
 from typing import IO, TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .baselines import ALGORITHM_NAMES, DEFAULT_MATRIX_CAP, QUERY_KINDS, InfeasibleError
-from .core import DiGraph, GraphFormatError, _csr_graph, graph_format, load_pairs
+from .core import GraphFormatError, _csr_graph, graph_format, load_pairs
 from .index import (
     PBIBFS,
+    QUERY_CHUNK,
+    Condensed,
     IndexFormatError,
     IndexParams,
     ReachIndex,
     build_index,
     deserialize_index,
-    observation_stats,
-    query_batch,
     serialize_index,
 )
 
@@ -80,51 +78,25 @@ def _read(path: str) -> bytes:
         return f.read()
 
 
+@contextlib.contextmanager
+def _in_file(path: str) -> Iterator[None]:
+    """Say which input file is at fault in a GraphFormatError of the block."""
+    try:
+        yield
+    except GraphFormatError as e:
+        raise GraphFormatError(f"{path}: {e}") from None
+
+
 def _load(path: str, fmt: str | None, data: bytes) -> ParseResult:
     """The graph file at path, whose bytes are data, parsed.  Its original
     ids are int64, or Python ints (dtype object) when one is beyond 64
     bits: those compare as ints, and no bundle can hold them."""
     from .graph import parse_graph
 
-    try:
+    with _in_file(path):
         res = parse_graph(data, graph_format(path, fmt))
-    except GraphFormatError as e:  # say which input file is at fault
-        raise GraphFormatError(f"{path}: {e}") from None
     _warn_dropped(path, res.dropped_self_loops, res.dropped_duplicates)
     return res
-
-
-def _load_condensed(
-    path: str, fmt: str | None, data: bytes
-) -> tuple[DiGraph, np.ndarray, np.ndarray]:
-    """The condensed DAG of the graph file at path, whose bytes are data,
-    its original ids ascending, and the SCC of each."""
-    from .graph import scc_condense
-
-    res = _load(path, fmt, data)
-    cond = scc_condense(res.graph)
-    return cond.dag, res.ids, np.array(cond.scc_of, dtype=np.uint32)
-
-
-def _read_pairs(
-    path: str, ids: np.ndarray, scc_of: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs file at path as (S, T, SCC of S, SCC of T, expected bit,
-    -1 for none), all read and translated before a command prints any
-    answer.  ids are the graph's original ids, ascending, and scc_of[i] is
-    the SCC of ids[i]; an id not among them fails the whole file, naming
-    the first one in reading order."""
-    S, T, expected = load_pairs(path)
-    ends = np.column_stack((S, T)).ravel()  # s, t of each pair in turn
-    if ends.dtype != ids.dtype:  # ids beyond 64 bits on one side: compare as ints
-        ends, ids = ends.astype(object), ids.astype(object)
-    at = np.searchsorted(ids, ends)
-    known = at < len(ids)
-    known[known] = ids[at[known]] == ends[known]
-    if not known.all():
-        raise GraphFormatError(f"{path}: unknown vertex id {ends[known.argmin()]}")
-    scc = scc_of[at]
-    return S, T, scc[0::2], scc[1::2], expected
 
 
 # ---------------------------------------------------------------------------
@@ -144,39 +116,30 @@ BUNDLE_HEADER = struct.Struct("<4sI32s5Q")
 
 def _source_digest(data: bytes, fmt: str) -> bytes:
     """The digest of a graph file's bytes, data, read in format fmt."""
-    h = hashlib.blake2b(fmt.encode() + b"\n", digest_size=32)
+    h = blake2b(fmt.encode() + b"\n", digest_size=32)
     h.update(data)
     return h.digest()
 
 
-def _write_bundle(
-    f: IO[bytes],
-    digest: bytes,
-    original_ids: np.ndarray,
-    scc_of: np.ndarray,
-    dag: DiGraph,
-    dropped: tuple[int, int],
-) -> None:
+def _write_bundle(f: IO[bytes], digest: bytes, cond: Condensed, dropped: tuple[int, int]) -> None:
+    dag = cond.dag
     offsets = np.frombuffer(dag.out_off, np.uint32).astype("<u4")
     targets = np.frombuffer(dag.out_tg, np.uint32).astype("<u4")
     header = BUNDLE_HEADER.pack(
-        BUNDLE_MAGIC, BUNDLE_VERSION, digest, len(original_ids), dag.n, dag.m, *dropped
+        BUNDLE_MAGIC, BUNDLE_VERSION, digest, len(cond.ids), dag.n, dag.m, *dropped
     )
     body = b"".join(
-        [header, original_ids.astype("<i8", copy=False).tobytes(), scc_of.tobytes(),
-         offsets.tobytes(), targets.tobytes()]
+        [header, cond.ids.astype("<i8", copy=False).tobytes(),
+         cond.scc_of.astype("<u4", copy=False).tobytes(), offsets.tobytes(), targets.tobytes()]
     )
     f.write(body)
     f.write(struct.pack("<I", zlib.crc32(body)))
 
 
-def _read_bundle(
-    path: str, digest: bytes
-) -> tuple[DiGraph, np.ndarray, np.ndarray, tuple[int, int]] | None:
-    """(condensed DAG, original ids ascending, the SCC of each, dropped
-    self-loops and duplicates) from the bundle at path, or None unless it is
-    whole, intact and written for the graph bytes and format that digest
-    names."""
+def _read_bundle(path: str, digest: bytes) -> tuple[Condensed, tuple[int, int]] | None:
+    """The condensation and the dropped self-loops and duplicates from the
+    bundle at path, or None unless it is whole, intact and written for the
+    graph bytes and format that digest names."""
     try:
         with open(path, "rb") as f:
             data = f.read()
@@ -199,7 +162,7 @@ def _read_bundle(
     targets = np.frombuffer(data, "<u4", m, at + 12 * n + 4 * (c + 1))
     if not _sound_condensation(original_ids, scc_of, offsets, targets):
         return None
-    return _csr_graph(offsets, targets), original_ids, scc_of, tuple(dropped)
+    return Condensed(original_ids, scc_of, _csr_graph(offsets, targets)), tuple(dropped)
 
 
 def _sound_condensation(
@@ -280,8 +243,6 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    from .graph import scc_condense
-
     fmt = graph_format(args.graph, args.format)
     bundle = args.out_index + BUNDLE_SUFFIX
     for path in (args.out_index, bundle):
@@ -292,53 +253,39 @@ def _cmd_build(args: argparse.Namespace) -> int:
         source = _read(args.graph)
         digest = _source_digest(source, fmt)
         res = _load(args.graph, fmt, source)
-        cond = scc_condense(res.graph)
-        dag = cond.dag
-        n_input = res.graph.n
-        original_ids = res.ids
-        scc_of = np.array(cond.scc_of, dtype="<u4")
+        cond = Condensed.from_parse(res)
         dropped = (res.dropped_self_loops, res.dropped_duplicates)
         # the file's bytes and the input graph would only raise the peak memory of the build
-        del source, res, cond
-        data = serialize_index(build_index(dag, args.params, args.seed))
+        del source, res
+        data = serialize_index(build_index(cond.dag, args.params, args.seed))
         out.write(data)
-        if original_ids.dtype != object:
-            _write_bundle(out_bundle, digest, original_ids, scc_of, dag, dropped)
-    if original_ids.dtype == object:  # no bundle, query re-parses: drop the empty one
+        if cond.ids.dtype != object:
+            _write_bundle(out_bundle, digest, cond, dropped)
+    if cond.ids.dtype == object:  # no bundle, query re-parses: drop the empty one
         os.remove(bundle)
     print(
-        f"indexed {dag.n} SCC(s) of {n_input} vertices: "
+        f"indexed {cond.dag.n} SCC(s) of {len(cond.ids)} vertices: "
         f"{len(data)} bytes to {args.out_index}"
     )
     return 0
 
 
-def _open_index(args: argparse.Namespace) -> tuple[ReachIndex, np.ndarray, np.ndarray]:
-    """Load the condensed graph, from the index's bundle when it matches the
-    graph file, and the index; return the index, the original vertex ids
-    ascending and the SCC of each."""
+def _open_index(args: argparse.Namespace) -> tuple[ReachIndex, Condensed]:
+    """The index and the condensation of the graph file, read from the
+    index's bundle when that matches the graph file."""
     fmt = graph_format(args.graph, args.format)
     source = _read(args.graph)
     bundle = _read_bundle(args.index + BUNDLE_SUFFIX, _source_digest(source, fmt))
     if bundle is None:
-        dag, ids, scc_of = _load_condensed(args.graph, fmt, source)
+        cond = Condensed.from_parse(_load(args.graph, fmt, source))
     else:
-        dag, ids, scc_of, dropped = bundle
+        cond, dropped = bundle
         _warn_dropped(args.graph, *dropped)
     del source
     with open(args.index, "rb") as f:
-        ix = deserialize_index(f.read(), dag)
-    return ix, ids, scc_of
+        return deserialize_index(f.read(), cond.dag), cond
 
 
-# distinct originals in one SCC: mutually reachable, no index needed
-SAME_SCC = "0:B3"
-# pairs that query answers with one query_batch call, so that the
-# observation table stays a few MB whatever the file's length.  A call
-# reads the support masks as the index's rows, without converting all n
-# of them, so its cost beyond its own pairs is at most one fork for its
-# fallbacks.
-QUERY_CHUNK = 1 << 16
 # characters of a chunk's rows per stdout write.  A stdout that writes
 # through (PYTHONUNBUFFERED, -u) drops the rest of a short write unseen, as
 # when the reader leaves during it, so one write of all the rows could end
@@ -347,35 +294,33 @@ WRITE_PIECE = 1 << 16
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    ix, ids, scc_of = _open_index(args)
-    S, T, CS, CT, expected = _read_pairs(args.pairs, ids, scc_of)
-    fallbacks = mismatches = 0
-    for lo in range(0, len(S), QUERY_CHUNK):
+    ix, cond = _open_index(args)
+    S, T, expected = load_pairs(args.pairs)
+    with _in_file(args.pairs):
+        answer, tags, work = cond.query(ix, S, T)
+    bits = answer.astype(np.uint8)
+    for lo in range(0, len(S), QUERY_CHUNK):  # the rows of a chunk at a time
         chunk = slice(lo, lo + QUERY_CHUNK)
-        answer, tags, work = query_batch(ix, CS[chunk], CT[chunk])
-        s, t = S[chunk].tolist(), T[chunk].tolist()
-        for i in np.flatnonzero((CS[chunk] == CT[chunk]) & (S[chunk] != T[chunk])).tolist():
-            tags[i] = SAME_SCC  # answered True with no work by 1:EQ of the SCCs
-        bits = answer.astype(np.uint8).tolist()
         text = "".join([
             f"{a}\t{b}\t{bit}\t{tag}\t{w}\n"
-            for a, b, bit, tag, w in zip(s, t, bits, tags, work.tolist())
+            for a, b, bit, tag, w in zip(
+                S[chunk].tolist(), T[chunk].tolist(), bits[chunk].tolist(), tags[chunk],
+                work[chunk].tolist(),
+            )
         ])
         for i in range(0, len(text), WRITE_PIECE):
             sys.stdout.write(text[i : i + WRITE_PIECE])
-        fallbacks += tags.count(PBIBFS.tag)
-        exp = expected[chunk]
-        for i in np.flatnonzero((exp >= 0) & (answer != (exp == 1))).tolist():
-            mismatches += 1
-            _warn(f"({s[i]}, {t[i]}): answered {bits[i]}, expected {int(exp[i])}")
-    queries = len(S)
+    mismatches = np.flatnonzero((expected >= 0) & (answer != (expected == 1))).tolist()
+    for i in mismatches:
+        _warn(f"({S[i]}, {T[i]}): answered {bits[i]}, expected {expected[i]}")
+    fallbacks, queries = tags.count(PBIBFS.tag), len(S)
     print(
         f"queries={queries} fallbacks={fallbacks}"
         + (f" fallback_rate={fallbacks / queries:.4f}" if queries else ""),
         file=sys.stderr,
     )
     if mismatches:
-        print(f"error: {mismatches} answer mismatch(es)", file=sys.stderr)
+        print(f"error: {len(mismatches)} answer mismatch(es)", file=sys.stderr)
         return 1
     return 0
 
@@ -383,14 +328,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .workbench import QuerySet, bench
 
-    dag, ids, scc_of = _load_condensed(args.graph, args.format, _read(args.graph))
+    cond = Condensed.from_parse(_load(args.graph, args.format, _read(args.graph)))
     query_sets = []
     for path in args.queries:
-        _S, _T, CS, CT, exp = _read_pairs(path, ids, scc_of)
+        S, T, exp = load_pairs(path)
+        with _in_file(path):
+            CS, CT = cond.sccs(S, T)
         pairs = list(zip(CS.tolist(), CT.tolist()))
         expected = None if (exp < 0).all() else [None if e < 0 else e == 1 for e in exp.tolist()]
         query_sets.append(QuerySet(pairs, "file", 0, expected, name=path.rsplit("/", 1)[-1]))
-    report = bench(dag, args.algos, query_sets, args.reps, args.seeds, args.params, args.matrix_cap)
+    report = bench(cond.dag, args.algos, query_sets, args.reps, args.seeds, args.params, args.matrix_cap)
     tsv = report.to_tsv()
     if args.out_tsv:
         with open(args.out_tsv, "w", encoding="utf-8") as f:
@@ -405,15 +352,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from .workbench import stats_report
 
     # stats rows hold no work or fallback tag: only the count of undecided pairs
-    ix, ids, scc_of = _open_index(args)
-    files = [(path, _read_pairs(path, ids, scc_of)) for path in args.queries]
-    for i, (path, (S, T, CS, CT, _exp)) in enumerate(files):
-        rest = (S == T) | (CS != CT)
-        stats = observation_stats(ix, CS[rest], CT[rest])
-        if same := len(S) - int(np.count_nonzero(rest)):  # pairs answered 0:B3
-            stats.queries += same
-            stats.first_hit[SAME_SCC] += same
-            stats.outcomes["reachable"] += same
+    ix, cond = _open_index(args)
+    files = []
+    for path in args.queries:  # every file's stats, before any is printed
+        S, T, _exp = load_pairs(path)
+        with _in_file(path):
+            files.append((path, cond.stats(ix, S, T)))
+    for i, (path, stats) in enumerate(files):
         text = stats_report(stats, query_set=path.rsplit("/", 1)[-1])
         if i:  # drop the repeated header line
             text = text.split("\n", 1)[1]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from typing import Iterable
@@ -473,6 +473,10 @@ class SupportSet:
     @cached_property
     def bwd_mask(self) -> list[int]:
         return masks_from_rows(self.rows(self.bwd_rows))
+
+    def __getstate__(self) -> dict:
+        """The fields, not the int masks: a copy derives them from its rows."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def mask_bytes(self) -> int:

@@ -82,13 +82,18 @@ it is first bound: k may exceed 64, and an int keeps S1-S3 a single `&`
 for any k.  Loading makes neither the ints nor a list of the supports,
 which the rows determine.  A payload CRC32 in the header rejects a
 damaged file before any of it is read.
+
+A graph on other ids than 0..n-1, or with cycles, is indexed as its SCC
+condensation, and Condensed answers its pairs of original ids: it
+translates them to SCCs through the sorted ids, refuses an unknown or
+non-integer id before answering any pair, answers two distinct ids of one
+SCC as SAME_SCC (observation B3), and the rest with query_batch.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import hashlib
 import itertools
 import linecache
 import math
@@ -99,12 +104,13 @@ import struct
 import threading
 import warnings
 import zlib
+from _blake2 import blake2b  # hashlib's blake2b, without the OpenSSL module hashlib loads
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from types import CodeType, FunctionType
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -114,12 +120,16 @@ from .core import (
     FORWARD,
     DiGraph,
     ExtTopOrder,
+    GraphFormatError,
     LevelAssignment,
     SupportSet,
     _uint_array,
     check_ids,
     graph_checksum,
 )
+
+if TYPE_CHECKING:
+    from .graph import ParseResult
 
 
 class IndexFormatError(ValueError):
@@ -227,7 +237,7 @@ class ReachIndex:
 
 def _substream(seed: int, tag: str, i: int = 0) -> int:
     data = f"{seed}/{tag}/{i}".encode()
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
+    return int.from_bytes(blake2b(data, digest_size=8).digest(), "little")
 
 
 def build_index(
@@ -765,22 +775,28 @@ def observation_table(
     return table
 
 
-def _id_arrays(n: int, S: Sequence[int], T: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """S and T as int64 arrays of vertex ids.  Raises ValueError unless
-    both are 1-D of one length; then, as query does for one pair, TypeError
-    for an id that is not an integer and IndexError for one outside [0, n),
-    named by its given value: the smallest if negative, else the largest."""
+def _integer_arrays(S: Sequence[int], T: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """S and T as arrays of exact integers: as given when of an integer
+    dtype, else as Python ints (dtype object), uint64 or past int64 too.
+    Raises ValueError unless both are 1-D of one length, and TypeError for
+    an id that is not an integer: operator.index refuses floats, which
+    int64 would truncate and a search of sorted ids would match."""
     S, T = np.asarray(S), np.asarray(T)
     if S.ndim != 1 or S.shape != T.shape:
         raise ValueError(f"S and T must be 1-D of equal length, got shapes {S.shape} and {T.shape}")
-    if not S.size:
-        return S.astype(np.int64), T.astype(np.int64)  # [] is float64
-    # exact ints whatever the dtype, uint64 or Python ints past int64 too;
-    # operator.index refuses floats, which int64 would truncate
-    S, T = (
+    return tuple(
         ids if ids.dtype.kind in "biu" else np.array([operator.index(x) for x in ids.tolist()], object)
         for ids in (S, T)
     )
+
+
+def _id_arrays(n: int, S: Sequence[int], T: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """S and T as int64 arrays of vertex ids.  Raises as _integer_arrays;
+    then, as query does for one pair, IndexError for an id outside [0, n),
+    named by its given value: the smallest if negative, else the largest."""
+    S, T = _integer_arrays(S, T)
+    if not S.size:
+        return S.astype(np.int64), T.astype(np.int64)
     check_ids(n, min(int(S.min()), int(T.min())), max(int(S.max()), int(T.max())))
     return S.astype(np.int64, copy=False), T.astype(np.int64, copy=False)
 
@@ -1026,6 +1042,105 @@ def observation_stats(ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> Obs
         overlap=+Counter({o: int(held[obs == o].any(axis=0).sum()) for o in set(obs)}),
         outcomes=+Counter(reachable=reachable, unreachable=len(S) - reachable),
     )
+
+
+# ---------------------------------------------------------------------------
+# original vertex ids
+
+# distinct original ids of one SCC: mutually reachable, no index needed
+SAME_SCC = "0:B3"
+# pairs that Condensed.query answers with one query_batch call, so that the
+# observation table stays a few MB whatever the number of pairs.  A call
+# reads the support masks as the index's rows, without converting all n
+# of them, so its cost beyond its own pairs is at most one fork for its
+# fallbacks.
+QUERY_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class Condensed:
+    """A digraph on arbitrary integer ids, as an index of its condensation
+    answers it: ids, the original ids ascending (int64, or Python ints,
+    dtype object, past 64 bits); scc_of, the SCC of each (uint32); and dag,
+    the condensation.  The methods take pairs of original ids and translate
+    every id before they answer any pair: one not in ids is refused with
+    GraphFormatError, naming the first in reading order (s, then t, pair by
+    pair).  query and stats refuse an index of another DAG with
+    IndexFormatError, and answer distinct ids of one SCC as SAME_SCC."""
+
+    ids: np.ndarray
+    scc_of: np.ndarray
+    dag: DiGraph
+
+    @classmethod
+    def from_parse(cls, res: ParseResult) -> Condensed:
+        """The condensation of a parsed graph.  Tarjan's condensation is a
+        build stage: it is imported here, where it runs."""
+        from .graph import scc_condense
+
+        cond = scc_condense(res.graph)
+        return cls(res.ids, np.array(cond.scc_of, dtype=np.uint32), cond.dag)
+
+    def sccs(self, S: Sequence[int], T: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The SCCs of S[i] and of T[i], for every i, as uint32 arrays.
+        Raises ValueError and TypeError as observation_table does, and
+        GraphFormatError for an id not in ids."""
+        CS, CT, _same = self._translate(S, T)
+        return CS, CT
+
+    def query(
+        self, ix: ReachIndex, S: Sequence[int], T: Sequence[int]
+    ) -> tuple[np.ndarray, list[str], np.ndarray]:
+        """query_batch's (answer, answered_by, work) for the pairs of
+        original ids (S[i], T[i]): each pair gets query's outcome for its
+        SCCs, answered QUERY_CHUNK pairs to a query_batch call, except that
+        distinct ids of one SCC are tagged SAME_SCC."""
+        self._check(ix)
+        CS, CT, same = self._translate(S, T)
+        answer, work = np.empty(len(CS), bool), np.empty(len(CS), np.int64)
+        tags: list[str] = []
+        for lo in range(0, len(CS), QUERY_CHUNK):
+            chunk = slice(lo, lo + QUERY_CHUNK)
+            answer[chunk], chunk_tags, work[chunk] = query_batch(ix, CS[chunk], CT[chunk])
+            tags += chunk_tags
+        for i in np.flatnonzero(same).tolist():
+            tags[i] = SAME_SCC  # answered True with no work by 1:EQ of the SCCs
+        return answer, tags, work
+
+    def stats(self, ix: ReachIndex, S: Sequence[int], T: Sequence[int]) -> ObservationStats:
+        """observation_stats of the pairs of original ids (S[i], T[i]) as
+        query answers them: a SAME_SCC pair counts as a reachable first hit
+        of SAME_SCC, and in no overlap."""
+        self._check(ix)
+        CS, CT, same = self._translate(S, T)
+        stats = observation_stats(ix, CS[~same], CT[~same])
+        if n_same := int(np.count_nonzero(same)):
+            stats.queries += n_same
+            stats.first_hit[SAME_SCC] += n_same
+            stats.outcomes["reachable"] += n_same
+        return stats
+
+    def _check(self, ix: ReachIndex) -> None:
+        # a loaded index of dag has the checksum cached on it already
+        if graph_checksum(ix.graph) != graph_checksum(self.dag):
+            raise IndexFormatError("index built for another graph than the condensation")
+
+    def _translate(
+        self, S: Sequence[int], T: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(SCCs of S, SCCs of T, where distinct ids share an SCC)."""
+        S, T = _integer_arrays(S, T)
+        ends, ids = np.column_stack((S, T)).ravel(), self.ids  # s, t of each pair in turn
+        if ends.dtype != ids.dtype:  # ids beyond 64 bits on one side: compare as ints
+            ends, ids = ends.astype(object), ids.astype(object)
+        at = np.searchsorted(ids, ends)
+        known = at < len(ids)
+        known[known] = ids[at[known]] == ends[known]
+        if not known.all():
+            raise GraphFormatError(f"unknown vertex id {ends[known.argmin()]}")
+        scc = self.scc_of[at]
+        CS, CT = scc[0::2], scc[1::2]
+        return CS, CT, (CS == CT) & (at[0::2] != at[1::2])
 
 
 # ---------------------------------------------------------------------------

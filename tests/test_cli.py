@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reachidx.graph as graph_mod
+import reachidx.index as index_mod
 from reachidx import cli
 from reachidx.cli import build_parser, main
 from reachidx.graph import load_graph, parse_graph, scc_condense
@@ -306,7 +307,7 @@ import reachidx
 from importlib import import_module
 names = {}
 exec("from reachidx import *", names)
-assert len(set(reachidx.__all__)) == len(reachidx.__all__) == 48
+assert len(set(reachidx.__all__)) == len(reachidx.__all__) == 49
 for module, exported in reachidx._EXPORTS.items():
     for name in exported:  # each the object its module defines
         assert names[name] is getattr(import_module("reachidx." + module), name), name
@@ -329,6 +330,7 @@ query, build = json.loads(sys.argv[1])
 assert cli.main(query) == 0
 assert not STAGES & sys.modules.keys(), "a query loaded a build stage"
 assert "signal" not in sys.modules, "a query that forks no worker loaded signal"
+assert "_hashlib" not in sys.modules, "a query loaded OpenSSL for blake2b"
 assert cli.main(build) == 0
 assert STAGES <= sys.modules.keys()
 """
@@ -349,6 +351,17 @@ def test_query_over_a_bundle_loads_no_build_stage(pinned, tmp_path):
     assert len(proc.stdout.splitlines()) == 101  # 100 answers, then the build's line
     with open(idx, "rb") as a, open(again, "rb") as b:
         assert a.read() == b.read()
+
+
+def test_blake2b_is_the_one_hashlib_gives():
+    """cli and index take blake2b from _blake2, not hashlib, which would
+    load OpenSSL's module too: it is the same function, so the source
+    digest, the build's substreams and both files' bytes are unchanged."""
+    import _blake2
+    import hashlib
+
+    assert _blake2.blake2b is hashlib.blake2b
+    assert cli.blake2b is hashlib.blake2b and index_mod.blake2b is hashlib.blake2b
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ import traceback
 import warnings
 import zlib
 from array import array
-from collections import deque
+from collections import Counter, deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from hypothesis import strategies as st
 import reachidx.index as index_mod
 import reachidx.supportive as supportive_mod
 from reachidx.baselines import build_matrix
-from reachidx.core import graph_checksum
+from reachidx.core import GraphFormatError, graph_checksum
 from reachidx.graph import (
     AcyclicityError,
     DiGraph,
+    ParseResult,
     topological_levels,
     weak_components,
 )
@@ -33,6 +35,7 @@ from reachidx.index import (
     PBIBFS,
     PLAIN_BFS,
     HEADER,
+    Condensed,
     IndexFormatError,
     IndexParams,
     ObservationStats,
@@ -64,6 +67,7 @@ from conftest import (
     NoShuffle,
     dags,
     diamond,
+    digraphs,
     edge_pairs,
     layered_dag,
     path_graph,
@@ -1294,6 +1298,112 @@ def test_stats_empty_rate_is_none():
 
 
 # ---------------------------------------------------------------------------
+# original vertex ids: Condensed
+
+
+def condensed(g: DiGraph, ids) -> Condensed:
+    """g's condensation, with ids[v] the original id of g's vertex v."""
+    return Condensed.from_parse(ParseResult(g, np.array(ids)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(digraphs(max_n=10), st.integers(0, 2**16))
+def test_condensed_answers_original_ids_as_the_uncondensed_matrix(g, seed):
+    """Every ordered pair of a digraph with cycles and sparse ids, negative
+    ones too: the answer is the uncondensed graph's, 0:B3 tags exactly the
+    distinct ids of one SCC, the other pairs get query's outcome for their
+    SCCs, and stats counts what query tagged."""
+    ids = 7 * np.arange(g.n) - 3
+    cond = condensed(g, ids)
+    ix = build_index(cond.dag, SMALL, seed=seed)
+    dS, dT = (np.array(v) for v in all_pairs(g.n))
+    S, T = ids[dS], ids[dT]
+    answer, tags, work = cond.query(ix, S, T)
+    assert answer.tolist() == build_matrix(g).to_dense()[dS, dT].tolist()
+    same = (cond.scc_of[dS] == cond.scc_of[dT]) & (dS != dT)
+    assert [tag == "0:B3" for tag in tags] == same.tolist()
+    CS, CT = cond.sccs(S, T)
+    assert (CS.tolist(), CT.tolist()) == (cond.scc_of[dS].tolist(), cond.scc_of[dT].tolist())
+    for i in np.flatnonzero(~same).tolist():
+        out = query(ix, int(CS[i]), int(CT[i]))
+        assert (answer[i], tags[i], work[i]) == (out.answer, out.answered_by, out.work)
+    stats = cond.stats(ix, S, T)
+    assert stats.queries == len(S) and stats.fallbacks == tags.count(PBIBFS.tag)
+    assert stats.first_hit == Counter(tag for tag in tags if tag != PBIBFS.tag)
+    assert stats.first_hit["0:B3"] == int(same.sum()) and "B3" not in stats.overlap
+    assert stats.outcomes["reachable"] == int(answer.sum())
+
+
+def test_condensed_checks_every_id_before_any_answer(monkeypatch):
+    """The ids are translated as a whole and then answered QUERY_CHUNK
+    pairs to a query_batch call: an unknown id in the last pair fails
+    before the first call."""
+    g = path_graph(5)
+    cond = condensed(g, [-9, 0, 4, 11, 12])
+    ix = build_index(cond.dag, SMALL, seed=0)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return query_batch(*args)
+
+    S, T = [-9, 0, 4, 11, 12, 12, 4], [12, 11, 4, 0, -9, 0, 4]
+    answer, tags, work = cond.query(ix, S, T)
+    assert "0:B3" not in tags and tags.count("1:EQ") == 2
+    monkeypatch.setattr(index_mod, "QUERY_CHUNK", 2)
+    monkeypatch.setattr(index_mod, "query_batch", counting)
+    chunked = cond.query(ix, S, T)
+    assert len(calls) == 4
+    assert (chunked[0].tolist(), chunked[1], chunked[2].tolist()) == (
+        answer.tolist(), tags, work.tolist()
+    )
+    calls.clear()
+    with pytest.raises(GraphFormatError, match="^unknown vertex id 13$"):
+        cond.query(ix, S + [0], T + [13])
+    assert not calls
+
+
+def test_condensed_refusals():
+    """An unknown id is named, the first in reading order (s, then t, pair
+    by pair); an id that is not an integer is a TypeError, even one equal
+    to an id; an index of another DAG is refused."""
+    g = DiGraph.from_edges(4, [(0, 1), (1, 0), (1, 2)])
+    cond = condensed(g, [-3, 2, 11, 1000])
+    ix = build_index(cond.dag, SMALL, seed=0)
+    assert cond.sccs([2, 1000], [-3, 11])[0].tolist() == cond.scc_of[[1, 3]].tolist()
+    for S, T, bad in [([-3, 2, 5], [7, 11, 6], 7), ([4, 2], [2, 6], 4), ([2], [2**70], 2**70)]:
+        for call in (cond.sccs, partial(cond.query, ix), partial(cond.stats, ix)):
+            with pytest.raises(GraphFormatError, match=f"^unknown vertex id {bad}$"):
+                call(S, T)
+    for bad in (np.array([2.5]), np.array([1.5], dtype=object), [2.0], np.array([2.0])):
+        with pytest.raises(TypeError):
+            cond.sccs(bad, [2])
+        with pytest.raises(TypeError):
+            cond.query(ix, [2], bad)
+    with pytest.raises(ValueError, match="1-D of equal length"):
+        cond.sccs([2, 11], [2])
+    other = build_index(DiGraph.from_edges(cond.dag.n, []), SMALL, seed=0)
+    for call in (cond.query, cond.stats):
+        with pytest.raises(IndexFormatError, match="another graph"):
+            call(other, [2], [11])
+    assert cond.query(ix, [], [])[1] == [] and cond.stats(ix, [], []).queries == 0
+
+
+def test_condensed_ids_beyond_64_bits():
+    """Ids that need more than 64 bits are Python ints on either side, and
+    compare as ints with int64 ones."""
+    g = DiGraph.from_edges(3, [(0, 1), (1, 0), (1, 2)])
+    big = condensed(g, np.array([-(2**70), 0, 2**70], dtype=object))
+    ix = build_index(big.dag, SMALL, seed=0)
+    answer, tags, _work = big.query(ix, [2**70, -(2**70), 0], np.array([0, 0, 2**70]))
+    assert answer.tolist() == [False, True, True] and tags[1] == "0:B3"
+    small = condensed(g, [-3, 4, 11])
+    with pytest.raises(GraphFormatError, match=f"^unknown vertex id {2**70}$"):
+        small.sccs([4], [2**70])
+    assert small.sccs(np.array([11], np.uint64), [4])[1].tolist() == small.scc_of[[1]].tolist()
+
+
+# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -1382,6 +1492,25 @@ def test_int_masks_are_derived_on_the_first_query():
     assert all(name in loaded.supports.__dict__ for name in lazy)
     assert loaded.supports.fwd_mask == built.supports.fwd_mask
     assert loaded.supports.bwd_mask == built.supports.bwd_mask
+
+
+def test_a_queried_index_pickles_as_a_fresh_one():
+    """The int masks a query derives stay out of the pickle: the copy
+    derives them from its rows on its first query, and answers as the
+    original does."""
+    g = gen_random_dag(300, 1200, seed=0)
+    ix = build_index(g, IndexParams(t=2, k=16), seed=0)
+    fresh = pickle.dumps(ix)
+    assert query(ix, 0, 0).answered_by == "1:EQ"  # decided: binds the pass, builds no keys
+    assert "fwd_mask" in ix.supports.__dict__ and ix.keys is None
+    queried = pickle.dumps(ix)
+    assert len(queried) == len(fresh)
+    twin = pickle.loads(queried)
+    assert not {"fwd_mask", "bwd_mask"} & twin.supports.__dict__.keys()
+    S, T = np.random.default_rng(5).integers(0, g.n, (2, 300)).tolist()
+    assert [query(twin, s, t) for s, t in zip(S, T)] == [query(ix, s, t) for s, t in zip(S, T)]
+    assert twin.supports.fwd_mask == ix.supports.fwd_mask
+    assert twin.supports.bwd_mask == ix.supports.bwd_mask
 
 
 @pytest.mark.parametrize(
