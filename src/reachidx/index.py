@@ -57,8 +57,10 @@ u(a) <= u(b) in every field u; the guard bits of g + key(b) - key(a) are
 then all set exactly when no field refutes the pair, so one addition,
 one & and one compare test them all at once.  The keys are built with
 numpy on an index's first fallback, or just before a fallback worker is
-forked, so that it inherits them; not at build or load (~15 ms, ~5 MB,
-about 72 bytes a vertex, for 2^16 vertices at the default parameters).
+forked, so that it inherits them; not at build or load.  For 2^16
+vertices at the default parameters that took ~15 ms, most of it making
+the ints, and the keys hold 4.3 MB, 69 bytes a vertex (in process, 2-core
+Xeon).
 They are kept on the ReachIndex.  The levels stay out of the key: the decided
 queries read the same level columns, and with the fallbacks no longer
 reading them those queries slowed by ~30%.  A vertex the negatives leave
@@ -824,6 +826,11 @@ class Resolver:
 _KEY_FIELDS = {">": (False,), "<": (True,), "!=": (False, True), "&~": (False,), "~&": (True,)}
 
 
+# each mask byte's 2-bit fields as two bytes: bit i of the byte at bit 2i,
+# below its guard bit
+_SPREAD = sum((np.arange(256) >> i & 1) << 2 * i for i in range(8)).astype("<u2").view(np.uint8).reshape(256, 2)
+
+
 def _pack_keys(ix: ReachIndex) -> PackedKeys:
     """The unguarded negative observations (_key_terms), as one key per
     vertex.  The guarded ones are left out: the search tests B5 and B6 in
@@ -842,30 +849,36 @@ def _pack_keys(ix: ReachIndex) -> PackedKeys:
     1975).
     """
     n, ss = len(ix.wcc), ix.supports
-    columns = {**_columns(ix), "fm": ss.fwd_rows, "bm": ss.bwd_rows}
-
-    def fields():  # one at a time, so that only one int64 column is alive
-        for src, op, _tgt, a, _b in _key_terms(_spec_rows(tuple(o.flavor for o in ix.orderings))):
-            for flip in _KEY_FIELDS[op]:
-                flip ^= a == "t"
-                if src in ("fm", "bm"):
-                    bits = np.unpackbits(ss.rows(columns[src]), axis=1, bitorder="little") ^ flip
-                    spread = np.zeros((n, 2 * bits.shape[1]), dtype=np.uint8)
-                    spread[:, ::2] = bits  # bit i of the mask to bit 2i, its guard at 2i + 1
-                    yield np.packbits(spread, axis=1, bitorder="little"), b"\xaa" * (bits.shape[1] // 4)
-                    continue
-                values = np.frombuffer(columns[src], dtype=np.uint32).astype(np.int64)
-                if flip:
-                    values = values.max(initial=0) - values
-                width = (int(values.max(initial=0)).bit_length() + 8) // 8  # room for the guard bit
-                cells = values.astype("<u8").view(np.uint8).reshape(n, 8)[:, :width].copy()
-                yield cells, bytes(width - 1) + b"\x80"
-
-    parts, guards = zip(*fields())
-    data, guard, from_bytes = np.hstack(parts).tobytes(), b"".join(guards), int.from_bytes
+    columns = {name: np.frombuffer(col, np.uint32) for name, col in _columns(ix).items()}
+    masks = {"fm": ss.fwd_rows, "bm": ss.bwd_rows}
+    layout = []  # (column, flip, top, bytes) per field, lowest first
+    for src, op, _tgt, a, _b in _key_terms(_spec_rows(tuple(o.flavor for o in ix.orderings))):
+        for flip in _KEY_FIELDS[op]:
+            flip ^= a == "t"
+            if src in masks:
+                layout.append((src, flip, 0, 2 * ss.mask_bytes))
+                continue
+            top = int(columns[src].max(initial=0))
+            span = top - int(columns[src].min(initial=top)) if flip else top
+            layout.append((src, flip, top, (span.bit_length() + 8) // 8))  # room for the guard bit
+    key = np.zeros((n, sum(width for *_, width in layout)), np.uint8)
+    guard, at = bytearray(), 0
+    for src, flip, top, width in layout:
+        field = key[:, at : at + width]
+        at += width
+        if src in masks:
+            rows = ss.rows(masks[src])
+            field[:] = _SPREAD[rows ^ 0xFF if flip else rows].reshape(n, width)
+            guard += b"\xaa" * width
+            continue
+        values = top - columns[src] if flip else columns[src]
+        cells = values.astype("<u4", copy=False).view(np.uint8).reshape(n, 4)
+        field[:, :4] = cells[:, :width]  # a fifth byte would hold the guard bit alone
+        guard += bytes(width - 1) + b"\x80"
+    from_bytes = int.from_bytes
     # one bytes object per key from struct, not a slice per key: 6.1 against
     # 8.8 ms at n = 65511 (map over chained 1-tuples took 7.9)
-    keys = [from_bytes(key, "little") for (key,) in struct.iter_unpack(f"{len(guard)}s", data)]
+    keys = [from_bytes(k, "little") for (k,) in struct.iter_unpack(f"{len(guard)}s", key)]
     return PackedKeys(keys, from_bytes(guard, "little"))
 
 

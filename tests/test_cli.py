@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -880,6 +881,47 @@ def test_a_reader_that_stops_early_ends_query_with_status_1(generated, tmp_path,
     proc.stderr.close()
     assert proc.wait() == 1
     assert "Traceback" not in err and "error:" not in err
+
+
+def test_the_process_entry_prints_what_main_prints(generated, tmp_path, capsys):
+    """`python -m reachidx.cli`, which runs cli.entry, gives each command's
+    stdout, stderr and exit status as main() gives them in process, and
+    main() leaves the collector's frozen objects as it found them."""
+    g, idx, pairs = generated
+    with open(pairs, encoding="utf-8") as f:
+        lines = f.read().splitlines(keepends=True)
+    flipped = "".join(f"{ln[:-2]}{1 - int(ln[-2])}\n" if i % 500 == 7 else ln for i, ln in enumerate(lines))
+    wrong = write(tmp_path / "wrong.txt", flipped)
+    unknown = write(tmp_path / "unknown.txt", "".join(lines) + "0 999999\n")
+    built = [tmp_path / "again.ridx", tmp_path / "again.ridx.cond"]
+    commands = [
+        ["query", "--graph", g, "--index", idx, "--pairs", pairs],
+        ["query", "--graph", g, "--index", idx, "--pairs", wrong],
+        ["query", "--graph", g, "--index", idx, "--pairs", unknown],
+        ["stats", "--graph", g, "--index", idx, "--queries", pairs],
+        ["build", "--graph", g, "--out-index", str(built[0])],
+    ]
+    frozen, results = gc.get_freeze_count(), []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        assert gc.get_freeze_count() == frozen
+        out, err = capsys.readouterr()
+        if isinstance(code, str):  # the interpreter prints the message and exits with 1
+            code, err = 1, err + code + "\n"
+        files = built if argv[0] == "build" else []
+        written = [path.read_bytes() for path in files]
+        for path in files:  # the process writes them again
+            path.unlink()
+        proc = subprocess.run([sys.executable, "-m", "reachidx.cli", *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+        assert [path.read_bytes() for path in files] == written
+        results.append((code, len(out.splitlines()), err.count("error: ")))
+    assert [(code, errors) for code, _rows, errors in results] == [(0, 0), (1, 1), (1, 1), (0, 0), (0, 0)]
+    # every answer; every row, then the four mismatches; an unknown id, before any row
+    assert [rows for _code, rows, _errors in results[:3]] == [2000, 2000, 0]
 
 
 def test_module_entry_point_help():

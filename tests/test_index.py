@@ -848,6 +848,19 @@ def test_search_on_key_edge_cases(graph, params):
         assert query(ix, s, t).answer == mx.query(s, t), (s, t)
 
 
+def test_search_with_three_byte_key_fields():
+    # n > 2^15: positions, High and Max reach 16 bits, so their fields take a
+    # third byte for the guard bit (the edge cases above stop at two)
+    g = gen_random_dag(40000, 160000, 4)
+    ix = build_index(g, seed=0)
+    rng = random.Random(0)
+    for _ in range(300):
+        s, t = rng.randrange(g.n), rng.randrange(g.n)
+        assert PBIBFS.run(ix, s, t) == reference_search(ix, s, t), (s, t)
+    guard = ix.keys.guard
+    assert b"\x00\x00\x80" in guard.to_bytes((guard.bit_length() + 7) // 8, "little")
+
+
 def test_keys_are_built_on_the_first_fallback():
     g = gen_random_dag(64, 160, 0)
     ix = build_index(g, SMALL, seed=0)
