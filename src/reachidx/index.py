@@ -11,16 +11,18 @@ process that loads and queries an index, as `reachidx query` over a valid
 bundle does, compiles no build stage.
 
 A process that may run on more than one CPU splits its two largest jobs
-with one forked worker (_Worker, which runs any job and hands back its
-bytes through a pipe; _forks says when).  build_index's worker computes
-orderings 1..t-1 while the caller computes the rest, and sends each
-ordering's columns as raw uint32 cells.  query_batch and
-observation_stats give every other undecided pair to a worker, which
-sends PBIBFS's (answer, work) for each as two int64 cells.  The results
-are the same as those of the inline path, which small jobs, single-CPU
-processes, processes with other Python threads and platforms without
-fork take, and so is any exception raised; the worker never outlives the
-call.
+with one forked worker, through one path: _shared(job, size, fork) hands
+the caller rest(), job's bytes, which come through a pipe from a worker
+forked on entry when _forks says so, and otherwise from job run here.
+build_index's job is orderings 1..t-1, which come back as each ordering's
+columns in raw uint32 cells, while the caller computes the rest.
+query_batch and observation_stats give every other undecided pair to the
+job, which gives PBIBFS's (answer, work) for each as two int64 cells.  A
+worker that fails to deliver, or a fork that fails, leaves its share to
+job run here.  So the results are the same on every path (small jobs,
+single-CPU processes, processes with other Python threads and platforms
+without fork stay in one process), and so is any exception raised; the
+worker never outlives the call.
 
 A query runs through seven constant-time tests (equality, levels, positive
 support, first ordering, negative supports, remaining orderings, then weak
@@ -112,7 +114,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from types import CodeType, FunctionType
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -253,13 +255,13 @@ def build_index(
     seed, so the stages are independent and their order does not matter.
 
     The levels come first: every ordering folds its Max along them, and
-    they raise AcyclicityError on a cycle before any worker exists.  Then,
-    with more than one CPU, orderings 1..t-1 are computed in one forked
-    worker (see _Worker, and _forks for when the build stays inline) while
-    this process runs the other stages and ordering 0; if the worker fails
-    to deliver, its orderings are computed here.  The index, its bytes and
-    any exception raised are the same either way, and the worker does not
-    outlive the call.
+    they raise AcyclicityError on a cycle before any worker exists.  Then
+    this process computes the other stages and ordering 0, and orderings
+    1..t-1 come from _shared: with more than one CPU (see _forks for when
+    the build stays inline) a forked worker computes them meanwhile, and
+    otherwise, or if the worker fails to deliver, this process does.  The
+    index, its bytes and any exception raised are the same either way, and
+    the worker does not outlive the call.
     """
     # the stages, loaded by the first build and before any fork, so that the
     # worker's orderings find toporder loaded
@@ -274,25 +276,15 @@ def build_index(
     streams += [(BACKWARD, _substream(seed, "bwd", j)) for j in range(t // 2)]
     levels = topological_levels(dag)  # raises on a cycle before any fork
     theirs = streams[1:]
-    worker = None
-    try:
-        if theirs and _forks(dag.n + dag.m, _FORK_MIN_SIZE):
-            worker = _Worker.fork(partial(_ordering_columns, dag, levels, theirs))
+    fork = bool(theirs) and _forks(dag.n + dag.m, _FORK_MIN_SIZE)
+    job = partial(_ordering_columns, dag, levels, theirs)
+    with _shared(job, 4 * dag.n * 3 * len(theirs), fork) as rest:
         wcc = weak_components(dag)
-        here = streams if worker is None else streams[:1]
-        orderings = [_ordering(dag, levels, *stream) for stream in here]
+        orderings = [_ordering(dag, levels, *stream) for stream in streams[:1]]
         crng = random.Random(_substream(seed, "cand"))
         pool = select_candidates(dag, levels, params.k, params.p, params.h, crng)
         supports = pick_supports(pool, dag, params.k, levels)
-        if worker is not None:
-            data = worker.collect(4 * dag.n * 3 * len(theirs))
-            if data is None:  # the worker failed: its orderings here
-                orderings += [_ordering(dag, levels, *stream) for stream in theirs]
-            else:
-                orderings += _orderings_from(data, dag.n, theirs)
-    finally:
-        if worker is not None:
-            worker.stop()
+        orderings += _orderings_from(rest(), dag.n, theirs)
     return ReachIndex(dag, wcc, levels, orderings, supports, params, seed)
 
 
@@ -320,12 +312,7 @@ def _ordering_columns(dag: DiGraph, levels: LevelAssignment, streams) -> list[ar
 def _orderings_from(data: bytes, n: int, streams) -> list[ExtTopOrder]:
     """The orderings whose columns _ordering_columns gave, read back from
     their raw cells."""
-    cells, size = memoryview(data), 4 * n
-    columns = []
-    for j in range(3 * len(streams)):
-        col = array("I")
-        col.frombytes(cells[j * size : (j + 1) * size])
-        columns.append(col)
+    columns = list(map(_uint_array, np.frombuffer(data, np.uint32).reshape(3 * len(streams), n)))
     return [
         ExtTopOrder(*columns[3 * j : 3 * j + 3], flavor=flavor, seed=seed)
         for j, (flavor, seed) in enumerate(streams)
@@ -353,37 +340,36 @@ _FALLBACK_FORK_MIN = 512
 
 
 def _forks(size: int, min_size: int) -> bool:
-    """Whether a job of this size forks a _Worker: with a spare CPU, but not
-    below its caller's min_size, without fork, or while other Python threads
-    run (a forked child holds only the forking thread, so a lock another
-    thread held at the fork would never be released there).  One worker
-    only: on G(2^16, 2^18) with t = 4 (2 CPUs) the build's stages after the
-    fork (components, ordering 0, the supports) took ~145 ms against ~160
-    ms for the worker's orderings 1..3, so a second worker could save at
-    most ~15 ms, and it would need a third CPU."""
+    """Whether a job of this size forks a worker (_shared): with a spare
+    CPU, but not below its caller's min_size, without fork, or while other
+    Python threads run (a forked child holds only the forking thread, so a
+    lock another thread held at the fork would never be released there).
+    One worker only: on G(2^16, 2^18) with t = 4 (2 CPUs) the build's
+    stages after the fork (components, ordering 0, the supports) took ~145
+    ms against ~160 ms for the worker's orderings 1..3, so a second worker
+    could save at most ~15 ms, and it would need a third CPU."""
     if size < min_size or not hasattr(os, "fork") or threading.active_count() > 1:
         return False
     return _cpus() > 1
 
 
-class _Worker:
-    """A forked process that runs one job and hands back its bytes.
+@contextlib.contextmanager
+def _shared(job: Callable[[], list], size: int, fork: bool) -> Iterator[Callable[[], bytes]]:
+    """Yields rest(), which returns the size bytes of job()'s buffers, so
+    that the caller can do its own share of a job first.  With fork true a
+    worker forked on entry runs job meanwhile and rest() reads its bytes;
+    without, when os.fork raises OSError, or when the worker delivers short
+    or exits nonzero, rest() runs job here.  On exit a worker still running,
+    perhaps blocked on its full pipe, is killed and reaped.
 
-    The job returns a list of buffers once all its work is done; only then
-    does the worker write them to a pipe, in order, since the caller reads
-    only after its own share and a full pipe would block.  It leaves
-    through os._exit: exit status 0 once everything is written, 1 on any
-    exception.  It never returns into the caller's code, runs no exit
-    handlers and prints nothing.
+    The worker writes job()'s buffers to a pipe, in order, only once job
+    has returned, since the caller reads only after its own share and a
+    full pipe would block.  It leaves through os._exit: exit status 0 once
+    everything is written, 1 on any exception.  It never returns into the
+    caller's code, runs no exit handlers and prints nothing.
     """
-
-    def __init__(self, pid: int, reader) -> None:
-        self.pid = pid
-        self.reader = reader
-
-    @classmethod
-    def fork(cls, job: Callable[[], list]) -> _Worker | None:
-        """A worker running job; None if the process could not be forked."""
+    pid = 0
+    if fork:
         r, w = os.pipe()
         try:
             with warnings.catch_warnings():
@@ -398,40 +384,42 @@ class _Worker:
         except OSError:
             os.close(r)
             os.close(w)
-            return None
-        if pid == 0:
-            code = 1
-            try:
-                os.close(r)
-                buffers = job()
-                with open(w, "wb") as out:
-                    for buf in buffers:
-                        out.write(buf)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(w)
-        return cls(pid, open(r, "rb"))
+        else:
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    buffers = job()
+                    with open(w, "wb") as out:
+                        for buf in buffers:
+                            out.write(buf)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            reader = open(r, "rb")
 
-    def collect(self, size: int) -> bytes | None:
-        """The size bytes the job wrote, then the worker reaped.  None when
-        it delivered short or exited nonzero."""
-        data = self.reader.read(size)
-        self.reader.close()
-        status = _reap(self.pid)
-        self.pid = 0
-        return data if len(data) == size and status == 0 else None
+    def rest() -> bytes:
+        nonlocal pid
+        if pid:
+            with reader:
+                data = reader.read(size)
+            delivered = _reap(pid) == 0 and len(data) == size
+            pid = 0
+            if delivered:
+                return data
+        return b"".join(job())
 
-    def stop(self) -> None:
-        """Close the read end; unless reaped already, kill the worker, which
-        may still be computing or blocked on the full pipe, and reap it."""
-        import signal  # here: a process that forks no worker need not load it
-        self.reader.close()
-        if self.pid:
+    try:
+        yield rest
+    finally:
+        if pid:  # still running, or blocked on the full pipe
+            import signal  # here: a process that forks no worker need not load it
+
+            reader.close()
             with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
-            _reap(self.pid)
-            self.pid = 0
+                os.kill(pid, signal.SIGKILL)
+            _reap(pid)
 
 
 def _reap(pid: int) -> int:
@@ -997,12 +985,12 @@ def _decide(
     is its first true row (len(rows) when none holds), and the undecided
     pairs get PBIBFS's answer and work.
 
-    With enough undecided pairs (see _forks), one forked _Worker answers
-    every other one while this process answers the rest; the packed keys
-    and tester makers are made before the fork, so the worker inherits
-    them.  If the worker
-    fails to deliver, its pairs are answered here.  The outcomes are the
-    same either way, and the worker does not outlive the call."""
+    This process answers every other undecided pair, and the rest come
+    from _shared: with enough of them (see _forks) a forked worker answers
+    them meanwhile, and otherwise, or if the worker fails to deliver, this
+    process does.  Before a fork the packed keys and tester makers are
+    made, so the worker inherits them.  The outcomes are the same either
+    way, and the worker does not outlive the call."""
     held = np.array([mask for _, _, mask in rows]).reshape(len(rows), len(S))
     decided = held.any(axis=0)
     first = np.where(decided, held.argmax(axis=0), len(rows))
@@ -1011,29 +999,19 @@ def _decide(
     undecided = np.flatnonzero(~decided)
     S, T = (np.asarray(ids, np.int64)[undecided].tolist() for ids in (S, T))
     found = np.empty((len(S), 2), dtype=np.int64)
-    worker = None
-    try:
-        if _forks(len(S), _FALLBACK_FORK_MIN):
-            _search_parts(ix)
-            worker = _Worker.fork(lambda: [_fallbacks(ix, S[1::2], T[1::2])])
-        step = 1 if worker is None else 2
-        found[::step] = _fallbacks(ix, S[::step], T[::step])
-        if worker is not None:
-            data = worker.collect(found[1::2].nbytes)
-            if data is None:  # the worker failed: its pairs here
-                found[1::2] = _fallbacks(ix, S[1::2], T[1::2])
-            else:
-                found[1::2] = np.frombuffer(data, np.int64).reshape(-1, 2)
-    finally:
-        if worker is not None:
-            worker.stop()
+    fork = _forks(len(S), _FALLBACK_FORK_MIN)
+    if fork:  # made before the fork, so that the worker inherits them
+        _search_parts(ix)
+    with _shared(lambda: [_fallbacks(ix, S[1::2], T[1::2])], found[1::2].nbytes, fork) as rest:
+        found[::2] = _fallbacks(ix, S[::2], T[::2])
+        found[1::2] = np.frombuffer(rest(), np.int64).reshape(-1, 2)
     answer[undecided], work[undecided] = found[:, 0], found[:, 1]
     return held, first, answer, work
 
 
 def _fallbacks(ix: ReachIndex, S: list[int], T: list[int]) -> np.ndarray:
     """PBIBFS's (answer, work) for each pair (S[i], T[i]), as the rows of a
-    (len(S), 2) int64 array: the fallback worker's job."""
+    (len(S), 2) int64 array: the fallbacks' job for _shared."""
     found = [PBIBFS.run(ix, s, t) for s, t in zip(S, T)]
     return np.array(found, dtype=np.int64).reshape(len(S), 2)
 
@@ -1175,11 +1153,29 @@ def _payload_crc(head: bytes, payload: Sequence) -> int:
     return reduce(lambda c, chunk: zlib.crc32(chunk, c), payload, crc)
 
 
+def _file_flavors(t: int) -> list[str]:
+    """The flavors of a file's t orderings, which it does not record:
+    ceil(t/2) forward, then floor(t/2) backward, as build_index makes them."""
+    return [FORWARD] * ((t + 1) // 2) + [BACKWARD] * (t // 2)
+
+
 def serialize_index(ix: ReachIndex) -> bytes:
     """Little-endian header, then each column contiguous: the 3 + 3t uint32
     columns of n cells (wcc, levels.fwd, levels.bwd, then pos, hi and mx per
-    ordering), then the forward and the backward mask rows."""
+    ordering), then the forward and the backward mask rows.  Raises
+    ValueError, before any byte is made, for an index the file cannot hold:
+    t or k above the header's 16 bits, or orderings whose flavors are not
+    those the file implies (_file_flavors)."""
     ss = ix.supports
+    for name, value in (("len(orderings)", len(ix.orderings)), ("supports.k", ss.k)):
+        if value > 0xFFFF:
+            raise ValueError(f"{name} = {value} does not fit the file's 16 bits (at most 65535)")
+    flavors = [order.flavor for order in ix.orderings]
+    if flavors != _file_flavors(len(flavors)):
+        raise ValueError(
+            f"orderings have flavors {flavors}; the file holds the forward ones first, "
+            f"{_file_flavors(len(flavors))}"
+        )
     columns: list[array] = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
     for order in ix.orderings:
         columns += [order.pos, order.hi, order.mx]
@@ -1223,10 +1219,9 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
         raise IndexFormatError(f"{names[i]}[{v}] = {ints[i, v]} is out of range for n={n}")
     wcc, fwd, bwd, *rest = map(_uint_array, ints)
     levels = LevelAssignment(fwd, bwd)
-    n_fwd = (t + 1) // 2
     orderings = [
-        ExtTopOrder(*rest[3 * j : 3 * j + 3], flavor=FORWARD if j < n_fwd else BACKWARD)
-        for j in range(t)
+        ExtTopOrder(*rest[3 * j : 3 * j + 3], flavor=flavor)
+        for j, flavor in enumerate(_file_flavors(t))
     ]
     fwd_rows, bwd_rows = raw[masks_at:].reshape(2, n, (k + 7) // 8)
     # copies, so that the index does not keep the file's buffer alive

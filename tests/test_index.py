@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import errno
 import inspect
 import os
 import pickle
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 import reachidx.index as index_mod
 import reachidx.supportive as supportive_mod
 from reachidx.baselines import build_matrix
-from reachidx.core import GraphFormatError, graph_checksum
+from reachidx.core import GraphFormatError, SupportSet, graph_checksum
 from reachidx.graph import (
     AcyclicityError,
     DiGraph,
@@ -342,11 +343,11 @@ def batch_outcomes(monkeypatch, cpus: int, ix: ReachIndex, S, T) -> tuple:
 
 @dataclasses.dataclass(frozen=True)
 class Job:
-    """One of the two jobs a forked _Worker runs: target, the index function
+    """One of the two jobs a forked worker runs: target, the index function
     the job calls in the worker; run(monkeypatch, cpus), the call that
     forks it, with a result to compare; shorten, a result of target one
     cell short; and calls_here, target's calls in the parent when the
-    worker fails."""
+    worker fails or cannot be forked."""
 
     target: str
     run: object
@@ -368,7 +369,7 @@ JOBS = {
         2,  # its own half, then the failed one
     ),
 }
-FAILURES = ["raises", "exits-early", "short-columns", "exits-1-after-writing"]
+FAILURES = ["raises", "exits-early", "short-columns", "exits-1-after-writing", "fork-raises"]
 
 
 @pytest.mark.parametrize(
@@ -379,14 +380,17 @@ FAILURES = ["raises", "exits-early", "short-columns", "exits-1-after-writing"]
 )
 def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, job, failure):
     """A worker that raises (exit status 1), exits 0 before writing, writes
-    one cell short, or writes everything and exits 1: the parent does the
-    worker's share, and the result is the inline one (the index bytes of a
-    build, query_batch's outcomes of the fallbacks)."""
+    one cell short, or writes everything and exits 1, or a fork that raises
+    (as on EAGAIN at the process limit): the parent does the worker's
+    share, and the result is the inline one (the index bytes of a build,
+    query_batch's outcomes of the fallbacks).  A failed fork closes both
+    ends of its pipe."""
     job = JOBS[job]
     inline = job.run(monkeypatch, 1)
     parent = os.getpid()
     real, exit_ = getattr(index_mod, job.target), os._exit
     in_parent = []
+    fds = os.listdir("/proc/self/fd")
 
     def in_worker(*args):
         if os.getpid() == parent:
@@ -402,10 +406,16 @@ def test_failed_worker_gives_the_inline_bytes(monkeypatch, forks, job, failure):
     def worker_exit(code):
         exit_(1 if failure == "exits-1-after-writing" else code)
 
+    def fork_fails():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
     monkeypatch.setattr(index_mod, job.target, in_worker)
     monkeypatch.setattr(os, "_exit", worker_exit)
+    if failure == "fork-raises":
+        monkeypatch.setattr(os, "fork", fork_fails)
     assert job.run(monkeypatch, 2) == inline
-    assert len(forks) == 1 and len(in_parent) == job.calls_here
+    assert len(forks) == (failure != "fork-raises") and len(in_parent) == job.calls_here
+    assert os.listdir("/proc/self/fd") == fds
     assert_no_child_left()
 
 
@@ -419,18 +429,22 @@ def test_parent_failure_kills_a_worker_blocked_on_its_pipe(monkeypatch, forks, j
     or its half of the fallbacks) only once the worker's job is done, and
     what the job returned (36 n bytes of orderings, 8200 int64 cells of
     fallback outcomes) fills the pipe long before the parent would read
-    it.  build_index imports pick_supports from its module when it runs."""
+    it.  The job's target in the worker (_ordering_columns, or _fallbacks)
+    signals once it has returned.  build_index imports pick_supports from
+    its module when it runs."""
     parent = os.getpid()
     done_r, done_w = os.pipe()
-    real_fork, real_step = index_mod._Worker.fork, getattr(module, step)
+    target = "_ordering_columns" if job == "build" else "_fallbacks"
+    real_target = getattr(index_mod, target)
 
-    def fork(job):
-        def signalling():
-            buffers = job()
+    def signalling(*args):
+        result = real_target(*args)
+        if os.getpid() != parent:
             os.write(done_w, b".")
-            return buffers
+        return result
 
-        return real_fork(signalling)
+    monkeypatch.setattr(index_mod, target, signalling)
+    real_step = getattr(module, step)  # for the fallbacks, signalling itself
 
     def failing(*args):
         if os.getpid() != parent:
@@ -438,7 +452,6 @@ def test_parent_failure_kills_a_worker_blocked_on_its_pipe(monkeypatch, forks, j
         os.read(done_r, 1)  # the worker is about to write
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(index_mod._Worker, "fork", fork)
     monkeypatch.setattr(module, step, failing)
     try:
         with pytest.raises(KeyboardInterrupt):
@@ -1466,6 +1479,29 @@ def test_roundtrip_degenerate_shapes():
     ix = build_index(g, IndexParams(t=3, k=70), seed=0)
     assert len(support_owners(ix.supports)) == 70  # bits in the second 64-bit word
     roundtrip_equal(ix, g)
+
+
+def test_serialize_refuses_an_index_its_file_cannot_hold():
+    """The file records no ordering flavors (ceil(t/2) forward ones come
+    first) and holds t and k in 16 bits each.  An index outside that is
+    refused, naming the field, instead of being written to read back as
+    another index: with its orderings flipped, this one answered 12269 of
+    its 90000 pairs wrongly after a round trip.  In memory it stays valid."""
+    g = gen_random_dag(300, 1200, seed=1)
+    ix = build_index(g, IndexParams(t=2, k=4, p=2), seed=0)
+    flipped = dataclasses.replace(ix, orderings=ix.orderings[::-1])
+    S, T = random_pairs(g.n, 3000)
+    assert query_batch(flipped, S, T)[0].tolist() == query_batch(ix, S, T)[0].tolist()
+    with pytest.raises(ValueError, match=r"^orderings have flavors \['backward', 'forward'\]"):
+        serialize_index(flipped)
+    w = (70000 + 7) // 8
+    wide = SupportSet(bytes(g.n * w), bytes(g.n * w), 70000, g.n)
+    with pytest.raises(ValueError, match=r"^supports\.k = 70000 does not fit"):
+        serialize_index(dataclasses.replace(ix, supports=wide))
+    many = ix.orderings[:1] * 32768 + ix.orderings[1:] * 32768
+    with pytest.raises(ValueError, match=r"^len\(orderings\) = 65536 does not fit"):
+        serialize_index(dataclasses.replace(ix, orderings=many))
+    assert deserialize_index(serialize_index(ix), g) == ix
 
 
 @pytest.mark.parametrize("k", [0, 16, 130])
