@@ -477,6 +477,13 @@ def observation_name(obs: str, flavor: str) -> str:
     return _BACKWARD_NAMES.get(obs, obs) if flavor == BACKWARD else obs
 
 
+# The test order owns guard implication: every guard holds wherever the
+# rows before it have failed, so the scalar pass and the testers test none.
+# 1:EQ gives s != t (_NE) to every later row.  An ordering's B4 comes
+# before its T tests and pos is one-to-one, so where s != t and pos(a) >
+# pos(b) fails, pos(a) < pos(b) holds (AFTER).  A tester sees only vertices
+# other than its end that the packed keys, which hold every B4, leave.
+# Only observation_table, which reads each row on its own, tests the guards.
 _NE = (None, "!=", None)
 _SPEC = (
     ("1:EQ", True, None, "==", None, None),
@@ -499,22 +506,16 @@ _SPEC = (
 _ORDERING_COLUMNS = ("pos", "hi", "mx")
 # the orderings whose blocks tests 4 and 6 read: the first, then each later one
 _PER_ORDERING = {"4": slice(0, 1), "6": slice(1, None)}
-# each guard, with the comparisons (over the ends s, t or an ordering's a,
-# b) whose failure implies it: pos is one-to-one, so where s != t and
-# pos(a) > pos(b) fails, pos(a) < pos(b) holds
-_EQ = (None, "==", None, "s", "t")
-_IMPLIED_BY = {_NE: [_EQ], AFTER: [_EQ, ("pos", ">", "pos", "a", "b")]}
 
 
 @functools.cache
 def _spec_rows(flavors: tuple[str, ...]) -> list[tuple[str, bool, list[tuple]]]:
     """The spec for an index whose orderings have these flavors, in test
     order: (tag, answer, terms) rows, each true where any of its terms is.
-    A term is (comparison, guard, witnesses): the comparison (source, op,
-    target, a, b) between the ends 's' and 't', the guard (source, op,
-    target) between the same ends or None, and the comparisons whose
-    failure implies the guard.  Ordering j's columns are pos{j}, hi{j} and
-    mx{j}.  Cached per flavor tuple."""
+    A term is (comparison, guard): the comparison (source, op, target, a,
+    b) between the ends 's' and 't', and the guard (source, op, target)
+    between the same ends or None.  Ordering j's columns are pos{j}, hi{j}
+    and mx{j}.  Cached per flavor tuple."""
     rows = []
     for test, block in itertools.groupby(_SPEC, key=lambda row: row[0].partition(":")[0]):
         if test in _PER_ORDERING:
@@ -539,16 +540,12 @@ def _term(src, op: str, tgt, guard, j: int | None, flavor: str) -> tuple:
     """One term of _spec_rows: a comparison over ordering j's columns (or
     none), read over (s, t), or (t, s) where flavor is BACKWARD."""
     a, b = ("t", "s") if flavor == BACKWARD else ("s", "t")
-    ends = {"a": a, "b": b, "s": "s", "t": "t"}
 
     def column(name):
         return f"{name}{j}" if name in _ORDERING_COLUMNS else name
 
     cond = (column(src), op, column(tgt), a, b)
-    if guard is None:
-        return cond, None, []
-    witnesses = [(column(x), o, column(y), ends[u], ends[v]) for x, o, y, u, v in _IMPLIED_BY[guard]]
-    return cond, (column(guard[0]), guard[1], column(guard[2])), witnesses
+    return cond, guard and (column(guard[0]), guard[1], column(guard[2]))
 
 
 def _global_name(tag: str) -> str:
@@ -570,19 +567,18 @@ def _key_terms(rows: list[tuple[str, bool, list[tuple]]]) -> list[tuple]:
     """The comparisons of rows that the search's packed keys test: every
     term of a negative row that has no guard (B4 and C per ordering, S2, S3
     and B2), in order."""
-    return [cond for _tag, ans, terms in rows if not ans for cond, guard, _w in terms if guard is None]
+    return [cond for _tag, ans, terms in rows if not ans for cond, guard in terms if guard is None]
 
 
 def _pass_source(flavors: tuple[str, ...]) -> str:
     """The scalar pass and the search's tester makers for these flavors,
-    as Python source.  def observe(s, t) returns the shared outcome of the
-    first term of _spec_rows that holds.  towards(t) and away(s) read the
-    fixed end's columns once and return test(s) and test(t): True where a
-    positive term but EQ holds for (s, t), else None.  A tester sees only
-    vertices other than its end that the packed keys leave, so EQ and every
-    term of _key_terms have failed there, and the guards they imply go."""
+    as Python source, testing no guard (see the test order beside _SPEC).
+    def observe(s, t) returns the shared outcome of the first term of
+    _spec_rows that holds.  towards(t) and away(s) read the fixed end's
+    columns once and return test(s) and test(t): True where a positive term
+    but EQ holds for (s, t), else None."""
     rows = _spec_rows(flavors)
-    _held, body = _tests_source(rows, set(), "    ", None, _global_name)
+    _held, body = _tests_source(rows, "    ", None, _global_name)
     lines = [
         "def observe(s, t):",
         "    if not (0 <= s < n and 0 <= t < n):  # inline: keeps a call off the hot path",
@@ -592,30 +588,20 @@ def _pass_source(flavors: tuple[str, ...]) -> str:
     ]
     positive = [row for row in rows if row[1] and row[0] != "1:EQ"]
     for maker, fixed, free in (("towards", "t", "s"), ("away", "s", "t")):
-        held, body = _tests_source(positive, {_EQ, *_key_terms(rows)}, "        ", fixed, lambda tag: "True")
+        held, body = _tests_source(positive, "        ", fixed, lambda tag: "True")
         lines += [f"def {maker}({fixed}):", *(f"    {x}_{fixed} = {x}[{fixed}]" for x, _end in held)]
         lines += [f"    def test({free}):", *body, "        return None", "    return test"]
     return "\n".join(lines) + "\n"
 
 
-def _tests_source(rows, failed: set, indent: str, fixed: str | None, returns: Callable) -> tuple:
-    """(held, lines): straight-line source with one `if` per term of rows,
-    in order, each returning returns(tag).  A guard whose witnesses have all
-    failed, in failed or before it, is dropped.  The columns read at the
-    end fixed are read from locals, which held names for the caller to
+def _tests_source(rows, indent: str, fixed: str | None, returns: Callable) -> tuple:
+    """(held, lines): straight-line source with one unguarded `if` per term
+    of rows, in order, each returning returns(tag).  The columns read at
+    the end fixed are read from locals, which held names for the caller to
     make; one read at another end more than once is read once into a
     local, where it is first needed."""
-    tests = []
-    for tag, _ans, terms in rows:
-        for cond, guard, witnesses in terms:
-            if guard is None or failed.issuperset(witnesses):
-                tests.append(([cond], tag))
-                failed.add(cond)
-            else:
-                tests.append(([(*guard, *cond[3:]), cond], tag))
-    reads = Counter(
-        read for parts, _ in tests for x, _op, y, a, b in parts for read in ((x, a), (y, b))
-    )
+    tests = [(cond, tag) for tag, _ans, terms in rows for cond, _guard in terms]
+    reads = Counter(read for (x, _op, y, a, b), _ in tests for read in ((x, a), (y, b)))
     held = [read for read in reads if read[1] == fixed]
     lines, kept = [], set(held)
 
@@ -629,9 +615,8 @@ def _tests_source(rows, failed: set, indent: str, fixed: str | None, returns: Ca
             lines.append(f"{indent}{name}_{end} = {name}[{end}]")
         return f"{name}_{end}"
 
-    for parts, tag in tests:
-        exprs = [COMPARISONS[op].format(x=value(x, a), y=value(y, b)) for x, op, y, a, b in parts]
-        lines.append(f"{indent}if {' and '.join(f'({e})' if len(parts) > 1 else e for e in exprs)}:")
+    for (x, op, y, a, b), tag in tests:
+        lines.append(f"{indent}if {COMPARISONS[op].format(x=value(x, a), y=value(y, b))}:")
         if tag == "1:EQ":  # reads no column, which would refuse a float id
             lines.append(f"{indent}    index(s), index(t)")
         lines.append(f"{indent}    return {returns(tag)}")
@@ -760,7 +745,7 @@ def observation_table(
     read = gatherer(columns, {"s": S, "t": T})
     table = []
     for tag, ans, terms in _spec_rows(tuple(o.flavor for o in ix.orderings)):
-        masks = [comparison_mask(read, *cond, guard) for cond, guard, _witnesses in terms]
+        masks = [comparison_mask(read, *cond, guard) for cond, guard in terms]
         table.append((tag, ans, reduce(np.logical_or, masks) if masks else np.zeros(len(S), bool)))
     return table
 

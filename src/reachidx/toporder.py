@@ -29,10 +29,10 @@ as Max(t) >= pos(t), this holds wherever pos(t) > Max(s) does.
 
 Randomness: each random order is a stable sort of items by (group, key),
 with one 32-bit key per item read from the ordering's random.Random
-through randbytes.  start_sequence keys the n vertices, then
-extended_topsort the m edges, grouped by source.  All-zero keys keep the
-stored orders, ascending by id, so a stand-in rng whose randbytes returns
-zero bytes gives a deterministic ordering.
+through randbytes.  start_sequence keys the n vertices and keeps the
+sources, then extended_topsort keys the m edges, grouped by source.
+All-zero keys keep the stored orders, ascending by id, so a stand-in rng
+whose randbytes returns zero bytes gives a deterministic ordering.
 """
 
 from __future__ import annotations
@@ -71,26 +71,25 @@ def _child_targets(g: DiGraph, rng: random.Random) -> array:
 
 
 def start_sequence(g: DiGraph, rng: random.Random) -> list[int]:
-    """Sources first, then the remaining vertices as a guard, each part in
-    random order: the vertices keyed-sorted by (has an in-edge, key), 4n
-    bytes of keys from rng.  Zero keys give both parts in ascending id order.
+    """The sources in random order: g's vertices without an in-edge,
+    keyed-sorted by 4n bytes of keys from rng, one per vertex, so that the
+    draw is the same whatever the number of sources.  Zero keys give
+    ascending id order.
 
     The keys arrive in no order, where _keyed_order's timsort of (group,
     key) words finds no runs, so this is a least-significant-digit radix
     sort instead: two stable argsorts of uint16 digits, the low and then
-    the high half of each key, each a counting sort in numpy, then a
-    stable partition by "has an in-edge".  The permutation is
-    _keyed_order's; at n = 2^16 the list took 2.2 against 5.2 ms (min of
-    15, a 2-core Xeon, numpy 2.4).
+    the high half of each key, each a counting sort in numpy, then the
+    sources kept.  The permutation of all n is _keyed_order's; at n = 2^16
+    it took 2.2 against 5.2 ms (min of 15, a 2-core Xeon, numpy 2.4).
 
-    On a DAG every vertex is reachable from some source, so the guard only
-    matters for defensive completeness.
+    On a DAG every vertex is reachable from some source, so the DFS from
+    these roots places every vertex; the DFS's guard pass roots any other.
     """
     keys = np.frombuffer(rng.randbytes(4 * g.n), "<u4")
     order = np.argsort(keys.astype(np.uint16), kind="stable")  # the low digit
     order = order[np.argsort((keys[order] >> 16).astype(np.uint16), kind="stable")]
-    late = (np.diff(np.frombuffer(g.in_off, np.uint32)) > 0)[order]
-    return np.r_[order[~late], order[late]].tolist()
+    return order[(np.diff(np.frombuffer(g.in_off, np.uint32)) == 0)[order]].tolist()
 
 
 def extended_topsort(

@@ -62,7 +62,7 @@ from reachidx.toporder import (
     extended_topsort_backward,
     start_sequence,
 )
-from reachidx.workbench import gen_random_dag
+from reachidx.workbench import build_oracle, gen_random_dag
 
 from conftest import (
     NoShuffle,
@@ -666,21 +666,27 @@ def test_table_matches_try_observations_and_is_sound(g, params, seed):
 WIDE_DAGS = st.builds(gen_random_dag, st.just(150), st.just(450), st.integers(0, 2**8))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=45, deadline=None)
 @given(
     dags(max_n=12) | WIDE_DAGS,
-    st.sampled_from([0, 1, 4]),
+    st.sampled_from([0, 1, 4, 5]),
     st.sampled_from([0, 16, 130]),
     st.integers(0, 2**16),
-    st.booleans(),
+    st.sampled_from(["built", "reversed", "backward only"]),
 )
-def test_query_gives_the_shared_outcome_of_the_first_true_row(g, t, k, seed, flip):
+def test_query_gives_the_shared_outcome_of_the_first_true_row(g, t, k, seed, order):
     """A decided query returns the one shared outcome of its pair's first
-    table row, from the bound pass; flip reverses the orderings, so that
-    the first one is backward (t = 4)."""
+    table row, from the bound pass, and every query gives the oracle's
+    answer, through the testers and packed keys where undecided.  This
+    holds too for flavor tuples no build makes, whose pass tests no guard
+    either: the orderings reversed, so that the first is backward, or the
+    backward ones alone."""
     ix = build_index(g, IndexParams(t=t, k=k, p=2, h=3), seed=seed)
-    if flip:
+    if order == "reversed":
         ix = dataclasses.replace(ix, orderings=ix.orderings[::-1])
+    elif order == "backward only":
+        ix = dataclasses.replace(ix, orderings=[o for o in ix.orderings if o.flavor == BACKWARD])
+    oracle = build_oracle(g)
     S, T = all_pairs(g.n)
     for (_, tag), s, v in zip(first_rows(observation_table(ix, S, T)), S, T):
         out = query(ix, s, v)
@@ -688,6 +694,7 @@ def test_query_gives_the_shared_outcome_of_the_first_true_row(g, t, k, seed, fli
             assert out.answered_by == PBIBFS.tag
         else:
             assert out is _OUTCOMES[tag]
+        assert out.answer == oracle(s, v)
 
 
 def test_the_pass_is_bound_on_first_use():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reachidx.index as index_mod
 from reachidx import workbench
 from reachidx.baselines import DEFAULT_MATRIX_CAP, CapacityError, build_matrix
 from reachidx.core import DiGraph, GraphFormatError, graph_checksum, load_pairs
@@ -452,6 +453,38 @@ def test_bench_skips_verification_without_expected():
     qs = QuerySet([(0, 3)], "random", 0, expected=None)
     report = bench(g, ["matrix"], [qs], repetitions=1)
     assert report.rows[0].n_queries == 1
+
+
+def test_bench_times_no_first_use_setup_without_expected(monkeypatch):
+    """A set without expected bits is still answered once, untimed, before
+    its timed passes, so binding the scalar pass and packing the search
+    keys, on an index's first query and first fallback, stay out of them."""
+    g = gen_random_dag(64, 160, 0)
+    S, T = map(list, zip(*((s, t) for s in range(g.n) for t in range(g.n))))
+    assert observation_stats(build_index(g, SMALL, seed=0), S, T).fallbacks  # some undecided
+    inside, setups = [False], []
+
+    def timed_pass(*args):
+        inside[0] = True
+        try:
+            return real_timed_pass(*args)
+        finally:
+            inside[0] = False
+
+    def record(name, real):
+        def wrapper(ix):
+            setups.append((name, inside[0]))
+            return real(ix)
+
+        monkeypatch.setattr(index_mod, name, wrapper)
+
+    real_timed_pass = workbench._timed_pass
+    monkeypatch.setattr(workbench, "_timed_pass", timed_pass)
+    for name in ("_bind_observations", "_pack_keys"):
+        record(name, getattr(index_mod, name))
+    qs = QuerySet(list(zip(S, T)), "random", 0)
+    bench(g, ["index+pbibfs"], [qs], seeds=(0, 1), params=SMALL)
+    assert sorted(set(setups)) == [("_bind_observations", False), ("_pack_keys", False)]
 
 
 # ---------------------------------------------------------------------------
