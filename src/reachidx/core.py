@@ -384,10 +384,10 @@ def graph_format(path: str, fmt: str | None = None) -> str:
 
 # The mask codec: a bitmask column (one int per vertex, bit i = the i-th
 # support or candidate) as (n, w) uint8 rows of w little-endian bytes, for
-# the index's stored masks and _fold_run's multi-word rows.  Each direction
-# takes the faster method at the row's width: numpy over 64-bit word
-# columns, or one int.from_bytes / int.to_bytes per row.  In ms for 2^16
-# rows (min of 9; a 2-core Xeon, Python 3.11, numpy 2.4):
+# the index's stored masks and _fold_run's multi-word rows.  Ints become
+# rows by one int.to_bytes each; rows become ints by the faster method at
+# their width: numpy over 64-bit word columns, or one int.from_bytes per
+# row.  In ms for 2^16 rows (min of 9; a 2-core Xeon, Python 3.11, numpy 2.4):
 #
 #   words   to ints: word columns / per row   to rows: word columns / per row
 #     1          1.3 / 10.1                       1.7 / 4.4
@@ -396,26 +396,22 @@ def graph_format(path: str, fmt: str | None = None) -> str:
 #     4         13.1 / 10.4                      13.9 / 5.1
 #    19         80.2 / 14.9                      74.6 / 10.5
 #
-# A row of 1, 2, 4 or 8 bytes is one unsigned cell, read in place as one
-# column on its way to ints: the two mask directions of a G(2^16, 2^18)
-# index at k = 16 took 0.66 against 1.13 ms through zero-padded words (min
-# of 31).
+# Word columns encode one word faster, but _fold_run, the one encoder, has
+# one-word rows only for a pool of at most 64 candidates (k * p = 1200 by
+# default: 19 words).  A row of 1, 2, 4 or 8 bytes is one unsigned cell,
+# read in place as one column on its way to ints: the two mask directions
+# of a G(2^16, 2^18) index at k = 16 took 0.66 against 1.13 ms through
+# zero-padded words (min of 31).
 
 
 def mask_rows(masks: list[int], w: int) -> np.ndarray:
     """The (len(masks), w) uint8 rows holding each mask in w little-endian
     bytes; raises ValueError for a mask that is negative or does not fit."""
-    if w > 8:  # wider than one word: per row
-        try:
-            buf = b"".join([m.to_bytes(w, "little") for m in masks])
-        except OverflowError:
-            raise ValueError(f"mask does not fit in {w} bytes") from None
-        return np.frombuffer(buf, np.uint8).reshape(len(masks), w)
-    if masks and (max(masks) >> (8 * w) or min(masks) < 0):
-        raise ValueError(f"mask does not fit in {w} bytes")
-    words = np.zeros((len(masks), 1), dtype="<u8")
-    words[:, 0] = masks
-    return words.view(np.uint8)[:, :w]
+    try:
+        buf = b"".join([m.to_bytes(w, "little") for m in masks])
+    except OverflowError:
+        raise ValueError(f"mask does not fit in {w} bytes") from None
+    return np.frombuffer(buf, np.uint8).reshape(len(masks), w)
 
 
 def masks_from_rows(rows: np.ndarray) -> list[int]:

@@ -469,7 +469,13 @@ def _kahn_levels(g: DiGraph) -> array:
                     dq.append(v)
     if seen != n:
         raise AcyclicityError("graph contains a cycle; levels undefined")
-    return array("I", level)  # a list above: the loop reads it faster
+    # level stays a list through the queue, unlike extended_topsort's DFS
+    # columns: this loop reads and writes a level per edge, and a list read
+    # makes no int object.  Filled as array('I') instead, min of 7 (a 2-core
+    # Xeon, Python 3.11): a 2^16 path 26.9 against 23.1 ms, layered width 4
+    # 49.1 against 38.7 ms, G(2^16, 2^18), whose queue is short, 8.3 against
+    # 9.0 ms.
+    return array("I", level)
 
 
 def topological_levels(g: DiGraph) -> LevelAssignment:

@@ -284,7 +284,8 @@ def build_index(
         crng = random.Random(_substream(seed, "cand"))
         pool = select_candidates(dag, levels, params.k, params.p, params.h, crng)
         supports = pick_supports(pool, dag, params.k, levels)
-        orderings += _orderings_from(rest(), dag.n, theirs)
+        rows = np.frombuffer(rest(), np.uint32).reshape(3 * len(theirs), dag.n)
+        orderings += _orderings(rows, theirs)
     return ReachIndex(dag, wcc, levels, orderings, supports, params, seed)
 
 
@@ -300,23 +301,9 @@ def _ordering(dag: DiGraph, levels: LevelAssignment, flavor: str, seed: int) -> 
 
 
 def _ordering_columns(dag: DiGraph, levels: LevelAssignment, streams) -> list[array]:
-    """The build worker's job: the pos, High and Max columns of
-    _ordering(dag, levels, *stream) for each stream, in order."""
-    columns = []
-    for stream in streams:
-        order = _ordering(dag, levels, *stream)
-        columns += [order.pos, order.hi, order.mx]
-    return columns
-
-
-def _orderings_from(data: bytes, n: int, streams) -> list[ExtTopOrder]:
-    """The orderings whose columns _ordering_columns gave, read back from
-    their raw cells."""
-    columns = list(map(_uint_array, np.frombuffer(data, np.uint32).reshape(3 * len(streams), n)))
-    return [
-        ExtTopOrder(*columns[3 * j : 3 * j + 3], flavor=flavor, seed=seed)
-        for j, (flavor, seed) in enumerate(streams)
-    ]
+    """The build worker's job: the _cells of _ordering(dag, levels, *stream)
+    for each stream, in order."""
+    return _cells([_ordering(dag, levels, *stream) for stream in streams])
 
 
 def _cpus() -> int:
@@ -503,6 +490,7 @@ _SPEC = (
     # Max(source), in every ordering (see toporder)
     ("7:C", False, "mx", "<", "mx", None),
 )
+# an ordering's columns, in the order of the file and of the build worker's pipe
 _ORDERING_COLUMNS = ("pos", "hi", "mx")
 # the orderings whose blocks tests 4 and 6 read: the first, then each later one
 _PER_ORDERING = {"4": slice(0, 1), "6": slice(1, None)}
@@ -634,6 +622,21 @@ def _pass_code(flavors: tuple[str, ...]) -> tuple[CodeType, ...]:
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     module = compile(source, filename, "exec")
     return tuple(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _cells(orderings: Sequence[ExtTopOrder]) -> list[array]:
+    """The orderings' columns, each ordering's _ORDERING_COLUMNS in turn."""
+    return [getattr(o, name) for o in orderings for name in _ORDERING_COLUMNS]
+
+
+def _orderings(rows: np.ndarray, streams: Sequence[tuple[str, int | None]]) -> list[ExtTopOrder]:
+    """Inverse of _cells: the orderings whose columns are rows, one uint32
+    row per column, with one (flavor, seed) of streams each."""
+    columns = iter(map(_uint_array, rows))
+    return [
+        ExtTopOrder(**{name: next(columns) for name in _ORDERING_COLUMNS}, flavor=flavor, seed=seed)
+        for flavor, seed in streams
+    ]
 
 
 def _columns(ix: ReachIndex) -> dict[str, array]:
@@ -1161,9 +1164,7 @@ def serialize_index(ix: ReachIndex) -> bytes:
             f"orderings have flavors {flavors}; the file holds the forward ones first, "
             f"{_file_flavors(len(flavors))}"
         )
-    columns: list[array] = [ix.wcc, ix.levels.fwd, ix.levels.bwd]
-    for order in ix.orderings:
-        columns += [order.pos, order.hi, order.mx]
+    columns = [ix.wcc, ix.levels.fwd, ix.levels.bwd, *_cells(ix.orderings)]
     # a view, not a copy, where the host is little-endian
     payload = [np.frombuffer(col, np.uint32).astype("<u4", copy=False) for col in columns]
     payload += [ss.fwd_rows, ss.bwd_rows]
@@ -1199,15 +1200,12 @@ def deserialize_index(data: bytes, dag: DiGraph) -> ReachIndex:
     if ints.size and ints.max() >= n:  # every column holds ids, levels or positions < n
         i, v = divmod(int((ints >= n).argmax()), n)
         names = ["wcc", "levels.fwd", "levels.bwd"] + [
-            f"orderings[{j}].{c}" for j in range(t) for c in ("pos", "hi", "mx")
+            f"orderings[{j}].{c}" for j in range(t) for c in _ORDERING_COLUMNS
         ]
         raise IndexFormatError(f"{names[i]}[{v}] = {ints[i, v]} is out of range for n={n}")
-    wcc, fwd, bwd, *rest = map(_uint_array, ints)
+    wcc, fwd, bwd = map(_uint_array, ints[:3])
     levels = LevelAssignment(fwd, bwd)
-    orderings = [
-        ExtTopOrder(*rest[3 * j : 3 * j + 3], flavor=flavor)
-        for j, flavor in enumerate(_file_flavors(t))
-    ]
+    orderings = _orderings(ints[3:], [(flavor, None) for flavor in _file_flavors(t)])
     fwd_rows, bwd_rows = raw[masks_at:].reshape(2, n, (k + 7) // 8)
     # copies, so that the index does not keep the file's buffer alive
     support_set = SupportSet(fwd_rows.tobytes(), bwd_rows.tobytes(), k, n)

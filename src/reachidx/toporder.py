@@ -117,9 +117,14 @@ def extended_topsort(
     targets array over the graph's out-offsets that the DFS walks with one
     iterator per stack entry.  Zero keys visit children in stored
     (ascending) order.  The graph's own arrays are never mutated.
-    Non-recursive to avoid Python's recursion limit.  The columns are
-    lists while the DFS fills them (a Python loop reads a list faster) and
-    are returned as array('I').
+    Non-recursive to avoid Python's recursion limit.  The DFS fills pos
+    and High as the array('I') columns it returns.  Against a list per
+    column (a pointer and an int object per cell) one ordering's
+    tracemalloc peak fell from 194.7 to 174.0 B/vertex, and it took 61.3
+    against 58.1 ms on G(2^16, 2^18) and 283 against 326 ms on G(2^18,
+    2^20), but 7.2 against 6.4 ms on G(2^12, 2^14), where lists fit in
+    cache and each array read makes an int object (a 2-core Xeon, Python
+    3.11).
 
     Raises IndexError when start_order holds an id outside [0, n), naming
     the smallest if it is negative, else the largest.  Its least and
@@ -157,8 +162,8 @@ def _extended_order(
 ) -> ExtTopOrder:
     """extended_topsort's pass over g, whose heights are height."""
     n = g.n
-    pos = [-1] * n
-    hi = [-1] * n  # -1 until the vertex is visited
+    pos = array("I", [0]) * n
+    hi = array("I", [n]) * n  # n until the vertex is visited: every counter value is below n
     counter = n - 1
     off = g.out_off
     kids = _child_targets(g, rng)
@@ -167,14 +172,14 @@ def _extended_order(
         if counter < 0:  # every vertex placed
             break
         for root in roots:
-            if hi[root] >= 0:
+            if hi[root] < n:
                 continue
             hi[root] = counter
             stack = [(root, iter(kids[off[root]:off[root + 1]]))]
             while stack:
                 v, children = stack[-1]
                 for w in children:
-                    if hi[w] < 0:
+                    if hi[w] == n:
                         hi[w] = counter
                         stack.append((w, iter(kids[off[w]:off[w + 1]])))
                         break
@@ -182,8 +187,7 @@ def _extended_order(
                     stack.pop()
                     pos[v] = counter
                     counter -= 1
-    pos = array("I", pos)
     h = np.frombuffer(height, np.uint32)
     mx = level_fold(g.out_off, g.out_tg, h, np.array(pos, np.uint32), np.maximum)
-    return ExtTopOrder(pos, array("I", hi), _uint_array(mx), flavor, seed)
+    return ExtTopOrder(pos, hi, _uint_array(mx), flavor, seed)
 

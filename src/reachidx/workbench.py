@@ -346,29 +346,21 @@ def _tag_sort_key(tag: str) -> tuple[int, str]:
 
 def stats_report(stats: ObservationStats, query_set: str = "-") -> str:
     """TSV: first-hit rows per test:observation, overlap rows per observation,
-    then summary totals.  Shares are fractions of all queries."""
+    then summary totals.  Shares are fractions of all queries, or - when
+    there are none."""
     lines = ["query_set\tsection\ttest\tobservation\tcount\tshare"]
-    total = stats.queries or 1
+
+    def row(section: str, test: str, obs: str, count: int) -> None:
+        share = f"{count / stats.queries:.6f}" if stats.queries else "-"
+        lines.append(f"{query_set}\t{section}\t{test}\t{obs}\t{count}\t{share}")
+
     for tag in sorted(stats.first_hit, key=_tag_sort_key):
         test, _, obs = tag.partition(":")
-        count = stats.first_hit[tag]
-        lines.append(
-            f"{query_set}\tfirst_hit\t{test}\t{obs}\t{count}\t{count / total:.6f}"
-        )
+        row("first_hit", test, obs, stats.first_hit[tag])
     for obs in sorted(stats.overlap):
-        count = stats.overlap[obs]
-        lines.append(f"{query_set}\toverlap\t-\t{obs}\t{count}\t{count / total:.6f}")
-    lines.append(
-        f"{query_set}\tsummary\t-\tqueries\t{stats.queries}\t1.000000"
-    )
-    rate = stats.fallback_rate
-    lines.append(
-        f"{query_set}\tsummary\t-\tfallbacks\t{stats.fallbacks}\t"
-        + (f"{rate:.6f}" if rate is not None else "-")
-    )
+        row("overlap", "-", obs, stats.overlap[obs])
+    row("summary", "-", "queries", stats.queries)
+    row("summary", "-", "fallbacks", stats.fallbacks)
     for outcome in ("reachable", "unreachable"):
-        count = stats.outcomes.get(outcome, 0)
-        lines.append(
-            f"{query_set}\tsummary\t-\t{outcome}\t{count}\t{count / total:.6f}"
-        )
+        row("summary", "-", outcome, stats.outcomes.get(outcome, 0))
     return "\n".join(lines) + "\n"

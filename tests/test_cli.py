@@ -476,6 +476,30 @@ def test_bundle_of_gra_input(tmp_path, monkeypatch, capsys):
     assert run(argv, parses=1) == expected
 
 
+@pytest.mark.parametrize("name, text", [("g.txt", ""), ("g.gra", "0\n")], ids=["edge-list", "gra"])
+def test_an_empty_graph_builds_queries_and_reports(tmp_path, monkeypatch, capsys, name, text):
+    """A graph of no vertices, at the default t = 4: build writes an index
+    of its header alone, and an empty pairs file gets no answer rows and
+    no shares, from the bundle as from a re-parse."""
+    g = write(tmp_path / name, text)
+    idx = str(tmp_path / "g.ridx")
+    pairs = write(tmp_path / "q.txt", "")
+    run = Run(monkeypatch, capsys)
+    built = run(["build", "--graph", g, "--out-index", idx], parses=1)
+    size = index_mod.HEADER.size  # the payload holds n = 0 cells per column
+    assert built == (0, f"indexed 0 SCC(s) of 0 vertices: {size} bytes to {idx}\n", "")
+    commands = [["query", "--graph", g, "--index", idx, "--pairs", pairs],
+                ["stats", "--graph", g, "--index", idx, "--queries", pairs]]
+    with_bundle = [run(argv, parses=0) for argv in commands]
+    report = "query_set\tsection\ttest\tobservation\tcount\tshare\n" + "".join(
+        f"q.txt\tsummary\t-\t{obs}\t0\t-\n"
+        for obs in ("queries", "fallbacks", "reachable", "unreachable")
+    )
+    assert with_bundle == [(0, "", "queries=0 fallbacks=0\n"), (0, report, "")]
+    os.remove(idx + ".cond")
+    assert [run(argv, parses=1) for argv in commands] == with_bundle
+
+
 def test_a_utf8_bom_is_skipped_by_every_reader(pinned, tmp_path):
     """A UTF-8 byte order mark before the edges or the pairs changes
     nothing: the same index bytes and the same answers."""

@@ -268,6 +268,37 @@ def test_forked_and_inline_builds_give_the_same_bytes(monkeypatch, forks, t, k):
         assert_no_child_left()
 
 
+@pytest.mark.parametrize("k", [0, 16, 130])
+@pytest.mark.parametrize("t", [0, 1, 2, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_graphs_of_at_most_two_vertices_build_store_and_answer(monkeypatch, forks, n, t, k):
+    """The smallest graphs, the empty one included, at every t: the same
+    bytes built inline and forked (a worker's orderings of no cells when n
+    is 0), read back as the index they came from, and every pair answered
+    as the oracle answers it."""
+    g = DiGraph.from_edges(n, [(0, 1)] if n == 2 else [])
+    params = IndexParams(t=t, k=k, p=2)
+    monkeypatch.setattr(index_mod, "_FORK_MIN_SIZE", 0)  # fork for any size
+    inline = build_bytes(monkeypatch, 1, g, params)
+    assert forks == []
+    monkeypatch.setattr(index_mod, "_cpus", lambda: 2)
+    ix = build_index(g, params)
+    assert len(forks) == (t >= 2)
+    assert_uint_columns(ix)
+    assert_no_child_left()
+    assert serialize_index(ix) == inline
+    assert deserialize_index(inline, g) == ix
+    S, T = [s for s in range(n) for _ in range(n)], [t for _ in range(n) for t in range(n)]
+    oracle = build_oracle(g)
+    expected = [oracle(s, t) for s, t in zip(S, T)]
+    answer, tags, _work = query_batch(ix, S, T)
+    assert answer.tolist() == expected
+    assert tags == [query(ix, s, t).answered_by for s, t in zip(S, T)]
+    stats = observation_stats(ix, S, T)
+    assert stats.queries == n * n and stats.fallbacks == tags.count(PBIBFS.tag)
+    assert stats.outcomes == Counter(reachable=sum(expected), unreachable=n * n - sum(expected))
+
+
 def test_build_stays_inline_while_other_threads_run(monkeypatch, forks):
     g, params = several_components(), IndexParams(t=4, k=16, p=2)
     inline = build_bytes(monkeypatch, 1, g, params)

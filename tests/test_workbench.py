@@ -537,7 +537,10 @@ def test_stats_report_orders_tags_and_handles_empty():
     over = [r["observation"] for r in rows if r["section"] == "overlap"]
     assert over == ["B4", "B5"]
 
+    # no queries, so no share: every row reads - rather than a fraction of 0
     empty_rows = parse_report(stats_report(ObservationStats()))
     assert all(r["section"] == "summary" for r in empty_rows)
-    fb = [r for r in empty_rows if r["observation"] == "fallbacks"][0]
-    assert fb["share"] == "-"
+    assert [r["observation"] for r in empty_rows] == [
+        "queries", "fallbacks", "reachable", "unreachable"
+    ]
+    assert all(r["share"] == "-" for r in empty_rows)
